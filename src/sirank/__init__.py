@@ -2,10 +2,11 @@
 
 The scoring core combines a deep tower over scale-free features with a wide
 bilinear term over logarithms of scale-variant features, which makes pairwise
-score differences exactly invariant to per-query positive rescaling. The rest
-of the package supplies synthetic retrieval data, five classic ranking losses
-on a small reverse-mode tape, NDCG and test statistics, perturbation cases,
-and a trainer that reproduces the full loss-by-mode comparison grid.
+score differences exactly invariant to per-query positive rescaling; its
+forward and backward passes are written out by hand. The rest of the package
+supplies synthetic retrieval data, five classic ranking losses with analytic
+score gradients, NDCG and test statistics, perturbation cases, and a trainer
+that reproduces the full loss-by-mode comparison grid.
 """
 
 __version__ = "0.1.0"
@@ -16,12 +17,10 @@ from .errors import (
     DomainError,
     ParseError,
     SchemaError,
-    ShapeError,
     SirankError,
     TrainingError,
     ValidationError,
 )
-from .autodiff import ParameterSet, Tensor, backward, gradient_check, sgd_step
 from .data import (
     Dataset,
     FeatureSchema,
@@ -43,7 +42,6 @@ from .scoring import (
     Ranking,
     SirModel,
     build_model,
-    build_score_graph,
     invariance_gap,
     load_checkpoint,
     rank,
@@ -88,10 +86,8 @@ from .trainer import (
 __all__ = [
     "__version__",
     # errors
-    "SirankError", "ShapeError", "DomainError", "ValidationError", "ParseError",
+    "SirankError", "DomainError", "ValidationError", "ParseError",
     "SchemaError", "ConfigError", "ContractError", "TrainingError",
-    # tape
-    "Tensor", "ParameterSet", "backward", "gradient_check", "sgd_step",
     # data
     "FeatureSchema", "QueryFeature", "ItemRecord", "QueryRecord", "Dataset",
     "StandardizationStats", "load_dataset", "save_dataset", "load_schema",
@@ -99,7 +95,7 @@ __all__ = [
     # synthetic data
     "GeneratorConfig", "generate",
     # scoring
-    "MODES", "SirModel", "build_model", "build_score_graph", "score_query",
+    "MODES", "SirModel", "build_model", "score_query",
     "rank", "Ranking", "scale_query", "invariance_gap", "save_checkpoint",
     "load_checkpoint",
     # losses

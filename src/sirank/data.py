@@ -174,11 +174,6 @@ class QueryRecord:
     def scalevariant_matrix(self) -> np.ndarray:
         return np.stack([it.scalevariant for it in self.items])
 
-    def deep_fixed_matrix(self) -> np.ndarray:
-        if self.items and self.items[0].deep_fixed is None:
-            raise ContractError(f"query {self.query_id}: dataset not standardized")
-        return np.stack([it.deep_fixed for it in self.items])
-
 
 @dataclass
 class Dataset:

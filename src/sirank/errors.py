@@ -5,10 +5,6 @@ class SirankError(Exception):
     """Base class for library errors."""
 
 
-class ShapeError(SirankError):
-    """Operands have incompatible shapes."""
-
-
 class DomainError(SirankError):
     """A numeric input lies outside the mathematical domain of an operation."""
 
@@ -30,7 +26,7 @@ class ConfigError(SirankError):
 
 
 class ContractError(SirankError):
-    """A caller broke an API contract (non-scalar loss, non-deterministic loss fn, ...)."""
+    """A caller broke an API contract (unstandardized data, mismatched gradients, ...)."""
 
 
 class TrainingError(SirankError):

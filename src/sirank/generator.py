@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import stable_softmax
 from .data import Dataset, FeatureSchema, ItemRecord, QueryFeature, QueryRecord
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, DomainError, ValidationError
 
 CURRENCY_TABLE = (1.0, 0.85, 0.75, 1.3, 7.1, 18.0, 83.0, 110.0, 1200.0, 0.9)
 MAX_NIGHTS = 14
@@ -153,6 +152,16 @@ class GeneratorConfig:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"bad generator config: {exc}") from exc
+
+
+def stable_softmax(scores: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of a 1-d array (max-subtraction)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise DomainError("softmax of an empty vector")
+    shifted = scores - scores.max()
+    e = np.exp(shifted)
+    return e / e.sum()
 
 
 def _query_rng(seed: int, qi: int) -> np.random.Generator:

@@ -1,8 +1,8 @@
 """Training objectives over per-item scores.
 
 Each loss returns its value together with analytic gradients w.r.t. the score
-vector; the trainer splices those into the autodiff tape, so the losses stay
-plain numpy and are easy to check against finite differences.
+vector; the trainer feeds those to the scorer's backward pass, so the losses
+stay plain numpy and are easy to check against finite differences.
 
 Pairs are only formed between the booked item and each non-booked item: items
 sharing a label are tied and contribute no pairwise loss. With binary labels

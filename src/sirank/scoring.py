@@ -3,6 +3,9 @@ plus a wide bilinear term over a compressed query vector and logged raw item
 features. Pairwise score differences from the combined scorer do not move
 when every scale-variant value in a query is multiplied by a constant, which
 is the property the whole package exists to demonstrate.
+
+The network is fixed, so its forward pass, its backward pass and the SGD
+step are written out by hand below.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .data import Dataset, FeatureSchema, QueryRecord, StandardizationStats
-from .errors import ConfigError, ContractError, DomainError, SchemaError
+from .data import FeatureSchema, QueryRecord, StandardizationStats
+from .errors import ConfigError, ContractError, DomainError, SchemaError, TrainingError
 
 MODES = ("sir", "deep_only")
 DEFAULT_WIDTHS = (64, 32, 16)
@@ -28,12 +30,27 @@ class SirModel:
     mode: str
     widths: tuple[int, ...]
     compressor_dim: int
-    params: ad.ParameterSet
+    params: dict[str, np.ndarray]
     stats: StandardizationStats | None = None
 
     @property
     def wide_len(self) -> int:
         return self.compressor_dim * (self.schema.k1 + self.schema.k2)
+
+
+# ---------------------------------------------------------------------------
+# weight initialization (seeded so builds are reproducible)
+
+
+def init_dense_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Uniform in +-sqrt(6/(fan_in+fan_out))."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+
+def init_embedding_table(rng: np.random.Generator, cardinality: int, dim: int) -> np.ndarray:
+    """Uniform in +-0.05."""
+    return rng.uniform(-0.05, 0.05, size=(cardinality, dim))
 
 
 def build_model(schema: FeatureSchema, mode: str = "sir",
@@ -51,43 +68,70 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
             f"query representation width {m_prime}")
 
     rng = np.random.default_rng(seed)
-    params = ad.ParameterSet()
+    params = {}
     for f in schema.categorical_query_features:
-        params.add(f"emb_{f.name}", ad.init_embedding_table(rng, f.cardinality, f.embedding_dim))
+        params[f"emb_{f.name}"] = init_embedding_table(rng, f.cardinality, f.embedding_dim)
 
     deep_in = m_prime + schema.k1
     if mode == "deep_only":
         deep_in += schema.k2
     prev = deep_in
     for i, width in enumerate(widths):
-        params.add(f"deep_w{i}", ad.init_dense_weight(rng, prev, width))
-        params.add(f"deep_b{i}", np.zeros(width))
+        params[f"deep_w{i}"] = init_dense_weight(rng, prev, width)
+        params[f"deep_b{i}"] = np.zeros(width)
         prev = width
-    params.add("head_w", ad.init_dense_weight(rng, prev, 1))
-    params.add("head_b", np.zeros(1))
+    params["head_w"] = init_dense_weight(rng, prev, 1)
+    params["head_b"] = np.zeros(1)
 
     if mode == "sir":
-        params.add("fs_w", ad.init_dense_weight(rng, m_prime, compressor_dim))
-        params.add("fs_b", np.zeros(compressor_dim))
+        params["fs_w"] = init_dense_weight(rng, m_prime, compressor_dim)
+        params["fs_b"] = np.zeros(compressor_dim)
         k = schema.k1 + schema.k2
-        params.add("wide_w", ad.init_dense_weight(rng, compressor_dim * k, 1).reshape(-1))
+        params["wide_w"] = init_dense_weight(rng, compressor_dim * k, 1).reshape(-1)
 
     return SirModel(schema=schema, mode=mode, widths=tuple(widths),
                     compressor_dim=compressor_dim, params=params, stats=stats)
 
 
 # ---------------------------------------------------------------------------
-# graph construction
+# forward pass
 
 
-def _query_repr(model: SirModel, query: QueryRecord) -> ad.Tensor:
+@dataclass
+class ForwardCache:
+    """What the backward pass needs from one forward pass.
+
+    ``layer_inputs[i]`` is the input of dense layer i (the last one feeds the
+    head) and ``pre_activations[i]`` its output before the ReLU. The wide
+    fields stay None for deep_only models.
+    """
+
+    category_ids: list[int]
+    q_repr: np.ndarray
+    layer_inputs: list[np.ndarray]
+    pre_activations: list[np.ndarray]
+    s_row: np.ndarray | None = None
+    log_values: np.ndarray | None = None
+
+
+def _query_repr(model: SirModel, query: QueryRecord) -> tuple[np.ndarray, list[int]]:
+    """Standardized numeric query features followed by one embedding row per
+    categorical feature, and the category ids that picked those rows."""
     if query.deep_numeric is None:
         raise ContractError(f"query {query.query_id}: standardized features missing, "
                             "apply_standardization first")
     parts = [query.deep_numeric]
+    ids = []
     for f, cid in zip(model.schema.categorical_query_features, query.category_ids):
-        parts.append(ad.embedding_lookup(model.params[f"emb_{f.name}"], int(cid), feature=f.name))
-    return ad.concat(parts)
+        table = model.params[f"emb_{f.name}"]
+        cid = int(cid)
+        if cid < 0 or cid >= table.shape[0]:
+            raise DomainError(
+                f"category id {cid} out of range for feature '{f.name}' "
+                f"(cardinality {table.shape[0]})")
+        parts.append(table[cid])
+        ids.append(cid)
+    return np.concatenate(parts), ids
 
 
 def _deep_item_block(model: SirModel, query: QueryRecord, item_indices) -> np.ndarray:
@@ -103,52 +147,35 @@ def _deep_item_block(model: SirModel, query: QueryRecord, item_indices) -> np.nd
     return np.concatenate([fixed, (raw - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
 
 
-def _build_deep(model: SirModel, query: QueryRecord, item_indices,
-                q_repr: ad.Tensor) -> ad.Tensor:
-    d = len(item_indices)
+def _deep_forward(model: SirModel, query: QueryRecord, item_indices, q_repr: np.ndarray):
+    """Deep-tower scores (D,), the dense-layer inputs and the pre-activations."""
     deep_items = _deep_item_block(model, query, item_indices)
     if not np.all(np.isfinite(deep_items)) or not np.all(np.isfinite(query.deep_numeric)):
         raise DomainError(f"query {query.query_id}: non-finite deep-path input")
-    h = ad.concat_cols([ad.repeat_rows(q_repr, d), deep_items])
+    p = model.params
+    h = np.hstack([np.tile(q_repr, (len(item_indices), 1)), deep_items])
+    layer_inputs, pre_activations = [], []
     for i in range(len(model.widths)):
-        h = ad.relu(ad.affine(h, model.params[f"deep_w{i}"], model.params[f"deep_b{i}"]))
-    return ad.reshape(ad.affine(h, model.params["head_w"], model.params["head_b"]), (d,))
+        layer_inputs.append(h)
+        z = h @ p[f"deep_w{i}"] + p[f"deep_b{i}"]
+        pre_activations.append(z)
+        h = np.maximum(z, 0.0)
+    layer_inputs.append(h)
+    return (h @ p["head_w"] + p["head_b"]).reshape(-1), layer_inputs, pre_activations
 
 
-def _build_wide(model: SirModel, query: QueryRecord, item_indices,
-                q_repr: ad.Tensor) -> ad.Tensor:
-    d = len(item_indices)
-    m_prime = model.schema.query_repr_dim
-    s_row = ad.affine(ad.reshape(q_repr, (1, m_prime)),
-                      model.params["fs_w"], model.params["fs_b"])
+def _wide_forward(model: SirModel, query: QueryRecord, item_indices, q_repr: np.ndarray):
+    """Wide scores (D,) = log(v) . (W s(q)), plus s(q) as a row and log(v)."""
     wide_raw = np.concatenate(
         [np.stack([query.items[j].fixed for j in item_indices]),
          np.stack([query.items[j].scalevariant for j in item_indices])], axis=1)
     _check_wide_positive(model.schema, query, item_indices, wide_raw)
-    v = ad.log(wide_raw)
+    log_values = np.log(wide_raw)
+    p = model.params
     k = model.schema.k1 + model.schema.k2
-    w_mat = ad.reshape(model.params["wide_w"], (model.compressor_dim, k))
-    sw = ad.matmul(s_row, w_mat)               # (1, K): row of per-feature weights
-    return ad.reshape(ad.matmul(v, ad.reshape(sw, (k, 1))), (d,))
-
-
-def build_score_graph(model: SirModel, query: QueryRecord,
-                      item_indices=None) -> ad.Tensor:
-    """Assemble the scoring graph for one query; returns the (D,) score node.
-
-    The same weights score every item (one branch per item, all identical),
-    so stacking items as rows is just the batched form of that sharing.
-    """
-    if item_indices is None:
-        item_indices = range(query.n_items)
-    item_indices = list(item_indices)
-    if not item_indices:
-        raise ContractError("cannot score an empty item selection")
-    q_repr = _query_repr(model, query)
-    deep = _build_deep(model, query, item_indices, q_repr)
-    if model.mode == "deep_only":
-        return deep
-    return ad.add(deep, _build_wide(model, query, item_indices, q_repr))
+    s_row = q_repr.reshape(1, -1) @ p["fs_w"] + p["fs_b"]
+    feature_weights = s_row @ p["wide_w"].reshape(model.compressor_dim, k)
+    return (log_values @ feature_weights.reshape(k, 1)).reshape(-1), s_row, log_values
 
 
 def _check_wide_positive(schema, query, item_indices, wide_raw):
@@ -162,6 +189,80 @@ def _check_wide_positive(schema, query, item_indices, wide_raw):
         f"wide-path feature {names[kk]!r} must be > 0, got {wide_raw[j, kk]}")
 
 
+def forward(model: SirModel, query: QueryRecord,
+            item_indices=None) -> tuple[np.ndarray, ForwardCache]:
+    """Scores (D,) of the selected items (all by default) and the cache that
+    ``backward`` needs.
+
+    The same weights score every item, so stacking items as rows is just the
+    batched form of that sharing.
+    """
+    if item_indices is None:
+        item_indices = range(query.n_items)
+    item_indices = list(item_indices)
+    if not item_indices:
+        raise ContractError("cannot score an empty item selection")
+    q_repr, ids = _query_repr(model, query)
+    deep, layer_inputs, pre_activations = _deep_forward(model, query, item_indices, q_repr)
+    cache = ForwardCache(ids, q_repr, layer_inputs, pre_activations)
+    if model.mode == "deep_only":
+        return deep, cache
+    wide, cache.s_row, cache.log_values = _wide_forward(model, query, item_indices, q_repr)
+    return deep + wide, cache
+
+
+# ---------------------------------------------------------------------------
+# backward pass and update
+
+
+def backward(model: SirModel, cache: ForwardCache,
+             score_gradients: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradient of sum(score_gradients * scores) for every parameter, keyed
+    and ordered like ``model.params``."""
+    p = model.params
+    g = np.asarray(score_gradients, dtype=np.float64).reshape(-1, 1)
+    if g.shape[0] != cache.layer_inputs[0].shape[0]:
+        raise ContractError(f"{g.shape[0]} score gradients for "
+                            f"{cache.layer_inputs[0].shape[0]} scores")
+    grads = {}
+    n = len(model.widths)
+    grads["head_w"] = cache.layer_inputs[n].T @ g
+    grads["head_b"] = g.sum(axis=0)
+    g_h = g @ p["head_w"].T
+    for i in reversed(range(n)):
+        g_z = g_h * (cache.pre_activations[i] > 0.0)
+        grads[f"deep_w{i}"] = cache.layer_inputs[i].T @ g_z
+        grads[f"deep_b{i}"] = g_z.sum(axis=0)
+        g_h = g_z @ p[f"deep_w{i}"].T
+    g_q = g_h[:, :cache.q_repr.shape[0]].sum(axis=0)
+
+    if model.mode == "sir":
+        k = model.schema.k1 + model.schema.k2
+        g_fw = (cache.log_values.T @ g).reshape(1, k)
+        grads["wide_w"] = (cache.s_row.T @ g_fw).reshape(-1)
+        g_s = g_fw @ p["wide_w"].reshape(model.compressor_dim, k).T
+        grads["fs_w"] = cache.q_repr.reshape(1, -1).T @ g_s
+        grads["fs_b"] = g_s.sum(axis=0)
+        g_q = g_q + (g_s @ p["fs_w"].T).reshape(-1)
+
+    lo = len(model.schema.numeric_query_names)
+    for f, cid in zip(model.schema.categorical_query_features, cache.category_ids):
+        table_grad = np.zeros_like(p[f"emb_{f.name}"])
+        table_grad[cid] = g_q[lo:lo + f.embedding_dim]
+        grads[f"emb_{f.name}"] = table_grad
+        lo += f.embedding_dim
+    return {name: grads[name] for name in p}
+
+
+def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
+    """One plain gradient-descent step, in place, in parameter order."""
+    for name, value in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in parameter '{name}'")
+        value -= lr * g
+
+
 # ---------------------------------------------------------------------------
 # public scoring ops
 
@@ -169,20 +270,20 @@ def _check_wide_positive(schema, query, item_indices, wide_raw):
 def score_query(model: SirModel, query: QueryRecord, mode: str | None = None) -> np.ndarray:
     if mode is not None and mode != model.mode:
         raise ContractError(f"model was built for mode {model.mode!r}, not {mode!r}")
-    return build_score_graph(model, query).data.copy()
+    return forward(model, query)[0]
 
 
 def score_deep(model: SirModel, query: QueryRecord, j: int) -> float:
     """Deep-part score of item j; reads query features and fixed features only."""
     idx = list(range(query.n_items))
-    return float(_build_deep(model, query, idx, _query_repr(model, query)).data[j])
+    return float(_deep_forward(model, query, idx, _query_repr(model, query)[0])[0][j])
 
 
 def score_wide(model: SirModel, query: QueryRecord, j: int) -> float:
     if model.mode != "sir":
         raise ContractError("deep_only models have no wide part")
     idx = list(range(query.n_items))
-    return float(_build_wide(model, query, idx, _query_repr(model, query)).data[j])
+    return float(_wide_forward(model, query, idx, _query_repr(model, query)[0])[0][j])
 
 
 @dataclass(frozen=True)
@@ -243,8 +344,8 @@ def save_checkpoint(model: SirModel, path, provenance: dict | None = None):
         "schema_fingerprint": model.schema.fingerprint(),
         "stats": model.stats.to_json(),
         "params": {
-            name: {"shape": list(t.data.shape), "data": [float(v) for v in t.data.reshape(-1)]}
-            for name, t in model.params.items()
+            name: {"shape": list(value.shape), "data": [float(v) for v in value.reshape(-1)]}
+            for name, value in model.params.items()
         },
     }
     with open(path, "w") as fh:
@@ -252,24 +353,56 @@ def save_checkpoint(model: SirModel, path, provenance: dict | None = None):
         fh.write("\n")
 
 
+CHECKPOINT_KEYS = ("version", "mode", "widths", "compressor_dim", "schema_fingerprint",
+                   "stats", "params")
+
+
 def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
-    with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("version") != CHECKPOINT_VERSION:
-        raise SchemaError(f"unsupported checkpoint version {obj.get('version')}")
+    """Read a checkpoint, checking its parameter names and shapes against the
+    model that its stored mode, widths and compressor width build for
+    ``schema``; any mismatch raises SchemaError."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except ValueError as exc:
+        raise SchemaError(f"checkpoint {path} is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"checkpoint {path} is not a JSON object")
+    missing = [key for key in CHECKPOINT_KEYS if key not in obj]
+    if missing:
+        raise SchemaError(f"checkpoint {path} lacks {', '.join(missing)}")
+    if obj["version"] != CHECKPOINT_VERSION:
+        raise SchemaError(f"unsupported checkpoint version {obj['version']}")
     if obj["schema_fingerprint"] != schema.fingerprint():
         raise SchemaError(
             "checkpoint was trained against a different feature schema "
-            f"(fingerprint {obj['schema_fingerprint'][:12]}..., "
+            f"(fingerprint {str(obj['schema_fingerprint'])[:12]}..., "
             f"expected {schema.fingerprint()[:12]}...)")
-    params = ad.ParameterSet()
-    for name, spec in obj["params"].items():
-        params.add(name, np.array(spec["data"], dtype=np.float64).reshape(spec["shape"]))
-    return SirModel(
-        schema=schema,
-        mode=obj["mode"],
-        widths=tuple(obj["widths"]),
-        compressor_dim=obj["compressor_dim"],
-        params=params,
-        stats=StandardizationStats.from_json(obj["stats"]),
-    )
+    layout = f"mode {obj['mode']!r}, widths {obj['widths']}, compressor_dim {obj['compressor_dim']}"
+    try:
+        expected = build_model(schema, mode=obj["mode"], widths=tuple(obj["widths"]),
+                               compressor_dim=obj["compressor_dim"]).params
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise SchemaError(f"checkpoint {path} has an invalid layout ({layout}): {exc}") from exc
+    stored = obj["params"]
+    if not isinstance(stored, dict) or set(stored) != set(expected):
+        raise SchemaError(f"checkpoint {path} parameters do not match {layout}")
+    params = {}
+    for name, want in expected.items():
+        try:
+            value = np.array(stored[name]["data"], dtype=np.float64).reshape(stored[name]["shape"])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise SchemaError(f"checkpoint {path} parameter {name!r} is malformed: {exc}") from exc
+        if value.shape != want.shape:
+            raise SchemaError(f"checkpoint {path} parameter {name!r} has shape "
+                              f"{list(value.shape)}, expected {list(want.shape)} for {layout}")
+        params[name] = value
+    try:
+        stats = StandardizationStats.from_json(obj["stats"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"checkpoint {path} has malformed stats: {exc!r}") from exc
+    if obj["mode"] == "deep_only" and not stats.covers_scalevariant:
+        raise SchemaError(f"checkpoint {path} is deep_only but its stats do not cover "
+                          "the scale-variant features")
+    return SirModel(schema=schema, mode=obj["mode"], widths=tuple(obj["widths"]),
+                    compressor_dim=obj["compressor_dim"], params=params, stats=stats)

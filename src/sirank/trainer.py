@@ -3,11 +3,11 @@ full loss-by-mode experiment grid and its report rendering."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import Dataset, apply_standardization, fit_standardization, split_holdout
 from .errors import ConfigError, ContractError, DomainError, TrainingError
 from .losses import (
@@ -23,9 +23,11 @@ from .scoring import (
     DEFAULT_WIDTHS,
     MODES,
     SirModel,
+    backward,
     build_model,
-    build_score_graph,
+    forward,
     invariance_gap,
+    sgd_step,
 )
 
 IMPROVEMENT_EPS = 1e-6
@@ -64,8 +66,10 @@ class TrainConfig:
             raise ConfigError(f"patience {self.patience} must be in [1, max_epochs)")
         if not (self.sigma > 0):
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
-        if self.learning_rate is not None and self.learning_rate < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if self.learning_rate is not None and not (
+                math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning rate must be a finite number >= 0, "
+                              f"got {self.learning_rate}")
 
     @property
     def resolved_learning_rate(self) -> float:
@@ -130,7 +134,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     val_curve: list[float] = []
     best = -np.inf
     best_epoch = 0
-    best_snapshot = model.params.snapshot()
+    best_snapshot = {k: v.copy() for k, v in model.params.items()}
     bad_epochs = 0
     stopping = "max_epochs"
 
@@ -146,13 +150,11 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
                 item_indices = _softrank_indices(q, epoch_rng)
                 labels = labels[item_indices]
             try:
-                scores = build_score_graph(model, q, item_indices)
-                if not np.all(np.isfinite(scores.data)):
+                scores, cache = forward(model, q, item_indices)
+                if not np.all(np.isfinite(scores)):
                     raise TrainingError("scores became non-finite; training diverged")
-                out = loss_fn(scores.data, labels)
-                loss_node = ad.attach_loss(scores, out.value, out.score_gradients)
-                ad.backward(loss_node, model.params)
-                ad.sgd_step(model.params, lr)
+                out = loss_fn(scores, labels)
+                sgd_step(model.params, backward(model, cache, out.score_gradients), lr)
             except (TrainingError, DomainError) as exc:
                 raise TrainingError(
                     f"epoch {epoch}, query {q.query_id}: {exc}") from exc
@@ -164,7 +166,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
         if val > best + IMPROVEMENT_EPS:
             best = val
             best_epoch = epoch
-            best_snapshot = model.params.snapshot()
+            best_snapshot = {k: v.copy() for k, v in model.params.items()}
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -172,7 +174,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
                 stopping = "early_stop"
                 break
 
-    model.params.restore(best_snapshot)
+    model.params = best_snapshot
     history = TrainHistory(train_loss=train_losses, val_ndcg=val_curve,
                            stopping_reason=stopping, best_epoch=best_epoch)
     return model, history

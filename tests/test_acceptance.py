@@ -19,7 +19,6 @@ import time
 import numpy as np
 import pytest
 
-from sirank import autodiff as ad
 from sirank.data import apply_standardization, fit_standardization, split_holdout
 from sirank.generator import GeneratorConfig, generate
 from sirank.losses import (
@@ -30,7 +29,7 @@ from sirank.losses import (
 )
 from sirank.metrics import bonferroni, mean_ndcg, ndcg, random_ranker_mean_ndcg, two_sample_t_test
 from sirank.perturb import PerturbationCase, apply_case
-from sirank.scoring import Ranking, build_model, build_score_graph, rank, scale_query, score_query
+from sirank.scoring import Ranking, backward, build_model, forward, rank, scale_query, score_query
 from sirank.trainer import TrainConfig, train
 
 ACCEPT_SEED = 7
@@ -165,8 +164,7 @@ def test_criterion_2_baseline_non_invariance(crit2):
 
 
 def _fd_value(model, q, labels, loss_fn) -> float:
-    scores = build_score_graph(model, q)
-    return loss_fn(scores.data, labels).value
+    return loss_fn(score_query(model, q), labels).value
 
 
 def test_criterion_3_gradient_correctness():
@@ -181,8 +179,8 @@ def test_criterion_3_gradient_correctness():
         model = build_model(ds.schema, mode="sir", widths=(16, 8), compressor_dim=2,
                             seed=77, stats=stats)
         coords = []
-        for name, tensor in model.params.items():
-            for idx in range(tensor.data.size):
+        for name, value in model.params.items():
+            for idx in range(value.size):
                 coords.append((name, idx))
         rng = np.random.default_rng(5)
         rng.shuffle(coords)
@@ -195,16 +193,13 @@ def test_criterion_3_gradient_correctness():
             if loss_name == "lambdarank" and np.min(gaps) < 1e-3:
                 continue  # keep the current ranking stable under the probe
             labels = q.labels()
-            scores = build_score_graph(model, q)
-            out = loss_fn(scores.data, labels)
-            loss_node = ad.attach_loss(scores, out.value, out.score_gradients)
-            model.params.zero_grads()
-            ad.backward(loss_node, model.params)
-            analytic = {name: t.grad.copy() for name, t in model.params.items()}
+            scores, cache = forward(model, q)
+            out = loss_fn(scores, labels)
+            analytic = backward(model, cache, out.score_gradients)
             for name, idx in coords:
                 if checked >= 60:
                     break
-                flat = model.params[name].data.reshape(-1)
+                flat = model.params[name].reshape(-1)
                 keep = flat[idx]
                 flat[idx] = keep + h
                 up = _fd_value(model, q, labels, loss_fn)

@@ -193,6 +193,49 @@ def test_experiment_flag_conflicts_are_usage_errors(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _break_checkpoint(path, case):
+    if case == "not_json":
+        path.write_text(path.read_text()[:200])
+        return
+    obj = json.loads(path.read_text())
+    if case == "no_params":
+        del obj["params"]
+    elif case == "reshaped_weight":
+        obj["params"]["deep_w0"]["shape"] = obj["params"]["deep_w0"]["shape"][::-1]
+    elif case == "truncated_weight":
+        obj["params"]["deep_w1"]["data"] = obj["params"]["deep_w1"]["data"][:-1]
+    elif case == "deep_only_mode":
+        obj["mode"] = "deep_only"
+    elif case == "bias_of_shape_1":
+        obj["params"]["deep_b0"] = {"shape": [1], "data": [0.0]}
+    path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("case", ["not_json", "no_params", "reshaped_weight",
+                                  "truncated_weight", "deep_only_mode", "bias_of_shape_1"])
+def test_malformed_checkpoint_is_validation_error(workdir, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text((workdir / "model.json").read_text())
+    _break_checkpoint(bad, case)
+    code = main(["evaluate", "--model", str(bad), "--data", str(workdir / "data.jsonl"),
+                 "--schema", str(workdir / "data.schema.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validation error: checkpoint")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_usage_error(workdir, tmp_path, capsys, lr):
+    code = main(["train", "--data", str(workdir / "data.jsonl"),
+                 "--schema", str(workdir / "data.schema.json"),
+                 "--out", str(tmp_path / "m.json"), "--lr", lr, "--epochs", "2",
+                 "--patience", "1"])
+    assert code == 2
+    assert "learning rate" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_exits_with_training_code(workdir, tmp_path, capsys):
     code = main(["train", "--data", str(workdir / "data.jsonl"),

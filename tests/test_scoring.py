@@ -8,7 +8,7 @@ from sirank.errors import ConfigError, ContractError, DomainError, SchemaError
 from sirank.scoring import (
     Ranking,
     build_model,
-    build_score_graph,
+    forward,
     invariance_gap,
     load_checkpoint,
     rank,
@@ -55,7 +55,7 @@ def test_build_rejects_unknown_mode():
 def test_wide_weight_length():
     ds = prepared()
     model = small_model(ds)
-    assert model.params["wide_w"].data.shape == (model.wide_len,)
+    assert model.params["wide_w"].shape == (model.wide_len,)
     assert model.wide_len == 2 * (ds.schema.k1 + ds.schema.k2)
 
 
@@ -73,8 +73,8 @@ def test_unstandardized_query_rejected():
 def test_zeroed_parameters_score_zero():
     ds = prepared()
     model = small_model(ds)
-    for _, t in model.params.items():
-        t.data[...] = 0.0
+    for value in model.params.values():
+        value[...] = 0.0
     q = ds.queries[0]
     np.testing.assert_array_equal(score_query(model, q), np.zeros(q.n_items))
 
@@ -118,7 +118,7 @@ def test_unit_features_zero_wide_score():
 def test_zero_wide_weights_degenerate_to_deep():
     ds = prepared(seed=6)
     model = small_model(ds)
-    model.params["wide_w"].data[...] = 0.0
+    model.params["wide_w"][...] = 0.0
     q = ds.queries[1]
     scores = score_query(model, q)
     deep = np.array([score_deep(model, q, j) for j in range(q.n_items)])
@@ -133,12 +133,12 @@ def test_wide_score_matches_triple_loop_oracle():
     # oracle: recompute <w, s (x) v> with explicit loops and hand-built s
     q_repr = list(q.deep_numeric)
     for f, cid in zip(schema.categorical_query_features, q.category_ids):
-        q_repr.extend(model.params[f"emb_{f.name}"].data[int(cid)])
+        q_repr.extend(model.params[f"emb_{f.name}"][int(cid)])
     q_repr = np.array(q_repr)
-    fs_w, fs_b = model.params["fs_w"].data, model.params["fs_b"].data
+    fs_w, fs_b = model.params["fs_w"], model.params["fs_b"]
     s = np.array([sum(q_repr[m] * fs_w[m, l] for m in range(len(q_repr))) + fs_b[l]
                   for l in range(model.compressor_dim)])
-    w = model.params["wide_w"].data
+    w = model.params["wide_w"]
     k_total = schema.k1 + schema.k2
     for j in range(q.n_items):
         v = np.log(np.concatenate([q.items[j].fixed, q.items[j].scalevariant]))
@@ -167,9 +167,9 @@ def test_single_item_query_scores():
     ds = prepared(seed=9)
     model = small_model(ds)
     q = ds.queries[0]
-    node = build_score_graph(model, q, item_indices=[0])
-    assert node.data.shape == (1,)
-    assert np.isfinite(node.data[0])
+    scores, _ = forward(model, q, item_indices=[0])
+    assert scores.shape == (1,)
+    assert np.isfinite(scores[0])
 
 
 def test_component_sum():
@@ -327,6 +327,16 @@ def test_checkpoint_rejects_other_schema(tmp_path):
     )
     with pytest.raises(SchemaError, match="fingerprint"):
         load_checkpoint(path, mutated)
+
+
+def test_checkpoint_deep_only_needs_scalevariant_stats(tmp_path):
+    ds = prepared(seed=23)  # stats without scale-variant coverage
+    model = build_model(ds.schema, mode="deep_only", widths=(4,), compressor_dim=2,
+                        stats=ds.stats)
+    path = tmp_path / "m.json"
+    save_checkpoint(model, path)
+    with pytest.raises(SchemaError, match="scale-variant"):
+        load_checkpoint(path, ds.schema)
 
 
 def test_checkpoint_requires_stats(tmp_path):

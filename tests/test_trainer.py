@@ -49,6 +49,12 @@ def test_config_rejects_bad_sigma_and_lr():
         TrainConfig(learning_rate=-0.1)
 
 
+def test_config_rejects_non_finite_lr():
+    for lr in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(learning_rate=lr)
+
+
 def test_per_loss_default_learning_rates():
     for loss, lr in DEFAULT_LEARNING_RATES.items():
         assert TrainConfig(loss=loss).resolved_learning_rate == lr
