@@ -45,6 +45,7 @@ from .scoring import (
 )
 from .trainer import (
     ExperimentConfig,
+    ExperimentReport,
     TrainConfig,
     render_csv,
     render_text,
@@ -272,25 +273,13 @@ def cmd_experiment(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.data) as fh:
-        payload = json.load(fh)
-    if "report" not in payload:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{args.data}: not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or "report" not in payload:
         raise ValidationError(f"{args.data}: not an experiment report file")
-    from .trainer import CellResult, ExperimentReport, TestCell, TrainHistory
-
-    rep = payload["report"]
-    cells = []
-    for c in rep["cells"]:
-        hist = c.get("history")
-        cells.append(CellResult(
-            loss=c["loss"], mode=c["mode"], seed=c["seed"],
-            val_ndcg=c["val_ndcg"], test_ndcg=c["test_ndcg"],
-            case_ndcg={int(k): v for k, v in c["case_ndcg"].items()},
-            invariance_gap_c1200=c["invariance_gap_c1200"],
-            history=TrainHistory(**hist) if hist else None,
-            error=c["error"],
-        ))
-    tests = [TestCell(**t) for t in rep["tests"]]
-    report = ExperimentReport(cells=cells, tests=tests, meta=rep["meta"])
+    report = ExperimentReport.from_json(payload["report"])
 
     text = render_text(report)
     if args.out:

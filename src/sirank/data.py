@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,6 +201,25 @@ def _finite_positive(arr: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(arr)) and np.all(arr > 0))
 
 
+def _is_number(v) -> bool:
+    """A JSON number that converts to float64: a float, or an int that is
+    not a bool and not too large for a float."""
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= sys.float_info.max)
+
+
+def _item_features(values, names: tuple[str, ...], qid: str, what: str) -> np.ndarray:
+    """One item's feature group in schema order; every value must be a JSON
+    number (not a string, null or boolean)."""
+    out = np.empty(len(names), dtype=np.float64)
+    for i, name in enumerate(names):
+        _require(isinstance(values, dict) and name in values, qid, f"missing {what} {name!r}")
+        v = values[name]
+        _require(_is_number(v), qid, f"{what} {name!r} is not numeric")
+        out[i] = float(v)
+    return out
+
+
 def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
     qid = obj.get("query_id")
     if not isinstance(qid, str) or not qid:
@@ -211,8 +231,7 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
     for i, name in enumerate(schema.numeric_query_names):
         _require(name in qvals, qid, f"missing query feature {name!r}")
         v = qvals[name]
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), qid,
-                 f"query feature {name!r} is not numeric")
+        _require(_is_number(v), qid, f"query feature {name!r} is not numeric")
         numeric[i] = float(v)
     _require(bool(np.all(np.isfinite(numeric))), qid, "non-finite query feature value")
 
@@ -234,8 +253,7 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
     _require(isinstance(nights, int) and not isinstance(nights, bool) and nights > 0,
              qid, "num_nights must be a positive integer")
     rate = obj.get("exchange_rate")
-    _require(isinstance(rate, (int, float)) and not isinstance(rate, bool)
-             and math.isfinite(rate) and rate > 0,
+    _require(_is_number(rate) and math.isfinite(rate) and rate > 0,
              qid, "exchange_rate must be a positive finite number")
 
     raw_items = obj.get("items")
@@ -244,18 +262,14 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
              f"items count {len(raw_items)} outside [{MIN_ITEMS_PER_QUERY}, {MAX_ITEMS_PER_QUERY}]")
 
     items = []
-    for raw in raw_items:
+    for position, raw in enumerate(raw_items):
+        _require(isinstance(raw, dict), qid, f"item at position {position} is not a JSON object")
         iid = raw.get("item_id")
         _require(isinstance(iid, str) and bool(iid), qid, "item without a string item_id")
-        fixed = np.empty(schema.k1, dtype=np.float64)
-        for i, name in enumerate(schema.item_features_fixed):
-            _require(name in raw.get("fixed", {}), qid, f"item {iid}: missing fixed feature {name!r}")
-            fixed[i] = float(raw["fixed"][name])
-        sv = np.empty(schema.k2, dtype=np.float64)
-        for i, name in enumerate(schema.item_features_scalevariant):
-            _require(name in raw.get("scalevariant", {}), qid,
-                     f"item {iid}: missing scale-variant feature {name!r}")
-            sv[i] = float(raw["scalevariant"][name])
+        fixed = _item_features(raw.get("fixed"), schema.item_features_fixed, qid,
+                               f"item {iid}: fixed feature")
+        sv = _item_features(raw.get("scalevariant"), schema.item_features_scalevariant, qid,
+                            f"item {iid}: scale-variant feature")
         _require(_finite_positive(fixed), qid, f"item {iid}: fixed features must be finite and > 0")
         _require(_finite_positive(sv), qid, f"item {iid}: scale-variant features must be finite and > 0")
         label = raw.get("label")

@@ -5,7 +5,16 @@ when every scale-variant value in a query is multiplied by a constant, which
 is the property the whole package exists to demonstrate.
 
 The network is fixed, so its forward pass, its backward pass and the SGD
-step are written out by hand below.
+step are written out by hand below. Scoring runs in two steps:
+``prepare_query`` stacks a query's item rows into a ``QueryBlock``, takes the
+logs of the wide inputs and checks the data once; ``forward_block`` does the
+arithmetic on that block (or on selected rows of it). ``forward`` does both,
+and training prepares each query once and reuses its block every epoch.
+
+All parameters live in one contiguous float64 vector; ``SirModel.params`` is
+a ``ParamVector``, a dict of named views into it in build order. ``backward``
+returns gradients with the same layout, so ``sgd_step`` checks and updates
+every parameter with one vector operation each.
 """
 
 from __future__ import annotations
@@ -24,13 +33,43 @@ DEFAULT_L = 4
 CHECKPOINT_VERSION = 1
 
 
+class ParamVector(dict):
+    """Parameter arrays by name, in build order, each a reshaped view into
+    one contiguous float64 vector ``flat``. Writing through a view writes the
+    vector, so one vector operation updates every parameter. Set values with
+    ``params[name][...] = value``: binding a new array to a name would detach
+    it from ``flat``.
+
+    ``layout`` holds one (name, span of ``flat``, shape) entry per array.
+    """
+
+    def __init__(self, layout: tuple[tuple[str, slice, tuple[int, ...]], ...]):
+        self.layout = layout
+        self.flat = np.zeros(layout[-1][1].stop)
+        super().__init__((name, self.flat[span].reshape(shape)) for name, span, shape in layout)
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> ParamVector:
+        layout, lo = [], 0
+        for name, value in arrays.items():
+            layout.append((name, slice(lo, lo + value.size), value.shape))
+            lo += value.size
+        out = cls(tuple(layout))
+        for name, value in arrays.items():
+            out[name][...] = value
+        return out
+
+    def zeros_like(self) -> ParamVector:
+        return ParamVector(self.layout)
+
+
 @dataclass
 class SirModel:
     schema: FeatureSchema
     mode: str
     widths: tuple[int, ...]
     compressor_dim: int
-    params: dict[str, np.ndarray]
+    params: ParamVector
     stats: StandardizationStats | None = None
 
     @property
@@ -90,11 +129,28 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
         params["wide_w"] = init_dense_weight(rng, compressor_dim * k, 1).reshape(-1)
 
     return SirModel(schema=schema, mode=mode, widths=tuple(widths),
-                    compressor_dim=compressor_dim, params=params, stats=stats)
+                    compressor_dim=compressor_dim, params=ParamVector.from_arrays(params),
+                    stats=stats)
 
 
 # ---------------------------------------------------------------------------
-# forward pass
+# forward pass: prepare a query once, then compute on its block
+
+
+@dataclass(frozen=True)
+class QueryBlock:
+    """One query's scoring inputs, stacked and checked once.
+
+    ``lookups`` names the embedding row of each categorical query feature as
+    (table parameter name, category id). Row j of ``deep_items`` and
+    ``log_values`` belongs to item j; ``log_values`` (the logged wide inputs)
+    is None for deep_only models.
+    """
+
+    deep_numeric: np.ndarray
+    lookups: tuple[tuple[str, int], ...]
+    deep_items: np.ndarray
+    log_values: np.ndarray | None
 
 
 @dataclass
@@ -106,7 +162,7 @@ class ForwardCache:
     fields stay None for deep_only models.
     """
 
-    category_ids: list[int]
+    lookups: tuple[tuple[str, int], ...]
     q_repr: np.ndarray
     layer_inputs: list[np.ndarray]
     pre_activations: list[np.ndarray]
@@ -114,46 +170,67 @@ class ForwardCache:
     log_values: np.ndarray | None = None
 
 
-def _query_repr(model: SirModel, query: QueryRecord) -> tuple[np.ndarray, list[int]]:
-    """Standardized numeric query features followed by one embedding row per
-    categorical feature, and the category ids that picked those rows."""
+def prepare_query(model: SirModel, query: QueryRecord) -> QueryBlock:
+    """Stack and check what scoring reads from ``query``: nothing in the
+    block depends on the parameters, so training builds it once per query."""
     if query.deep_numeric is None:
         raise ContractError(f"query {query.query_id}: standardized features missing, "
                             "apply_standardization first")
-    parts = [query.deep_numeric]
-    ids = []
+    if not query.items:
+        raise ContractError("cannot score an empty item selection")
+    lookups = []
     for f, cid in zip(model.schema.categorical_query_features, query.category_ids):
-        table = model.params[f"emb_{f.name}"]
         cid = int(cid)
-        if cid < 0 or cid >= table.shape[0]:
+        if cid < 0 or cid >= f.cardinality:
             raise DomainError(
                 f"category id {cid} out of range for feature '{f.name}' "
-                f"(cardinality {table.shape[0]})")
-        parts.append(table[cid])
-        ids.append(cid)
-    return np.concatenate(parts), ids
+                f"(cardinality {f.cardinality})")
+        lookups.append((f"emb_{f.name}", cid))
 
-
-def _deep_item_block(model: SirModel, query: QueryRecord, item_indices) -> np.ndarray:
-    items = [query.items[j] for j in item_indices]
-    fixed = np.stack([it.deep_fixed for it in items])
-    if model.mode != "deep_only":
-        return fixed
-    stats = model.stats
-    if stats is None or not stats.covers_scalevariant:
-        raise ContractError("deep_only scoring needs standardization stats that "
-                            "cover the scale-variant features")
-    raw = np.stack([it.scalevariant for it in items])
-    return np.concatenate([fixed, (raw - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
-
-
-def _deep_forward(model: SirModel, query: QueryRecord, item_indices, q_repr: np.ndarray):
-    """Deep-tower scores (D,), the dense-layer inputs and the pre-activations."""
-    deep_items = _deep_item_block(model, query, item_indices)
+    # np.array stacks equal-length rows like np.stack, at a third of the cost
+    deep_items = np.array([it.deep_fixed for it in query.items])
+    if model.mode == "deep_only":
+        stats = model.stats
+        if stats is None or not stats.covers_scalevariant:
+            raise ContractError("deep_only scoring needs standardization stats that "
+                                "cover the scale-variant features")
+        raw = np.array([it.scalevariant for it in query.items])
+        deep_items = np.concatenate(
+            [deep_items, (raw - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
     if not np.all(np.isfinite(deep_items)) or not np.all(np.isfinite(query.deep_numeric)):
         raise DomainError(f"query {query.query_id}: non-finite deep-path input")
+
+    log_values = None
+    if model.mode == "sir":
+        wide_raw = np.concatenate([np.array([it.fixed for it in query.items]),
+                                   np.array([it.scalevariant for it in query.items])], axis=1)
+        _check_wide_positive(model.schema, query, wide_raw)
+        log_values = np.log(wide_raw)
+    return QueryBlock(query.deep_numeric, tuple(lookups), deep_items, log_values)
+
+
+def _check_wide_positive(schema, query, wide_raw):
+    if np.all(wide_raw > 0):
+        return
+    names = list(schema.item_features_fixed) + list(schema.item_features_scalevariant)
+    rows, cols = np.nonzero(~(wide_raw > 0))
+    j, kk = int(rows[0]), int(cols[0])
+    raise DomainError(
+        f"query {query.query_id}, item {query.items[j].item_id}: "
+        f"wide-path feature {names[kk]!r} must be > 0, got {wide_raw[j, kk]}")
+
+
+def _query_repr(model: SirModel, block: QueryBlock) -> np.ndarray:
+    """Standardized numeric query features followed by one embedding row per
+    categorical feature."""
     p = model.params
-    h = np.hstack([np.tile(q_repr, (len(item_indices), 1)), deep_items])
+    return np.concatenate([block.deep_numeric] + [p[name][cid] for name, cid in block.lookups])
+
+
+def _deep_forward(model: SirModel, q_repr: np.ndarray, deep_items: np.ndarray):
+    """Deep-tower scores (D,), the dense-layer inputs and the pre-activations."""
+    p = model.params
+    h = np.hstack([np.tile(q_repr, (deep_items.shape[0], 1)), deep_items])
     layer_inputs, pre_activations = [], []
     for i in range(len(model.widths)):
         layer_inputs.append(h)
@@ -164,103 +241,96 @@ def _deep_forward(model: SirModel, query: QueryRecord, item_indices, q_repr: np.
     return (h @ p["head_w"] + p["head_b"]).reshape(-1), layer_inputs, pre_activations
 
 
-def _wide_forward(model: SirModel, query: QueryRecord, item_indices, q_repr: np.ndarray):
-    """Wide scores (D,) = log(v) . (W s(q)), plus s(q) as a row and log(v)."""
-    wide_raw = np.concatenate(
-        [np.stack([query.items[j].fixed for j in item_indices]),
-         np.stack([query.items[j].scalevariant for j in item_indices])], axis=1)
-    _check_wide_positive(model.schema, query, item_indices, wide_raw)
-    log_values = np.log(wide_raw)
+def _wide_forward(model: SirModel, q_repr: np.ndarray, log_values: np.ndarray):
+    """Wide scores (D,) = log(v) . (W s(q)), plus s(q) as a row."""
     p = model.params
     k = model.schema.k1 + model.schema.k2
     s_row = q_repr.reshape(1, -1) @ p["fs_w"] + p["fs_b"]
     feature_weights = s_row @ p["wide_w"].reshape(model.compressor_dim, k)
-    return (log_values @ feature_weights.reshape(k, 1)).reshape(-1), s_row, log_values
+    return (log_values @ feature_weights.reshape(k, 1)).reshape(-1), s_row
 
 
-def _check_wide_positive(schema, query, item_indices, wide_raw):
-    if np.all(wide_raw > 0):
-        return
-    names = list(schema.item_features_fixed) + list(schema.item_features_scalevariant)
-    rows, cols = np.nonzero(~(wide_raw > 0))
-    j, kk = int(rows[0]), int(cols[0])
-    raise DomainError(
-        f"query {query.query_id}, item {query.items[item_indices[j]].item_id}: "
-        f"wide-path feature {names[kk]!r} must be > 0, got {wide_raw[j, kk]}")
-
-
-def forward(model: SirModel, query: QueryRecord,
-            item_indices=None) -> tuple[np.ndarray, ForwardCache]:
-    """Scores (D,) of the selected items (all by default) and the cache that
-    ``backward`` needs.
+def forward_block(model: SirModel, block: QueryBlock,
+                  item_indices=None) -> tuple[np.ndarray, ForwardCache]:
+    """Scores (D,) of the selected rows of ``block`` (all by default) and the
+    cache that ``backward`` needs.
 
     The same weights score every item, so stacking items as rows is just the
     batched form of that sharing.
     """
-    if item_indices is None:
-        item_indices = range(query.n_items)
-    item_indices = list(item_indices)
-    if not item_indices:
-        raise ContractError("cannot score an empty item selection")
-    q_repr, ids = _query_repr(model, query)
-    deep, layer_inputs, pre_activations = _deep_forward(model, query, item_indices, q_repr)
-    cache = ForwardCache(ids, q_repr, layer_inputs, pre_activations)
+    deep_items, log_values = block.deep_items, block.log_values
+    if item_indices is not None:
+        item_indices = list(item_indices)
+        if not item_indices:
+            raise ContractError("cannot score an empty item selection")
+        deep_items = deep_items[item_indices]
+        if log_values is not None:
+            log_values = log_values[item_indices]
+    q_repr = _query_repr(model, block)
+    deep, layer_inputs, pre_activations = _deep_forward(model, q_repr, deep_items)
+    cache = ForwardCache(block.lookups, q_repr, layer_inputs, pre_activations)
     if model.mode == "deep_only":
         return deep, cache
-    wide, cache.s_row, cache.log_values = _wide_forward(model, query, item_indices, q_repr)
+    wide, cache.s_row = _wide_forward(model, q_repr, log_values)
+    cache.log_values = log_values
     return deep + wide, cache
+
+
+def forward(model: SirModel, query: QueryRecord,
+            item_indices=None) -> tuple[np.ndarray, ForwardCache]:
+    """``forward_block`` on a freshly prepared ``query``."""
+    return forward_block(model, prepare_query(model, query), item_indices)
 
 
 # ---------------------------------------------------------------------------
 # backward pass and update
 
 
-def backward(model: SirModel, cache: ForwardCache,
-             score_gradients: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradient of sum(score_gradients * scores) for every parameter, keyed
-    and ordered like ``model.params``."""
+def backward(model: SirModel, cache: ForwardCache, score_gradients: np.ndarray) -> ParamVector:
+    """Gradient of sum(score_gradients * scores) for every parameter, laid
+    out like ``model.params``; an embedding table's gradient is written only
+    in the row the query looked up."""
     p = model.params
     g = np.asarray(score_gradients, dtype=np.float64).reshape(-1, 1)
     if g.shape[0] != cache.layer_inputs[0].shape[0]:
         raise ContractError(f"{g.shape[0]} score gradients for "
                             f"{cache.layer_inputs[0].shape[0]} scores")
-    grads = {}
+    grads = p.zeros_like()
     n = len(model.widths)
-    grads["head_w"] = cache.layer_inputs[n].T @ g
-    grads["head_b"] = g.sum(axis=0)
+    grads["head_w"][...] = cache.layer_inputs[n].T @ g
+    grads["head_b"][...] = g.sum(axis=0)
     g_h = g @ p["head_w"].T
     for i in reversed(range(n)):
         g_z = g_h * (cache.pre_activations[i] > 0.0)
-        grads[f"deep_w{i}"] = cache.layer_inputs[i].T @ g_z
-        grads[f"deep_b{i}"] = g_z.sum(axis=0)
+        grads[f"deep_w{i}"][...] = cache.layer_inputs[i].T @ g_z
+        grads[f"deep_b{i}"][...] = g_z.sum(axis=0)
         g_h = g_z @ p[f"deep_w{i}"].T
     g_q = g_h[:, :cache.q_repr.shape[0]].sum(axis=0)
 
     if model.mode == "sir":
         k = model.schema.k1 + model.schema.k2
         g_fw = (cache.log_values.T @ g).reshape(1, k)
-        grads["wide_w"] = (cache.s_row.T @ g_fw).reshape(-1)
+        grads["wide_w"][...] = (cache.s_row.T @ g_fw).reshape(-1)
         g_s = g_fw @ p["wide_w"].reshape(model.compressor_dim, k).T
-        grads["fs_w"] = cache.q_repr.reshape(1, -1).T @ g_s
-        grads["fs_b"] = g_s.sum(axis=0)
+        grads["fs_w"][...] = cache.q_repr.reshape(1, -1).T @ g_s
+        grads["fs_b"][...] = g_s.sum(axis=0)
         g_q = g_q + (g_s @ p["fs_w"].T).reshape(-1)
 
     lo = len(model.schema.numeric_query_names)
-    for f, cid in zip(model.schema.categorical_query_features, cache.category_ids):
-        table_grad = np.zeros_like(p[f"emb_{f.name}"])
-        table_grad[cid] = g_q[lo:lo + f.embedding_dim]
-        grads[f"emb_{f.name}"] = table_grad
-        lo += f.embedding_dim
-    return {name: grads[name] for name in p}
+    for name, cid in cache.lookups:
+        row = grads[name][cid]
+        row[...] = g_q[lo:lo + row.size]
+        lo += row.size
+    return grads
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
-    """One plain gradient-descent step, in place, in parameter order."""
-    for name, value in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter '{name}'")
-        value -= lr * g
+def sgd_step(params: ParamVector, grads: ParamVector, lr: float) -> None:
+    """One plain gradient-descent step over the whole parameter vector, in
+    place; a non-finite gradient leaves every parameter untouched."""
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
+        raise TrainingError(f"non-finite gradient in parameter '{name}'")
+    params.flat -= lr * grads.flat
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +345,15 @@ def score_query(model: SirModel, query: QueryRecord, mode: str | None = None) ->
 
 def score_deep(model: SirModel, query: QueryRecord, j: int) -> float:
     """Deep-part score of item j; reads query features and fixed features only."""
-    idx = list(range(query.n_items))
-    return float(_deep_forward(model, query, idx, _query_repr(model, query)[0])[0][j])
+    block = prepare_query(model, query)
+    return float(_deep_forward(model, _query_repr(model, block), block.deep_items)[0][j])
 
 
 def score_wide(model: SirModel, query: QueryRecord, j: int) -> float:
     if model.mode != "sir":
         raise ContractError("deep_only models have no wide part")
-    idx = list(range(query.n_items))
-    return float(_wide_forward(model, query, idx, _query_repr(model, query)[0])[0][j])
+    block = prepare_query(model, query)
+    return float(_wide_forward(model, _query_repr(model, block), block.log_values)[0][j])
 
 
 @dataclass(frozen=True)
@@ -358,9 +428,9 @@ CHECKPOINT_KEYS = ("version", "mode", "widths", "compressor_dim", "schema_finger
 
 
 def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
-    """Read a checkpoint, checking its parameter names and shapes against the
-    model that its stored mode, widths and compressor width build for
-    ``schema``; any mismatch raises SchemaError."""
+    """Read a checkpoint into the parameter vector of the model that its
+    stored mode, widths and compressor width build for ``schema``; a
+    parameter name or shape that does not match raises SchemaError."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -380,15 +450,14 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
             f"expected {schema.fingerprint()[:12]}...)")
     layout = f"mode {obj['mode']!r}, widths {obj['widths']}, compressor_dim {obj['compressor_dim']}"
     try:
-        expected = build_model(schema, mode=obj["mode"], widths=tuple(obj["widths"]),
-                               compressor_dim=obj["compressor_dim"]).params
+        params = build_model(schema, mode=obj["mode"], widths=tuple(obj["widths"]),
+                             compressor_dim=obj["compressor_dim"]).params
     except (ConfigError, TypeError, ValueError) as exc:
         raise SchemaError(f"checkpoint {path} has an invalid layout ({layout}): {exc}") from exc
     stored = obj["params"]
-    if not isinstance(stored, dict) or set(stored) != set(expected):
+    if not isinstance(stored, dict) or set(stored) != set(params):
         raise SchemaError(f"checkpoint {path} parameters do not match {layout}")
-    params = {}
-    for name, want in expected.items():
+    for name, want in params.items():
         try:
             value = np.array(stored[name]["data"], dtype=np.float64).reshape(stored[name]["shape"])
         except (TypeError, ValueError, KeyError) as exc:
@@ -396,7 +465,7 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
         if value.shape != want.shape:
             raise SchemaError(f"checkpoint {path} parameter {name!r} has shape "
                               f"{list(value.shape)}, expected {list(want.shape)} for {layout}")
-        params[name] = value
+        want[...] = value
     try:
         stats = StandardizationStats.from_json(obj["stats"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

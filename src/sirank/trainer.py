@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, apply_standardization, fit_standardization, split_holdout
-from .errors import ConfigError, ContractError, DomainError, TrainingError
+from .errors import ConfigError, ContractError, DomainError, TrainingError, ValidationError
 from .losses import (
     DEFAULT_SOFTRANK_SIGMA,
     LOSS_NAMES,
@@ -22,11 +22,13 @@ from .scoring import (
     DEFAULT_L,
     DEFAULT_WIDTHS,
     MODES,
+    QueryBlock,
     SirModel,
     backward,
     build_model,
-    forward,
+    forward_block,
     invariance_gap,
+    prepare_query,
     sgd_step,
 )
 
@@ -114,7 +116,9 @@ def _softrank_indices(query, epoch_rng: np.random.Generator) -> list[int]:
 def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirModel, TrainHistory]:
     """SGD over one query at a time, stopping when validation NDCG stalls.
 
-    Returns the model restored to its best-validation epoch.
+    Each training query's input block is prepared at its first visit and
+    reused in later epochs. Returns the model restored to its
+    best-validation epoch.
     """
     _check_prepared(train_ds, config.mode, "training")
     _check_prepared(val_ds, config.mode, "validation")
@@ -134,7 +138,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     val_curve: list[float] = []
     best = -np.inf
     best_epoch = 0
-    best_snapshot = {k: v.copy() for k, v in model.params.items()}
+    best_snapshot = model.params.flat.copy()
+    blocks: list[QueryBlock | None] = [None] * len(train_ds)
     bad_epochs = 0
     stopping = "max_epochs"
 
@@ -150,7 +155,9 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
                 item_indices = _softrank_indices(q, epoch_rng)
                 labels = labels[item_indices]
             try:
-                scores, cache = forward(model, q, item_indices)
+                if blocks[qi] is None:
+                    blocks[qi] = prepare_query(model, q)
+                scores, cache = forward_block(model, blocks[qi], item_indices)
                 if not np.all(np.isfinite(scores)):
                     raise TrainingError("scores became non-finite; training diverged")
                 out = loss_fn(scores, labels)
@@ -166,7 +173,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
         if val > best + IMPROVEMENT_EPS:
             best = val
             best_epoch = epoch
-            best_snapshot = {k: v.copy() for k, v in model.params.items()}
+            best_snapshot = model.params.flat.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -174,7 +181,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
                 stopping = "early_stop"
                 break
 
-    model.params = best_snapshot
+    model.params.flat[...] = best_snapshot
     history = TrainHistory(train_loss=train_losses, val_ndcg=val_curve,
                            stopping_reason=stopping, best_epoch=best_epoch)
     return model, history
@@ -262,11 +269,47 @@ class ExperimentReport:
             "tests": [t.to_json() for t in self.tests],
         }
 
+    @classmethod
+    def from_json(cls, obj) -> ExperimentReport:
+        """Inverse of ``to_json``; a missing key or a value of the wrong type
+        raises ValidationError."""
+        try:
+            cells = [CellResult(
+                loss=c["loss"], mode=c["mode"], seed=c["seed"],
+                val_ndcg=_number_or_none(c["val_ndcg"]),
+                test_ndcg=_number_or_none(c["test_ndcg"]),
+                case_ndcg={int(k): _number_or_none(v) for k, v in c["case_ndcg"].items()},
+                invariance_gap_c1200=_number_or_none(c["invariance_gap_c1200"]),
+                history=TrainHistory(**c["history"]) if c.get("history") else None,
+                error=c["error"],
+            ) for c in obj["cells"]]
+            tests = [TestCell(**t) for t in obj["tests"]]
+            meta = obj["meta"]
+            for key in REPORT_META_NUMBERS:
+                if _number_or_none(meta[key]) is None:
+                    raise TypeError(f"meta {key!r} must be a number")
+        except KeyError as exc:
+            raise ValidationError(f"experiment report lacks key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed experiment report: {exc}") from exc
+        return cls(cells=cells, tests=tests, meta=meta)
+
     def cell(self, loss: str, mode: str) -> CellResult:
         for c in self.cells:
             if c.loss == loss and c.mode == mode:
                 return c
         raise KeyError(f"no cell for loss={loss} mode={mode}")
+
+
+# meta fields that render_text formats as numbers
+REPORT_META_NUMBERS = ("alpha", "n_comparisons", "significance_threshold",
+                       "random_ranker_test_ndcg")
+
+
+def _number_or_none(v):
+    if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+        raise TypeError(f"expected a number or null, got {v!r}")
+    return v
 
 
 CONDITIONS = ("test",) + tuple(f"case{cid}" for cid in CASE_IDS)

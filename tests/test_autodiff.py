@@ -12,6 +12,7 @@ from sirank.data import apply_standardization, fit_standardization
 from sirank.errors import ContractError, DomainError, SchemaError, TrainingError
 from sirank.generator import stable_softmax
 from sirank.scoring import (
+    ParamVector,
     backward,
     build_model,
     forward,
@@ -350,15 +351,19 @@ def test_gradient_check_detects_nondeterminism():
 # sgd_step
 
 
+def vector(**arrays):
+    return ParamVector.from_arrays({k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
+
+
 def test_sgd_step_basic_update():
-    params = {"t": np.array([1.0])}
-    sgd_step(params, {"t": np.array([2.0])}, 0.1)
+    params = vector(t=[1.0])
+    sgd_step(params, vector(t=[2.0]), 0.1)
     np.testing.assert_allclose(params["t"], [0.8], atol=1e-15)
 
 
 def test_sgd_step_zero_lr_keeps_parameters():
-    params = {"t": np.array([1.5, -2.0])}
-    sgd_step(params, {"t": np.full(2, 100.0)}, 0.0)
+    params = vector(t=[1.5, -2.0])
+    sgd_step(params, vector(t=np.full(2, 100.0)), 0.0)
     np.testing.assert_array_equal(params["t"], [1.5, -2.0])
 
 
@@ -366,16 +371,18 @@ def test_sgd_converges_on_convex_quadratic():
     # loss = sum a_i (t_i - m_i)^2 has closed-form minimizer m
     a = np.array([1.0, 2.0, 0.5])
     m = np.array([0.3, -1.2, 2.5])
-    params = {"t": np.zeros(3)}
+    params = vector(t=np.zeros(3))
     for _ in range(100):
-        sgd_step(params, {"t": 2.0 * a * (params["t"] - m)}, 0.2)
+        sgd_step(params, vector(t=2.0 * a * (params["t"] - m)), 0.2)
     assert np.max(np.abs(params["t"] - m)) < 1e-3
 
 
 def test_sgd_step_rejects_non_finite_gradient():
-    params = {"good": np.array([1.0]), "bad": np.array([1.0])}
+    params = vector(good=[1.0], bad=[1.0])
     with pytest.raises(TrainingError, match="bad"):
-        sgd_step(params, {"good": np.array([0.5]), "bad": np.array([np.nan])}, 0.1)
+        sgd_step(params, vector(good=[0.5], bad=[np.nan]), 0.1)
+    # the check runs before the update, so no parameter moved
+    np.testing.assert_array_equal(params.flat, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,59 @@ def test_report_rerenders_saved_json(experiment_out, tmp_path, capsys):
     assert rendered.splitlines()[-3:] == saved.splitlines()[-3:]
 
 
+@pytest.mark.parametrize("content", [
+    '{"report": {"cells": [{"loss": "ranknet"}], "tests": [], "meta": {}}}',
+    '{"report": {"cells": [], "tests": [], "meta": {"alpha": "0.05"}}}',
+    '{"report": ',
+], ids=["cell_without_mode", "meta_with_string", "not_json"])
+def test_malformed_report_is_validation_error(tmp_path, capsys, content):
+    bad = tmp_path / "rep.json"
+    bad.write_text(content)
+    code = main(["report", "--data", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validation error:")
+    assert len(err.splitlines()) == 1
+
+
+def _break_first_query(record, case):
+    items = record["items"]
+    if case == "item_not_object":
+        items[1] = 7
+    elif case == "string_fixed_value":
+        items[1]["fixed"]["star_rating"] = "4.5"
+    elif case == "null_scalevariant_value":
+        items[1]["scalevariant"]["price"] = None
+    elif case == "boolean_fixed_value":
+        items[1]["fixed"]["star_rating"] = True
+    elif case == "boolean_scalevariant_value":
+        items[1]["scalevariant"]["price"] = False
+    elif case == "huge_integer_value":
+        items[1]["scalevariant"]["price"] = 10 ** 400  # no float64 holds it
+
+
+@pytest.mark.parametrize("case", ["item_not_object", "string_fixed_value",
+                                  "null_scalevariant_value", "boolean_fixed_value",
+                                  "boolean_scalevariant_value", "huge_integer_value"])
+def test_bad_item_record_is_validation_error(workdir, tmp_path, capsys, case):
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    _break_first_query(record, case)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    code = main(["perturb", "--data", str(bad), "--schema", str(workdir / "data.schema.json"),
+                 "--case", "3", "--out", str(tmp_path / "out.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"validation error: query {record['query_id']}: item ")
+    if case == "item_not_object":
+        assert "item at position 1 is not a JSON object" in err
+    else:
+        assert f"item {record['items'][1]['item_id']}: " in err and "is not numeric" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["train", "--data", "x.jsonl"]) == 2
     capsys.readouterr()

@@ -157,6 +157,17 @@ def test_nonpositive_scalevariant_rejected(tmp_path, schema):
         _write_and_load(tmp_path, schema, obj)
 
 
+@pytest.mark.parametrize("field", ["lead_days", "exchange_rate"])
+def test_query_number_too_large_for_float_rejected(tmp_path, schema, field):
+    obj = _one_query_obj(None)
+    if field == "exchange_rate":
+        obj["exchange_rate"] = 10 ** 400
+    else:
+        obj["query"][field] = 10 ** 400
+    with pytest.raises(ValidationError, match=field):
+        _write_and_load(tmp_path, schema, obj)
+
+
 def test_out_of_range_category_rejected(tmp_path, schema):
     obj = _one_query_obj(None)
     obj["query"]["device_type"] = 3

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from sirank.data import apply_standardization, fit_standardization, split_holdout
 from sirank.errors import ConfigError, ContractError, TrainingError
 from sirank.generator import GeneratorConfig, generate
+from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
 from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
+from sirank.scoring import backward, build_model, forward
 from sirank.trainer import (
     DEFAULT_LEARNING_RATES,
     ExperimentConfig,
@@ -119,6 +122,69 @@ def test_divergent_run_aborts_with_epoch_and_query_context():
     cfg = TrainConfig(loss="ranknet", learning_rate=20.0, max_epochs=5, patience=4, seed=0)
     with pytest.raises(TrainingError, match=r"epoch \d+, query q\d+"):
         train(tr, va, cfg)
+
+
+def reference_epochs(train_ds, config):
+    """The per-step work of ``train`` written as a plain loop without any
+    caching: ``forward`` on the query, the loss, ``backward``, then
+    ``value -= lr * g`` per parameter by name, with train's epoch RNG and
+    softrank sub-sampling. Returns the parameters after each epoch and the
+    mean training loss of each epoch."""
+    model = build_model(train_ds.schema, mode=config.mode, widths=config.widths,
+                        compressor_dim=config.compressor_dim, seed=config.seed,
+                        stats=train_ds.stats)
+    loss_fn = loss_by_name(config.loss, config.sigma)
+    lr = config.resolved_learning_rate
+    snapshots, losses = [], []
+    for epoch in range(config.max_epochs):
+        epoch_rng = np.random.default_rng([config.seed, epoch])
+        total = 0.0
+        for qi in epoch_rng.permutation(len(train_ds)):
+            q = train_ds.queries[qi]
+            rows, labels = None, q.labels()
+            if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
+                rows = _softrank_indices(q, epoch_rng)
+                labels = labels[rows]
+            scores, cache = forward(model, q, rows)
+            out = loss_fn(scores, labels)
+            grads = backward(model, cache, out.score_gradients)
+            for name, value in model.params.items():
+                value -= lr * grads[name]
+            total += out.value
+        snapshots.append({name: value.copy() for name, value in model.params.items()})
+        losses.append(total / len(train_ds))
+    return snapshots, losses
+
+
+@pytest.mark.parametrize("loss,mode", [("ranknet", "sir"), ("listnet", "deep_only"),
+                                       ("softrank", "sir")])
+def test_train_is_bitwise_equal_to_reference_loop(loss, mode):
+    ds = generate(GeneratorConfig(num_queries=40, items_min=10, items_max=20, seed=6))
+    tr_raw, va_raw, _ = split_holdout(ds, seed=0)
+    stats = fit_standardization(tr_raw, ds.schema, include_scalevariant=(mode == "deep_only"))
+    tr, va = apply_standardization(tr_raw, stats), apply_standardization(va_raw, stats)
+    assert min(q.n_items for q in tr.queries) > SOFTRANK_LIST_SIZE
+    cfg = TrainConfig(loss=loss, mode=mode, max_epochs=2, patience=1, seed=4)
+    model, hist = train(tr, va, cfg)
+    snapshots, losses = reference_epochs(tr, cfg)
+    assert hist.train_loss == losses[:len(hist.train_loss)]
+    want = snapshots[hist.best_epoch]
+    assert list(model.params) == list(want)
+    for name, value in model.params.items():
+        assert value.tobytes() == want[name].tobytes(), name
+
+
+def test_bad_record_found_in_training_names_epoch_query_and_feature():
+    tr, va, te, _ = prepared(num_queries=40)
+    q = tr.queries[3]
+    item = q.items[1]
+    item.scalevariant = item.scalevariant.copy()
+    item.scalevariant[0] = -1.0
+    feature = tr.schema.item_features_scalevariant[0]
+    with pytest.raises(TrainingError, match=rf"^epoch 0, query {q.query_id}: .*"
+                                            rf"{re.escape(item.item_id)}.*"
+                                            rf"wide-path feature '{feature}'"):
+        train(tr, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1))
 
 
 # --- contract checks ---------------------------------------------------------
