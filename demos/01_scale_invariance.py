@@ -39,7 +39,7 @@ def main():
     factors = (0.01, 0.85, 7.1, 1200.0)
 
     print(f"query {q.query_id}: {q.n_items} items, booked item index {q.booked_index}")
-    print(f"raw prices: {np.round(q.scalevariant_matrix()[:, 0], 2).tolist()}\n")
+    print(f"raw prices: {np.round(q.scalevariant[:, 0], 2).tolist()}\n")
 
     stats_sir = fit_standardization(ds_raw, ds_raw.schema)
     ds = apply_standardization(ds_raw, stats_sir)

@@ -24,7 +24,6 @@ from .errors import (
 from .data import (
     Dataset,
     FeatureSchema,
-    ItemRecord,
     QueryFeature,
     QueryRecord,
     StandardizationStats,
@@ -89,7 +88,7 @@ __all__ = [
     "SirankError", "DomainError", "ValidationError", "ParseError",
     "SchemaError", "ConfigError", "ContractError", "TrainingError",
     # data
-    "FeatureSchema", "QueryFeature", "ItemRecord", "QueryRecord", "Dataset",
+    "FeatureSchema", "QueryFeature", "QueryRecord", "Dataset",
     "StandardizationStats", "load_dataset", "save_dataset", "load_schema",
     "save_schema", "fit_standardization", "apply_standardization", "split_holdout",
     # synthetic data

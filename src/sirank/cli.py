@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .generator import GeneratorConfig, generate
-from .losses import LOSS_NAMES
+from .losses import DEFAULT_SOFTRANK_SIGMA, LOSS_NAMES
 from .metrics import mean_ndcg
 from .perturb import CASE_IDS, DEFAULT_RATE, DEFAULT_TARGETS, PerturbationCase, apply_case
 from .scoring import (
@@ -44,6 +44,8 @@ from .scoring import (
     save_checkpoint,
 )
 from .trainer import (
+    DEFAULT_MAX_EPOCHS,
+    DEFAULT_PATIENCE,
     ExperimentConfig,
     ExperimentReport,
     TrainConfig,
@@ -122,6 +124,13 @@ def _parse_losses(text: str) -> tuple[str, ...]:
     return losses
 
 
+def _patience(args) -> int:
+    """--patience, or without it the default capped below --epochs."""
+    if args.patience is not None:
+        return args.patience
+    return min(DEFAULT_PATIENCE, args.epochs - 1)
+
+
 def _load_inputs(args) -> Dataset:
     schema = load_schema(args.schema)
     return load_dataset(args.data, schema)
@@ -155,7 +164,7 @@ def _train_config(args, mode=None, loss=None) -> TrainConfig:
         loss=loss or args.loss,
         mode=mode or args.mode,
         max_epochs=args.epochs,
-        patience=args.patience,
+        patience=_patience(args),
         learning_rate=args.lr,
         sigma=args.sigma,
         seed=args.seed,
@@ -250,7 +259,7 @@ def cmd_experiment(args) -> int:
         raise ConfigError("experiment needs --data or --generate")
 
     cfg = ExperimentConfig(seed=args.seed, losses=args.loss or LOSS_NAMES,
-                           max_epochs=args.epochs, patience=args.patience,
+                           max_epochs=args.epochs, patience=_patience(args),
                            learning_rate=args.lr, sigma=args.sigma,
                            widths=args.widths, compressor_dim=args.L)
     report = run_experiment(ds, cfg)
@@ -311,13 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"global seed (default {DEFAULT_SEED})")
 
     def train_flags(p):
-        p.add_argument("--loss", default="ranknet", help="ranking loss name")
-        p.add_argument("--mode", choices=MODES, default="sir")
-        p.add_argument("--epochs", type=int, default=100, help="max epochs")
-        p.add_argument("--patience", type=int, default=20)
+        """Training flags shared by train and experiment."""
+        p.add_argument("--epochs", type=int, default=DEFAULT_MAX_EPOCHS, help="max epochs")
+        p.add_argument("--patience", type=int, default=None,
+                       help=f"epochs without validation gain before stopping "
+                            f"(default: {DEFAULT_PATIENCE}, at most epochs - 1)")
         p.add_argument("--lr", type=float, default=None,
                        help="learning rate (default: per-loss)")
-        p.add_argument("--sigma", type=float, default=0.15,
+        p.add_argument("--sigma", type=float, default=DEFAULT_SOFTRANK_SIGMA,
                        help="smoothing width for the softrank loss")
         p.add_argument("--widths", type=_parse_widths, default=DEFAULT_WIDTHS,
                        help="deep tower widths, comma separated")
@@ -335,6 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
+    p.add_argument("--loss", default="ranknet", help="ranking loss name")
+    p.add_argument("--mode", choices=MODES, default="sir")
     train_flags(p)
     common_seed(p)
     p.set_defaults(func=cmd_train)
@@ -366,12 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report path prefix")
     p.add_argument("--loss", type=_parse_losses, default=None,
                    help="comma-separated subset of losses (default: all)")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=0.15)
-    p.add_argument("--widths", type=_parse_widths, default=DEFAULT_WIDTHS)
-    p.add_argument("--L", type=int, default=DEFAULT_L)
+    train_flags(p)
     common_seed(p)
     p.set_defaults(func=cmd_experiment)
 

@@ -137,43 +137,32 @@ def load_schema(path) -> FeatureSchema:
 
 
 @dataclass
-class ItemRecord:
-    item_id: str
-    fixed: np.ndarray          # raw, strictly positive, shape (K1,)
-    scalevariant: np.ndarray   # raw, strictly positive, shape (K2,)
-    label: int
-    deep_fixed: np.ndarray | None = None  # standardized copy, filled by apply_standardization
-
-
-@dataclass
 class QueryRecord:
+    """One query and its D items; row j of every item array belongs to
+    item ``item_ids[j]``."""
+
     query_id: str
     numeric: np.ndarray        # raw numeric query values, schema order
     category_ids: np.ndarray   # int ids, schema categorical order
     num_nights: int
     exchange_rate: float
-    items: list[ItemRecord]
+    item_ids: tuple[str, ...]
+    fixed: np.ndarray          # raw, strictly positive, (D, K1)
+    scalevariant: np.ndarray   # raw, strictly positive, (D, K2)
+    labels: np.ndarray         # 1.0 for the booked item, else 0.0, (D,)
     deep_numeric: np.ndarray | None = None
+    deep_fixed: np.ndarray | None = None  # standardized fixed, filled by apply_standardization
 
     @property
     def n_items(self) -> int:
-        return len(self.items)
+        return len(self.item_ids)
 
     @property
     def booked_index(self) -> int:
-        for j, it in enumerate(self.items):
-            if it.label == 1:
-                return j
-        raise ValidationError(f"query {self.query_id}: no booked item")
-
-    def labels(self) -> np.ndarray:
-        return np.array([it.label for it in self.items], dtype=np.float64)
-
-    def fixed_matrix(self) -> np.ndarray:
-        return np.stack([it.fixed for it in self.items])
-
-    def scalevariant_matrix(self) -> np.ndarray:
-        return np.stack([it.scalevariant for it in self.items])
+        booked = np.flatnonzero(self.labels == 1.0)
+        if booked.size == 0:
+            raise ValidationError(f"query {self.query_id}: no booked item")
+        return int(booked[0])
 
 
 @dataclass
@@ -208,16 +197,14 @@ def _is_number(v) -> bool:
                                     and abs(v) <= sys.float_info.max)
 
 
-def _item_features(values, names: tuple[str, ...], qid: str, what: str) -> np.ndarray:
-    """One item's feature group in schema order; every value must be a JSON
-    number (not a string, null or boolean)."""
-    out = np.empty(len(names), dtype=np.float64)
+def _item_features(values, names: tuple[str, ...], qid: str, what: str, out: np.ndarray):
+    """Write one item's feature group into the row ``out`` in schema order;
+    every value must be a JSON number (not a string, null or boolean)."""
     for i, name in enumerate(names):
         _require(isinstance(values, dict) and name in values, qid, f"missing {what} {name!r}")
         v = values[name]
         _require(_is_number(v), qid, f"{what} {name!r} is not numeric")
         out[i] = float(v)
-    return out
 
 
 def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
@@ -261,23 +248,28 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
     _require(MIN_ITEMS_PER_QUERY <= len(raw_items) <= MAX_ITEMS_PER_QUERY, qid,
              f"items count {len(raw_items)} outside [{MIN_ITEMS_PER_QUERY}, {MAX_ITEMS_PER_QUERY}]")
 
-    items = []
-    for position, raw in enumerate(raw_items):
-        _require(isinstance(raw, dict), qid, f"item at position {position} is not a JSON object")
+    d = len(raw_items)
+    item_ids = []
+    fixed = np.empty((d, schema.k1))
+    sv = np.empty((d, schema.k2))
+    labels = np.empty(d)
+    for j, raw in enumerate(raw_items):
+        _require(isinstance(raw, dict), qid, f"item at position {j} is not a JSON object")
         iid = raw.get("item_id")
         _require(isinstance(iid, str) and bool(iid), qid, "item without a string item_id")
-        fixed = _item_features(raw.get("fixed"), schema.item_features_fixed, qid,
-                               f"item {iid}: fixed feature")
-        sv = _item_features(raw.get("scalevariant"), schema.item_features_scalevariant, qid,
-                            f"item {iid}: scale-variant feature")
-        _require(_finite_positive(fixed), qid, f"item {iid}: fixed features must be finite and > 0")
-        _require(_finite_positive(sv), qid, f"item {iid}: scale-variant features must be finite and > 0")
+        _item_features(raw.get("fixed"), schema.item_features_fixed, qid,
+                       f"item {iid}: fixed feature", fixed[j])
+        _item_features(raw.get("scalevariant"), schema.item_features_scalevariant, qid,
+                       f"item {iid}: scale-variant feature", sv[j])
+        _require(_finite_positive(fixed[j]), qid, f"item {iid}: fixed features must be finite and > 0")
+        _require(_finite_positive(sv[j]), qid, f"item {iid}: scale-variant features must be finite and > 0")
         label = raw.get("label")
         _require(label in (0, 1) and not isinstance(label, bool), qid,
                  f"item {iid}: label must be 0 or 1")
-        items.append(ItemRecord(item_id=iid, fixed=fixed, scalevariant=sv, label=int(label)))
+        item_ids.append(iid)
+        labels[j] = label
 
-    booked = sum(it.label for it in items)
+    booked = int(labels.sum())
     _require(booked != 0, qid, "no booked item")
     _require(booked == 1, qid, "multiple booked items")
 
@@ -287,7 +279,10 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
         category_ids=category_ids,
         num_nights=int(nights),
         exchange_rate=float(rate),
-        items=items,
+        item_ids=tuple(item_ids),
+        fixed=fixed,
+        scalevariant=sv,
+        labels=labels,
     )
 
 
@@ -321,14 +316,14 @@ def _query_to_obj(q: QueryRecord, schema: FeatureSchema) -> dict:
         "exchange_rate": float(q.exchange_rate),
         "items": [
             {
-                "item_id": it.item_id,
-                "fixed": {n: float(v) for n, v in zip(schema.item_features_fixed, it.fixed)},
+                "item_id": iid,
+                "fixed": {n: float(v) for n, v in zip(schema.item_features_fixed, fixed)},
                 "scalevariant": {
-                    n: float(v) for n, v in zip(schema.item_features_scalevariant, it.scalevariant)
+                    n: float(v) for n, v in zip(schema.item_features_scalevariant, sv)
                 },
-                "label": int(it.label),
+                "label": int(label),
             }
-            for it in q.items
+            for iid, fixed, sv, label in zip(q.item_ids, q.fixed, q.scalevariant, q.labels)
         ],
     }
 
@@ -420,12 +415,12 @@ def fit_standardization(train: Dataset, schema: FeatureSchema,
     if len(train) == 0:
         raise ValidationError("cannot fit standardization on an empty dataset")
     numeric_rows = np.stack([q.numeric for q in train.queries])
-    fixed_rows = np.concatenate([q.fixed_matrix() for q in train.queries])
+    fixed_rows = np.concatenate([q.fixed for q in train.queries])
     n_mean, n_std = _fit_columns(numeric_rows, schema.numeric_query_names)
     f_mean, f_std = _fit_columns(fixed_rows, schema.item_features_fixed)
     kwargs = {}
     if include_scalevariant:
-        sv_rows = np.concatenate([q.scalevariant_matrix() for q in train.queries])
+        sv_rows = np.concatenate([q.scalevariant for q in train.queries])
         s_mean, s_std = _fit_columns(sv_rows, schema.item_features_scalevariant)
         kwargs = {"scalevariant_names": schema.item_features_scalevariant,
                   "scalevariant_mean": s_mean, "scalevariant_std": s_std}
@@ -439,7 +434,8 @@ def fit_standardization(train: Dataset, schema: FeatureSchema,
 def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:
     """Return a view with standardized deep-path copies filled in.
 
-    Raw values are kept untouched: the wide path logs raw features, and the
+    Raw values are kept untouched, and the view's records share their raw
+    arrays with ``ds``: the wide path logs raw features, and the
     perturbation cases rescale raw scale-variant values after the fact.
     Applying twice would shift the copies again, so it is refused.
     """
@@ -454,17 +450,11 @@ def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:
     if stats.covers_scalevariant and stats.scalevariant_names != ds.schema.item_features_scalevariant:
         raise SchemaError("stats cover scale-variant features not in the schema")
 
-    queries = []
-    for q in ds.queries:
-        items = [
-            replace(it, deep_fixed=(it.fixed - stats.fixed_mean) / stats.fixed_std)
-            for it in q.items
-        ]
-        queries.append(replace(
-            q,
-            deep_numeric=(q.numeric - stats.numeric_mean) / stats.numeric_std,
-            items=items,
-        ))
+    queries = [
+        replace(q, deep_numeric=(q.numeric - stats.numeric_mean) / stats.numeric_std,
+                deep_fixed=(q.fixed - stats.fixed_mean) / stats.fixed_std)
+        for q in ds.queries
+    ]
     return Dataset(schema=ds.schema, queries=queries, stats=stats)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, ItemRecord, QueryFeature, QueryRecord
+from .data import Dataset, FeatureSchema, QueryFeature, QueryRecord
 from .errors import ConfigError, DomainError, ValidationError
 
 CURRENCY_TABLE = (1.0, 0.85, 0.75, 1.3, 7.1, 18.0, 83.0, 110.0, 1200.0, 0.9)
@@ -198,22 +198,16 @@ def generate(config: GeneratorConfig) -> Dataset:
         probs = stable_softmax(utility / config.noise_temperature)
         booked = int(rng.choice(d, p=probs))
 
-        items = [
-            ItemRecord(
-                item_id=f"q{qi}-i{j}",
-                fixed=fixed[j].copy(),
-                scalevariant=sv[j].copy(),
-                label=int(j == booked),
-            )
-            for j in range(d)
-        ]
         queries.append(QueryRecord(
             query_id=f"q{qi}",
             numeric=numeric,
             category_ids=category_ids,
             num_nights=nights,
             exchange_rate=rate,
-            items=items,
+            item_ids=tuple(f"q{qi}-i{j}" for j in range(d)),
+            fixed=fixed,
+            scalevariant=sv,
+            labels=(np.arange(d) == booked).astype(np.float64),
         ))
     return Dataset(schema=schema, queries=queries)
 
@@ -227,12 +221,12 @@ def recompute_utility(query: QueryRecord, k1: int, weights: np.ndarray) -> np.nd
     """
     k2 = len(weights) - k1
     f_shift, f_mu, f_sigma = fixed_marginal_params(k1)
-    fixed = query.fixed_matrix()
+    fixed = query.fixed
     if np.any(fixed <= f_shift):
         raise ValidationError(f"query {query.query_id}: fixed values below the "
                               "generator's marginal support")
     zf = (np.log(fixed - f_shift) - f_mu) / f_sigma
-    log_sv = np.log(query.scalevariant_matrix())
+    log_sv = np.log(query.scalevariant)
     return zf @ weights[:k1] + log_sv @ weights[k1:]
 
 

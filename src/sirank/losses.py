@@ -65,11 +65,10 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 # pairwise
 
 
-def ranknet_loss(scores, labels) -> LossOutput:
-    """Cross-entropy over (booked, non-booked) pairs with target probability 1.
-
-    Each pair contributes log(1 + e^-(f_booked - f_other)).
-    """
+def _weighted_pairwise_loss(scores, labels, pair_weights) -> LossOutput:
+    """Sum over (booked, non-booked) pairs of w * log(1 + e^-(f_booked - f_other)),
+    with w = pair_weights(scores, y, booked, others) held constant in the
+    gradient."""
     s = _as_scores(scores)
     y, b = _booked_index(labels)
     if s.size != y.size:
@@ -77,13 +76,26 @@ def ranknet_loss(scores, labels) -> LossOutput:
     others = np.array([k for k in range(s.size) if k != b], dtype=np.int64)
     if others.size == 0:
         return LossOutput(value=0.0, score_gradients=np.zeros(1))
+    w = pair_weights(s, y, b, others)
     d = s[b] - s[others]
-    value = float(np.sum(_softplus(-d)))
-    slope = expit(-d)  # 1 - P(booked beats other)
+    value = float(np.sum(w * _softplus(-d)))
+    slope = w * expit(-d)  # w * (1 - P(booked beats other))
     grad = np.zeros(s.size)
     grad[others] = slope
     grad[b] = -float(np.sum(slope))
     return LossOutput(value=value, score_gradients=grad)
+
+
+def _unit_weights(scores, y, b, others) -> np.ndarray:
+    return np.ones(others.size)
+
+
+def ranknet_loss(scores, labels) -> LossOutput:
+    """Cross-entropy over (booked, non-booked) pairs with target probability 1.
+
+    Each pair contributes log(1 + e^-(f_booked - f_other)).
+    """
+    return _weighted_pairwise_loss(scores, labels, _unit_weights)
 
 
 def _ideal_dcg(y: np.ndarray) -> float:
@@ -109,21 +121,7 @@ def lambdarank_loss(scores, labels) -> LossOutput:
     Positions are recomputed from the current scores on every call; the
     weights are treated as constants when differentiating.
     """
-    s = _as_scores(scores)
-    y, b = _booked_index(labels)
-    if s.size != y.size:
-        raise DomainError("scores and labels differ in length")
-    others = np.array([k for k in range(s.size) if k != b], dtype=np.int64)
-    if others.size == 0:
-        return LossOutput(value=0.0, score_gradients=np.zeros(1))
-    w = delta_ndcg_weights(s, y, b, others)
-    d = s[b] - s[others]
-    value = float(np.sum(w * _softplus(-d)))
-    slope = w * expit(-d)
-    grad = np.zeros(s.size)
-    grad[others] = slope
-    grad[b] = -float(np.sum(slope))
-    return LossOutput(value=value, score_gradients=grad)
+    return _weighted_pairwise_loss(scores, labels, delta_ndcg_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +165,7 @@ def listmle_loss(scores, labels) -> LossOutput:
 def pairwise_win_prob(z_j: float, z_k: float, sigma: float) -> float:
     """P(noisy score of j exceeds noisy score of k) when both carry N(0, sigma^2)
     noise: the difference is N(z_j - z_k, 2 sigma^2)."""
-    if not sigma > 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    x = (z_j - z_k) / (sigma * SQRT2)
-    return float(0.5 * erfc(-x / SQRT2))
+    return float(_win_prob_matrix(np.array([z_j, z_k], dtype=np.float64), sigma)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -192,42 +187,48 @@ class RankDistribution:
 
 def _win_prob_matrix(s: np.ndarray, sigma: float) -> np.ndarray:
     # p[k, j] = P(k beats j)
+    if not sigma > 0:
+        raise DomainError(f"sigma must be > 0, got {sigma}")
     diff = (s[:, None] - s[None, :]) / (sigma * SQRT2)
     return 0.5 * erfc(-diff / SQRT2)
 
 
-def rank_distribution(scores, sigma: float) -> RankDistribution:
-    """Fold each opponent into a Binomial-like rank distribution per item.
+def _opponent_fold(p_beats_j: np.ndarray, j: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rank distribution of item j, from column j of the win-probability matrix.
 
-    Starting from a point mass at rank 1, every opponent k shifts item j down
-    one rank with probability P(k beats j), independently.
+    Starting from a point mass at rank 1, every opponent k != j, in index
+    order, shifts item j down one rank with probability P(k beats j),
+    independently. Also returns the distribution before each opponent's
+    fold, which the backward pass reads.
     """
+    n = p_beats_j.size
+    row = np.zeros(n)
+    row[0] = 1.0
+    history = []
+    for k in range(n):
+        if k == j:
+            continue
+        history.append(row)
+        p = p_beats_j[k]
+        nxt = row * (1.0 - p)
+        nxt[1:] += row[:-1] * p
+        row = nxt
+    return row, history
+
+
+def rank_distribution(scores, sigma: float) -> RankDistribution:
+    """Every item's rank distribution under independent pairwise contests."""
     s = _as_scores(scores)
-    if not sigma > 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    n = s.size
     p_beats = _win_prob_matrix(s, sigma)
-    probs = np.empty((n, n))
-    for j in range(n):
-        row = np.zeros(n)
-        row[0] = 1.0
-        for k in range(n):
-            if k == j:
-                continue
-            p = p_beats[k, j]
-            nxt = row * (1.0 - p)
-            nxt[1:] += row[:-1] * p
-            row = nxt
-        probs[j] = row
-    return RankDistribution(probs=probs)
+    return RankDistribution(probs=np.array([_opponent_fold(p_beats[:, j], j)[0]
+                                            for j in range(s.size)]))
 
 
 def softrank_objective(scores, labels, sigma: float = DEFAULT_SOFTRANK_SIGMA) -> LossOutput:
     """Negative smoothed NDCG: the discount is averaged over each item's rank
     distribution, which makes the metric differentiable in the scores."""
     s = _as_scores(scores)
-    if not sigma > 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    p_beats = _win_prob_matrix(s, sigma)
     y = np.asarray(labels, dtype=np.float64)
     if s.size != y.size:
         raise DomainError("scores and labels differ in length")
@@ -238,7 +239,6 @@ def softrank_objective(scores, labels, sigma: float = DEFAULT_SOFTRANK_SIGMA) ->
     gains = 2.0 ** y - 1.0
     g_max = _ideal_dcg(y)
     discounts = 1.0 / np.log2(2.0 + np.arange(n))
-    p_beats = _win_prob_matrix(s, sigma)
     # d p_beats[k, j] / d s[k]; the derivative w.r.t. s[j] is its negation
     pdf_scaled = (INV_2_SQRT_PI / sigma) * np.exp(
         -((s[:, None] - s[None, :]) ** 2) / (4.0 * sigma * sigma))
@@ -248,21 +248,12 @@ def softrank_objective(scores, labels, sigma: float = DEFAULT_SOFTRANK_SIGMA) ->
     for j in range(n):
         if gains[j] == 0.0:
             continue
-        opponents = [k for k in range(n) if k != j]
-        row = np.zeros(n)
-        row[0] = 1.0
-        history = []
-        for k in opponents:
-            history.append(row)
-            p = p_beats[k, j]
-            nxt = row * (1.0 - p)
-            nxt[1:] += row[:-1] * p
-            row = nxt
+        row, history = _opponent_fold(p_beats[:, j], j)
         ndcg_val += gains[j] / g_max * float(np.dot(row, discounts))
 
         g_row = gains[j] / g_max * discounts
-        for k in reversed(opponents):
-            old = history.pop()
+        opponents = [k for k in range(n) if k != j]
+        for k, old in zip(reversed(opponents), reversed(history)):
             p = p_beats[k, j]
             g_p = float(np.dot(g_row[1:], old[:-1]) - np.dot(g_row, old))
             g_old = g_row * (1.0 - p)

@@ -53,7 +53,7 @@ def mean_ndcg(model, dataset: Dataset, mode: str | None = None) -> EvalResult:
     score = model if callable(model) else (lambda q: score_query(model, q, mode))
     vals = np.empty(len(dataset))
     for i, q in enumerate(dataset.queries):
-        vals[i] = ndcg(rank(score(q)), q.labels())
+        vals[i] = ndcg(rank(score(q)), q.labels)
     return EvalResult(per_query=vals, mean=float(vals.mean()), count=len(dataset))
 
 

@@ -50,7 +50,8 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
 
     Labels, fixed features, and query features are untouched; any
     standardized deep-path copies carry over unchanged, since the rescaling
-    only touches raw scale-variant values.
+    only touches raw scale-variant values. Every other array is shared with
+    ``ds``.
     """
     sv_names = ds.schema.item_features_scalevariant
     missing = sorted(set(case.targets) - set(sv_names))
@@ -61,12 +62,8 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
 
     queries = []
     for q in ds.queries:
-        factors = case.factors(q)
-        items = []
-        for it in q.items:
-            sv = it.scalevariant.copy()
-            for f in factors:
-                sv[cols] = sv[cols] * f
-            items.append(replace(it, scalevariant=sv))
-        queries.append(replace(q, items=items))
+        sv = q.scalevariant.copy()
+        for f in case.factors(q):
+            sv[:, cols] = sv[:, cols] * f
+        queries.append(replace(q, scalevariant=sv))
     return Dataset(schema=ds.schema, queries=queries, stats=ds.stats)

@@ -6,8 +6,8 @@ is the property the whole package exists to demonstrate.
 
 The network is fixed, so its forward pass, its backward pass and the SGD
 step are written out by hand below. Scoring runs in two steps:
-``prepare_query`` stacks a query's item rows into a ``QueryBlock``, takes the
-logs of the wide inputs and checks the data once; ``forward_block`` does the
+``prepare_query`` gathers a query's item arrays into a ``QueryBlock``, takes
+the logs of the wide inputs and checks the data once; ``forward_block`` does the
 arithmetic on that block (or on selected rows of it). ``forward`` does both,
 and training prepares each query once and reuses its block every epoch.
 
@@ -139,7 +139,7 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
 
 @dataclass(frozen=True)
 class QueryBlock:
-    """One query's scoring inputs, stacked and checked once.
+    """One query's scoring inputs, gathered and checked once.
 
     ``lookups`` names the embedding row of each categorical query feature as
     (table parameter name, category id). Row j of ``deep_items`` and
@@ -171,12 +171,12 @@ class ForwardCache:
 
 
 def prepare_query(model: SirModel, query: QueryRecord) -> QueryBlock:
-    """Stack and check what scoring reads from ``query``: nothing in the
+    """Gather and check what scoring reads from ``query``: nothing in the
     block depends on the parameters, so training builds it once per query."""
     if query.deep_numeric is None:
         raise ContractError(f"query {query.query_id}: standardized features missing, "
                             "apply_standardization first")
-    if not query.items:
+    if query.n_items == 0:
         raise ContractError("cannot score an empty item selection")
     lookups = []
     for f, cid in zip(model.schema.categorical_query_features, query.category_ids):
@@ -187,23 +187,21 @@ def prepare_query(model: SirModel, query: QueryRecord) -> QueryBlock:
                 f"(cardinality {f.cardinality})")
         lookups.append((f"emb_{f.name}", cid))
 
-    # np.array stacks equal-length rows like np.stack, at a third of the cost
-    deep_items = np.array([it.deep_fixed for it in query.items])
+    deep_items = query.deep_fixed
     if model.mode == "deep_only":
         stats = model.stats
         if stats is None or not stats.covers_scalevariant:
             raise ContractError("deep_only scoring needs standardization stats that "
                                 "cover the scale-variant features")
-        raw = np.array([it.scalevariant for it in query.items])
         deep_items = np.concatenate(
-            [deep_items, (raw - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
+            [deep_items, (query.scalevariant - stats.scalevariant_mean) / stats.scalevariant_std],
+            axis=1)
     if not np.all(np.isfinite(deep_items)) or not np.all(np.isfinite(query.deep_numeric)):
         raise DomainError(f"query {query.query_id}: non-finite deep-path input")
 
     log_values = None
     if model.mode == "sir":
-        wide_raw = np.concatenate([np.array([it.fixed for it in query.items]),
-                                   np.array([it.scalevariant for it in query.items])], axis=1)
+        wide_raw = np.concatenate([query.fixed, query.scalevariant], axis=1)
         _check_wide_positive(model.schema, query, wide_raw)
         log_values = np.log(wide_raw)
     return QueryBlock(query.deep_numeric, tuple(lookups), deep_items, log_values)
@@ -216,7 +214,7 @@ def _check_wide_positive(schema, query, wide_raw):
     rows, cols = np.nonzero(~(wide_raw > 0))
     j, kk = int(rows[0]), int(cols[0])
     raise DomainError(
-        f"query {query.query_id}, item {query.items[j].item_id}: "
+        f"query {query.query_id}, item {query.item_ids[j]}: "
         f"wide-path feature {names[kk]!r} must be > 0, got {wide_raw[j, kk]}")
 
 
@@ -386,8 +384,7 @@ def scale_query(query: QueryRecord, c: float) -> QueryRecord:
     """Multiply every item's scale-variant vector by c, leaving the rest alone."""
     if not (c > 0) or not np.isfinite(c):
         raise DomainError(f"scale factor must be a positive finite number, got {c}")
-    items = [replace(it, scalevariant=it.scalevariant * c) for it in query.items]
-    return replace(query, items=items)
+    return replace(query, scalevariant=query.scalevariant * c)
 
 
 def invariance_gap(model: SirModel, query: QueryRecord, c: float) -> float:

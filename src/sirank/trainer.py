@@ -34,6 +34,8 @@ from .scoring import (
 
 IMPROVEMENT_EPS = 1e-6
 ALPHA = 0.05
+DEFAULT_MAX_EPOCHS = 100
+DEFAULT_PATIENCE = 20
 
 # Step sizes differ per loss because the score-gradient scales do: RankNet sums
 # up to n-1 pair gradients, ListNet gradients are probability differences
@@ -51,8 +53,8 @@ DEFAULT_LEARNING_RATES = {
 class TrainConfig:
     loss: str = "ranknet"
     mode: str = "sir"
-    max_epochs: int = 100
-    patience: int = 20
+    max_epochs: int = DEFAULT_MAX_EPOCHS
+    patience: int = DEFAULT_PATIENCE
     learning_rate: float | None = None  # None picks the per-loss default
     sigma: float = DEFAULT_SOFTRANK_SIGMA
     seed: int = 0
@@ -150,7 +152,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
         for qi in order:
             q = train_ds.queries[qi]
             item_indices = None
-            labels = q.labels()
+            labels = q.labels
             if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
                 item_indices = _softrank_indices(q, epoch_rng)
                 labels = labels[item_indices]
@@ -195,8 +197,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
 class ExperimentConfig:
     seed: int = 0
     losses: tuple[str, ...] = LOSS_NAMES
-    max_epochs: int = 100
-    patience: int = 20
+    max_epochs: int = DEFAULT_MAX_EPOCHS
+    patience: int = DEFAULT_PATIENCE
     learning_rate: float | None = None
     sigma: float = DEFAULT_SOFTRANK_SIGMA
     widths: tuple[int, ...] = DEFAULT_WIDTHS

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sirank.data import Dataset, FeatureSchema, ItemRecord, QueryFeature, QueryRecord
+from sirank.data import Dataset, FeatureSchema, QueryFeature, QueryRecord
 
 CURRENCIES = [1.0, 0.85, 7.1, 110.0, 1200.0]
 
@@ -28,15 +28,9 @@ def hand_dataset(n_queries=12, seed=0, items=(3, 6)) -> Dataset:
     for qi in range(n_queries):
         d = int(rng.integers(items[0], items[1] + 1))
         booked = int(rng.integers(d))
-        recs = [
-            ItemRecord(
-                item_id=f"q{qi}-i{j}",
-                fixed=rng.uniform(0.5, 5.0, size=schema.k1),
-                scalevariant=rng.uniform(20.0, 400.0, size=schema.k2),
-                label=int(j == booked),
-            )
-            for j in range(d)
-        ]
+        # one item at a time, fixed then scale-variant, so the draws keep their order
+        rows = [(rng.uniform(0.5, 5.0, size=schema.k1), rng.uniform(20.0, 400.0, size=schema.k2))
+                for _ in range(d)]
         nights = int(rng.integers(1, 15))
         rate = float(rng.choice(CURRENCIES))
         queries.append(QueryRecord(
@@ -45,7 +39,10 @@ def hand_dataset(n_queries=12, seed=0, items=(3, 6)) -> Dataset:
             category_ids=np.array([int(rng.integers(3))], dtype=np.int64),
             num_nights=nights,
             exchange_rate=rate,
-            items=recs,
+            item_ids=tuple(f"q{qi}-i{j}" for j in range(d)),
+            fixed=np.array([fx for fx, _ in rows]),
+            scalevariant=np.array([sv for _, sv in rows]),
+            labels=(np.arange(d) == booked).astype(np.float64),
         ))
     return Dataset(schema=schema, queries=queries)
 

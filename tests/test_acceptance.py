@@ -192,7 +192,7 @@ def test_criterion_3_gradient_correctness():
             gaps = np.diff(np.sort(base_scores))
             if loss_name == "lambdarank" and np.min(gaps) < 1e-3:
                 continue  # keep the current ranking stable under the probe
-            labels = q.labels()
+            labels = q.labels
             scores, cache = forward(model, q)
             out = loss_fn(scores, labels)
             analytic = backward(model, cache, out.score_gradients)

@@ -87,8 +87,8 @@ def test_affine_matches_double_loop_oracle():
     p = model.params
     q = ds.queries[1]
     q_repr = np.concatenate([q.deep_numeric, p["emb_device_type"][int(q.category_ids[0])]])
-    for j, item in enumerate(q.items):
-        x = list(q_repr) + list(item.deep_fixed)
+    for j, deep_fixed in enumerate(q.deep_fixed):
+        x = list(q_repr) + list(deep_fixed)
         for name_w, name_b, relu in (("deep_w0", "deep_b0", True),
                                      ("deep_w1", "deep_b1", True),
                                      ("head_w", "head_b", False)):
@@ -184,7 +184,8 @@ def test_log_requires_positive():
     ds = prepared(seed=4)
     model = small_model(ds)
     q = ds.queries[0]
-    q.items[0].fixed = np.array([1.0, 0.0])
+    q.fixed = q.fixed.copy()
+    q.fixed[0] = [1.0, 0.0]
     with pytest.raises(DomainError, match="review_score"):
         forward(model, q)
 
@@ -249,10 +250,10 @@ def test_backward_linear_gradient_is_input():
     q = ds.queries[2]
     _, cache = forward(model, q)
     s = cache.q_repr @ p["fs_w"] + p["fs_b"]
-    for j, item in enumerate(q.items):
+    for j in range(q.n_items):
         onehot = np.eye(q.n_items)[j]
         got = backward(model, cache, onehot)["wide_w"]
-        v = np.log(np.concatenate([item.fixed, item.scalevariant]))
+        v = np.log(np.concatenate([q.fixed[j], q.scalevariant[j]]))
         np.testing.assert_allclose(got, np.outer(s, v).reshape(-1), rtol=0, atol=1e-12)
 
 
@@ -394,11 +395,10 @@ def test_forward_ops_are_pure_and_deterministic():
     model = small_model(ds, seed=10)
     q = ds.queries[1]
     params_before = {k: v.copy() for k, v in model.params.items()}
-    fixed_before = [it.fixed.copy() for it in q.items]
+    fixed_before = q.fixed.copy()
     a, _ = forward(model, q)
     b, _ = forward(model, q)
     np.testing.assert_array_equal(a, b)
     for name, value in model.params.items():
         np.testing.assert_array_equal(value, params_before[name])
-    for it, before in zip(q.items, fixed_before):
-        np.testing.assert_array_equal(it.fixed, before)
+    np.testing.assert_array_equal(q.fixed, fixed_before)

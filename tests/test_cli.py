@@ -289,6 +289,31 @@ def test_non_finite_learning_rate_is_usage_error(workdir, tmp_path, capsys, lr):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_short_runs_without_patience_flag(workdir, tmp_path, capsys):
+    # without --patience, patience is the default capped at epochs - 1
+    code = main(["train", "--data", str(workdir / "data.jsonl"),
+                 "--schema", str(workdir / "data.schema.json"),
+                 "--out", str(tmp_path / "m.json"), "--epochs", "3"])
+    assert code == 0
+    hist = json.loads((tmp_path / "m.json.history.json").read_text())
+    assert hist["train_config"]["patience"] == 2
+    code = main(["experiment", "--generate", "--queries", "60", "--epochs", "2",
+                 "--loss", "ranknet", "--out", str(tmp_path / "exp")])
+    assert code == 0
+    report = json.loads((tmp_path / "exp.json").read_text())["report"]
+    assert report["meta"]["patience"] == 1
+    capsys.readouterr()
+    for sub in (["train", "--data", str(workdir / "data.jsonl"),
+                 "--schema", str(workdir / "data.schema.json"), "--out", str(tmp_path / "m1.json")],
+                ["experiment", "--generate", "--queries", "60", "--loss", "ranknet",
+                 "--out", str(tmp_path / "exp1")]):
+        code = main(sub + ["--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "m1.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_exits_with_training_code(workdir, tmp_path, capsys):
     code = main(["train", "--data", str(workdir / "data.jsonl"),

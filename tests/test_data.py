@@ -96,12 +96,11 @@ def test_round_trip_field_by_field(tmp_path):
         np.testing.assert_array_equal(q0.category_ids, q1.category_ids)
         assert q0.num_nights == q1.num_nights
         assert q0.exchange_rate == q1.exchange_rate
-        assert len(q0.items) == len(q1.items)
-        for i0, i1 in zip(q0.items, q1.items):
-            assert i0.item_id == i1.item_id
-            np.testing.assert_array_equal(i0.fixed, i1.fixed)
-            np.testing.assert_array_equal(i0.scalevariant, i1.scalevariant)
-            assert i0.label == i1.label
+        assert q0.n_items == q1.n_items
+        assert q0.item_ids == q1.item_ids
+        np.testing.assert_array_equal(q0.fixed, q1.fixed)
+        np.testing.assert_array_equal(q0.scalevariant, q1.scalevariant)
+        np.testing.assert_array_equal(q0.labels, q1.labels)
 
 
 def test_malformed_line_reports_line_number(tmp_path, schema):
@@ -220,7 +219,7 @@ def test_fit_matches_two_pass_oracle():
     var = sum((v - mu) ** 2 for v in vals) / len(vals)
     assert abs(stats.numeric_mean[1] - mu) < 1e-12
     assert abs(stats.numeric_std[1] - var ** 0.5) < 1e-12
-    prices = [it.scalevariant[0] for q in ds.queries for it in q.items]
+    prices = [row[0] for q in ds.queries for row in q.scalevariant]
     mu_p = sum(prices) / len(prices)
     var_p = sum((v - mu_p) ** 2 for v in prices) / len(prices)
     assert abs(stats.scalevariant_mean[0] - mu_p) < 1e-12
@@ -239,14 +238,26 @@ def test_apply_maps_mean_to_zero_and_mean_plus_std_to_one():
 
 def test_apply_never_touches_scalevariant_or_raw():
     ds = hand_dataset(n_queries=10, seed=2)
-    before_sv = [q.scalevariant_matrix().copy() for q in ds.queries]
-    before_fixed = [q.fixed_matrix().copy() for q in ds.queries]
+    before_sv = [q.scalevariant.copy() for q in ds.queries]
+    before_fixed = [q.fixed.copy() for q in ds.queries]
+    before_labels = [q.labels.copy() for q in ds.queries]
+    before_numeric = [q.numeric.copy() for q in ds.queries]
     out = apply_standardization(ds, fit_standardization(ds, ds.schema))
     for q, sv, fx in zip(out.queries, before_sv, before_fixed):
-        np.testing.assert_array_equal(q.scalevariant_matrix(), sv)
-        np.testing.assert_array_equal(q.fixed_matrix(), fx)
+        np.testing.assert_array_equal(q.scalevariant, sv)
+        np.testing.assert_array_equal(q.fixed, fx)
         assert q.deep_numeric is not None
-        assert q.items[0].deep_fixed is not None
+        assert q.deep_fixed is not None
+        assert q.deep_fixed.shape == q.fixed.shape
+    # the input records keep every array, and gain no standardized copies
+    for q, sv, fx, labels, numeric in zip(ds.queries, before_sv, before_fixed,
+                                          before_labels, before_numeric):
+        np.testing.assert_array_equal(q.scalevariant, sv)
+        np.testing.assert_array_equal(q.fixed, fx)
+        np.testing.assert_array_equal(q.labels, labels)
+        np.testing.assert_array_equal(q.numeric, numeric)
+        assert q.deep_numeric is None
+        assert q.deep_fixed is None
 
 
 def test_double_apply_refused():

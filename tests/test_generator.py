@@ -68,10 +68,10 @@ def test_same_seed_bitwise_identical():
         np.testing.assert_array_equal(qa.numeric, qb.numeric)
         np.testing.assert_array_equal(qa.category_ids, qb.category_ids)
         assert qa.num_nights == qb.num_nights and qa.exchange_rate == qb.exchange_rate
-        for ia, ib in zip(qa.items, qb.items):
-            np.testing.assert_array_equal(ia.fixed, ib.fixed)
-            np.testing.assert_array_equal(ia.scalevariant, ib.scalevariant)
-            assert ia.label == ib.label
+        assert qa.item_ids == qb.item_ids
+        np.testing.assert_array_equal(qa.fixed, qb.fixed)
+        np.testing.assert_array_equal(qa.scalevariant, qb.scalevariant)
+        np.testing.assert_array_equal(qa.labels, qb.labels)
 
 
 def test_seed_changes_data():
@@ -85,14 +85,14 @@ def test_seed_changes_data():
 def test_exactly_one_booked_everywhere():
     ds = generate(small_config(num_queries=100))
     for q in ds.queries:
-        assert sum(it.label for it in q.items) == 1
+        assert sum(q.labels) == 1
 
 
 def test_positivity_of_wide_path_values():
     ds = generate(small_config(num_queries=100))
     for q in ds.queries:
-        assert np.all(q.fixed_matrix() > 0)
-        assert np.all(q.scalevariant_matrix() > 0)
+        assert np.all(q.fixed > 0)
+        assert np.all(q.scalevariant > 0)
 
 
 def test_aux_fields_mirror_leading_numerics():
@@ -157,12 +157,12 @@ def test_linear_fit_learns_generated_data():
     shift, mu, sigma = fixed_marginal_params(cfg.k1)
 
     def features(q):
-        zf = (np.log(q.fixed_matrix() - shift) - mu) / sigma
-        return np.concatenate([zf, np.log(q.scalevariant_matrix())], axis=1)
+        zf = (np.log(q.fixed - shift) - mu) / sigma
+        return np.concatenate([zf, np.log(q.scalevariant)], axis=1)
 
     rows = np.concatenate([features(q) for q in ds.queries[:cut]])
     rows = np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
-    y = np.concatenate([q.labels() for q in ds.queries[:cut]])
+    y = np.concatenate([q.labels for q in ds.queries[:cut]])
     w, *_ = np.linalg.lstsq(rows, y, rcond=None)
 
     test = ds.queries[cut:]

@@ -111,24 +111,24 @@ def prepared_dataset(n=10, seed=0):
 
 def test_oracle_ranker_scores_one():
     ds = prepared_dataset()
-    res = mean_ndcg(lambda q: q.labels(), ds)
+    res = mean_ndcg(lambda q: q.labels, ds)
     assert res.mean == 1.0
     assert res.count == len(ds)
 
 
 def test_antioracle_on_25_item_lists():
     ds = hand_dataset(n_queries=6, seed=1, items=(25, 25))
-    res = mean_ndcg(lambda q: -q.labels(), ds)
+    res = mean_ndcg(lambda q: -q.labels, ds)
     assert res.mean == pytest.approx(1.0 / math.log2(26.0), abs=1e-12)
 
 
 def test_mean_matches_streaming_oracle():
     ds = prepared_dataset(n=14, seed=2)
-    score = lambda q: np.log(q.scalevariant_matrix()[:, 0])
+    score = lambda q: np.log(q.scalevariant[:, 0])
     res = mean_ndcg(score, ds)
     total, count = 0.0, 0
     for q in ds.queries:
-        total += ndcg(rank(score(q)), q.labels())
+        total += ndcg(rank(score(q)), q.labels)
         count += 1
     assert res.mean == pytest.approx(total / count, abs=1e-12)
     assert len(res.per_query) == count

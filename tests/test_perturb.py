@@ -32,24 +32,21 @@ def test_case1_with_single_night_is_identity():
         q.numeric[0] = 1.0
     out = apply_case(ds, PerturbationCase(case_id=1))
     for q0, q1 in zip(ds.queries, out.queries):
-        for i0, i1 in zip(q0.items, q1.items):
-            np.testing.assert_array_equal(i0.scalevariant, i1.scalevariant)
+        np.testing.assert_array_equal(q0.scalevariant, q1.scalevariant)
 
 
 def test_case4_multiplies_targets_exactly():
     ds = hand_dataset(n_queries=6, seed=2)
     out = apply_case(ds, PerturbationCase(case_id=4))
     for q0, q1 in zip(ds.queries, out.queries):
-        for i0, i1 in zip(q0.items, q1.items):
-            np.testing.assert_array_equal(i1.scalevariant, i0.scalevariant * 1200.0)
+        np.testing.assert_array_equal(q1.scalevariant, q0.scalevariant * 1200.0)
 
 
 def test_case2_uses_per_query_rate():
     ds = hand_dataset(n_queries=8, seed=3)
     out = apply_case(ds, PerturbationCase(case_id=2))
     for q0, q1 in zip(ds.queries, out.queries):
-        for i0, i1 in zip(q0.items, q1.items):
-            np.testing.assert_array_equal(i1.scalevariant, i0.scalevariant * q0.exchange_rate)
+        np.testing.assert_array_equal(q1.scalevariant, q0.scalevariant * q0.exchange_rate)
 
 
 def test_case3_equals_sequential_composition():
@@ -58,33 +55,43 @@ def test_case3_equals_sequential_composition():
     stepwise = apply_case(apply_case(ds, PerturbationCase(case_id=1)),
                           PerturbationCase(case_id=2))
     for q0, q1 in zip(via_case3.queries, stepwise.queries):
-        for i0, i1 in zip(q0.items, q1.items):
-            np.testing.assert_array_equal(i0.scalevariant, i1.scalevariant)
+        np.testing.assert_array_equal(q0.scalevariant, q1.scalevariant)
 
 
 def test_partial_target_selection():
     ds = hand_dataset(n_queries=4, seed=5)
     out = apply_case(ds, PerturbationCase(case_id=4, targets=("discount",)))
     for q0, q1 in zip(ds.queries, out.queries):
-        for i0, i1 in zip(q0.items, q1.items):
-            assert i1.scalevariant[0] == i0.scalevariant[0]
-            assert i1.scalevariant[1] == i0.scalevariant[1] * 1200.0
+        for i0, i1 in zip(q0.scalevariant, q1.scalevariant):
+            assert i1[0] == i0[0]
+            assert i1[1] == i0[1] * 1200.0
+
+
+RECORD_ARRAYS = ("numeric", "fixed", "scalevariant", "labels", "deep_numeric", "deep_fixed")
+
+
+def _snapshot(q):
+    return {name: None if getattr(q, name) is None else getattr(q, name).copy()
+            for name in RECORD_ARRAYS}
+
+
+def _assert_arrays(q, snap, names=RECORD_ARRAYS):
+    for name in names:
+        np.testing.assert_array_equal(getattr(q, name), snap[name], err_msg=name)
 
 
 def test_everything_else_untouched_and_input_unmodified():
-    ds = hand_dataset(n_queries=6, seed=6)
-    snapshot = [(q.numeric.copy(), q.fixed_matrix().copy(), q.scalevariant_matrix().copy(),
-                 q.labels().copy()) for q in ds.queries]
-    out = apply_case(ds, PerturbationCase(case_id=3))
-    for q, (numeric, fixed, sv, labels) in zip(ds.queries, snapshot):
-        np.testing.assert_array_equal(q.numeric, numeric)
-        np.testing.assert_array_equal(q.fixed_matrix(), fixed)
-        np.testing.assert_array_equal(q.scalevariant_matrix(), sv)  # input intact
-    for q, q_out, (numeric, fixed, sv, labels) in zip(ds.queries, out.queries, snapshot):
-        np.testing.assert_array_equal(q_out.numeric, numeric)
-        np.testing.assert_array_equal(q_out.fixed_matrix(), fixed)
-        np.testing.assert_array_equal(q_out.labels(), labels)
-        assert q_out.num_nights == q.num_nights
+    raw = hand_dataset(n_queries=6, seed=6)
+    # the standardized view shares its raw arrays with raw, so check both
+    for ds in (raw, apply_standardization(raw, fit_standardization(raw, raw.schema))):
+        snapshot = [_snapshot(q) for q in ds.queries]
+        out = apply_case(ds, PerturbationCase(case_id=3))
+        for q, snap in zip(ds.queries, snapshot):
+            _assert_arrays(q, snap)  # input intact, every array
+        for q, q_out, snap in zip(ds.queries, out.queries, snapshot):
+            _assert_arrays(q_out, snap, ("numeric", "fixed", "labels", "deep_numeric",
+                                         "deep_fixed"))
+            assert q_out.num_nights == q.num_nights
 
 
 def test_multiplier_constant_within_query():
@@ -92,10 +99,7 @@ def test_multiplier_constant_within_query():
     for case_id in (1, 2, 3, 4):
         out = apply_case(ds, PerturbationCase(case_id=case_id))
         for q0, q1 in zip(ds.queries, out.queries):
-            ratios = np.concatenate([
-                (i1.scalevariant / i0.scalevariant)
-                for i0, i1 in zip(q0.items, q1.items)
-            ])
+            ratios = (q1.scalevariant / q0.scalevariant).reshape(-1)
             assert np.max(ratios) - np.min(ratios) < 1e-9 * np.max(ratios)
 
 

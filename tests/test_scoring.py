@@ -83,9 +83,13 @@ def test_identical_fixed_features_tie_deep_scores():
     ds = prepared(seed=3)
     model = small_model(ds)
     q = ds.queries[0]
-    q.items[1].fixed = q.items[0].fixed.copy()
-    q.items[1].deep_fixed = q.items[0].deep_fixed.copy()
-    q.items[1].scalevariant = q.items[0].scalevariant * 17.3
+    # the raw and standardized views share arrays: copy before editing a row
+    q.fixed = q.fixed.copy()
+    q.fixed[1] = q.fixed[0]
+    q.deep_fixed = q.deep_fixed.copy()
+    q.deep_fixed[1] = q.deep_fixed[0]
+    q.scalevariant = q.scalevariant.copy()
+    q.scalevariant[1] = q.scalevariant[0] * 17.3
     assert score_deep(model, q, 0) == score_deep(model, q, 1)
 
 
@@ -94,8 +98,7 @@ def test_deep_score_ignores_scalevariant_bitwise():
     model = small_model(ds)
     q = ds.queries[2]
     before = [score_deep(model, q, j) for j in range(q.n_items)]
-    for it in q.items:
-        it.scalevariant = it.scalevariant * 1000.0
+    q.scalevariant = q.scalevariant * 1000.0
     after = [score_deep(model, q, j) for j in range(q.n_items)]
     assert before == after
 
@@ -108,9 +111,8 @@ def test_unit_features_zero_wide_score():
     ds = prepared(seed=5)
     model = small_model(ds)
     q = ds.queries[0]
-    for it in q.items:
-        it.fixed = np.ones_like(it.fixed)
-        it.scalevariant = np.ones_like(it.scalevariant)
+    q.fixed = np.ones_like(q.fixed)
+    q.scalevariant = np.ones_like(q.scalevariant)
     for j in range(q.n_items):
         assert score_wide(model, q, j) == 0.0
 
@@ -141,7 +143,7 @@ def test_wide_score_matches_triple_loop_oracle():
     w = model.params["wide_w"]
     k_total = schema.k1 + schema.k2
     for j in range(q.n_items):
-        v = np.log(np.concatenate([q.items[j].fixed, q.items[j].scalevariant]))
+        v = np.log(np.concatenate([q.fixed[j], q.scalevariant[j]]))
         acc = 0.0
         for l in range(model.compressor_dim):
             for kk in range(k_total):
@@ -153,8 +155,8 @@ def test_nonpositive_wide_value_names_feature_and_item():
     ds = prepared(seed=8)
     model = small_model(ds)
     q = ds.queries[0]
-    q.items[1].scalevariant = q.items[1].scalevariant.copy()
-    q.items[1].scalevariant[0] = -3.0
+    q.scalevariant = q.scalevariant.copy()
+    q.scalevariant[1, 0] = -3.0
     with pytest.raises(DomainError, match=r"price"):
         score_query(model, q)
 
@@ -277,6 +279,20 @@ def test_pairwise_differences_survive_scaling():
                 assert invariance_gap(model, q, c) < 1e-9 * magnitude
                 scaled = score_query(model, scale_query(q, c))
                 np.testing.assert_array_equal(rank(scaled).order, rank(base).order)
+
+
+def test_scale_query_leaves_input_intact():
+    ds = prepared(seed=17)
+    q = ds.queries[0]
+    names = ("numeric", "fixed", "scalevariant", "labels", "deep_numeric", "deep_fixed")
+    before = {name: getattr(q, name).copy() for name in names}
+    scaled = scale_query(q, 7.0)
+    for name in names:
+        np.testing.assert_array_equal(getattr(q, name), before[name], err_msg=name)
+    np.testing.assert_array_equal(scaled.scalevariant, before["scalevariant"] * 7.0)
+    for name in ("numeric", "fixed", "labels", "deep_numeric", "deep_fixed"):
+        np.testing.assert_array_equal(getattr(scaled, name), before[name], err_msg=name)
+    assert scaled.item_ids == q.item_ids
 
 
 def test_scores_do_shift_by_common_term():

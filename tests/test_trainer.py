@@ -141,7 +141,7 @@ def reference_epochs(train_ds, config):
         total = 0.0
         for qi in epoch_rng.permutation(len(train_ds)):
             q = train_ds.queries[qi]
-            rows, labels = None, q.labels()
+            rows, labels = None, q.labels
             if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
                 rows = _softrank_indices(q, epoch_rng)
                 labels = labels[rows]
@@ -177,12 +177,11 @@ def test_train_is_bitwise_equal_to_reference_loop(loss, mode):
 def test_bad_record_found_in_training_names_epoch_query_and_feature():
     tr, va, te, _ = prepared(num_queries=40)
     q = tr.queries[3]
-    item = q.items[1]
-    item.scalevariant = item.scalevariant.copy()
-    item.scalevariant[0] = -1.0
+    q.scalevariant = q.scalevariant.copy()
+    q.scalevariant[1, 0] = -1.0
     feature = tr.schema.item_features_scalevariant[0]
     with pytest.raises(TrainingError, match=rf"^epoch 0, query {q.query_id}: .*"
-                                            rf"{re.escape(item.item_id)}.*"
+                                            rf"{re.escape(q.item_ids[1])}.*"
                                             rf"wide-path feature '{feature}'"):
         train(tr, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1))
 
