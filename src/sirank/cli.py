@@ -39,7 +39,7 @@ from .scoring import (
     DEFAULT_L,
     DEFAULT_WIDTHS,
     MODES,
-    invariance_gap,
+    dataset_invariance_gap,
     load_checkpoint,
     save_checkpoint,
 )
@@ -212,7 +212,7 @@ def cmd_evaluate(args) -> int:
         results[f"case{cid}"] = res.to_json()
         print(f"case {cid} mean NDCG: {res.mean:.6f}")
     if model.mode == "sir":
-        gap = max(invariance_gap(model, q, DEFAULT_RATE) for q in ds.queries)
+        gap = dataset_invariance_gap(model, ds, DEFAULT_RATE)
         results["invariance_gap_c1200"] = gap
         print(f"invariance gap at c={DEFAULT_RATE:g}: {gap:.3e}")
 
@@ -247,6 +247,10 @@ def cmd_perturb(args) -> int:
 def cmd_experiment(args) -> int:
     if args.data and args.generate:
         raise ConfigError("pass either --data or --generate, not both")
+    cfg = ExperimentConfig(seed=args.seed, losses=args.loss or LOSS_NAMES,
+                           max_epochs=args.epochs, patience=_patience(args),
+                           learning_rate=args.lr, sigma=args.sigma,
+                           widths=args.widths, compressor_dim=args.L)
     inputs: dict[str, str] = {}
     if args.data:
         if not args.schema:
@@ -257,11 +261,6 @@ def cmd_experiment(args) -> int:
         ds = generate(GeneratorConfig(num_queries=args.queries, seed=args.seed))
     else:
         raise ConfigError("experiment needs --data or --generate")
-
-    cfg = ExperimentConfig(seed=args.seed, losses=args.loss or LOSS_NAMES,
-                           max_epochs=args.epochs, patience=_patience(args),
-                           learning_rate=args.lr, sigma=args.sigma,
-                           widths=args.widths, compressor_dim=args.L)
     report = run_experiment(ds, cfg)
 
     prov = _provenance("experiment", args.seed, inputs)

@@ -1,4 +1,10 @@
-"""NDCG evaluation and the statistical comparison helpers."""
+"""NDCG evaluation and the statistical comparison helpers.
+
+``mean_ndcg`` evaluates a whole dataset in one batched pass: the scores of
+all item rows come from ``scoring.score_block`` (``EVAL_CHUNK_ROWS`` rows at
+a time) or from a callable ranker, and ``segment_ndcg`` takes every query's
+NDCG from its segment of the stacked rows at once.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from scipy.special import stdtr
 
 from .data import Dataset
 from .errors import DomainError, ValidationError
-from .scoring import Ranking, rank, score_query
+from .scoring import DatasetBlock, Ranking, prepare_dataset, rank, score_block
 
 
 def ndcg(ranking: Ranking, labels) -> float:
@@ -33,28 +39,75 @@ def ndcg(ranking: Ranking, labels) -> float:
     return dcg / idcg
 
 
+def segment_ndcg(scores: np.ndarray, labels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``ndcg(rank(scores[a:b]), labels[a:b])`` for every query segment
+    ``a, b = offsets[i], offsets[i + 1]``: the same values, and the same
+    errors for a NaN score or a query without a positive label.
+
+    With binary labels and one booked item per query, NDCG is
+    1/log2(1 + position), and the position is 1 plus the items that outrank
+    the booked one under ``rank``'s tie rule: a higher score, or an equal
+    score at a lower index. Any other labelling is ranked query by query.
+    """
+    if np.any(np.isnan(scores)):
+        raise DomainError("cannot rank NaN scores")
+    row_query = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    positives = np.bincount(row_query, weights=labels > 0, minlength=len(offsets) - 1)
+    if np.any(positives == 0):
+        raise ValidationError("ndcg needs at least one positively labeled item")
+    if np.any(positives != 1) or np.any((labels != 0.0) & (labels != 1.0)):
+        return np.array([ndcg(rank(scores[a:b]), labels[a:b])
+                         for a, b in zip(offsets[:-1], offsets[1:])])
+    booked = np.flatnonzero(labels)[row_query]
+    booked_score = scores[booked]
+    outranks = (scores > booked_score) | ((scores == booked_score)
+                                          & (np.arange(scores.size) < booked))
+    position = 1.0 + np.bincount(row_query, weights=outranks, minlength=len(offsets) - 1)
+    return 1.0 / np.log2(1.0 + position)
+
+
 @dataclass(frozen=True)
 class EvalResult:
     per_query: np.ndarray
     mean: float
     count: int
 
+    @classmethod
+    def of(cls, per_query: np.ndarray) -> EvalResult:
+        return cls(per_query=per_query, mean=float(per_query.mean()), count=per_query.size)
+
     def to_json(self) -> dict:
         return {"mean": float(self.mean), "count": int(self.count),
                 "per_query": [float(v) for v in self.per_query]}
 
 
+def evaluate_block(model, block: DatasetBlock) -> EvalResult:
+    """Per-query and mean NDCG of ``model`` on a dataset prepared by
+    ``scoring.prepare_dataset``; the block can be scored again after the
+    parameters change."""
+    return EvalResult.of(segment_ndcg(score_block(model, block), block.labels, block.offsets))
+
+
 def mean_ndcg(model, dataset: Dataset, mode: str | None = None) -> EvalResult:
-    """Score, rank, and average NDCG over every query in the dataset.
+    """Score, rank, and average NDCG over every query in the dataset, as
+    one batched pass over its stacked item rows.
 
     model is either a SirModel or any callable mapping a query to a score
     vector; the latter keeps oracle rankers easy to express.
     """
-    score = model if callable(model) else (lambda q: score_query(model, q, mode))
-    vals = np.empty(len(dataset))
-    for i, q in enumerate(dataset.queries):
-        vals[i] = ndcg(rank(score(q)), q.labels)
-    return EvalResult(per_query=vals, mean=float(vals.mean()), count=len(dataset))
+    if not callable(model):
+        return evaluate_block(model, prepare_dataset(model, dataset, mode))
+    if not dataset.queries:
+        raise ValidationError("cannot evaluate a dataset without queries")
+    parts = []
+    for q in dataset.queries:
+        scores = np.asarray(model(q), dtype=np.float64)
+        if scores.shape != (q.n_items,):
+            ndcg(rank(scores), q.labels)  # raises the error for a misshapen score vector
+        parts.append(scores)
+    offsets = np.concatenate([[0], np.cumsum([q.n_items for q in dataset.queries])])
+    labels = np.concatenate([q.labels for q in dataset.queries])
+    return EvalResult.of(segment_ndcg(np.concatenate(parts), labels, offsets))
 
 
 def random_ranker_mean_ndcg(dataset: Dataset) -> float:

@@ -16,7 +16,13 @@ from .losses import (
     SOFTRANK_LIST_SIZE,
     loss_by_name,
 )
-from .metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg, two_sample_t_test
+from .metrics import (
+    bonferroni,
+    evaluate_block,
+    mean_ndcg,
+    random_ranker_mean_ndcg,
+    two_sample_t_test,
+)
 from .perturb import DEFAULT_RATE, DEFAULT_TARGETS, CASE_IDS, PerturbationCase, apply_case
 from .scoring import (
     DEFAULT_L,
@@ -26,8 +32,9 @@ from .scoring import (
     SirModel,
     backward,
     build_model,
+    dataset_invariance_gap,
     forward_block,
-    invariance_gap,
+    prepare_dataset,
     prepare_query,
     sgd_step,
 )
@@ -49,6 +56,17 @@ DEFAULT_LEARNING_RATES = {
 }
 
 
+def _check_schedule(max_epochs: int, patience: int, learning_rate: float | None, sigma: float):
+    """The checks that TrainConfig and ExperimentConfig share."""
+    if not (1 <= patience < max_epochs):
+        raise ConfigError(f"patience {patience} must be in [1, max_epochs) "
+                          f"with max_epochs {max_epochs}")
+    if not (sigma > 0):
+        raise ConfigError(f"sigma must be > 0, got {sigma}")
+    if learning_rate is not None and not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise ConfigError(f"learning rate must be a finite number >= 0, got {learning_rate}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "ranknet"
@@ -66,14 +84,7 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}, expected one of {LOSS_NAMES}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if not (1 <= self.patience < self.max_epochs):
-            raise ConfigError(f"patience {self.patience} must be in [1, max_epochs)")
-        if not (self.sigma > 0):
-            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
-        if self.learning_rate is not None and not (
-                math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigError(f"learning rate must be a finite number >= 0, "
-                              f"got {self.learning_rate}")
+        _check_schedule(self.max_epochs, self.patience, self.learning_rate, self.sigma)
 
     @property
     def resolved_learning_rate(self) -> float:
@@ -119,7 +130,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     """SGD over one query at a time, stopping when validation NDCG stalls.
 
     Each training query's input block is prepared at its first visit and
-    reused in later epochs. Returns the model restored to its
+    reused in later epochs; the validation split is prepared once as one
+    batched block and scored every epoch. Returns the model restored to its
     best-validation epoch.
     """
     _check_prepared(train_ds, config.mode, "training")
@@ -142,6 +154,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     best_epoch = 0
     best_snapshot = model.params.flat.copy()
     blocks: list[QueryBlock | None] = [None] * len(train_ds)
+    val_block = prepare_dataset(model, val_ds)
     bad_epochs = 0
     stopping = "max_epochs"
 
@@ -170,7 +183,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
             total += out.value
         train_losses.append(total / len(train_ds))
 
-        val = mean_ndcg(model, val_ds).mean
+        val = evaluate_block(model, val_block).mean
         val_curve.append(val)
         if val > best + IMPROVEMENT_EPS:
             best = val
@@ -212,6 +225,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown losses {unknown}")
         if not self.losses:
             raise ConfigError("need at least one loss")
+        _check_schedule(self.max_epochs, self.patience, self.learning_rate, self.sigma)
 
 
 @dataclass
@@ -366,8 +380,7 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
                 res = mean_ndcg(model, ds_case)
                 cell.case_ndcg[cid] = res.mean
                 per_query[(loss, mode, f"case{cid}")] = res.per_query
-            cell.invariance_gap_c1200 = float(max(
-                invariance_gap(model, q, 1200.0) for q in te.queries))
+            cell.invariance_gap_c1200 = dataset_invariance_gap(model, te, 1200.0)
 
     n_comparisons = len(CONDITIONS) * len(config.losses)
     threshold = bonferroni(ALPHA, n_comparisons)

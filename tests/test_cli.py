@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import sirank.cli
 from sirank.cli import main
 
 
@@ -190,25 +191,44 @@ def _break_first_query(record, case):
         items[1]["scalevariant"]["price"] = False
     elif case == "huge_integer_value":
         items[1]["scalevariant"]["price"] = 10 ** 400  # no float64 holds it
+    elif case == "unknown_fixed_key":
+        items[1]["fixed"]["colour"] = 3.0
+    elif case == "unknown_scalevariant_key":
+        items[1]["scalevariant"]["colour"] = 3.0
+    elif case == "duplicate_item_id":
+        items[1]["item_id"] = items[0]["item_id"]
 
 
 @pytest.mark.parametrize("case", ["item_not_object", "string_fixed_value",
                                   "null_scalevariant_value", "boolean_fixed_value",
-                                  "boolean_scalevariant_value", "huge_integer_value"])
+                                  "boolean_scalevariant_value", "huge_integer_value",
+                                  "unknown_fixed_key", "unknown_scalevariant_key",
+                                  "duplicate_item_id", "duplicate_query_id"])
 def test_bad_item_record_is_validation_error(workdir, tmp_path, capsys, case):
     lines = (workdir / "data.jsonl").read_text().splitlines()
     record = json.loads(lines[0])
     _break_first_query(record, case)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    # a duplicate query_id: the first record again, right after itself
+    repeated = [json.dumps(record)] if case == "duplicate_query_id" else []
+    bad.write_text("\n".join([json.dumps(record)] + repeated + lines[1:]) + "\n")
     code = main(["perturb", "--data", str(bad), "--schema", str(workdir / "data.schema.json"),
                  "--case", "3", "--out", str(tmp_path / "out.jsonl")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith(f"validation error: query {record['query_id']}: item ")
+    if case == "duplicate_query_id":
+        assert err.startswith(f"validation error: query {record['query_id']}: "
+                              "duplicate query_id (lines 1 and 2)")
+    else:
+        assert err.startswith(f"validation error: query {record['query_id']}: item ")
     if case == "item_not_object":
         assert "item at position 1 is not a JSON object" in err
-    else:
+    elif case in ("unknown_fixed_key", "unknown_scalevariant_key"):
+        assert f"item {record['items'][1]['item_id']}: " in err
+        assert "features not in the schema: ['colour']" in err
+    elif case == "duplicate_item_id":
+        assert f"item {record['items'][0]['item_id']}: duplicate item_id" in err
+    elif case != "duplicate_query_id":
         assert f"item {record['items'][1]['item_id']}: " in err and "is not numeric" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out.jsonl").exists()
@@ -312,6 +332,19 @@ def test_short_runs_without_patience_flag(workdir, tmp_path, capsys):
         assert code == 2
         assert err.startswith("usage error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "m1.json").exists()
+
+
+def test_experiment_rejects_bad_epochs_before_generating(tmp_path, capsys, monkeypatch):
+    generated = []
+    monkeypatch.setattr(sirank.cli, "generate", lambda config: generated.append(config))
+    for flags in (["--epochs", "1"], ["--epochs", "3", "--patience", "3"]):
+        code = main(["experiment", "--generate", "--queries", "60", "--loss", "ranknet",
+                     "--out", str(tmp_path / "exp")] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: patience ") and len(err.splitlines()) == 1
+    assert generated == []
+    assert not (tmp_path / "exp.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

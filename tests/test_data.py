@@ -1,8 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+import sirank.data
 from sirank.data import (
     Dataset,
     FeatureSchema,
@@ -187,6 +189,68 @@ def test_valid_single_query_loads(tmp_path, schema):
     q = ds.queries[0]
     assert q.booked_index == 0
     assert q.n_items == 2
+
+
+ITEM_MUTATIONS = (
+    [("fixed", "star_rating", v) for v in ("4.5", None, True, 10 ** 400, float("nan"),
+                                             float("inf"), -1.0, 0, 3, 2 ** 60, [1.0])]
+    + [("scalevariant", "discount", v) for v in (False, 0.0, {"x": 1.0}, 7, 1e308)]
+    + [(group, "colour", 2.0) for group in ("fixed", "scalevariant")]
+    + [(group, None, value) for group in ("fixed", "scalevariant")
+       for value in (None, [4.0, 8.0], {"star_rating": 4.0}, "drop")]
+    + [(None, "item_id", v) for v in (None, "", 5, "a")]
+    + [(None, "label", v) for v in (True, 2, 1.0, 0.0, None, "1", float("nan"))]
+    + [("item", None, v) for v in (7, None, [])]
+)
+
+
+def _mutate(obj, j, mutation):
+    group, key, value = mutation
+    items = obj["items"]
+    if group == "item":
+        items[j] = value
+    elif group is None:
+        items[j][key] = value
+    elif key is None and value == "drop":
+        items[j].pop(group, None)
+    elif key is None:
+        items[j][group] = value
+    elif isinstance(items[j].get(group), dict):
+        items[j][group][key] = value
+
+
+def _parse_outcome(obj, schema):
+    try:
+        q = sirank.data._parse_query_obj(copy.deepcopy(obj), schema)
+    except ValidationError as exc:
+        return ("error", str(exc))
+    return ("ok", q.item_ids, q.fixed.tobytes(), q.scalevariant.tobytes(), q.labels.tobytes())
+
+
+def test_columnwise_item_checks_agree_with_per_item_checks(schema, monkeypatch):
+    base = _one_query_obj(None)
+    base["items"].append({"item_id": "c", "fixed": {"star_rating": 2, "review_score": 6.5},
+                          "scalevariant": {"price": 70, "discount": 2.5}, "label": 0})
+    cases = [base]
+    for j in range(3):
+        for mutation in ITEM_MUTATIONS:
+            obj = copy.deepcopy(base)
+            _mutate(obj, j, mutation)
+            cases.append(obj)
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        obj = copy.deepcopy(base)
+        for _ in range(2):
+            j = int(rng.integers(3))
+            if isinstance(obj["items"][j], dict):
+                _mutate(obj, j, ITEM_MUTATIONS[rng.integers(len(ITEM_MUTATIONS))])
+        cases.append(obj)
+    columnwise = [_parse_outcome(obj, schema) for obj in cases]
+    monkeypatch.setattr(sirank.data, "_item_arrays", lambda raw_items, schema: None)
+    per_item = [_parse_outcome(obj, schema) for obj in cases]
+    assert columnwise == per_item
+    assert columnwise[0][0] == "ok"
+    assert {outcome[0] for outcome in columnwise} == {"ok", "error"}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from sirank.metrics import (
     random_ranker_mean_ndcg,
     two_sample_t_test,
 )
-from sirank.scoring import Ranking, rank
+from sirank.scoring import EVAL_CHUNK_ROWS, Ranking, build_model, rank, score_query
 
 from conftest import hand_dataset
 
@@ -132,6 +132,62 @@ def test_mean_matches_streaming_oracle():
         count += 1
     assert res.mean == pytest.approx(total / count, abs=1e-12)
     assert len(res.per_query) == count
+
+
+@pytest.mark.parametrize("mode", ["sir", "deep_only"])
+def test_batched_ndcg_equals_per_query_bitwise(mode):
+    raw = hand_dataset(n_queries=64, seed=30, items=(18, 25))
+    bounds = np.cumsum([0] + [q.n_items for q in raw.queries])
+    assert bounds[-1] > EVAL_CHUNK_ROWS and not np.any(bounds == EVAL_CHUNK_ROWS)
+    stats = fit_standardization(raw, raw.schema, include_scalevariant=(mode == "deep_only"))
+    ds = apply_standardization(raw, stats)
+    model = build_model(ds.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=3,
+                        stats=stats)
+    res = mean_ndcg(model, ds, mode)
+    want = [ndcg(rank(score_query(model, q)), q.labels) for q in ds.queries]
+    assert res.per_query.tolist() == want
+    assert res.count == len(ds)
+
+
+def test_batched_ndcg_tie_rule_on_identical_items():
+    ds = prepared_dataset(n=6, seed=31)
+    for q in ds.queries:
+        for name in ("fixed", "scalevariant", "deep_fixed"):
+            rows = getattr(q, name)
+            setattr(q, name, np.repeat(rows[:1], q.n_items, axis=0))
+    model = build_model(ds.schema, widths=(8, 4), compressor_dim=2, seed=1, stats=ds.stats)
+    # equal scores rank by item index, so the booked item sits at its index + 1
+    want = [1.0 / math.log2(2.0 + q.booked_index) for q in ds.queries]
+    assert mean_ndcg(model, ds).per_query.tolist() == want
+    assert mean_ndcg(lambda q: np.zeros(q.n_items), ds).per_query.tolist() == want
+    # partial ties: only the items tied with the booked one at lower index outrank it
+    rng = np.random.default_rng(32)
+    tied = {q.query_id: rng.integers(0, 3, size=q.n_items).astype(float) for q in ds.queries}
+    res = mean_ndcg(lambda q: tied[q.query_id], ds)
+    assert res.per_query.tolist() == [ndcg(rank(tied[q.query_id]), q.labels) for q in ds.queries]
+
+
+def test_batched_ndcg_keeps_per_query_errors():
+    ds = prepared_dataset(n=5, seed=33)
+    nan_in_last = lambda q: np.full(q.n_items, np.nan if q is ds.queries[-1] else 1.0)
+    with pytest.raises(DomainError, match="NaN"):
+        mean_ndcg(nan_in_last, ds)
+    with pytest.raises(DomainError):
+        mean_ndcg(lambda q: np.zeros(q.n_items + 1), ds)
+    ds.queries[2].labels = np.zeros(ds.queries[2].n_items)
+    with pytest.raises(ValidationError, match="positively labeled"):
+        mean_ndcg(lambda q: q.labels, ds)
+
+
+def test_batched_ndcg_graded_labels_match_per_query():
+    ds = prepared_dataset(n=8, seed=34)
+    rng = np.random.default_rng(35)
+    for q in ds.queries:
+        q.labels = rng.integers(0, 3, size=q.n_items).astype(float)
+        q.labels[0] = 2.0
+    score = lambda q: np.log(q.scalevariant[:, 1])
+    res = mean_ndcg(score, ds)
+    assert res.per_query.tolist() == [ndcg(rank(score(q)), q.labels) for q in ds.queries]
 
 
 def test_eval_result_json():

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from sirank.data import apply_standardization, fit_standardization
-from sirank.errors import ConfigError, ContractError, DomainError, SchemaError
+from sirank.data import Dataset
+from sirank.errors import ConfigError, ContractError, DomainError, SchemaError, ValidationError
 from sirank.scoring import (
+    EVAL_CHUNK_ROWS,
     Ranking,
     build_model,
+    dataset_invariance_gap,
     forward,
     invariance_gap,
     load_checkpoint,
+    prepare_dataset,
+    prepare_query,
     rank,
     save_checkpoint,
     scale_query,
+    score_block,
     score_deep,
     score_query,
     score_wide,
@@ -24,8 +30,8 @@ from conftest import hand_dataset
 SCALES = (1e-2, 0.5, 7.0, 1200.0)
 
 
-def prepared(seed=0, n_queries=12, include_scalevariant=False):
-    ds = hand_dataset(n_queries=n_queries, seed=seed)
+def prepared(seed=0, n_queries=12, include_scalevariant=False, items=(3, 6)):
+    ds = hand_dataset(n_queries=n_queries, seed=seed, items=items)
     stats = fit_standardization(ds, ds.schema, include_scalevariant=include_scalevariant)
     return apply_standardization(ds, stats)
 
@@ -312,6 +318,96 @@ def test_deep_only_gap_is_macroscopic():
     gap = invariance_gap(model, ds.queries[0], 1200.0)
     assert np.isfinite(gap)
     assert gap > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batched scoring
+
+
+def chunk_straddling(n_queries=64, seed=20, include_scalevariant=False):
+    """More item rows than one evaluation chunk, with a query that owns rows
+    on both sides of the first chunk boundary."""
+    ds = prepared(seed=seed, n_queries=n_queries, include_scalevariant=include_scalevariant,
+                  items=(18, 25))
+    bounds = np.cumsum([0] + [q.n_items for q in ds.queries])
+    assert bounds[-1] > EVAL_CHUNK_ROWS
+    assert not np.any(bounds == EVAL_CHUNK_ROWS)
+    return ds
+
+
+def models_of_both_modes():
+    sir_ds = chunk_straddling()
+    deep_ds = chunk_straddling(include_scalevariant=True)
+    return [(small_model(sir_ds, seed=6), sir_ds),
+            (build_model(deep_ds.schema, mode="deep_only", widths=(8, 4), compressor_dim=2,
+                         seed=6, stats=deep_ds.stats), deep_ds)]
+
+
+def test_batched_scores_match_per_query_across_chunks():
+    for model, ds in models_of_both_modes():
+        block = prepare_dataset(model, ds)
+        got = score_block(model, block)
+        want = np.concatenate([score_query(model, q) for q in ds.queries])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13, err_msg=model.mode)
+        np.testing.assert_array_equal(block.offsets, np.cumsum([0] + [q.n_items for q in ds]))
+
+
+def test_batched_gap_matches_per_query_max():
+    for model, ds in models_of_both_modes():
+        for c in (0.5, 1200.0):
+            want = max(invariance_gap(model, q, c) for q in ds.queries)
+            assert abs(dataset_invariance_gap(model, ds, c) - want) < 1e-12, (model.mode, c)
+
+
+def test_batched_identity_gap_exactly_zero():
+    model, ds = models_of_both_modes()[0]
+    assert dataset_invariance_gap(model, ds, 1.0) == 0.0
+
+
+def _break_query(q, case):
+    """Damage one record the way a caller could, copying shared arrays first."""
+    if case == "category_out_of_range":
+        q.category_ids = np.array([7])
+    elif case == "nonpositive_wide_value":
+        q.scalevariant = q.scalevariant.copy()
+        q.scalevariant[2, 1] = 0.0
+    elif case == "non_finite_deep_input":
+        q.deep_fixed = q.deep_fixed.copy()
+        q.deep_fixed[1, 0] = np.inf
+    elif case == "unstandardized":
+        q.deep_numeric = None
+
+
+@pytest.mark.parametrize("case", ["category_out_of_range", "nonpositive_wide_value",
+                                  "non_finite_deep_input", "unstandardized"])
+def test_batched_checks_raise_what_prepare_query_raises(case):
+    ds = prepared(seed=21, n_queries=8)
+    model = small_model(ds)
+    # a later query broken in another way must not be the one reported
+    _break_query(ds.queries[3], case)
+    _break_query(ds.queries[6], "nonpositive_wide_value" if case != "nonpositive_wide_value"
+                 else "category_out_of_range")
+    with pytest.raises(Exception) as per_query:
+        prepare_query(model, ds.queries[3])
+    with pytest.raises(type(per_query.value)) as batched:
+        prepare_dataset(model, ds)
+    assert str(batched.value) == str(per_query.value)
+    if case == "nonpositive_wide_value":
+        assert str(batched.value).startswith(
+            f"query {ds.queries[3].query_id}, item {ds.queries[3].item_ids[2]}: "
+            f"wide-path feature 'discount'")
+
+
+def test_batched_path_needs_scalevariant_stats_and_queries():
+    ds = prepared(seed=10)
+    model = build_model(ds.schema, mode="deep_only", widths=(8, 4), compressor_dim=2,
+                        stats=ds.stats)
+    with pytest.raises(ContractError, match="scale-variant"):
+        prepare_dataset(model, ds)
+    with pytest.raises(ContractError, match="mode"):
+        prepare_dataset(small_model(ds), ds, mode="deep_only")
+    with pytest.raises(ValidationError):
+        prepare_dataset(small_model(ds), Dataset(schema=ds.schema, queries=[], stats=ds.stats))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from sirank.errors import ConfigError, ContractError, TrainingError
 from sirank.generator import GeneratorConfig, generate
 from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
 from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
+import sirank.scoring
+import sirank.trainer
 from sirank.scoring import backward, build_model, forward
 from sirank.trainer import (
     DEFAULT_LEARNING_RATES,
@@ -354,6 +357,37 @@ def test_experiment_records_partial_failures():
 def test_experiment_config_rejects_unknown_loss():
     with pytest.raises(ConfigError):
         ExperimentConfig(losses=("ranknet", "mystery"))
+
+
+def test_experiment_config_checks_epochs_and_patience_like_train_config():
+    for max_epochs, patience in ((1, 0), (10, 10), (5, 0), (3, 7)):
+        with pytest.raises(ConfigError, match=r"patience") as train_err:
+            TrainConfig(max_epochs=max_epochs, patience=patience)
+        with pytest.raises(ConfigError) as experiment_err:
+            ExperimentConfig(max_epochs=max_epochs, patience=patience)
+        assert str(experiment_err.value) == str(train_err.value)
+    ExperimentConfig(max_epochs=2, patience=1)
+
+
+def test_each_validation_query_is_prepared_once(monkeypatch):
+    tr, va, te, _ = prepared(num_queries=60)
+    seen = Counter()
+
+    def counting(prepare):
+        def wrapper(model, data, *args, **kwargs):
+            queries = getattr(data, "queries", [data])
+            seen.update(q.query_id for q in queries)
+            return prepare(model, data, *args, **kwargs)
+        return wrapper
+
+    for module in (sirank.scoring, sirank.trainer):
+        monkeypatch.setattr(module, "prepare_query", counting(module.prepare_query))
+        if hasattr(module, "prepare_dataset"):
+            monkeypatch.setattr(module, "prepare_dataset", counting(module.prepare_dataset))
+    _, hist = train(tr, va, TrainConfig(loss="ranknet", max_epochs=3, patience=2, seed=1))
+    assert len(hist.val_ndcg) == 3
+    assert {q.query_id: seen[q.query_id] for q in va.queries} == {q.query_id: 1 for q in va}
+    assert {q.query_id: seen[q.query_id] for q in tr.queries} == {q.query_id: 1 for q in tr}
 
 
 def test_default_grid_is_five_losses_two_modes():
