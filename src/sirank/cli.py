@@ -95,21 +95,28 @@ def _header_lines(prov: dict) -> list[str]:
     return [f"# {p}" for p in pairs]
 
 
-def _parse_widths(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        widths = tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ConfigError(f"--widths expects comma-separated integers, got {text!r}")
+        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}")
+
+
+def _parse_widths(text: str) -> tuple[int, ...]:
+    widths = _parse_ints(text, "--widths")
     if not widths:
         raise ConfigError("--widths needs at least one layer width")
     return widths
 
 
+def _parse_seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ConfigError(f"--seed expects an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _parse_cases(text: str) -> tuple[int, ...]:
-    try:
-        cases = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"--case expects comma-separated integers, got {text!r}")
+    cases = _parse_ints(text, "--case")
     bad = [c for c in cases if c not in CASE_IDS]
     if bad or not cases:
         raise ConfigError(f"--case values must be among {list(CASE_IDS)}, got {text!r}")
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common_seed(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                        help=f"global seed (default {DEFAULT_SEED})")
 
     def train_flags(p):

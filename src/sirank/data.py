@@ -14,6 +14,11 @@ from .errors import ContractError, ParseError, SchemaError, ValidationError
 
 MAX_ITEMS_PER_QUERY = 25
 MIN_ITEMS_PER_QUERY = 2
+MAX_EMBEDDING_VALUES = 10 ** 7  # cardinality x embedding_dim of one table
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,9 @@ class FeatureSchema:
     def __post_init__(self):
         names = [f.name for f in self.query_features]
         names += list(self.item_features_fixed) + list(self.item_features_scalevariant)
+        bad = [n for n in names if not isinstance(n, str)]
+        if bad:
+            raise SchemaError(f"feature names must be strings, got {bad}")
         if len(set(names)) != len(names):
             dup = sorted(n for n in set(names) if names.count(n) > 1)
             raise SchemaError(f"duplicate feature names: {dup}")
@@ -51,10 +59,15 @@ class FeatureSchema:
                 if f.cardinality is not None or f.embedding_dim is not None:
                     raise SchemaError(f"numeric feature {f.name!r} must not set cardinality or embedding_dim")
             elif f.kind == "categorical":
-                if f.cardinality is None or f.cardinality < 2:
-                    raise SchemaError(f"categorical feature {f.name!r} needs cardinality >= 2")
-                if f.embedding_dim is None or f.embedding_dim < 1:
-                    raise SchemaError(f"categorical feature {f.name!r} needs embedding_dim >= 1")
+                if not _is_int(f.cardinality) or f.cardinality < 2:
+                    raise SchemaError(f"categorical feature {f.name!r} needs an integer "
+                                      f"cardinality >= 2, got {f.cardinality!r}")
+                if not _is_int(f.embedding_dim) or f.embedding_dim < 1:
+                    raise SchemaError(f"categorical feature {f.name!r} needs an integer "
+                                      f"embedding_dim >= 1, got {f.embedding_dim!r}")
+                if f.cardinality * f.embedding_dim > MAX_EMBEDDING_VALUES:
+                    raise SchemaError(f"categorical feature {f.name!r} needs an embedding "
+                                      f"table of more than {MAX_EMBEDDING_VALUES} values")
             else:
                 raise SchemaError(f"feature {f.name!r} has unknown kind {f.kind!r}")
 
@@ -99,6 +112,9 @@ class FeatureSchema:
     @classmethod
     def from_json(cls, obj: dict) -> "FeatureSchema":
         try:
+            for group in ("query_features", "item_features_fixed", "item_features_scalevariant"):
+                if not isinstance(obj[group], list):
+                    raise SchemaError(f"schema {group!r} must be a list")
             feats = tuple(
                 QueryFeature(
                     name=f["name"],
@@ -193,8 +209,7 @@ def _finite_positive(arr: np.ndarray) -> bool:
 def _is_number(v) -> bool:
     """A JSON number that converts to float64: a float, or an int that is
     not a bool and not too large for a float."""
-    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
-                                    and abs(v) <= sys.float_info.max)
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
 def _item_features(values, names: tuple[str, ...], qid: str, what: str, out: np.ndarray):
@@ -297,8 +312,7 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
     for i, f in enumerate(cats):
         _require(f.name in qvals, qid, f"missing query feature {f.name!r}")
         v = qvals[f.name]
-        _require(isinstance(v, int) and not isinstance(v, bool), qid,
-                 f"categorical feature {f.name!r} must be an integer id")
+        _require(_is_int(v), qid, f"categorical feature {f.name!r} must be an integer id")
         _require(0 <= v < f.cardinality, qid,
                  f"categorical feature {f.name!r} id {v} out of range [0, {f.cardinality})")
         category_ids[i] = v
@@ -307,8 +321,8 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
     _require(not extra, qid, f"unknown query features {extra}")
 
     nights = obj.get("num_nights")
-    _require(isinstance(nights, int) and not isinstance(nights, bool) and nights > 0,
-             qid, "num_nights must be a positive integer")
+    _require(_is_int(nights) and _is_number(nights) and nights > 0, qid,
+             "num_nights must be a positive integer")
     rate = obj.get("exchange_rate")
     _require(_is_number(rate) and math.isfinite(rate) and rate > 0,
              qid, "exchange_rate must be a positive finite number")
@@ -454,9 +468,12 @@ class StandardizationStats:
 
 
 def _fit_columns(rows: np.ndarray, names) -> tuple[np.ndarray, np.ndarray]:
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
-    for name, s in zip(names, std):
+    with np.errstate(over="ignore", invalid="ignore"):  # reported per feature below
+        mean, std = rows.mean(axis=0), rows.std(axis=0)
+    for name, m, s in zip(names, mean, std):
+        if not (np.isfinite(m) and np.isfinite(s)):
+            raise ValidationError(f"feature {name!r} has a non-finite mean or standard "
+                                  "deviation on the training split")
         if s <= 0.0:
             raise ValidationError(f"feature {name!r} has zero variance on the training split")
     return mean, std

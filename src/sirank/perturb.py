@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, QueryRecord
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 DEFAULT_TARGETS = ("price", "discount")
 DEFAULT_RATE = 1200.0
@@ -61,9 +61,13 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     cols = np.array([sv_names.index(t) for t in case.targets], dtype=np.int64)
 
     queries = []
-    for q in ds.queries:
-        sv = q.scalevariant.copy()
-        for f in case.factors(q):
-            sv[:, cols] = sv[:, cols] * f
-        queries.append(replace(q, scalevariant=sv))
+    with np.errstate(over="ignore"):  # an overflow is reported as a data error below
+        for q in ds.queries:
+            sv = q.scalevariant.copy()
+            for f in case.factors(q):
+                sv[:, cols] = sv[:, cols] * f
+            if not np.isfinite(sv).all():
+                raise ValidationError(f"query {q.query_id}: case {case.case_id} rescales a "
+                                      "scale-variant value beyond the float64 range")
+            queries.append(replace(q, scalevariant=sv))
     return Dataset(schema=ds.schema, queries=queries, stats=ds.stats)

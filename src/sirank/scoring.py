@@ -5,19 +5,18 @@ when every scale-variant value in a query is multiplied by a constant, which
 is the property the whole package exists to demonstrate.
 
 The network is fixed, so its forward pass, its backward pass and the SGD
-step are written out by hand below. Scoring runs in two steps:
-``prepare_query`` gathers a query's item arrays into a ``QueryBlock``, takes
-the logs of the wide inputs and checks the data once; ``forward_block`` does the
-arithmetic on that block (or on selected rows of it). ``forward`` does both,
-and training prepares each query once and reuses its block every epoch.
-
-Evaluation scores a whole dataset at once: ``prepare_dataset`` stacks every
-query's item rows into one ``DatasetBlock`` with a row-to-query index and runs
-the same data checks once over the stack; ``score_block`` runs the deep tower
-and the wide term over chunks of ``EVAL_CHUNK_ROWS`` item rows, so the peak
-memory of a pass does not grow with the dataset. Its scores match the
-per-query ``forward`` to within a few ulps (matrix products of another shape
-sum in another order); ``score_query`` stays on the per-query path.
+step are written out by hand below. Everything that scores reads one
+prepared form: ``prepare_dataset`` stacks every query's item rows into a
+``DatasetBlock`` with per-query offsets, takes the logs of the wide inputs
+and runs the data checks once over the stack (the first bad query in dataset
+order names the error). ``forward_block`` scores one query's rows of a block
+for a training step; ``score_block`` scores every row, ``EVAL_CHUNK_ROWS``
+at a time, so the memory of an evaluation pass does not grow with the
+dataset; ``forward``, ``score_query``, ``score_deep`` and ``score_wide``
+score one query through a one-query block. Training prepares both of its
+splits before the first step, so a bad record is reported before epoch 0.
+Batched scores match per-query ones to within a few ulps (matrix products
+of another shape sum in another order).
 
 All parameters live in one contiguous float64 vector; ``SirModel.params`` is
 a ``ParamVector``, a dict of named views into it in build order. ``backward``
@@ -120,10 +119,10 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
     if not widths or any(w < 1 for w in widths):
         raise ConfigError(f"invalid dense widths {widths}")
     m_prime = schema.query_repr_dim
-    if not compressor_dim < m_prime:
+    if not 1 <= compressor_dim < m_prime:
         raise ConfigError(
-            f"compressor output {compressor_dim} must be smaller than the "
-            f"query representation width {m_prime}")
+            f"compressor output {compressor_dim} must be at least 1 and smaller than "
+            f"the query representation width {m_prime}")
 
     rng = np.random.default_rng(seed)
     params = {}
@@ -153,32 +152,114 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
 
 
 # ---------------------------------------------------------------------------
-# forward pass: prepare a query once, then compute on its block
+# prepared inputs: gather and check a dataset's scoring inputs once
 
 
 @dataclass(frozen=True)
-class QueryBlock:
-    """One query's scoring inputs, gathered and checked once.
+class DatasetBlock:
+    """Every query of a dataset stacked for scoring, gathered and checked
+    once. Query i owns item rows ``offsets[i]:offsets[i + 1]`` of
+    ``deep_items``, ``log_values`` and ``labels``; ``row_query`` maps each
+    item row to its query. Nothing in a block depends on the parameters, so
+    it can be scored again after every update."""
 
-    ``lookups`` names the embedding row of each categorical query feature as
-    (table parameter name, category id). Row j of ``deep_items`` and
-    ``log_values`` belongs to item j; ``log_values`` (the logged wide inputs)
-    is None for deep_only models.
+    deep_numeric: np.ndarray        # (Q, numeric query features)
+    category_ids: np.ndarray        # (Q, categorical query features)
+    deep_items: np.ndarray          # (N, deep-path item inputs)
+    log_values: np.ndarray | None   # (N, K1 + K2); None for deep_only models
+    labels: np.ndarray              # (N,)
+    offsets: np.ndarray             # (Q + 1,)
+    row_query: np.ndarray           # (N,)
+
+
+def prepare_dataset(model: SirModel, dataset: Dataset, mode: str | None = None) -> DatasetBlock:
+    """Stack what scoring reads from every query of ``dataset``, take the
+    logs of the wide inputs and check the data once over the stacked arrays.
+
+    If a check fails, the error raised, and its message, are those of the
+    first query in dataset order that fails one, for the first check it
+    fails: a missing standardization or an empty item list, then a category
+    id, a non-finite deep-path input, a wide-path input that is not > 0.
     """
+    _check_mode(model, mode)
+    queries = dataset.queries
+    if not queries:
+        raise ValidationError("cannot evaluate a dataset without queries")
+    stats = model.stats
+    if model.mode == "deep_only" and (stats is None or not stats.covers_scalevariant):
+        raise ContractError("deep_only scoring needs standardization stats that "
+                            "cover the scale-variant features")
+    cut = next((i for i, q in enumerate(queries) if q.deep_numeric is None or q.n_items == 0),
+               None)
+    if cut is not None:
+        if cut:  # a data error in an earlier query comes first
+            prepare_dataset(model, replace(dataset, queries=queries[:cut]))
+        if queries[cut].deep_numeric is None:
+            raise ContractError(f"query {queries[cut].query_id}: standardized features "
+                                "missing, apply_standardization first")
+        raise ContractError("cannot score an empty item selection")
 
-    deep_numeric: np.ndarray
-    lookups: tuple[tuple[str, int], ...]
-    deep_items: np.ndarray
-    log_values: np.ndarray | None
+    cats = model.schema.categorical_query_features
+    category_ids = np.array([q.category_ids for q in queries], dtype=np.int64)
+    category_ids = category_ids.reshape(len(queries), len(cats))
+    deep_numeric = np.stack([q.deep_numeric for q in queries])
+    deep_items = np.concatenate([q.deep_fixed for q in queries])
+    scalevariant = np.concatenate([q.scalevariant for q in queries])
+    if model.mode == "deep_only":
+        deep_items = np.concatenate(
+            [deep_items, (scalevariant - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
+    wide_raw = None
+    if model.mode == "sir":
+        wide_raw = np.concatenate([np.concatenate([q.fixed for q in queries]), scalevariant], axis=1)
+    sizes = [q.n_items for q in queries]
+    offsets = np.cumsum([0] + sizes)
+    cardinality = np.array([f.cardinality for f in cats], dtype=np.int64)
+    if not (((category_ids >= 0) & (category_ids < cardinality)).all()
+            and np.isfinite(deep_items).all() and np.isfinite(deep_numeric).all()
+            and (wide_raw is None or (wide_raw > 0).all())):
+        _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw)
+    return DatasetBlock(
+        deep_numeric=deep_numeric, category_ids=category_ids, deep_items=deep_items,
+        log_values=None if wide_raw is None else np.log(wide_raw, out=wide_raw),
+        labels=np.concatenate([q.labels for q in queries]), offsets=offsets,
+        row_query=np.repeat(np.arange(len(queries)), sizes))
+
+
+def _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw):
+    """Run ``prepare_dataset``'s data checks query by query on the stacked
+    inputs and raise the first one that fails."""
+    names = model.schema.item_features_fixed + model.schema.item_features_scalevariant
+    for qi, q in enumerate(queries):
+        rows = slice(offsets[qi], offsets[qi + 1])
+        for f, cid in zip(model.schema.categorical_query_features, q.category_ids):
+            if not 0 <= cid < f.cardinality:
+                raise DomainError(f"category id {cid} out of range for feature '{f.name}' "
+                                  f"(cardinality {f.cardinality})")
+        if not (np.isfinite(deep_items[rows]).all() and np.isfinite(deep_numeric[qi]).all()):
+            raise DomainError(f"query {q.query_id}: non-finite deep-path input")
+        if wide_raw is not None and not np.all(wide_raw[rows] > 0):
+            j, kk = (int(v[0]) for v in np.nonzero(~(wide_raw[rows] > 0)))
+            raise DomainError(f"query {q.query_id}, item {q.item_ids[j]}: wide-path feature "
+                              f"{names[kk]!r} must be > 0, got {wide_raw[rows][j, kk]}")
+
+
+def _one_query_block(model: SirModel, query: QueryRecord) -> DatasetBlock:
+    return prepare_dataset(model, Dataset(schema=model.schema, queries=[query]))
+
+
+# ---------------------------------------------------------------------------
+# forward pass: the arithmetic on a prepared block
 
 
 @dataclass
 class ForwardCache:
     """What the backward pass needs from one forward pass.
 
-    ``layer_inputs[i]`` is the input of dense layer i (the last one feeds the
-    head) and ``pre_activations[i]`` its output before the ReLU. The wide
-    fields stay None for deep_only models.
+    ``lookups`` names the embedding row of each categorical query feature as
+    (table parameter name, category id). ``layer_inputs[i]`` is the input of
+    dense layer i (the last one feeds the head) and ``pre_activations[i]``
+    its output before the ReLU. The wide fields stay None for deep_only
+    models.
     """
 
     lookups: tuple[tuple[str, int], ...]
@@ -189,59 +270,14 @@ class ForwardCache:
     log_values: np.ndarray | None = None
 
 
-def prepare_query(model: SirModel, query: QueryRecord) -> QueryBlock:
-    """Gather and check what scoring reads from ``query``: nothing in the
-    block depends on the parameters, so training builds it once per query."""
-    if query.deep_numeric is None:
-        raise ContractError(f"query {query.query_id}: standardized features missing, "
-                            "apply_standardization first")
-    if query.n_items == 0:
-        raise ContractError("cannot score an empty item selection")
-    lookups = []
-    for f, cid in zip(model.schema.categorical_query_features, query.category_ids):
-        cid = int(cid)
-        if cid < 0 or cid >= f.cardinality:
-            raise DomainError(
-                f"category id {cid} out of range for feature '{f.name}' "
-                f"(cardinality {f.cardinality})")
-        lookups.append((f"emb_{f.name}", cid))
-
-    deep_items = query.deep_fixed
-    if model.mode == "deep_only":
-        stats = model.stats
-        if stats is None or not stats.covers_scalevariant:
-            raise ContractError("deep_only scoring needs standardization stats that "
-                                "cover the scale-variant features")
-        deep_items = np.concatenate(
-            [deep_items, (query.scalevariant - stats.scalevariant_mean) / stats.scalevariant_std],
-            axis=1)
-    if not np.all(np.isfinite(deep_items)) or not np.all(np.isfinite(query.deep_numeric)):
-        raise DomainError(f"query {query.query_id}: non-finite deep-path input")
-
-    log_values = None
-    if model.mode == "sir":
-        wide_raw = np.concatenate([query.fixed, query.scalevariant], axis=1)
-        _check_wide_positive(model.schema, query, wide_raw)
-        log_values = np.log(wide_raw)
-    return QueryBlock(query.deep_numeric, tuple(lookups), deep_items, log_values)
-
-
-def _check_wide_positive(schema, query, wide_raw):
-    if np.all(wide_raw > 0):
-        return
-    names = list(schema.item_features_fixed) + list(schema.item_features_scalevariant)
-    rows, cols = np.nonzero(~(wide_raw > 0))
-    j, kk = int(rows[0]), int(cols[0])
-    raise DomainError(
-        f"query {query.query_id}, item {query.item_ids[j]}: "
-        f"wide-path feature {names[kk]!r} must be > 0, got {wide_raw[j, kk]}")
-
-
-def _query_repr(model: SirModel, block: QueryBlock) -> np.ndarray:
-    """Standardized numeric query features followed by one embedding row per
-    categorical feature."""
+def _query_repr(model: SirModel, block: DatasetBlock, qi: int):
+    """Query ``qi``'s standardized numeric features followed by one
+    embedding row per categorical feature, and the lookups that gave them."""
     p = model.params
-    return np.concatenate([block.deep_numeric] + [p[name][cid] for name, cid in block.lookups])
+    lookups = tuple((f"emb_{f.name}", int(cid)) for f, cid in
+                    zip(model.schema.categorical_query_features, block.category_ids[qi]))
+    q_repr = np.concatenate([block.deep_numeric[qi]] + [p[name][cid] for name, cid in lookups])
+    return q_repr, lookups
 
 
 def _deep_forward(model: SirModel, query_rows: np.ndarray, deep_items: np.ndarray):
@@ -273,15 +309,17 @@ def _wide_forward(model: SirModel, q_repr: np.ndarray, log_values: np.ndarray):
     return (log_values @ feature_weights.reshape(-1, 1)).reshape(-1), s_row
 
 
-def forward_block(model: SirModel, block: QueryBlock,
+def forward_block(model: SirModel, block: DatasetBlock, qi: int,
                   item_indices=None) -> tuple[np.ndarray, ForwardCache]:
-    """Scores (D,) of the selected rows of ``block`` (all by default) and the
-    cache that ``backward`` needs.
+    """Scores (D,) of query ``qi``'s item rows of ``block`` (the selected
+    ones, all by default) and the cache that ``backward`` needs.
 
     The same weights score every item, so stacking items as rows is just the
     batched form of that sharing.
     """
-    deep_items, log_values = block.deep_items, block.log_values
+    rows = slice(block.offsets[qi], block.offsets[qi + 1])
+    deep_items = block.deep_items[rows]
+    log_values = None if block.log_values is None else block.log_values[rows]
     if item_indices is not None:
         item_indices = list(item_indices)
         if not item_indices:
@@ -289,10 +327,10 @@ def forward_block(model: SirModel, block: QueryBlock,
         deep_items = deep_items[item_indices]
         if log_values is not None:
             log_values = log_values[item_indices]
-    q_repr = _query_repr(model, block)
+    q_repr, lookups = _query_repr(model, block, qi)
     deep, layer_inputs, pre_activations = _deep_forward(
         model, np.tile(q_repr, (deep_items.shape[0], 1)), deep_items)
-    cache = ForwardCache(block.lookups, q_repr, layer_inputs, pre_activations)
+    cache = ForwardCache(lookups, q_repr, layer_inputs, pre_activations)
     if model.mode == "deep_only":
         return deep, cache
     wide, cache.s_row = _wide_forward(model, q_repr, log_values)
@@ -302,8 +340,8 @@ def forward_block(model: SirModel, block: QueryBlock,
 
 def forward(model: SirModel, query: QueryRecord,
             item_indices=None) -> tuple[np.ndarray, ForwardCache]:
-    """``forward_block`` on a freshly prepared ``query``."""
-    return forward_block(model, prepare_query(model, query), item_indices)
+    """``forward_block`` on a one-query block of ``query``."""
+    return forward_block(model, _one_query_block(model, query), 0, item_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -373,91 +411,20 @@ def score_query(model: SirModel, query: QueryRecord, mode: str | None = None) ->
 
 def score_deep(model: SirModel, query: QueryRecord, j: int) -> float:
     """Deep-part score of item j; reads query features and fixed features only."""
-    block = prepare_query(model, query)
-    q_rows = np.tile(_query_repr(model, block), (query.n_items, 1))
+    block = _one_query_block(model, query)
+    q_rows = np.tile(_query_repr(model, block, 0)[0], (query.n_items, 1))
     return float(_deep_forward(model, q_rows, block.deep_items)[0][j])
 
 
 def score_wide(model: SirModel, query: QueryRecord, j: int) -> float:
     if model.mode != "sir":
         raise ContractError("deep_only models have no wide part")
-    block = prepare_query(model, query)
-    return float(_wide_forward(model, _query_repr(model, block), block.log_values)[0][j])
+    block = _one_query_block(model, query)
+    return float(_wide_forward(model, _query_repr(model, block, 0)[0], block.log_values)[0][j])
 
 
 # ---------------------------------------------------------------------------
 # batched scoring of a whole dataset
-
-
-@dataclass(frozen=True)
-class DatasetBlock:
-    """Every query of a dataset stacked for batched scoring, gathered and
-    checked once. Query i owns item rows ``offsets[i]:offsets[i + 1]`` of
-    ``deep_items``, ``log_values`` and ``labels``; ``row_query`` maps each
-    item row to its query."""
-
-    deep_numeric: np.ndarray        # (Q, numeric query features)
-    category_ids: np.ndarray        # (Q, categorical query features)
-    deep_items: np.ndarray          # (N, deep-path item inputs)
-    log_values: np.ndarray | None   # (N, K1 + K2); None for deep_only models
-    labels: np.ndarray              # (N,)
-    offsets: np.ndarray             # (Q + 1,)
-    row_query: np.ndarray           # (N,)
-
-
-def prepare_dataset(model: SirModel, dataset: Dataset, mode: str | None = None) -> DatasetBlock:
-    """``prepare_query`` for every query of ``dataset`` at once.
-
-    The data checks run once over the stacked arrays. If one fails,
-    ``prepare_query`` runs query by query, so the error raised, and its
-    message, are those of the first query that per-query scoring rejects.
-    """
-    _check_mode(model, mode)
-    if not dataset.queries:
-        raise ValidationError("cannot evaluate a dataset without queries")
-    block = _stack_checked(model, dataset.queries)
-    if block is None:
-        for q in dataset.queries:
-            prepare_query(model, q)
-        raise ContractError("a batched data check failed that no single query fails")
-    return block
-
-
-def _stack_checked(model: SirModel, queries: list[QueryRecord]) -> DatasetBlock | None:
-    """The block for ``queries``, or None if any of ``prepare_query``'s
-    checks fails on any of them."""
-    if any(q.deep_numeric is None or q.n_items == 0 for q in queries):
-        return None
-    cats = model.schema.categorical_query_features
-    category_ids = np.array([q.category_ids for q in queries], dtype=np.int64)
-    category_ids = category_ids.reshape(len(queries), len(cats))
-    cardinality = np.array([f.cardinality for f in cats], dtype=np.int64)
-    if not np.all((category_ids >= 0) & (category_ids < cardinality)):
-        return None
-    deep_numeric = np.stack([q.deep_numeric for q in queries])
-    deep_items = np.concatenate([q.deep_fixed for q in queries])
-    scalevariant = np.concatenate([q.scalevariant for q in queries])
-    if model.mode == "deep_only":
-        stats = model.stats
-        if stats is None or not stats.covers_scalevariant:
-            return None
-        deep_items = np.concatenate(
-            [deep_items, (scalevariant - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
-    if not (np.isfinite(deep_items).all() and np.isfinite(deep_numeric).all()):
-        return None
-
-    log_values = None
-    if model.mode == "sir":
-        wide_raw = np.concatenate([np.concatenate([q.fixed for q in queries]), scalevariant], axis=1)
-        if not np.all(wide_raw > 0):
-            return None
-        log_values = np.log(wide_raw, out=wide_raw)
-    sizes = [q.n_items for q in queries]
-    return DatasetBlock(
-        deep_numeric=deep_numeric, category_ids=category_ids, deep_items=deep_items,
-        log_values=log_values, labels=np.concatenate([q.labels for q in queries]),
-        offsets=np.concatenate([[0], np.cumsum(sizes)]),
-        row_query=np.repeat(np.arange(len(queries)), sizes))
 
 
 def score_block(model: SirModel, block: DatasetBlock) -> np.ndarray:
@@ -595,7 +562,7 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
     for name, want in params.items():
         try:
             value = np.array(stored[name]["data"], dtype=np.float64).reshape(stored[name]["shape"])
-        except (TypeError, ValueError, KeyError) as exc:
+        except (LookupError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(f"checkpoint {path} parameter {name!r} is malformed: {exc}") from exc
         if value.shape != want.shape:
             raise SchemaError(f"checkpoint {path} parameter {name!r} has shape "
@@ -603,7 +570,7 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
         want[...] = value
     try:
         stats = StandardizationStats.from_json(obj["stats"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"checkpoint {path} has malformed stats: {exc!r}") from exc
     if obj["mode"] == "deep_only" and not stats.covers_scalevariant:
         raise SchemaError(f"checkpoint {path} is deep_only but its stats do not cover "

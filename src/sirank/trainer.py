@@ -28,14 +28,12 @@ from .scoring import (
     DEFAULT_L,
     DEFAULT_WIDTHS,
     MODES,
-    QueryBlock,
     SirModel,
     backward,
     build_model,
     dataset_invariance_gap,
     forward_block,
     prepare_dataset,
-    prepare_query,
     sgd_step,
 )
 
@@ -129,10 +127,11 @@ def _softrank_indices(query, epoch_rng: np.random.Generator) -> list[int]:
 def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirModel, TrainHistory]:
     """SGD over one query at a time, stopping when validation NDCG stalls.
 
-    Each training query's input block is prepared at its first visit and
-    reused in later epochs; the validation split is prepared once as one
-    batched block and scored every epoch. Returns the model restored to its
-    best-validation epoch.
+    Both splits are prepared once, before the first step, so a bad record in
+    either raises its data error before epoch 0; each step scores one
+    query's rows of the training block, and every epoch scores the whole
+    validation block. Returns the model restored to its best-validation
+    epoch.
     """
     _check_prepared(train_ds, config.mode, "training")
     _check_prepared(val_ds, config.mode, "validation")
@@ -153,7 +152,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     best = -np.inf
     best_epoch = 0
     best_snapshot = model.params.flat.copy()
-    blocks: list[QueryBlock | None] = [None] * len(train_ds)
+    train_block = prepare_dataset(model, train_ds)
     val_block = prepare_dataset(model, val_ds)
     bad_epochs = 0
     stopping = "max_epochs"
@@ -170,9 +169,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
                 item_indices = _softrank_indices(q, epoch_rng)
                 labels = labels[item_indices]
             try:
-                if blocks[qi] is None:
-                    blocks[qi] = prepare_query(model, q)
-                scores, cache = forward_block(model, blocks[qi], item_indices)
+                scores, cache = forward_block(model, train_block, qi, item_indices)
                 if not np.all(np.isfinite(scores)):
                     raise TrainingError("scores became non-finite; training diverged")
                 out = loss_fn(scores, labels)

@@ -234,6 +234,55 @@ def test_bad_item_record_is_validation_error(workdir, tmp_path, capsys, case):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def _break_schema(obj, case):
+    categorical = next(f for f in obj["query_features"] if f["kind"] == "categorical")
+    if case == "float_cardinality":
+        categorical["cardinality"] = float(categorical["cardinality"])
+    elif case == "float_embedding_dim":
+        categorical["embedding_dim"] = float(categorical["embedding_dim"])
+    elif case == "boolean_cardinality":
+        categorical["cardinality"] = True
+    elif case == "string_item_group":
+        obj["item_features_fixed"] = obj["item_features_fixed"][0]
+    elif case == "number_as_feature_name":
+        obj["item_features_scalevariant"].append(7)
+
+
+@pytest.mark.parametrize("case", ["float_cardinality", "float_embedding_dim",
+                                  "boolean_cardinality", "string_item_group",
+                                  "number_as_feature_name"])
+def test_schema_with_wrong_types_is_validation_error(workdir, tmp_path, capsys, case):
+    obj = json.loads((workdir / "data.schema.json").read_text())
+    _break_schema(obj, case)
+    bad = tmp_path / "bad.schema.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["train", "--data", str(workdir / "data.jsonl"), "--schema", str(bad),
+                 "--out", str(tmp_path / "m.json"), "--epochs", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validation error: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_overflowing_feature_is_named_before_training(workdir, tmp_path, capsys):
+    # the spread of review_count overflows float64, so its standard deviation
+    # is infinite and standardization would zero the feature
+    records = [json.loads(line) for line in (workdir / "data.jsonl").read_text().splitlines()]
+    for record in records:
+        for item in record["items"]:
+            item["fixed"]["review_count"] *= 1e200
+    bad = tmp_path / "big.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main(["train", "--data", str(bad), "--schema", str(workdir / "data.schema.json"),
+                 "--out", str(tmp_path / "m.json"), "--epochs", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("validation error: feature 'review_count' has a non-finite mean or "
+                   "standard deviation on the training split\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["train", "--data", "x.jsonl"]) == 2
     capsys.readouterr()
@@ -281,11 +330,16 @@ def _break_checkpoint(path, case):
         obj["mode"] = "deep_only"
     elif case == "bias_of_shape_1":
         obj["params"]["deep_b0"] = {"shape": [1], "data": [0.0]}
+    elif case == "huge_integer_weight":
+        obj["params"]["deep_b0"]["data"][0] = 10 ** 400
+    elif case == "stats_entry_empty":
+        obj["stats"]["fixed"]["star_rating"] = []
     path.write_text(json.dumps(obj))
 
 
 @pytest.mark.parametrize("case", ["not_json", "no_params", "reshaped_weight",
-                                  "truncated_weight", "deep_only_mode", "bias_of_shape_1"])
+                                  "truncated_weight", "deep_only_mode", "bias_of_shape_1",
+                                  "huge_integer_weight", "stats_entry_empty"])
 def test_malformed_checkpoint_is_validation_error(workdir, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text((workdir / "model.json").read_text())
@@ -356,6 +410,16 @@ def test_diverging_training_exits_with_training_code(workdir, tmp_path, capsys):
                  "--epochs", "2", "--patience", "1", "--seed", "0"])
     assert code == 4
     assert "training failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_is_usage_error(tmp_path, capsys, seed):
+    code = main(["generate", "--out", str(tmp_path / "d.jsonl"), "--queries", "12",
+                 "--seed", seed])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: --seed") and len(err.splitlines()) == 1
+    assert not (tmp_path / "d.jsonl").exists()
 
 
 def test_version_flag(capsys):

@@ -53,6 +53,16 @@ def test_schema_rejects_tiny_cardinality():
         )
 
 
+def test_schema_rejects_embedding_table_beyond_cap():
+    with pytest.raises(SchemaError, match="embedding table"):
+        FeatureSchema(
+            query_features=(QueryFeature("c", "categorical", cardinality=10 ** 400,
+                                         embedding_dim=2),),
+            item_features_fixed=(),
+            item_features_scalevariant=("price",),
+        )
+
+
 def test_schema_json_round_trip(tmp_path, schema):
     path = tmp_path / "schema.json"
     save_schema(schema, path)
@@ -169,6 +179,13 @@ def test_query_number_too_large_for_float_rejected(tmp_path, schema, field):
         _write_and_load(tmp_path, schema, obj)
 
 
+def test_num_nights_too_large_for_float_rejected(tmp_path, schema):
+    obj = _one_query_obj(None)
+    obj["num_nights"] = 10 ** 400
+    with pytest.raises(ValidationError, match="num_nights"):
+        _write_and_load(tmp_path, schema, obj)
+
+
 def test_out_of_range_category_rejected(tmp_path, schema):
     obj = _one_query_obj(None)
     obj["query"]["device_type"] = 3
@@ -262,6 +279,16 @@ def test_constant_feature_rejected():
     for q in ds.queries:
         q.numeric[2] = 5.0
     with pytest.raises(ValidationError, match="lead_days"):
+        fit_standardization(ds, ds.schema)
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e307])
+def test_non_finite_stats_rejected_naming_feature(factor):
+    ds = hand_dataset(n_queries=6, seed=1)
+    for q in ds.queries:
+        q.fixed = q.fixed.copy()
+        q.fixed[:, 1] *= factor
+    with pytest.raises(ValidationError, match="'review_score' has a non-finite"):
         fit_standardization(ds, ds.schema)
 
 

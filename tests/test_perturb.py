@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sirank.data import apply_standardization, fit_standardization
-from sirank.errors import ConfigError
+from sirank.errors import ConfigError, ValidationError
 from sirank.metrics import mean_ndcg
 from sirank.perturb import PerturbationCase, apply_case
 from sirank.scoring import build_model, rank, score_query
@@ -23,6 +23,15 @@ def test_unknown_target_rejected():
     ds = hand_dataset(n_queries=4)
     with pytest.raises(ConfigError, match="taxes"):
         apply_case(ds, PerturbationCase(case_id=1, targets=("price", "taxes")))
+
+
+def test_rescaling_beyond_float_range_rejected():
+    ds = hand_dataset(n_queries=4, seed=3)
+    q = ds.queries[2]
+    q.scalevariant = q.scalevariant.copy()
+    q.scalevariant[0, 0] = 1e306
+    with pytest.raises(ValidationError, match=rf"^query {q.query_id}: case 4 rescales"):
+        apply_case(ds, PerturbationCase(case_id=4))
 
 
 def test_case1_with_single_night_is_identity():

@@ -15,7 +15,6 @@ from sirank.scoring import (
     invariance_gap,
     load_checkpoint,
     prepare_dataset,
-    prepare_query,
     rank,
     save_checkpoint,
     scale_query,
@@ -50,6 +49,12 @@ def test_build_rejects_wide_compressor():
     # query repr is 5 wide here, compressor must stay below that
     with pytest.raises(ConfigError):
         build_model(ds.schema, compressor_dim=5)
+
+
+def test_build_rejects_empty_compressor():
+    ds = prepared()
+    with pytest.raises(ConfigError, match="at least 1"):
+        build_model(ds.schema, compressor_dim=0)
 
 
 def test_build_rejects_unknown_mode():
@@ -388,7 +393,7 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
     _break_query(ds.queries[6], "nonpositive_wide_value" if case != "nonpositive_wide_value"
                  else "category_out_of_range")
     with pytest.raises(Exception) as per_query:
-        prepare_query(model, ds.queries[3])
+        prepare_dataset(model, Dataset(schema=ds.schema, queries=[ds.queries[3]], stats=ds.stats))
     with pytest.raises(type(per_query.value)) as batched:
         prepare_dataset(model, ds)
     assert str(batched.value) == str(per_query.value)
@@ -396,6 +401,18 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
         assert str(batched.value).startswith(
             f"query {ds.queries[3].query_id}, item {ds.queries[3].item_ids[2]}: "
             f"wide-path feature 'discount'")
+
+
+def test_data_error_of_an_earlier_query_beats_a_later_unstandardized_one():
+    ds = prepared(seed=22, n_queries=8)
+    model = small_model(ds)
+    _break_query(ds.queries[2], "non_finite_deep_input")
+    _break_query(ds.queries[5], "unstandardized")
+    with pytest.raises(DomainError, match=rf"^query {ds.queries[2].query_id}: non-finite"):
+        prepare_dataset(model, ds)
+    _break_query(ds.queries[1], "unstandardized")
+    with pytest.raises(ContractError, match=rf"^query {ds.queries[1].query_id}: standardized"):
+        prepare_dataset(model, ds)
 
 
 def test_batched_path_needs_scalevariant_stats_and_queries():

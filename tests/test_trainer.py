@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sirank.data import apply_standardization, fit_standardization, split_holdout
-from sirank.errors import ConfigError, ContractError, TrainingError
+from sirank.errors import ConfigError, ContractError, DomainError, TrainingError
 from sirank.generator import GeneratorConfig, generate
 from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
 from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
@@ -177,16 +177,20 @@ def test_train_is_bitwise_equal_to_reference_loop(loss, mode):
         assert value.tobytes() == want[name].tobytes(), name
 
 
-def test_bad_record_found_in_training_names_epoch_query_and_feature():
+def test_bad_record_found_in_training_names_epoch_query_and_feature(monkeypatch):
     tr, va, te, _ = prepared(num_queries=40)
     q = tr.queries[3]
     q.scalevariant = q.scalevariant.copy()
     q.scalevariant[1, 0] = -1.0
     feature = tr.schema.item_features_scalevariant[0]
-    with pytest.raises(TrainingError, match=rf"^epoch 0, query {q.query_id}: .*"
-                                            rf"{re.escape(q.item_ids[1])}.*"
-                                            rf"wide-path feature '{feature}'"):
+    steps = []
+    monkeypatch.setattr(sirank.trainer, "sgd_step", lambda *args: steps.append(args))
+    # the training split is checked as a whole before the first step
+    with pytest.raises(DomainError, match=rf"^query {q.query_id}, "
+                                          rf"item {re.escape(q.item_ids[1])}: "
+                                          rf"wide-path feature '{feature}'"):
         train(tr, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1))
+    assert steps == []
 
 
 # --- contract checks ---------------------------------------------------------
@@ -381,9 +385,7 @@ def test_each_validation_query_is_prepared_once(monkeypatch):
         return wrapper
 
     for module in (sirank.scoring, sirank.trainer):
-        monkeypatch.setattr(module, "prepare_query", counting(module.prepare_query))
-        if hasattr(module, "prepare_dataset"):
-            monkeypatch.setattr(module, "prepare_dataset", counting(module.prepare_dataset))
+        monkeypatch.setattr(module, "prepare_dataset", counting(module.prepare_dataset))
     _, hist = train(tr, va, TrainConfig(loss="ranknet", max_epochs=3, patience=2, seed=1))
     assert len(hist.val_ndcg) == 3
     assert {q.query_id: seen[q.query_id] for q in va.queries} == {q.query_id: 1 for q in va}
