@@ -208,8 +208,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     schema = load_schema(args.schema)
     model = load_checkpoint(args.model, schema)
-    ds_raw = load_dataset(args.data, schema)
-    ds = apply_standardization(ds_raw, model.stats)
+    ds = load_dataset(args.data, schema)
 
     results = {"clean": mean_ndcg(model, ds).to_json()}
     print(f"clean mean NDCG: {results['clean']['mean']:.6f} over {len(ds)} queries")

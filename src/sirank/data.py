@@ -1,4 +1,5 @@
-"""Feature schema, query/item records, JSONL I/O, standardization, splits."""
+"""Feature schema, raw query/item records, JSONL I/O, splits and the stats
+that ``scoring.prepare_dataset`` standardizes deep-path inputs with."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .errors import ContractError, ParseError, SchemaError, ValidationError
 
 MAX_ITEMS_PER_QUERY = 25
 MIN_ITEMS_PER_QUERY = 2
-MAX_EMBEDDING_VALUES = 10 ** 7  # cardinality x embedding_dim of one table
+MAX_EMBEDDING_VALUES = 10 ** 7  # values in one embedding table or dense weight
 
 
 def _is_int(v) -> bool:
@@ -166,8 +167,6 @@ class QueryRecord:
     fixed: np.ndarray          # raw, strictly positive, (D, K1)
     scalevariant: np.ndarray   # raw, strictly positive, (D, K2)
     labels: np.ndarray         # 1.0 for the booked item, else 0.0, (D,)
-    deep_numeric: np.ndarray | None = None
-    deep_fixed: np.ndarray | None = None  # standardized fixed, filled by apply_standardization
 
     @property
     def n_items(self) -> int:
@@ -506,31 +505,27 @@ def fit_standardization(train: Dataset, schema: FeatureSchema,
     )
 
 
-def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:
-    """Return a view with standardized deep-path copies filled in.
-
-    Raw values are kept untouched, and the view's records share their raw
-    arrays with ``ds``: the wide path logs raw features, and the
-    perturbation cases rescale raw scale-variant values after the fact.
-    Applying twice would shift the copies again, so it is refused.
-    """
-    if ds.stats is not None:
-        raise ContractError("dataset is already standardized")
-    if stats.numeric_names != ds.schema.numeric_query_names:
+def check_stats_schema(stats: StandardizationStats, schema: FeatureSchema):
+    """Raise SchemaError unless ``stats`` name the schema's deep-path features."""
+    if stats.numeric_names != schema.numeric_query_names:
         raise SchemaError(f"stats cover query numerics {stats.numeric_names}, "
-                          f"schema declares {ds.schema.numeric_query_names}")
-    if stats.fixed_names != ds.schema.item_features_fixed:
+                          f"schema declares {schema.numeric_query_names}")
+    if stats.fixed_names != schema.item_features_fixed:
         raise SchemaError(f"stats cover fixed features {stats.fixed_names}, "
-                          f"schema declares {ds.schema.item_features_fixed}")
-    if stats.covers_scalevariant and stats.scalevariant_names != ds.schema.item_features_scalevariant:
+                          f"schema declares {schema.item_features_fixed}")
+    if stats.covers_scalevariant and stats.scalevariant_names != schema.item_features_scalevariant:
         raise SchemaError("stats cover scale-variant features not in the schema")
 
-    queries = [
-        replace(q, deep_numeric=(q.numeric - stats.numeric_mean) / stats.numeric_std,
-                deep_fixed=(q.fixed - stats.fixed_mean) / stats.fixed_std)
-        for q in ds.queries
-    ]
-    return Dataset(schema=ds.schema, queries=queries, stats=stats)
+
+def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:
+    """Return a view of ``ds`` that carries ``stats`` and shares its records,
+    for ``train`` to build its model from; no value changes, since
+    ``scoring.prepare_dataset`` standardizes from the model's stats. Stats
+    for other features, or a view that already has stats, are refused."""
+    if ds.stats is not None:
+        raise ContractError("dataset is already standardized")
+    check_stats_schema(stats, ds.schema)
+    return Dataset(schema=ds.schema, queries=list(ds.queries), stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Each case multiplies the target columns by a per-query scalar: the number of
 nights (1), the query's exchange rate (2), both in sequence (3), or one fixed
 conversion rate applied to every query (4). Multipliers come from stored
 per-query auxiliaries, never fresh randomness, so runs are reproducible.
+Cases rescale raw values; a model standardizes its deep-path inputs from its
+own stats when it scores, so a perturbed split needs no re-standardizing.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ class PerturbationCase:
 def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     """Return a copy of ds with the case's rescaling applied per query.
 
-    Labels, fixed features, and query features are untouched; any
-    standardized deep-path copies carry over unchanged, since the rescaling
-    only touches raw scale-variant values. Every other array is shared with
-    ``ds``.
+    Labels, fixed features, and query features are untouched, and every
+    array but the rescaled scale-variant one is shared with ``ds``.
     """
     sv_names = ds.schema.item_features_scalevariant
     missing = sorted(set(case.targets) - set(sv_names))

@@ -7,7 +7,8 @@ is the property the whole package exists to demonstrate.
 The network is fixed, so its forward pass, its backward pass and the SGD
 step are written out by hand below. Everything that scores reads one
 prepared form: ``prepare_dataset`` stacks every query's item rows into a
-``DatasetBlock`` with per-query offsets, takes the logs of the wide inputs
+``DatasetBlock`` with per-query offsets, standardizes the deep-path inputs
+from the model's stats (records stay raw), takes the logs of the wide inputs
 and runs the data checks once over the stack (the first bad query in dataset
 order names the error). ``forward_block`` scores one query's rows of a block
 for a training step; ``score_block`` scores every row, ``EVAL_CHUNK_ROWS``
@@ -31,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, QueryRecord, StandardizationStats
+from .data import (MAX_EMBEDDING_VALUES, Dataset, FeatureSchema, QueryRecord,
+                   StandardizationStats, check_stats_schema)
 from .errors import (
     ConfigError,
     ContractError,
@@ -101,6 +103,9 @@ class SirModel:
 
 def init_dense_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform in +-sqrt(6/(fan_in+fan_out))."""
+    if fan_in * fan_out > MAX_EMBEDDING_VALUES:
+        raise ConfigError(f"dense weight {fan_in} x {fan_out} has more than "
+                          f"{MAX_EMBEDDING_VALUES} values")
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
@@ -173,44 +178,44 @@ class DatasetBlock:
 
 
 def prepare_dataset(model: SirModel, dataset: Dataset, mode: str | None = None) -> DatasetBlock:
-    """Stack what scoring reads from every query of ``dataset``, take the
-    logs of the wide inputs and check the data once over the stacked arrays.
+    """Stack what scoring reads from every query of ``dataset``, standardize
+    the deep-path inputs from ``model.stats`` (a model without stats is
+    refused first), take the logs of the wide inputs and check the data once.
 
     If a check fails, the error raised, and its message, are those of the
     first query in dataset order that fails one, for the first check it
-    fails: a missing standardization or an empty item list, then a category
-    id, a non-finite deep-path input, a wide-path input that is not > 0.
+    fails: an empty item list, a category id, a non-finite deep-path input,
+    a wide-path input that is not > 0.
     """
     _check_mode(model, mode)
+    stats = model.stats
+    if stats is None:
+        raise ContractError("deep-path inputs cannot be standardized: the model has no stats")
+    if model.mode == "deep_only" and not stats.covers_scalevariant:
+        raise ContractError("deep_only scoring needs standardization stats that "
+                            "cover the scale-variant features")
     queries = dataset.queries
     if not queries:
         raise ValidationError("cannot evaluate a dataset without queries")
-    stats = model.stats
-    if model.mode == "deep_only" and (stats is None or not stats.covers_scalevariant):
-        raise ContractError("deep_only scoring needs standardization stats that "
-                            "cover the scale-variant features")
-    cut = next((i for i, q in enumerate(queries) if q.deep_numeric is None or q.n_items == 0),
-               None)
+    cut = next((i for i, q in enumerate(queries) if q.n_items == 0), None)
     if cut is not None:
         if cut:  # a data error in an earlier query comes first
             prepare_dataset(model, replace(dataset, queries=queries[:cut]))
-        if queries[cut].deep_numeric is None:
-            raise ContractError(f"query {queries[cut].query_id}: standardized features "
-                                "missing, apply_standardization first")
         raise ContractError("cannot score an empty item selection")
 
     cats = model.schema.categorical_query_features
     category_ids = np.array([q.category_ids for q in queries], dtype=np.int64)
     category_ids = category_ids.reshape(len(queries), len(cats))
-    deep_numeric = np.stack([q.deep_numeric for q in queries])
-    deep_items = np.concatenate([q.deep_fixed for q in queries])
+    deep_numeric = (np.stack([q.numeric for q in queries]) - stats.numeric_mean) / stats.numeric_std
+    fixed = np.concatenate([q.fixed for q in queries])
+    deep_items = (fixed - stats.fixed_mean) / stats.fixed_std
     scalevariant = np.concatenate([q.scalevariant for q in queries])
     if model.mode == "deep_only":
         deep_items = np.concatenate(
             [deep_items, (scalevariant - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
     wide_raw = None
     if model.mode == "sir":
-        wide_raw = np.concatenate([np.concatenate([q.fixed for q in queries]), scalevariant], axis=1)
+        wide_raw = np.concatenate([fixed, scalevariant], axis=1)
     sizes = [q.n_items for q in queries]
     offsets = np.cumsum([0] + sizes)
     cardinality = np.array([f.cardinality for f in cats], dtype=np.int64)
@@ -459,9 +464,6 @@ class Ranking:
         pos[self.order] = np.arange(1, len(self.order) + 1)
         return pos
 
-    def position_of(self, j: int) -> int:
-        return int(np.nonzero(self.order == j)[0][0]) + 1
-
 
 def rank(scores: np.ndarray) -> Ranking:
     scores = np.asarray(scores, dtype=np.float64)
@@ -478,7 +480,11 @@ def scale_query(query: QueryRecord, c: float) -> QueryRecord:
     """Multiply every item's scale-variant vector by c, leaving the rest alone."""
     if not (c > 0) or not np.isfinite(c):
         raise DomainError(f"scale factor must be a positive finite number, got {c}")
-    return replace(query, scalevariant=query.scalevariant * c)
+    with np.errstate(over="ignore"):  # an overflow is reported as a data error below
+        scaled = query.scalevariant * c
+    if not np.isfinite(scaled).all():
+        raise ValidationError(f"query {query.query_id}: scaling by {c:g} overflows float64")
+    return replace(query, scalevariant=scaled)
 
 
 def invariance_gap(model: SirModel, query: QueryRecord, c: float) -> float:
@@ -489,15 +495,20 @@ def invariance_gap(model: SirModel, query: QueryRecord, c: float) -> float:
     return float(np.max(delta) - np.min(delta))
 
 
+def block_invariance_gap(model: SirModel, base_scores: np.ndarray, scaled: DatasetBlock) -> float:
+    """The largest ``invariance_gap`` over the queries of a dataset, given
+    ``score_block`` of its block and ``scaled``, its block after ``scale_query``."""
+    delta = score_block(model, scaled) - base_scores
+    starts = scaled.offsets[:-1]
+    return float(np.max(np.maximum.reduceat(delta, starts) - np.minimum.reduceat(delta, starts)))
+
+
 def dataset_invariance_gap(model: SirModel, dataset: Dataset, c: float) -> float:
     """The largest ``invariance_gap`` over the queries of ``dataset``, from
     one batched pass over the dataset and one over its rescaled copy."""
     scaled = replace(dataset, queries=[scale_query(q, c) for q in dataset.queries])
-    base = prepare_dataset(model, dataset)
-    starts, base_scores = base.offsets[:-1], score_block(model, base)
-    del base  # one block alive at a time keeps the peak memory of the pass down
-    delta = score_block(model, prepare_dataset(model, scaled)) - base_scores
-    return float(np.max(np.maximum.reduceat(delta, starts) - np.minimum.reduceat(delta, starts)))
+    base_scores = score_block(model, prepare_dataset(model, dataset))  # one block alive at a time
+    return block_invariance_gap(model, base_scores, prepare_dataset(model, scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +581,9 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
         want[...] = value
     try:
         stats = StandardizationStats.from_json(obj["stats"])
-    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+        check_stats_schema(stats, schema)
+    except (AttributeError, LookupError, OverflowError, SchemaError, TypeError,
+            ValueError) as exc:
         raise SchemaError(f"checkpoint {path} has malformed stats: {exc!r}") from exc
     if obj["mode"] == "deep_only" and not stats.covers_scalevariant:
         raise SchemaError(f"checkpoint {path} is deep_only but its stats do not cover "

@@ -4,7 +4,7 @@ full loss-by-mode experiment grid and its report rendering."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,13 +16,7 @@ from .losses import (
     SOFTRANK_LIST_SIZE,
     loss_by_name,
 )
-from .metrics import (
-    bonferroni,
-    evaluate_block,
-    mean_ndcg,
-    random_ranker_mean_ndcg,
-    two_sample_t_test,
-)
+from .metrics import bonferroni, evaluate_block, random_ranker_mean_ndcg, two_sample_t_test
 from .perturb import DEFAULT_RATE, DEFAULT_TARGETS, CASE_IDS, PerturbationCase, apply_case
 from .scoring import (
     DEFAULT_L,
@@ -30,10 +24,12 @@ from .scoring import (
     MODES,
     SirModel,
     backward,
+    block_invariance_gap,
     build_model,
-    dataset_invariance_gap,
     forward_block,
     prepare_dataset,
+    scale_query,
+    score_block,
     sgd_step,
 )
 
@@ -107,14 +103,6 @@ class TrainHistory:
         }
 
 
-def _check_prepared(ds: Dataset, mode: str, role: str):
-    if ds.stats is None:
-        raise ContractError(f"{role} split is not standardized")
-    if mode == "deep_only" and not ds.stats.covers_scalevariant:
-        raise ContractError(f"{role} split stats must cover scale-variant features "
-                            "for deep_only training")
-
-
 def _softrank_indices(query, epoch_rng: np.random.Generator) -> list[int]:
     booked = query.booked_index
     negatives = [j for j in range(query.n_items) if j != booked]
@@ -133,11 +121,9 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     validation block. Returns the model restored to its best-validation
     epoch.
     """
-    _check_prepared(train_ds, config.mode, "training")
-    _check_prepared(val_ds, config.mode, "validation")
-    if val_ds.stats.to_json() != train_ds.stats.to_json():
-        raise ContractError("validation split was standardized with different stats "
-                            "than the training split")
+    if (train_ds.stats is None or val_ds.stats is None
+            or val_ds.stats.to_json() != train_ds.stats.to_json()):
+        raise ContractError("training and validation splits need the same standardization stats")
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ContractError("need nonempty training and validation splits")
 
@@ -338,18 +324,18 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
     perturbation cases, and compare the mode pairs with one-sided t-tests."""
     train_raw, val_raw, test_raw = split_holdout(ds, seed=config.seed)
 
-    prepared: dict[str, tuple[Dataset, Dataset, Dataset, dict[int, Dataset]]] = {}
+    splits: dict[str, tuple[Dataset, Dataset]] = {}
     for mode in MODES:
         stats = fit_standardization(train_raw, ds.schema,
                                     include_scalevariant=(mode == "deep_only"))
-        tr = apply_standardization(train_raw, stats)
-        va = apply_standardization(val_raw, stats)
-        te = apply_standardization(test_raw, stats)
-        cases = {
-            cid: apply_case(te, PerturbationCase(cid, targets=config.targets, rate=config.rate))
-            for cid in CASE_IDS
-        }
-        prepared[mode] = (tr, va, te, cases)
+        splits[mode] = (apply_standardization(train_raw, stats),
+                        apply_standardization(val_raw, stats))
+    cases = {
+        cid: apply_case(test_raw, PerturbationCase(cid, targets=config.targets, rate=config.rate))
+        for cid in CASE_IDS
+    }
+    scaled_test = replace(test_raw, queries=[scale_query(q, 1200.0) for q in test_raw.queries])
+    blocks: dict[str, tuple] = {}  # once per mode: they depend on schema, mode and stats
 
     cells: list[CellResult] = []
     per_query: dict[tuple[str, str, str], np.ndarray] = {}
@@ -358,7 +344,7 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
             seed = _cell_seed(config.seed, li, mi)
             cell = CellResult(loss=loss, mode=mode, seed=seed)
             cells.append(cell)
-            tr, va, te, cases = prepared[mode]
+            tr, va = splits[mode]
             tc = TrainConfig(loss=loss, mode=mode, max_epochs=config.max_epochs,
                              patience=config.patience, learning_rate=config.learning_rate,
                              sigma=config.sigma, seed=seed, widths=config.widths,
@@ -370,14 +356,20 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
                 continue
             cell.history = history
             cell.val_ndcg = float(history.val_ndcg[history.best_epoch])
-            clean = mean_ndcg(model, te)
+            if mode not in blocks:
+                blocks[mode] = (prepare_dataset(model, test_raw),
+                                {cid: prepare_dataset(model, c) for cid, c in cases.items()},
+                                prepare_dataset(model, scaled_test))
+            test_block, case_blocks, scaled_block = blocks[mode]
+            clean = evaluate_block(model, test_block)
             cell.test_ndcg = clean.mean
             per_query[(loss, mode, "test")] = clean.per_query
-            for cid, ds_case in cases.items():
-                res = mean_ndcg(model, ds_case)
+            for cid, block in case_blocks.items():
+                res = evaluate_block(model, block)
                 cell.case_ndcg[cid] = res.mean
                 per_query[(loss, mode, f"case{cid}")] = res.per_query
-            cell.invariance_gap_c1200 = dataset_invariance_gap(model, te, 1200.0)
+            cell.invariance_gap_c1200 = block_invariance_gap(
+                model, score_block(model, test_block), scaled_block)
 
     n_comparisons = len(CONDITIONS) * len(config.losses)
     threshold = bonferroni(ALPHA, n_comparisons)

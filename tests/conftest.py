@@ -47,6 +47,13 @@ def hand_dataset(n_queries=12, seed=0, items=(3, 6)) -> Dataset:
     return Dataset(schema=schema, queries=queries)
 
 
+def standardized(q: QueryRecord, stats):
+    """Query q's standardized numerics and fixed item features, by the
+    per-query formulas: (x - mean) / std with the train-split stats."""
+    return ((q.numeric - stats.numeric_mean) / stats.numeric_std,
+            (q.fixed - stats.fixed_mean) / stats.fixed_std)
+
+
 @pytest.fixture
 def schema():
     return tiny_schema()

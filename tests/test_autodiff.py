@@ -23,7 +23,7 @@ from sirank.scoring import (
     sgd_step,
 )
 
-from conftest import hand_dataset
+from conftest import hand_dataset, standardized
 
 
 def prepared(seed=0, include_scalevariant=False):
@@ -86,8 +86,9 @@ def test_affine_matches_double_loop_oracle():
     model = small_model(ds, widths=(3, 2), seed=4)
     p = model.params
     q = ds.queries[1]
-    q_repr = np.concatenate([q.deep_numeric, p["emb_device_type"][int(q.category_ids[0])]])
-    for j, deep_fixed in enumerate(q.deep_fixed):
+    deep_numeric, deep_fixed_rows = standardized(q, ds.stats)
+    q_repr = np.concatenate([deep_numeric, p["emb_device_type"][int(q.category_ids[0])]])
+    for j, deep_fixed in enumerate(deep_fixed_rows):
         x = list(q_repr) + list(deep_fixed)
         for name_w, name_b, relu in (("deep_w0", "deep_b0", True),
                                      ("deep_w1", "deep_b1", True),
@@ -210,10 +211,11 @@ def test_embedding_lookup_matches_slice():
     model = small_model(ds, seed=3)
     table = model.params["emb_device_type"]
     q = ds.queries[1]
+    deep_numeric = standardized(q, ds.stats)[0]
     for cid in range(3):
         q.category_ids = np.array([cid])
         _, cache = forward(model, q)
-        np.testing.assert_array_equal(cache.q_repr, np.concatenate([q.deep_numeric, table[cid]]))
+        np.testing.assert_array_equal(cache.q_repr, np.concatenate([deep_numeric, table[cid]]))
 
 
 def test_embedding_gradient_sparsity():

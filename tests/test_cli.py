@@ -334,12 +334,20 @@ def _break_checkpoint(path, case):
         obj["params"]["deep_b0"]["data"][0] = 10 ** 400
     elif case == "stats_entry_empty":
         obj["stats"]["fixed"]["star_rating"] = []
+    elif case == "stats_feature_renamed":
+        obj["stats"]["fixed"]["stars"] = obj["stats"]["fixed"].pop("star_rating")
+    elif case == "stats_feature_dropped":
+        del obj["stats"]["numeric"][next(iter(obj["stats"]["numeric"]))]
+    elif case == "huge_widths":
+        obj["widths"] = [10 ** 10]  # refused before any allocation
     path.write_text(json.dumps(obj))
 
 
 @pytest.mark.parametrize("case", ["not_json", "no_params", "reshaped_weight",
                                   "truncated_weight", "deep_only_mode", "bias_of_shape_1",
-                                  "huge_integer_weight", "stats_entry_empty"])
+                                  "huge_integer_weight", "stats_entry_empty",
+                                  "stats_feature_renamed", "stats_feature_dropped",
+                                  "huge_widths"])
 def test_malformed_checkpoint_is_validation_error(workdir, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text((workdir / "model.json").read_text())
@@ -349,6 +357,32 @@ def test_malformed_checkpoint_is_validation_error(workdir, tmp_path, capsys, cas
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("validation error: checkpoint")
+    assert len(err.splitlines()) == 1
+
+
+def test_train_rejects_dense_weight_beyond_cap(workdir, tmp_path, capsys):
+    code = main(["train", "--data", str(workdir / "data.jsonl"),
+                 "--schema", str(workdir / "data.schema.json"),
+                 "--out", str(tmp_path / "m.json"), "--widths", str(10 ** 10),
+                 "--epochs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: ") and "dense weight" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_evaluate_rejects_gap_rescale_beyond_float_range(workdir, tmp_path, capsys):
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    record["items"][0]["scalevariant"]["price"] = 1e306  # x1200 overflows float64
+    bad = tmp_path / "big.jsonl"
+    bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    code = main(["evaluate", "--model", str(workdir / "model.json"), "--data", str(bad),
+                 "--schema", str(workdir / "data.schema.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"validation error: query {record['query_id']}: ")
     assert len(err.splitlines()) == 1
 
 

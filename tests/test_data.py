@@ -18,6 +18,7 @@ from sirank.data import (
     split_holdout,
 )
 from sirank.errors import ContractError, ParseError, SchemaError, ValidationError
+from sirank.scoring import build_model, prepare_dataset
 
 from conftest import hand_dataset, tiny_schema
 
@@ -322,9 +323,10 @@ def test_apply_maps_mean_to_zero_and_mean_plus_std_to_one():
     stats = fit_standardization(ds, ds.schema)
     ds.queries[0].numeric[2] = stats.numeric_mean[2]
     ds.queries[1].numeric[2] = stats.numeric_mean[2] + stats.numeric_std[2]
-    out = apply_standardization(ds, stats)
-    assert out.queries[0].deep_numeric[2] == pytest.approx(0.0, abs=1e-12)
-    assert out.queries[1].deep_numeric[2] == pytest.approx(1.0, abs=1e-12)
+    model = build_model(ds.schema, widths=(4,), compressor_dim=2, stats=stats)
+    deep_numeric = prepare_dataset(model, apply_standardization(ds, stats)).deep_numeric
+    assert deep_numeric[0, 2] == pytest.approx(0.0, abs=1e-12)
+    assert deep_numeric[1, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_never_touches_scalevariant_or_raw():
@@ -333,22 +335,25 @@ def test_apply_never_touches_scalevariant_or_raw():
     before_fixed = [q.fixed.copy() for q in ds.queries]
     before_labels = [q.labels.copy() for q in ds.queries]
     before_numeric = [q.numeric.copy() for q in ds.queries]
-    out = apply_standardization(ds, fit_standardization(ds, ds.schema))
+    stats = fit_standardization(ds, ds.schema)
+    out = apply_standardization(ds, stats)
     for q, sv, fx in zip(out.queries, before_sv, before_fixed):
         np.testing.assert_array_equal(q.scalevariant, sv)
         np.testing.assert_array_equal(q.fixed, fx)
-        assert q.deep_numeric is not None
-        assert q.deep_fixed is not None
-        assert q.deep_fixed.shape == q.fixed.shape
-    # the input records keep every array, and gain no standardized copies
-    for q, sv, fx, labels, numeric in zip(ds.queries, before_sv, before_fixed,
-                                          before_labels, before_numeric):
+    # the standardized deep-path inputs live in the prepared block only
+    block = prepare_dataset(build_model(ds.schema, widths=(4,), compressor_dim=2, stats=stats),
+                            out)
+    assert block.deep_numeric.shape == (len(ds), len(ds.schema.numeric_query_names))
+    assert block.deep_items.shape == (sum(q.n_items for q in ds), ds.schema.k1)
+    # the view shares the input records, which keep every array and stay raw
+    assert out.stats is stats and ds.stats is None
+    for q, q_out, sv, fx, labels, numeric in zip(ds.queries, out.queries, before_sv,
+                                                 before_fixed, before_labels, before_numeric):
+        assert q_out is q
         np.testing.assert_array_equal(q.scalevariant, sv)
         np.testing.assert_array_equal(q.fixed, fx)
         np.testing.assert_array_equal(q.labels, labels)
         np.testing.assert_array_equal(q.numeric, numeric)
-        assert q.deep_numeric is None
-        assert q.deep_fixed is None
 
 
 def test_double_apply_refused():

@@ -149,10 +149,22 @@ def test_batched_ndcg_equals_per_query_bitwise(mode):
     assert res.count == len(ds)
 
 
+@pytest.mark.parametrize("mode", ["sir", "deep_only"])
+def test_raw_and_standardized_views_evaluate_bitwise_equal(mode):
+    raw = hand_dataset(n_queries=20, seed=33)
+    stats = fit_standardization(raw, raw.schema, include_scalevariant=(mode == "deep_only"))
+    model = build_model(raw.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=2,
+                        stats=stats)
+    want = mean_ndcg(model, apply_standardization(raw, stats))
+    got = mean_ndcg(model, raw)
+    assert got.per_query.tolist() == want.per_query.tolist()
+    assert got.mean == want.mean
+
+
 def test_batched_ndcg_tie_rule_on_identical_items():
     ds = prepared_dataset(n=6, seed=31)
     for q in ds.queries:
-        for name in ("fixed", "scalevariant", "deep_fixed"):
+        for name in ("fixed", "scalevariant"):
             rows = getattr(q, name)
             setattr(q, name, np.repeat(rows[:1], q.n_items, axis=0))
     model = build_model(ds.schema, widths=(8, 4), compressor_dim=2, seed=1, stats=ds.stats)

@@ -7,7 +7,7 @@ from sirank.metrics import mean_ndcg
 from sirank.perturb import PerturbationCase, apply_case
 from sirank.scoring import build_model, rank, score_query
 
-from conftest import hand_dataset
+from conftest import hand_dataset, standardized
 
 
 def test_case_validation():
@@ -76,12 +76,11 @@ def test_partial_target_selection():
             assert i1[1] == i0[1] * 1200.0
 
 
-RECORD_ARRAYS = ("numeric", "fixed", "scalevariant", "labels", "deep_numeric", "deep_fixed")
+RECORD_ARRAYS = ("numeric", "fixed", "scalevariant", "labels")
 
 
 def _snapshot(q):
-    return {name: None if getattr(q, name) is None else getattr(q, name).copy()
-            for name in RECORD_ARRAYS}
+    return {name: getattr(q, name).copy() for name in RECORD_ARRAYS}
 
 
 def _assert_arrays(q, snap, names=RECORD_ARRAYS):
@@ -91,15 +90,18 @@ def _assert_arrays(q, snap, names=RECORD_ARRAYS):
 
 def test_everything_else_untouched_and_input_unmodified():
     raw = hand_dataset(n_queries=6, seed=6)
+    stats = fit_standardization(raw, raw.schema)
     # the standardized view shares its raw arrays with raw, so check both
-    for ds in (raw, apply_standardization(raw, fit_standardization(raw, raw.schema))):
+    for ds in (raw, apply_standardization(raw, stats)):
         snapshot = [_snapshot(q) for q in ds.queries]
+        deep_before = [standardized(q, stats) for q in ds.queries]
         out = apply_case(ds, PerturbationCase(case_id=3))
         for q, snap in zip(ds.queries, snapshot):
             _assert_arrays(q, snap)  # input intact, every array
-        for q, q_out, snap in zip(ds.queries, out.queries, snapshot):
-            _assert_arrays(q_out, snap, ("numeric", "fixed", "labels", "deep_numeric",
-                                         "deep_fixed"))
+        for q, q_out, snap, deep in zip(ds.queries, out.queries, snapshot, deep_before):
+            _assert_arrays(q_out, snap, ("numeric", "fixed", "labels"))
+            for got, want in zip(standardized(q_out, stats), deep):
+                np.testing.assert_array_equal(got, want)
             assert q_out.num_nights == q.num_nights
 
 

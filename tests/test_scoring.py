@@ -24,7 +24,7 @@ from sirank.scoring import (
     score_wide,
 )
 
-from conftest import hand_dataset
+from conftest import hand_dataset, standardized
 
 SCALES = (1e-2, 0.5, 7.0, 1200.0)
 
@@ -57,6 +57,12 @@ def test_build_rejects_empty_compressor():
         build_model(ds.schema, compressor_dim=0)
 
 
+def test_build_rejects_dense_weight_beyond_cap():
+    ds = prepared()
+    with pytest.raises(ConfigError, match="dense weight"):
+        build_model(ds.schema, widths=(10 ** 10,))
+
+
 def test_build_rejects_unknown_mode():
     ds = prepared()
     with pytest.raises(ConfigError):
@@ -75,6 +81,26 @@ def test_unstandardized_query_rejected():
     model = build_model(raw.schema, widths=(4,), compressor_dim=2)
     with pytest.raises(ContractError, match="standardized"):
         score_query(model, raw.queries[0])
+    # refused before any data check
+    raw.queries[1].category_ids = np.array([7])
+    with pytest.raises(ContractError, match="standardized"):
+        prepare_dataset(model, raw)
+
+
+@pytest.mark.parametrize("mode", ["sir", "deep_only"])
+def test_prepared_block_holds_the_per_query_standardized_values(mode):
+    raw = hand_dataset(n_queries=12, seed=24)
+    stats = fit_standardization(raw, raw.schema, include_scalevariant=(mode == "deep_only"))
+    model = build_model(raw.schema, mode=mode, widths=(8, 4), compressor_dim=2, stats=stats)
+    block = prepare_dataset(model, raw)
+    deep = [standardized(q, stats) for q in raw.queries]
+    want_numeric = np.stack([numeric for numeric, _ in deep])
+    want_fixed = np.concatenate([fixed for _, fixed in deep])
+    assert block.deep_numeric.shape == want_numeric.shape
+    assert block.deep_numeric.tobytes() == want_numeric.tobytes()
+    got_fixed = np.ascontiguousarray(block.deep_items[:, :raw.schema.k1])
+    assert got_fixed.shape == want_fixed.shape
+    assert got_fixed.tobytes() == want_fixed.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +123,8 @@ def test_identical_fixed_features_tie_deep_scores():
     # the raw and standardized views share arrays: copy before editing a row
     q.fixed = q.fixed.copy()
     q.fixed[1] = q.fixed[0]
-    q.deep_fixed = q.deep_fixed.copy()
-    q.deep_fixed[1] = q.deep_fixed[0]
+    deep_fixed = standardized(q, ds.stats)[1]
+    np.testing.assert_array_equal(deep_fixed[1], deep_fixed[0])
     q.scalevariant = q.scalevariant.copy()
     q.scalevariant[1] = q.scalevariant[0] * 17.3
     assert score_deep(model, q, 0) == score_deep(model, q, 1)
@@ -144,7 +170,7 @@ def test_wide_score_matches_triple_loop_oracle():
     schema = ds.schema
     q = ds.queries[3]
     # oracle: recompute <w, s (x) v> with explicit loops and hand-built s
-    q_repr = list(q.deep_numeric)
+    q_repr = list(standardized(q, ds.stats)[0])
     for f, cid in zip(schema.categorical_query_features, q.category_ids):
         q_repr.extend(model.params[f"emb_{f.name}"][int(cid)])
     q_repr = np.array(q_repr)
@@ -295,14 +321,17 @@ def test_pairwise_differences_survive_scaling():
 def test_scale_query_leaves_input_intact():
     ds = prepared(seed=17)
     q = ds.queries[0]
-    names = ("numeric", "fixed", "scalevariant", "labels", "deep_numeric", "deep_fixed")
+    names = ("numeric", "fixed", "scalevariant", "labels")
     before = {name: getattr(q, name).copy() for name in names}
+    deep_before = standardized(q, ds.stats)
     scaled = scale_query(q, 7.0)
     for name in names:
         np.testing.assert_array_equal(getattr(q, name), before[name], err_msg=name)
     np.testing.assert_array_equal(scaled.scalevariant, before["scalevariant"] * 7.0)
-    for name in ("numeric", "fixed", "labels", "deep_numeric", "deep_fixed"):
+    for name in ("numeric", "fixed", "labels"):
         np.testing.assert_array_equal(getattr(scaled, name), before[name], err_msg=name)
+    for got, want in zip(standardized(scaled, ds.stats), deep_before):
+        np.testing.assert_array_equal(got, want)
     assert scaled.item_ids == q.item_ids
 
 
@@ -377,14 +406,12 @@ def _break_query(q, case):
         q.scalevariant = q.scalevariant.copy()
         q.scalevariant[2, 1] = 0.0
     elif case == "non_finite_deep_input":
-        q.deep_fixed = q.deep_fixed.copy()
-        q.deep_fixed[1, 0] = np.inf
-    elif case == "unstandardized":
-        q.deep_numeric = None
+        q.fixed = q.fixed.copy()
+        q.fixed[1, 0] = np.inf
 
 
 @pytest.mark.parametrize("case", ["category_out_of_range", "nonpositive_wide_value",
-                                  "non_finite_deep_input", "unstandardized"])
+                                  "non_finite_deep_input"])
 def test_batched_checks_raise_what_prepare_query_raises(case):
     ds = prepared(seed=21, n_queries=8)
     model = small_model(ds)
@@ -397,22 +424,12 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
     with pytest.raises(type(per_query.value)) as batched:
         prepare_dataset(model, ds)
     assert str(batched.value) == str(per_query.value)
+    if case == "non_finite_deep_input":
+        assert str(batched.value) == f"query {ds.queries[3].query_id}: non-finite deep-path input"
     if case == "nonpositive_wide_value":
         assert str(batched.value).startswith(
             f"query {ds.queries[3].query_id}, item {ds.queries[3].item_ids[2]}: "
             f"wide-path feature 'discount'")
-
-
-def test_data_error_of_an_earlier_query_beats_a_later_unstandardized_one():
-    ds = prepared(seed=22, n_queries=8)
-    model = small_model(ds)
-    _break_query(ds.queries[2], "non_finite_deep_input")
-    _break_query(ds.queries[5], "unstandardized")
-    with pytest.raises(DomainError, match=rf"^query {ds.queries[2].query_id}: non-finite"):
-        prepare_dataset(model, ds)
-    _break_query(ds.queries[1], "unstandardized")
-    with pytest.raises(ContractError, match=rf"^query {ds.queries[1].query_id}: standardized"):
-        prepare_dataset(model, ds)
 
 
 def test_batched_path_needs_scalevariant_stats_and_queries():

@@ -10,6 +10,7 @@ from sirank.errors import ConfigError, ContractError, DomainError, TrainingError
 from sirank.generator import GeneratorConfig, generate
 from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
 from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
+import sirank.metrics
 import sirank.scoring
 import sirank.trainer
 from sirank.scoring import backward, build_model, forward
@@ -390,6 +391,35 @@ def test_each_validation_query_is_prepared_once(monkeypatch):
     assert len(hist.val_ndcg) == 3
     assert {q.query_id: seen[q.query_id] for q in va.queries} == {q.query_id: 1 for q in va}
     assert {q.query_id: seen[q.query_id] for q in tr.queries} == {q.query_id: 1 for q in tr}
+
+
+def test_experiment_prepares_each_evaluation_block_once_per_mode(monkeypatch):
+    calls = Counter()
+    in_train = []
+    real_train = sirank.trainer.train
+
+    def counting_train(*args, **kwargs):
+        in_train.append(True)
+        try:
+            return real_train(*args, **kwargs)
+        finally:
+            in_train.pop()
+
+    def counting(prepare):
+        def wrapper(*args, **kwargs):
+            calls["train" if in_train else "evaluation"] += 1
+            return prepare(*args, **kwargs)
+        return wrapper
+
+    for module in (sirank.scoring, sirank.metrics, sirank.trainer):
+        monkeypatch.setattr(module, "prepare_dataset", counting(module.prepare_dataset))
+    monkeypatch.setattr(sirank.trainer, "train", counting_train)
+    ds = generate(GeneratorConfig(num_queries=60, seed=11))
+    report = run_experiment(ds, ExperimentConfig(seed=4, max_epochs=2, patience=1))
+    assert len(report.cells) == 10
+    # per mode: the test split, four case splits and the x1200 rescaled test split
+    assert calls["evaluation"] <= 12
+    assert calls["train"] == 20
 
 
 def test_default_grid_is_five_losses_two_modes():
