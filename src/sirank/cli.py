@@ -34,7 +34,7 @@ from .errors import (
 from .generator import GeneratorConfig, generate
 from .losses import DEFAULT_SOFTRANK_SIGMA, LOSS_NAMES
 from .metrics import mean_ndcg
-from .perturb import CASE_IDS, DEFAULT_RATE, DEFAULT_TARGETS, PerturbationCase, apply_case
+from .perturb import CASE_IDS, DEFAULT_RATE, PerturbationCase, apply_case
 from .scoring import (
     DEFAULT_L,
     DEFAULT_WIDTHS,
@@ -166,10 +166,10 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _train_config(args, mode=None, loss=None) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
-        loss=loss or args.loss,
-        mode=mode or args.mode,
+        loss=args.loss,
+        mode=args.mode,
         max_epochs=args.epochs,
         patience=_patience(args),
         learning_rate=args.lr,
@@ -186,9 +186,7 @@ def cmd_train(args) -> int:
     tr_raw, va_raw, _ = split_holdout(ds, seed=args.seed)
     stats = fit_standardization(tr_raw, ds.schema,
                                 include_scalevariant=(cfg.mode == "deep_only"))
-    tr = apply_standardization(tr_raw, stats)
-    va = apply_standardization(va_raw, stats)
-    model, history = train(tr, va, cfg)
+    model, history = train(apply_standardization(tr_raw, stats), va_raw, cfg)
     prov = _provenance("train", args.seed, {"data": args.data, "schema": args.schema})
     save_checkpoint(model, args.out, provenance=prov)
     _write_json(str(args.out) + ".history.json",
@@ -234,7 +232,7 @@ def cmd_perturb(args) -> int:
     ds = _load_inputs(args)
     if len(args.case) != 1:
         raise ConfigError("perturb applies exactly one --case per run")
-    case = PerturbationCase(args.case[0], targets=DEFAULT_TARGETS, rate=DEFAULT_RATE)
+    case = PerturbationCase(args.case[0])
     out_ds = apply_case(ds, case)
     save_dataset(out_ds, args.out)
     prov = _provenance("perturb", args.seed, {"data": args.data, "schema": args.schema})

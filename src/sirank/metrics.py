@@ -88,7 +88,7 @@ def evaluate_block(model, block: DatasetBlock) -> EvalResult:
     return EvalResult.of(segment_ndcg(score_block(model, block), block.labels, block.offsets))
 
 
-def mean_ndcg(model, dataset: Dataset, mode: str | None = None) -> EvalResult:
+def mean_ndcg(model, dataset: Dataset) -> EvalResult:
     """Score, rank, and average NDCG over every query in the dataset, as
     one batched pass over its stacked item rows.
 
@@ -96,7 +96,7 @@ def mean_ndcg(model, dataset: Dataset, mode: str | None = None) -> EvalResult:
     vector; the latter keeps oracle rankers easy to express.
     """
     if not callable(model):
-        return evaluate_block(model, prepare_dataset(model, dataset, mode))
+        return evaluate_block(model, prepare_dataset(model, dataset))
     if not dataset.queries:
         raise ValidationError("cannot evaluate a dataset without queries")
     parts = []

@@ -13,11 +13,11 @@ and runs the data checks once over the stack (the first bad query in dataset
 order names the error). ``forward_block`` scores one query's rows of a block
 for a training step; ``score_block`` scores every row, ``EVAL_CHUNK_ROWS``
 at a time, so the memory of an evaluation pass does not grow with the
-dataset; ``forward``, ``score_query``, ``score_deep`` and ``score_wide``
-score one query through a one-query block. Training prepares both of its
-splits before the first step, so a bad record is reported before epoch 0.
-Batched scores match per-query ones to within a few ulps (matrix products
-of another shape sum in another order).
+dataset; ``forward`` and ``score_query`` score one query through a
+one-query block. Training prepares both of its splits before the first
+step, so a bad record is reported before epoch 0. Batched scores match
+per-query ones to within a few ulps (matrix products of another shape sum
+in another order).
 
 All parameters live in one contiguous float64 vector; ``SirModel.params`` is
 a ``ParamVector``, a dict of named views into it in build order. ``backward``
@@ -91,10 +91,6 @@ class SirModel:
     compressor_dim: int
     params: ParamVector
     stats: StandardizationStats | None = None
-
-    @property
-    def wide_len(self) -> int:
-        return self.compressor_dim * (self.schema.k1 + self.schema.k2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +173,8 @@ class DatasetBlock:
     row_query: np.ndarray           # (N,)
 
 
-def prepare_dataset(model: SirModel, dataset: Dataset, mode: str | None = None) -> DatasetBlock:
+@np.errstate(over="ignore")  # a standardized value beyond float64 range is reported below
+def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     """Stack what scoring reads from every query of ``dataset``, standardize
     the deep-path inputs from ``model.stats`` (a model without stats is
     refused first), take the logs of the wide inputs and check the data once.
@@ -187,7 +184,6 @@ def prepare_dataset(model: SirModel, dataset: Dataset, mode: str | None = None) 
     fails: an empty item list, a category id, a non-finite deep-path input,
     a wide-path input that is not > 0.
     """
-    _check_mode(model, mode)
     stats = model.stats
     if stats is None:
         raise ContractError("deep-path inputs cannot be standardized: the model has no stats")
@@ -248,10 +244,6 @@ def _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw
                               f"{names[kk]!r} must be > 0, got {wide_raw[rows][j, kk]}")
 
 
-def _one_query_block(model: SirModel, query: QueryRecord) -> DatasetBlock:
-    return prepare_dataset(model, Dataset(schema=model.schema, queries=[query]))
-
-
 # ---------------------------------------------------------------------------
 # forward pass: the arithmetic on a prepared block
 
@@ -308,12 +300,6 @@ def _wide_weights(model: SirModel, q_reprs: np.ndarray):
     return s @ p["wide_w"].reshape(model.compressor_dim, -1), s
 
 
-def _wide_forward(model: SirModel, q_repr: np.ndarray, log_values: np.ndarray):
-    """Wide scores (D,) = log(v) . (W s(q)), plus s(q) as a row."""
-    feature_weights, s_row = _wide_weights(model, q_repr.reshape(1, -1))
-    return (log_values @ feature_weights.reshape(-1, 1)).reshape(-1), s_row
-
-
 def forward_block(model: SirModel, block: DatasetBlock, qi: int,
                   item_indices=None) -> tuple[np.ndarray, ForwardCache]:
     """Scores (D,) of query ``qi``'s item rows of ``block`` (the selected
@@ -338,15 +324,17 @@ def forward_block(model: SirModel, block: DatasetBlock, qi: int,
     cache = ForwardCache(lookups, q_repr, layer_inputs, pre_activations)
     if model.mode == "deep_only":
         return deep, cache
-    wide, cache.s_row = _wide_forward(model, q_repr, log_values)
+    # wide scores (D,) = log(v) . (W s(q))
+    feature_weights, cache.s_row = _wide_weights(model, q_repr.reshape(1, -1))
     cache.log_values = log_values
-    return deep + wide, cache
+    return deep + (log_values @ feature_weights.reshape(-1, 1)).reshape(-1), cache
 
 
 def forward(model: SirModel, query: QueryRecord,
             item_indices=None) -> tuple[np.ndarray, ForwardCache]:
     """``forward_block`` on a one-query block of ``query``."""
-    return forward_block(model, _one_query_block(model, query), 0, item_indices)
+    block = prepare_dataset(model, Dataset(schema=model.schema, queries=[query]))
+    return forward_block(model, block, 0, item_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +392,8 @@ def sgd_step(params: ParamVector, grads: ParamVector, lr: float) -> None:
 # public scoring ops
 
 
-def _check_mode(model: SirModel, mode: str | None):
-    if mode is not None and mode != model.mode:
-        raise ContractError(f"model was built for mode {model.mode!r}, not {mode!r}")
-
-
-def score_query(model: SirModel, query: QueryRecord, mode: str | None = None) -> np.ndarray:
-    _check_mode(model, mode)
+def score_query(model: SirModel, query: QueryRecord) -> np.ndarray:
     return forward(model, query)[0]
-
-
-def score_deep(model: SirModel, query: QueryRecord, j: int) -> float:
-    """Deep-part score of item j; reads query features and fixed features only."""
-    block = _one_query_block(model, query)
-    q_rows = np.tile(_query_repr(model, block, 0)[0], (query.n_items, 1))
-    return float(_deep_forward(model, q_rows, block.deep_items)[0][j])
-
-
-def score_wide(model: SirModel, query: QueryRecord, j: int) -> float:
-    if model.mode != "sir":
-        raise ContractError("deep_only models have no wide part")
-    block = _one_query_block(model, query)
-    return float(_wide_forward(model, _query_repr(model, block, 0)[0], block.log_values)[0][j])
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +546,8 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
         if value.shape != want.shape:
             raise SchemaError(f"checkpoint {path} parameter {name!r} has shape "
                               f"{list(value.shape)}, expected {list(want.shape)} for {layout}")
+        if not np.isfinite(value).all():
+            raise SchemaError(f"checkpoint {path} parameter {name!r} holds a non-finite value")
         want[...] = value
     try:
         stats = StandardizationStats.from_json(obj["stats"])
@@ -585,6 +555,11 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
     except (AttributeError, LookupError, OverflowError, SchemaError, TypeError,
             ValueError) as exc:
         raise SchemaError(f"checkpoint {path} has malformed stats: {exc!r}") from exc
+    for group in stats.to_json().values():
+        for name, (mean, std) in group.items():
+            if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
+                raise SchemaError(f"checkpoint {path} stats for feature {name!r} need a finite "
+                                  f"mean and a finite std > 0, got {mean} and {std}")
     if obj["mode"] == "deep_only" and not stats.covers_scalevariant:
         raise SchemaError(f"checkpoint {path} is deep_only but its stats do not cover "
                           "the scale-variant features")

@@ -1,9 +1,12 @@
 """Hand-built fixtures, deliberately independent of the package's generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sirank.data import Dataset, FeatureSchema, QueryFeature, QueryRecord
+from sirank.scoring import ParamVector
 
 CURRENCIES = [1.0, 0.85, 7.1, 110.0, 1200.0]
 
@@ -52,6 +55,14 @@ def standardized(q: QueryRecord, stats):
     per-query formulas: (x - mean) / std with the train-split stats."""
     return ((q.numeric - stats.numeric_mean) / stats.numeric_std,
             (q.fixed - stats.fixed_mean) / stats.fixed_std)
+
+
+def without_wide(model):
+    """A copy of a sir model with its wide weights zeroed: the wide term is
+    then exactly 0, so the copy's scores are the deep tower's alone."""
+    params = ParamVector.from_arrays(dict(model.params))
+    params["wide_w"][...] = 0.0
+    return replace(model, params=params)
 
 
 @pytest.fixture

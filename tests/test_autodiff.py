@@ -18,12 +18,11 @@ from sirank.scoring import (
     forward,
     load_checkpoint,
     save_checkpoint,
-    score_deep,
     score_query,
     sgd_step,
 )
 
-from conftest import hand_dataset, standardized
+from conftest import hand_dataset, standardized, without_wide
 
 
 def prepared(seed=0, include_scalevariant=False):
@@ -86,6 +85,7 @@ def test_affine_matches_double_loop_oracle():
     model = small_model(ds, widths=(3, 2), seed=4)
     p = model.params
     q = ds.queries[1]
+    deep = score_query(without_wide(model), q)
     deep_numeric, deep_fixed_rows = standardized(q, ds.stats)
     q_repr = np.concatenate([deep_numeric, p["emb_device_type"][int(q.category_ids[0])]])
     for j, deep_fixed in enumerate(deep_fixed_rows):
@@ -101,7 +101,7 @@ def test_affine_matches_double_loop_oracle():
                     acc += x[k] * w[k, c]
                 out.append(max(acc, 0.0) if relu else acc)
             x = out
-        assert abs(score_deep(model, q, j) - x[0]) < 1e-12
+        assert abs(deep[j] - x[0]) < 1e-12
 
 
 def test_affine_shape_mismatch_names_both_shapes(tmp_path):

@@ -340,6 +340,14 @@ def _break_checkpoint(path, case):
         del obj["stats"]["numeric"][next(iter(obj["stats"]["numeric"]))]
     elif case == "huge_widths":
         obj["widths"] = [10 ** 10]  # refused before any allocation
+    elif case == "nan_weight":
+        obj["params"]["deep_w0"]["data"][0] = float("nan")
+    elif case == "infinite_weight":
+        obj["params"]["head_b"]["data"][0] = float("-inf")
+    elif case == "zero_std":
+        obj["stats"]["fixed"]["star_rating"][1] = 0.0
+    elif case == "nan_mean":
+        obj["stats"]["numeric"][next(iter(obj["stats"]["numeric"]))][0] = float("nan")
     path.write_text(json.dumps(obj))
 
 
@@ -347,7 +355,8 @@ def _break_checkpoint(path, case):
                                   "truncated_weight", "deep_only_mode", "bias_of_shape_1",
                                   "huge_integer_weight", "stats_entry_empty",
                                   "stats_feature_renamed", "stats_feature_dropped",
-                                  "huge_widths"])
+                                  "huge_widths", "nan_weight", "infinite_weight", "zero_std",
+                                  "nan_mean"])
 def test_malformed_checkpoint_is_validation_error(workdir, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text((workdir / "model.json").read_text())

@@ -116,6 +116,14 @@ def test_round_trip_field_by_field(tmp_path):
         np.testing.assert_array_equal(q0.labels, q1.labels)
 
 
+def test_standardized_view_saves_the_raw_bytes(tmp_path):
+    ds = hand_dataset(n_queries=8, seed=3)
+    save_dataset(ds, tmp_path / "raw.jsonl")
+    save_dataset(apply_standardization(ds, fit_standardization(ds, ds.schema)),
+                 tmp_path / "view.jsonl")
+    assert (tmp_path / "view.jsonl").read_bytes() == (tmp_path / "raw.jsonl").read_bytes()
+
+
 def test_malformed_line_reports_line_number(tmp_path, schema):
     ds = hand_dataset(n_queries=2)
     path = tmp_path / "bad.jsonl"

@@ -148,6 +148,7 @@ def test_mutated_schemas_end_in_an_exit_code(files, data):
     check(argv[data.draw(st.sampled_from(["train", "evaluate", "perturb"]))])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @SETTINGS
 @given(data=st.data())
 def test_mutated_checkpoints_end_in_an_exit_code(files, data):

@@ -143,7 +143,7 @@ def test_batched_ndcg_equals_per_query_bitwise(mode):
     ds = apply_standardization(raw, stats)
     model = build_model(ds.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=3,
                         stats=stats)
-    res = mean_ndcg(model, ds, mode)
+    res = mean_ndcg(model, ds)
     want = [ndcg(rank(score_query(model, q)), q.labels) for q in ds.queries]
     assert res.per_query.tolist() == want
     assert res.count == len(ds)

@@ -19,12 +19,10 @@ from sirank.scoring import (
     save_checkpoint,
     scale_query,
     score_block,
-    score_deep,
     score_query,
-    score_wide,
 )
 
-from conftest import hand_dataset, standardized
+from conftest import hand_dataset, standardized, without_wide
 
 SCALES = (1e-2, 0.5, 7.0, 1200.0)
 
@@ -72,8 +70,7 @@ def test_build_rejects_unknown_mode():
 def test_wide_weight_length():
     ds = prepared()
     model = small_model(ds)
-    assert model.params["wide_w"].shape == (model.wide_len,)
-    assert model.wide_len == 2 * (ds.schema.k1 + ds.schema.k2)
+    assert model.params["wide_w"].shape == (2 * (ds.schema.k1 + ds.schema.k2),)
 
 
 def test_unstandardized_query_rejected():
@@ -127,16 +124,18 @@ def test_identical_fixed_features_tie_deep_scores():
     np.testing.assert_array_equal(deep_fixed[1], deep_fixed[0])
     q.scalevariant = q.scalevariant.copy()
     q.scalevariant[1] = q.scalevariant[0] * 17.3
-    assert score_deep(model, q, 0) == score_deep(model, q, 1)
+    deep = score_query(without_wide(model), q)
+    assert deep[0] == deep[1]
 
 
 def test_deep_score_ignores_scalevariant_bitwise():
     ds = prepared(seed=4)
     model = small_model(ds)
     q = ds.queries[2]
-    before = [score_deep(model, q, j) for j in range(q.n_items)]
+    deep_model = without_wide(model)
+    before = score_query(deep_model, q).tolist()
     q.scalevariant = q.scalevariant * 1000.0
-    after = [score_deep(model, q, j) for j in range(q.n_items)]
+    after = score_query(deep_model, q).tolist()
     assert before == after
 
 
@@ -150,8 +149,8 @@ def test_unit_features_zero_wide_score():
     q = ds.queries[0]
     q.fixed = np.ones_like(q.fixed)
     q.scalevariant = np.ones_like(q.scalevariant)
-    for j in range(q.n_items):
-        assert score_wide(model, q, j) == 0.0
+    # log(1) = 0, so the wide term adds exactly nothing to the deep tower
+    assert score_query(model, q).tolist() == score_query(without_wide(model), q).tolist()
 
 
 def test_zero_wide_weights_degenerate_to_deep():
@@ -159,9 +158,15 @@ def test_zero_wide_weights_degenerate_to_deep():
     model = small_model(ds)
     model.params["wide_w"][...] = 0.0
     q = ds.queries[1]
-    scores = score_query(model, q)
-    deep = np.array([score_deep(model, q, j) for j in range(q.n_items)])
-    np.testing.assert_array_equal(scores, deep)
+    # the deep tower written out from the parameters, with no wide term at all
+    p = model.params
+    numeric, fixed = standardized(q, ds.stats)
+    q_repr = np.concatenate([numeric, p["emb_device_type"][int(q.category_ids[0])]])
+    h = np.hstack([np.tile(q_repr, (q.n_items, 1)), fixed])
+    for i in range(len(model.widths)):
+        h = np.maximum(h @ p[f"deep_w{i}"] + p[f"deep_b{i}"], 0.0)
+    deep = (h @ p["head_w"] + p["head_b"]).reshape(-1)
+    np.testing.assert_array_equal(score_query(model, q), deep)
 
 
 def test_wide_score_matches_triple_loop_oracle():
@@ -179,13 +184,14 @@ def test_wide_score_matches_triple_loop_oracle():
                   for l in range(model.compressor_dim)])
     w = model.params["wide_w"]
     k_total = schema.k1 + schema.k2
+    wide = score_query(model, q) - score_query(without_wide(model), q)
     for j in range(q.n_items):
         v = np.log(np.concatenate([q.fixed[j], q.scalevariant[j]]))
         acc = 0.0
         for l in range(model.compressor_dim):
             for kk in range(k_total):
                 acc += w[l * k_total + kk] * s[l] * v[kk]
-        assert abs(score_wide(model, q, j) - acc) < 1e-12
+        assert abs(wide[j] - acc) < 1e-12
 
 
 def test_nonpositive_wide_value_names_feature_and_item():
@@ -209,22 +215,6 @@ def test_single_item_query_scores():
     scores, _ = forward(model, q, item_indices=[0])
     assert scores.shape == (1,)
     assert np.isfinite(scores[0])
-
-
-def test_component_sum():
-    ds = prepared(seed=10)
-    model = small_model(ds, seed=2)
-    q = ds.queries[4]
-    scores = score_query(model, q)
-    for j in range(q.n_items):
-        assert scores[j] == score_deep(model, q, j) + score_wide(model, q, j)
-
-
-def test_mode_mismatch_rejected():
-    ds = prepared(seed=10)
-    model = small_model(ds)
-    with pytest.raises(ContractError):
-        score_query(model, ds.queries[0], mode="deep_only")
 
 
 def test_deep_only_needs_scalevariant_stats():
@@ -438,8 +428,6 @@ def test_batched_path_needs_scalevariant_stats_and_queries():
                         stats=ds.stats)
     with pytest.raises(ContractError, match="scale-variant"):
         prepare_dataset(model, ds)
-    with pytest.raises(ContractError, match="mode"):
-        prepare_dataset(small_model(ds), ds, mode="deep_only")
     with pytest.raises(ValidationError):
         prepare_dataset(small_model(ds), Dataset(schema=ds.schema, queries=[], stats=ds.stats))
 

@@ -203,19 +203,20 @@ def test_train_rejects_unstandardized_data():
         train(tr_raw, va_raw, TrainConfig())
 
 
-def test_train_rejects_mismatched_standardization():
+@pytest.mark.parametrize("mode", ["sir", "deep_only"])
+def test_validation_split_needs_no_stats(mode):
+    # only the training split's stats reach the model, so a raw validation
+    # split trains exactly like its standardized view
     ds = generate(GeneratorConfig(num_queries=40, seed=1))
-    tr_raw, va_raw, te_raw = split_holdout(ds, seed=0)
-    stats_clean = fit_standardization(tr_raw, ds.schema)
-    # leaked stats: fitted with test queries mixed in, so the moments differ
-    from sirank.data import Dataset
-    leaked_pool = Dataset(schema=ds.schema, queries=list(tr_raw.queries) + list(te_raw.queries))
-    stats_leaked = fit_standardization(leaked_pool, ds.schema)
-    assert stats_clean.to_json() != stats_leaked.to_json()
-    tr = apply_standardization(tr_raw, stats_clean)
-    va = apply_standardization(va_raw, stats_leaked)
-    with pytest.raises(ContractError):
-        train(tr, va, TrainConfig())
+    tr_raw, va_raw, _ = split_holdout(ds, seed=0)
+    stats = fit_standardization(tr_raw, ds.schema, include_scalevariant=(mode == "deep_only"))
+    tr = apply_standardization(tr_raw, stats)
+    cfg = TrainConfig(mode=mode, max_epochs=3, patience=2, seed=2)
+    model, hist = train(tr, va_raw, cfg)
+    want_model, want_hist = train(tr, apply_standardization(va_raw, stats), cfg)
+    assert model.params.flat.tobytes() == want_model.params.flat.tobytes()
+    assert hist.train_loss == want_hist.train_loss
+    assert hist.val_ndcg == want_hist.val_ndcg
 
 
 def test_deep_only_requires_scalevariant_stats():
