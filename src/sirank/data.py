@@ -8,6 +8,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,11 +73,13 @@ class FeatureSchema:
             else:
                 raise SchemaError(f"feature {f.name!r} has unknown kind {f.kind!r}")
 
-    @property
+    # computed once per schema: a frozen dataclass lets cached_property fill
+    # the instance dict, and neither equality nor the hash reads it
+    @cached_property
     def numeric_query_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.query_features if f.kind == "numeric")
 
-    @property
+    @cached_property
     def categorical_query_features(self) -> tuple[QueryFeature, ...]:
         return tuple(f for f in self.query_features if f.kind == "categorical")
 

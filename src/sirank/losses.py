@@ -8,6 +8,10 @@ Pairs are only formed between the booked item and each non-booked item: items
 sharing a label are tied and contribute no pairwise loss. With binary labels
 and a single booked item that also collapses the listwise likelihood to its
 top-1 form.
+
+listnet and listmle take log-sum-exps through ``_logsumexp``, a numpy port
+of ``scipy.special.logsumexp``'s algorithm that gives the same bits on a
+vector without scipy's per-call dispatch (about 10x cheaper on a list of 15).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, expit, logsumexp
+from scipy.special import erfc, expit
 
 from .errors import DomainError, TrainingError, ValidationError
 from .scoring import rank
@@ -61,6 +65,24 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """``scipy.special.logsumexp(a)`` of a float64 vector, step for step, so
+    the bits match: the maxima are taken out of the shifted sum and added
+    back as log(count), and a non-finite result falls back to
+    log(sum(exp(a)))."""
+    a_max = a.max()
+    is_max = a == a_max
+    count = float(np.count_nonzero(is_max))
+    total = np.exp(np.where(is_max, -np.inf, a) - a_max).sum()
+    if total != 0:
+        total = total / count
+    out = np.log1p(total) + np.log(count) + a_max
+    if not math.isfinite(out):
+        out = np.log(np.exp(a).sum())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # pairwise
 
@@ -73,7 +95,8 @@ def _weighted_pairwise_loss(scores, labels, pair_weights) -> LossOutput:
     y, b = _booked_index(labels)
     if s.size != y.size:
         raise DomainError("scores and labels differ in length")
-    others = np.array([k for k in range(s.size) if k != b], dtype=np.int64)
+    index = np.arange(s.size)
+    others = index[index != b]
     if others.size == 0:
         return LossOutput(value=0.0, score_gradients=np.zeros(1))
     w = pair_weights(s, y, b, others)
@@ -134,8 +157,8 @@ def listnet_loss(scores, labels) -> LossOutput:
     y = np.asarray(labels, dtype=np.float64)
     if s.size != y.size:
         raise DomainError("scores and labels differ in length")
-    log_p = s - logsumexp(s)
-    target = np.exp(y - logsumexp(y))
+    log_p = s - _logsumexp(s)
+    target = np.exp(y - _logsumexp(y))
     value = float(-np.sum(target * log_p))
     grad = np.exp(log_p) - target
     return LossOutput(value=value, score_gradients=grad)
@@ -151,7 +174,7 @@ def listmle_loss(scores, labels) -> LossOutput:
     _, b = _booked_index(labels)
     if s.size != np.asarray(labels).size:
         raise DomainError("scores and labels differ in length")
-    lse = logsumexp(s)
+    lse = _logsumexp(s)
     value = float(lse - s[b])
     grad = np.exp(s - lse)
     grad[b] -= 1.0

@@ -21,14 +21,16 @@ in another order).
 
 All parameters live in one contiguous float64 vector; ``SirModel.params`` is
 a ``ParamVector``, a dict of named views into it in build order. ``backward``
-returns gradients with the same layout, so ``sgd_step`` checks and updates
-every parameter with one vector operation each.
+writes gradients with the same layout, into a fresh vector or into one the
+caller passes (``train`` reuses one vector for every step), so ``sgd_step``
+checks and updates every parameter with one vector operation each.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +93,16 @@ class SirModel:
     compressor_dim: int
     params: ParamVector
     stats: StandardizationStats | None = None
+
+    @cached_property
+    def embedding_names(self) -> tuple[str, ...]:
+        """Embedding table parameter names, in schema categorical order."""
+        return tuple(f"emb_{f.name}" for f in self.schema.categorical_query_features)
+
+    @cached_property
+    def dense_names(self) -> tuple[tuple[str, str], ...]:
+        """(weight, bias) parameter names of each dense layer, input first."""
+        return tuple((f"deep_w{i}", f"deep_b{i}") for i in range(len(self.widths)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +283,24 @@ def _query_repr(model: SirModel, block: DatasetBlock, qi: int):
     """Query ``qi``'s standardized numeric features followed by one
     embedding row per categorical feature, and the lookups that gave them."""
     p = model.params
-    lookups = tuple((f"emb_{f.name}", int(cid)) for f, cid in
-                    zip(model.schema.categorical_query_features, block.category_ids[qi]))
+    lookups = tuple(zip(model.embedding_names, block.category_ids[qi].tolist()))
     q_repr = np.concatenate([block.deep_numeric[qi]] + [p[name][cid] for name, cid in lookups])
     return q_repr, lookups
 
 
 def _deep_forward(model: SirModel, query_rows: np.ndarray, deep_items: np.ndarray):
     """Deep-tower scores (D,), the dense-layer inputs and the pre-activations;
-    row j of ``query_rows`` is the representation of item j's query."""
+    row j of ``query_rows`` is the representation of item j's query, and a
+    single row (one query's representation) stands for every item."""
     p = model.params
-    h = np.hstack([query_rows, deep_items])
+    q_width = query_rows.shape[-1]
+    h = np.empty((deep_items.shape[0], q_width + deep_items.shape[1]))
+    h[:, :q_width] = query_rows
+    h[:, q_width:] = deep_items
     layer_inputs, pre_activations = [], []
-    for i in range(len(model.widths)):
+    for w_name, b_name in model.dense_names:
         layer_inputs.append(h)
-        z = h @ p[f"deep_w{i}"] + p[f"deep_b{i}"]
+        z = h @ p[w_name] + p[b_name]
         pre_activations.append(z)
         h = np.maximum(z, 0.0)
     layer_inputs.append(h)
@@ -319,8 +334,7 @@ def forward_block(model: SirModel, block: DatasetBlock, qi: int,
         if log_values is not None:
             log_values = log_values[item_indices]
     q_repr, lookups = _query_repr(model, block, qi)
-    deep, layer_inputs, pre_activations = _deep_forward(
-        model, np.tile(q_repr, (deep_items.shape[0], 1)), deep_items)
+    deep, layer_inputs, pre_activations = _deep_forward(model, q_repr, deep_items)
     cache = ForwardCache(lookups, q_repr, layer_inputs, pre_activations)
     if model.mode == "deep_only":
         return deep, cache
@@ -341,25 +355,33 @@ def forward(model: SirModel, query: QueryRecord,
 # backward pass and update
 
 
-def backward(model: SirModel, cache: ForwardCache, score_gradients: np.ndarray) -> ParamVector:
+def backward(model: SirModel, cache: ForwardCache, score_gradients: np.ndarray,
+             grads: ParamVector | None = None) -> ParamVector:
     """Gradient of sum(score_gradients * scores) for every parameter, laid
     out like ``model.params``; an embedding table's gradient is written only
-    in the row the query looked up."""
+    in the row the query looked up. ``grads``, if given, is zeroed and
+    written instead of a fresh vector, and returned."""
     p = model.params
     g = np.asarray(score_gradients, dtype=np.float64).reshape(-1, 1)
     if g.shape[0] != cache.layer_inputs[0].shape[0]:
         raise ContractError(f"{g.shape[0]} score gradients for "
                             f"{cache.layer_inputs[0].shape[0]} scores")
-    grads = p.zeros_like()
+    if grads is None:
+        grads = p.zeros_like()
+    elif grads.layout != p.layout:
+        raise ContractError("the gradient vector is not laid out like the model's parameters")
+    else:
+        grads.flat.fill(0.0)
     n = len(model.widths)
     grads["head_w"][...] = cache.layer_inputs[n].T @ g
     grads["head_b"][...] = g.sum(axis=0)
     g_h = g @ p["head_w"].T
     for i in reversed(range(n)):
+        w_name, b_name = model.dense_names[i]
         g_z = g_h * (cache.pre_activations[i] > 0.0)
-        grads[f"deep_w{i}"][...] = cache.layer_inputs[i].T @ g_z
-        grads[f"deep_b{i}"][...] = g_z.sum(axis=0)
-        g_h = g_z @ p[f"deep_w{i}"].T
+        grads[w_name][...] = cache.layer_inputs[i].T @ g_z
+        grads[b_name][...] = g_z.sum(axis=0)
+        g_h = g_z @ p[w_name].T
     g_q = g_h[:, :cache.q_repr.shape[0]].sum(axis=0)
 
     if model.mode == "sir":
@@ -400,14 +422,15 @@ def score_query(model: SirModel, query: QueryRecord) -> np.ndarray:
 # batched scoring of a whole dataset
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite score is reported below
 def score_block(model: SirModel, block: DatasetBlock) -> np.ndarray:
     """Scores of every item row of ``block``, in row order, computed
     ``EVAL_CHUNK_ROWS`` rows at a time by the same deep tower and wide term
-    as ``forward``."""
+    as ``forward``. Parameters so large that a score is not finite raise
+    DomainError."""
     p = model.params
-    cats = model.schema.categorical_query_features
-    q_reprs = np.hstack([block.deep_numeric] + [p[f"emb_{f.name}"][block.category_ids[:, i]]
-                                                for i, f in enumerate(cats)])
+    q_reprs = np.hstack([block.deep_numeric] + [p[name][block.category_ids[:, i]]
+                                                for i, name in enumerate(model.embedding_names)])
     if model.mode == "sir":
         feature_weights = _wide_weights(model, q_reprs)[0]
     scores = np.empty(block.row_query.size)
@@ -418,6 +441,9 @@ def score_block(model: SirModel, block: DatasetBlock) -> np.ndarray:
         if model.mode == "sir":
             chunk = chunk + np.einsum("ij,ij->i", block.log_values[rows], feature_weights[owner])
         scores[rows] = chunk
+    if not np.isfinite(scores).all():
+        raise DomainError(f"{np.count_nonzero(~np.isfinite(scores))} of {scores.size} scores "
+                          "are not finite: the model's parameters overflow float64 on this data")
     return scores
 
 

@@ -117,7 +117,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
 
     Both splits are prepared once, before the first step, so a bad record in
     either raises its data error before epoch 0; each step scores one
-    query's rows of the training block, and every epoch scores the whole
+    query's rows of the training block and writes its gradients into one
+    vector reused for every step, and every epoch scores the whole
     validation block. The model standardizes with the training split's
     stats; the validation split's stats, if any, are not read. Returns the
     model restored to its best-validation epoch.
@@ -140,6 +141,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     best_snapshot = model.params.flat.copy()
     train_block = prepare_dataset(model, train_ds)
     val_block = prepare_dataset(model, val_ds)
+    grads = model.params.zeros_like()
     bad_epochs = 0
     stopping = "max_epochs"
 
@@ -159,14 +161,17 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
                 if not np.all(np.isfinite(scores)):
                     raise TrainingError("scores became non-finite; training diverged")
                 out = loss_fn(scores, labels)
-                sgd_step(model.params, backward(model, cache, out.score_gradients), lr)
+                sgd_step(model.params, backward(model, cache, out.score_gradients, grads), lr)
             except (TrainingError, DomainError) as exc:
                 raise TrainingError(
                     f"epoch {epoch}, query {q.query_id}: {exc}") from exc
             total += out.value
         train_losses.append(total / len(train_ds))
 
-        val = evaluate_block(model, val_block).mean
+        try:
+            val = evaluate_block(model, val_block).mean
+        except DomainError as exc:
+            raise TrainingError(f"epoch {epoch}: {exc}") from exc
         val_curve.append(val)
         if val > best + IMPROVEMENT_EPS:
             best = val

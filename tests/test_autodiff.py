@@ -314,6 +314,25 @@ def test_backward_repeatable_after_zeroing():
         np.testing.assert_array_equal(model.params[name], before[name])
 
 
+@pytest.mark.parametrize("mode", ["sir", "deep_only"])
+def test_backward_into_reused_vector_is_bitwise_fresh(mode):
+    # training writes every step's gradients into one vector: what the
+    # previous query left there (another embedding row) must not leak
+    ds = prepared(seed=16, include_scalevariant=(mode == "deep_only"))
+    model = small_model(ds, mode=mode, seed=10)
+    qa = ds.queries[0]
+    qb = next(q for q in ds.queries if q.category_ids[0] != qa.category_ids[0])
+    rng = np.random.default_rng(10)
+    _, cache_a = forward(model, qa)
+    _, cache_b = forward(model, qb)
+    reused = backward(model, cache_a, rng.normal(size=qa.n_items))
+    g = rng.normal(size=qb.n_items)
+    got = backward(model, cache_b, g, reused)
+    assert got is reused
+    assert got.flat.tobytes() == backward(model, cache_b, g).flat.tobytes()
+    assert not got["emb_device_type"][qa.category_ids[0]].any()
+
+
 def test_backward_rejects_mismatched_score_gradients():
     ds = prepared(seed=15)
     model = small_model(ds)
@@ -321,6 +340,9 @@ def test_backward_rejects_mismatched_score_gradients():
     _, cache = forward(model, q)
     with pytest.raises(ContractError):
         backward(model, cache, np.ones(q.n_items + 1))
+    other = small_model(ds, widths=(4,))
+    with pytest.raises(ContractError):
+        backward(model, cache, np.ones(q.n_items), other.params.zeros_like())
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,22 @@ def test_malformed_checkpoint_is_validation_error(workdir, tmp_path, capsys, cas
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["head_w", "wide_w"])
+def test_overflowing_scores_are_validation_error(workdir, tmp_path, capsys, name):
+    # finite parameters whose scores overflow float64
+    obj = json.loads((workdir / "model.json").read_text())
+    obj["params"][name]["data"] = [1e308] * len(obj["params"][name]["data"])
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(obj))
+    code = main(["evaluate", "--model", str(huge), "--data", str(workdir / "data.jsonl"),
+                 "--schema", str(workdir / "data.schema.json"), "--case", "1,2,3,4"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validation error: ") and "scores are not finite" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_train_rejects_dense_weight_beyond_cap(workdir, tmp_path, capsys):
     code = main(["train", "--data", str(workdir / "data.jsonl"),
                  "--schema", str(workdir / "data.schema.json"),

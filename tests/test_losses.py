@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from sirank.errors import DomainError, ValidationError
 from sirank.losses import (
     DEFAULT_SOFTRANK_SIGMA,
     LOSS_NAMES,
     LossOutput,
+    _logsumexp,
     lambdarank_loss,
     listmle_loss,
     listnet_loss,
@@ -173,6 +175,22 @@ def test_listmle_matches_logsumexp_oracle():
     out = listmle_loss(scores, labels)
     lse = math.log(sum(math.exp(v) for v in scores))
     assert out.value == pytest.approx(lse - scores[2], abs=1e-12)
+
+
+def test_logsumexp_port_is_bitwise_scipy():
+    # listnet and listmle train bitwise as they did with scipy's logsumexp
+    rng = np.random.default_rng(34)
+    for trial in range(4000):
+        n = int(rng.integers(1, 31))
+        a = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 2)
+        if trial % 4 == 1:  # integer-valued, many ties
+            a = rng.integers(-3, 4, size=n).astype(np.float64)
+        elif trial % 4 == 2:  # several items share the maximum
+            a[rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = a.max()
+        elif trial % 4 == 3:  # a one-hot label vector, as listnet's target reads it
+            a = (np.arange(n) == rng.integers(n)).astype(np.float64)
+        want, got = logsumexp(a), _logsumexp(a)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,7 +162,8 @@ def reference_epochs(train_ds, config):
 
 
 @pytest.mark.parametrize("loss,mode", [("ranknet", "sir"), ("listnet", "deep_only"),
-                                       ("softrank", "sir")])
+                                       ("softrank", "sir"), ("listmle", "sir"),
+                                       ("lambdarank", "deep_only")])
 def test_train_is_bitwise_equal_to_reference_loop(loss, mode):
     ds = generate(GeneratorConfig(num_queries=40, items_min=10, items_max=20, seed=6))
     tr_raw, va_raw, _ = split_holdout(ds, seed=0)
@@ -426,3 +428,17 @@ def test_experiment_prepares_each_evaluation_block_once_per_mode(monkeypatch):
 def test_default_grid_is_five_losses_two_modes():
     cfg = ExperimentConfig()
     assert len(cfg.losses) == 5
+
+
+def test_overflowing_validation_scores_are_a_training_error(monkeypatch):
+    # one training query, so the first update is followed by the validation
+    # pass, which scores with parameters too large for float64
+    tr, va, _, _ = prepared(num_queries=40)
+    tr = replace(tr, queries=tr.queries[:1])
+
+    def blow_up(params, grads, lr):
+        params["head_w"][...] = 1e308
+
+    monkeypatch.setattr(sirank.trainer, "sgd_step", blow_up)
+    with pytest.raises(TrainingError, match=r"^epoch 0: .* scores are not finite"):
+        train(tr, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1))
