@@ -42,12 +42,14 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
     import numpy as np
 
     import sirank as sr
-    from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
+    from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name, ranknet_loss
     from sirank.scoring import backward, build_model, forward_block, prepare_dataset, sgd_step
     from sirank.trainer import DEFAULT_LEARNING_RATES, _softrank_indices
 
     # a tree whose backward cannot write into a given vector gets a fresh one per step
     reuses_grads = "grads" in inspect.signature(backward).parameters
+    # a tree whose losses read a label vector gets the query's labels instead of an index
+    takes_booked = "booked" in inspect.signature(ranknet_loss).parameters
     ds = sr.generate(sr.GeneratorConfig(num_queries=sizes["queries"], seed=seed))
     train_raw, _, _ = sr.split_holdout(ds, seed=seed)
     samples: dict[str, list[float]] = {}
@@ -61,14 +63,15 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
         epoch_rng = np.random.default_rng([seed, 0])
         for qi in epoch_rng.permutation(len(train_ds)):
             q = train_ds.queries[qi]
-            item_indices, labels = None, q.labels
+            item_indices = None
+            target = int(block.booked[qi] - block.offsets[qi]) if takes_booked else q.labels
             if loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
                 item_indices = _softrank_indices(q, epoch_rng)
-                labels = labels[item_indices]
+                target = item_indices.index(target) if takes_booked else target[item_indices]
             t0 = time.perf_counter()
             scores, cache = forward_block(model, block, qi, item_indices)
             t1 = time.perf_counter()
-            out = loss_fn(scores, labels)
+            out = loss_fn(scores, target)
             t2 = time.perf_counter()
             if reuses_grads:
                 step_grads = backward(model, cache, out.score_gradients, grads)

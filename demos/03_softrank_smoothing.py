@@ -8,20 +8,20 @@ hard NDCG while staying differentiable.
 
 import numpy as np
 
-from sirank import Ranking, ndcg, rank, rank_distribution, softrank_objective
+from sirank import ndcg, rank, rank_distribution, softrank_objective
 
 
 def main():
     scores = np.array([0.9, 1.1, 0.2])
-    labels = np.array([0.0, 1.0, 0.0])
+    booked = 1
 
-    print(f"scores {scores.tolist()}, booked item 1")
-    hard = ndcg(rank(scores), labels)
+    print(f"scores {scores.tolist()}, booked item {booked}")
+    hard = ndcg(rank(scores), np.eye(3)[booked])
     print(f"hard NDCG: {hard:.6f}\n")
 
     for sigma in (1.0, 0.3, 0.15, 0.02):
         dist = rank_distribution(scores, sigma=sigma)
-        out = softrank_objective(scores, labels, sigma=sigma)
+        out = softrank_objective(scores, booked, sigma=sigma)
         print(f"sigma={sigma:<5} smoothed NDCG {-out.value:.6f}")
         for j in range(3):
             print(f"   item {j}: rank probs {np.round(dist.probs[j], 4).tolist()}"

@@ -34,7 +34,7 @@ from .errors import (
 from .generator import GeneratorConfig, generate
 from .losses import DEFAULT_SOFTRANK_SIGMA, LOSS_NAMES
 from .metrics import mean_ndcg
-from .perturb import CASE_IDS, DEFAULT_RATE, PerturbationCase, apply_case
+from .perturb import CASE_IDS, DEFAULT_RATE, DEFAULT_TARGETS, PerturbationCase, apply_case
 from .scoring import (
     DEFAULT_L,
     DEFAULT_WIDTHS,
@@ -239,8 +239,8 @@ def cmd_perturb(args) -> int:
     _write_json(str(args.out) + ".meta.json", {
         "provenance": prov,
         "case": case.case_id,
-        "targets": list(case.targets),
-        "rate": case.rate,
+        "targets": list(DEFAULT_TARGETS),
+        "rate": DEFAULT_RATE,
         "n_queries": len(out_ds),
         "dataset_fingerprint": _file_fingerprint(args.out),
     })

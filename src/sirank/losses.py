@@ -1,13 +1,16 @@
 """Training objectives over per-item scores.
 
-Each loss returns its value together with analytic gradients w.r.t. the score
-vector; the trainer feeds those to the scorer's backward pass, so the losses
-stay plain numpy and are easy to check against finite differences.
+Each loss takes a query's scores and the index of its booked item among
+them, and returns its value together with analytic gradients w.r.t. the
+score vector; the trainer feeds those to the scorer's backward pass, so the
+losses stay plain numpy and are easy to check against finite differences.
+Labels are not read here: ``scoring.prepare_dataset`` enforces that each
+query has one item labelled 1 (booked) and the rest 0, and keeps its index.
 
-Pairs are only formed between the booked item and each non-booked item: items
-sharing a label are tied and contribute no pairwise loss. With binary labels
-and a single booked item that also collapses the listwise likelihood to its
-top-1 form.
+Pairs are only formed between the booked item and each non-booked item: the
+non-booked items are tied and contribute no pairwise loss. One booked item
+also collapses the listwise likelihood to its top-1 form, and makes every
+gain difference and every ideal DCG exactly 1.
 
 listnet and listmle take log-sum-exps through ``_logsumexp``, a numpy port
 of ``scipy.special.logsumexp``'s algorithm that gives the same bits on a
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, expit
 
-from .errors import DomainError, TrainingError, ValidationError
+from .errors import DomainError, TrainingError
 from .scoring import rank
 
 DEFAULT_SOFTRANK_SIGMA = 0.15
@@ -50,14 +53,11 @@ def _as_scores(scores) -> np.ndarray:
     return s
 
 
-def _booked_index(labels) -> tuple[np.ndarray, int]:
-    y = np.asarray(labels, dtype=np.float64)
-    booked = np.nonzero(y == 1.0)[0]
-    if booked.size == 0:
-        raise ValidationError("no booked item in labels")
-    if booked.size > 1 or np.any((y != 0.0) & (y != 1.0)):
-        raise ValidationError("labels must mark exactly one booked item")
-    return y, int(booked[0])
+def _scores_and_booked(scores, booked) -> tuple[np.ndarray, int]:
+    s = _as_scores(scores)
+    if not 0 <= booked < s.size:
+        raise DomainError(f"booked index {booked} out of range for {s.size} scores")
+    return s, int(booked)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -87,19 +87,16 @@ def _logsumexp(a: np.ndarray) -> np.float64:
 # pairwise
 
 
-def _weighted_pairwise_loss(scores, labels, pair_weights) -> LossOutput:
+def _weighted_pairwise_loss(scores, booked, pair_weights) -> LossOutput:
     """Sum over (booked, non-booked) pairs of w * log(1 + e^-(f_booked - f_other)),
-    with w = pair_weights(scores, y, booked, others) held constant in the
+    with w = pair_weights(scores, booked, others) held constant in the
     gradient."""
-    s = _as_scores(scores)
-    y, b = _booked_index(labels)
-    if s.size != y.size:
-        raise DomainError("scores and labels differ in length")
+    s, b = _scores_and_booked(scores, booked)
     index = np.arange(s.size)
     others = index[index != b]
     if others.size == 0:
         return LossOutput(value=0.0, score_gradients=np.zeros(1))
-    w = pair_weights(s, y, b, others)
+    w = pair_weights(s, b, others)
     d = s[b] - s[others]
     value = float(np.sum(w * _softplus(-d)))
     slope = w * expit(-d)  # w * (1 - P(booked beats other))
@@ -109,54 +106,45 @@ def _weighted_pairwise_loss(scores, labels, pair_weights) -> LossOutput:
     return LossOutput(value=value, score_gradients=grad)
 
 
-def _unit_weights(scores, y, b, others) -> np.ndarray:
+def _unit_weights(scores, b, others) -> np.ndarray:
     return np.ones(others.size)
 
 
-def ranknet_loss(scores, labels) -> LossOutput:
+def ranknet_loss(scores, booked) -> LossOutput:
     """Cross-entropy over (booked, non-booked) pairs with target probability 1.
 
     Each pair contributes log(1 + e^-(f_booked - f_other)).
     """
-    return _weighted_pairwise_loss(scores, labels, _unit_weights)
+    return _weighted_pairwise_loss(scores, booked, _unit_weights)
 
 
-def _ideal_dcg(y: np.ndarray) -> float:
-    gains = np.sort(2.0 ** y - 1.0)[::-1]
-    return float(np.sum(gains / np.log2(2.0 + np.arange(y.size))))
+def delta_ndcg_weights(scores: np.ndarray, b: int, others: np.ndarray) -> np.ndarray:
+    """|ΔNDCG| of swapping the booked item b with each partner, at the
+    current ranking's positions. With one booked item the gain difference
+    and the ideal DCG are both 1, so the delta is the discount difference."""
+    inv_disc = 1.0 / np.log2(1.0 + rank(scores).positions())
+    return np.abs(inv_disc[b] - inv_disc[others])
 
 
-def delta_ndcg_weights(scores: np.ndarray, y: np.ndarray, b: int,
-                       others: np.ndarray) -> np.ndarray:
-    """|ΔNDCG| of swapping the booked item with each partner, at the current
-    ranking's positions. Gains are 2^y - 1 and the normalizer is the ideal
-    DCG, so the weights are true NDCG deltas."""
-    positions = rank(scores).positions()
-    inv_disc = 1.0 / np.log2(1.0 + positions)
-    gains = 2.0 ** y - 1.0
-    ideal = _ideal_dcg(y)
-    return np.abs(gains[b] - gains[others]) * np.abs(inv_disc[b] - inv_disc[others]) / ideal
-
-
-def lambdarank_loss(scores, labels) -> LossOutput:
+def lambdarank_loss(scores, booked) -> LossOutput:
     """RankNet pairs reweighted by the NDCG swap each pair could cause.
 
     Positions are recomputed from the current scores on every call; the
     weights are treated as constants when differentiating.
     """
-    return _weighted_pairwise_loss(scores, labels, delta_ndcg_weights)
+    return _weighted_pairwise_loss(scores, booked, delta_ndcg_weights)
 
 
 # ---------------------------------------------------------------------------
 # listwise
 
 
-def listnet_loss(scores, labels) -> LossOutput:
-    """Cross-entropy between the label softmax and the score softmax."""
-    s = _as_scores(scores)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.size != y.size:
-        raise DomainError("scores and labels differ in length")
+def listnet_loss(scores, booked) -> LossOutput:
+    """Cross-entropy between the softmax of the one-hot label vector and the
+    score softmax."""
+    s, b = _scores_and_booked(scores, booked)
+    y = np.zeros(s.size)
+    y[b] = 1.0
     log_p = s - _logsumexp(s)
     target = np.exp(y - _logsumexp(y))
     value = float(-np.sum(target * log_p))
@@ -164,16 +152,13 @@ def listnet_loss(scores, labels) -> LossOutput:
     return LossOutput(value=value, score_gradients=grad)
 
 
-def listmle_loss(scores, labels) -> LossOutput:
+def listmle_loss(scores, booked) -> LossOutput:
     """Negative log-likelihood of the booked item heading the list.
 
     With ties skipped, only the booked item's position is supervised and the
     stagewise likelihood reduces to exp(f_booked) / sum_k exp(f_k).
     """
-    s = _as_scores(scores)
-    _, b = _booked_index(labels)
-    if s.size != np.asarray(labels).size:
-        raise DomainError("scores and labels differ in length")
+    s, b = _scores_and_booked(scores, booked)
     lse = _logsumexp(s)
     value = float(lse - s[b])
     grad = np.exp(s - lse)
@@ -247,45 +232,31 @@ def rank_distribution(scores, sigma: float) -> RankDistribution:
                                             for j in range(s.size)]))
 
 
-def softrank_objective(scores, labels, sigma: float = DEFAULT_SOFTRANK_SIGMA) -> LossOutput:
-    """Negative smoothed NDCG: the discount is averaged over each item's rank
-    distribution, which makes the metric differentiable in the scores."""
-    s = _as_scores(scores)
+def softrank_objective(scores, booked, sigma: float = DEFAULT_SOFTRANK_SIGMA) -> LossOutput:
+    """Negative smoothed NDCG: the discount is averaged over the booked
+    item's rank distribution, which makes the metric differentiable in the
+    scores. Only the booked item has a gain, and it and the ideal DCG are 1."""
+    s, b = _scores_and_booked(scores, booked)
     p_beats = _win_prob_matrix(s, sigma)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.size != y.size:
-        raise DomainError("scores and labels differ in length")
-    if not np.any(y > 0):
-        raise ValidationError("smoothed NDCG needs at least one positively labeled item")
-
     n = s.size
-    gains = 2.0 ** y - 1.0
-    g_max = _ideal_dcg(y)
     discounts = 1.0 / np.log2(2.0 + np.arange(n))
-    # d p_beats[k, j] / d s[k]; the derivative w.r.t. s[j] is its negation
-    pdf_scaled = (INV_2_SQRT_PI / sigma) * np.exp(
-        -((s[:, None] - s[None, :]) ** 2) / (4.0 * sigma * sigma))
+    # d p_beats[k, b] / d s[k]; the derivative w.r.t. s[b] is its negation
+    pdf_scaled = (INV_2_SQRT_PI / sigma) * np.exp(-((s - s[b]) ** 2) / (4.0 * sigma * sigma))
 
-    ndcg_val = 0.0
+    row, history = _opponent_fold(p_beats[:, b], b)
     grad = np.zeros(n)
-    for j in range(n):
-        if gains[j] == 0.0:
-            continue
-        row, history = _opponent_fold(p_beats[:, j], j)
-        ndcg_val += gains[j] / g_max * float(np.dot(row, discounts))
+    g_row = discounts
+    opponents = [k for k in range(n) if k != b]
+    for k, old in zip(reversed(opponents), reversed(history)):
+        p = p_beats[k, b]
+        g_p = float(np.dot(g_row[1:], old[:-1]) - np.dot(g_row, old))
+        g_old = g_row * (1.0 - p)
+        g_old[:-1] += g_row[1:] * p
+        grad[k] += g_p * pdf_scaled[k]
+        grad[b] -= g_p * pdf_scaled[k]
+        g_row = g_old
 
-        g_row = gains[j] / g_max * discounts
-        opponents = [k for k in range(n) if k != j]
-        for k, old in zip(reversed(opponents), reversed(history)):
-            p = p_beats[k, j]
-            g_p = float(np.dot(g_row[1:], old[:-1]) - np.dot(g_row, old))
-            g_old = g_row * (1.0 - p)
-            g_old[:-1] += g_row[1:] * p
-            grad[k] += g_p * pdf_scaled[k, j]
-            grad[j] -= g_p * pdf_scaled[k, j]
-            g_row = g_old
-
-    return LossOutput(value=-ndcg_val, score_gradients=-grad)
+    return LossOutput(value=-float(np.dot(row, discounts)), score_gradients=-grad)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +264,13 @@ def softrank_objective(scores, labels, sigma: float = DEFAULT_SOFTRANK_SIGMA) ->
 
 
 def loss_by_name(name: str, sigma: float = DEFAULT_SOFTRANK_SIGMA):
-    """Resolve a loss callable (scores, labels) -> LossOutput by its name."""
+    """Resolve a loss callable (scores, booked) -> LossOutput by its name."""
     table = {
         "ranknet": ranknet_loss,
         "lambdarank": lambdarank_loss,
         "listnet": listnet_loss,
         "listmle": listmle_loss,
-        "softrank": lambda s, y: softrank_objective(s, y, sigma=sigma),
+        "softrank": lambda s, b: softrank_objective(s, b, sigma=sigma),
     }
     if name not in table:
         raise DomainError(f"unknown loss {name!r}, expected one of {LOSS_NAMES}")

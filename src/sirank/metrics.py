@@ -3,7 +3,10 @@
 ``mean_ndcg`` evaluates a whole dataset in one batched pass: the scores of
 all item rows come from ``scoring.score_block`` (``EVAL_CHUNK_ROWS`` rows at
 a time) or from a callable ranker, and ``segment_ndcg`` takes every query's
-NDCG from its segment of the stacked rows at once.
+NDCG from its segment of the stacked rows at once. It reads only the row of
+each query's booked item: ``scoring.prepare_dataset`` (or, for a callable
+ranker, ``scoring.booked_rows``) enforces one booked item per query first.
+``ndcg`` keeps the general graded-gain formula and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from scipy.special import stdtr
 
 from .data import Dataset
 from .errors import DomainError, ValidationError
-from .scoring import DatasetBlock, Ranking, prepare_dataset, rank, score_block
+from .scoring import DatasetBlock, Ranking, booked_rows, prepare_dataset, rank, score_block
 
 
 def ndcg(ranking: Ranking, labels) -> float:
@@ -39,29 +42,23 @@ def ndcg(ranking: Ranking, labels) -> float:
     return dcg / idcg
 
 
-def segment_ndcg(scores: np.ndarray, labels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """``ndcg(rank(scores[a:b]), labels[a:b])`` for every query segment
-    ``a, b = offsets[i], offsets[i + 1]``: the same values, and the same
-    errors for a NaN score or a query without a positive label.
+def segment_ndcg(scores: np.ndarray, booked: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """NDCG of every query segment ``offsets[i]:offsets[i + 1]`` of
+    ``scores`` whose one booked item is row ``booked[i]``: the value of
+    ``ndcg(rank(segment), one-hot labels)``, and a NaN score raises the
+    same error.
 
-    With binary labels and one booked item per query, NDCG is
-    1/log2(1 + position), and the position is 1 plus the items that outrank
-    the booked one under ``rank``'s tie rule: a higher score, or an equal
-    score at a lower index. Any other labelling is ranked query by query.
+    With one booked item, NDCG is 1/log2(1 + position), and the position is
+    1 plus the items that outrank the booked one under ``rank``'s tie rule:
+    a higher score, or an equal score at a lower index.
     """
     if np.any(np.isnan(scores)):
         raise DomainError("cannot rank NaN scores")
     row_query = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    positives = np.bincount(row_query, weights=labels > 0, minlength=len(offsets) - 1)
-    if np.any(positives == 0):
-        raise ValidationError("ndcg needs at least one positively labeled item")
-    if np.any(positives != 1) or np.any((labels != 0.0) & (labels != 1.0)):
-        return np.array([ndcg(rank(scores[a:b]), labels[a:b])
-                         for a, b in zip(offsets[:-1], offsets[1:])])
-    booked = np.flatnonzero(labels)[row_query]
-    booked_score = scores[booked]
+    row_booked = booked[row_query]
+    booked_score = scores[row_booked]
     outranks = (scores > booked_score) | ((scores == booked_score)
-                                          & (np.arange(scores.size) < booked))
+                                          & (np.arange(scores.size) < row_booked))
     position = 1.0 + np.bincount(row_query, weights=outranks, minlength=len(offsets) - 1)
     return 1.0 / np.log2(1.0 + position)
 
@@ -85,7 +82,7 @@ def evaluate_block(model, block: DatasetBlock) -> EvalResult:
     """Per-query and mean NDCG of ``model`` on a dataset prepared by
     ``scoring.prepare_dataset``; the block can be scored again after the
     parameters change."""
-    return EvalResult.of(segment_ndcg(score_block(model, block), block.labels, block.offsets))
+    return EvalResult.of(segment_ndcg(score_block(model, block), block.booked, block.offsets))
 
 
 def mean_ndcg(model, dataset: Dataset) -> EvalResult:
@@ -93,21 +90,23 @@ def mean_ndcg(model, dataset: Dataset) -> EvalResult:
     one batched pass over its stacked item rows.
 
     model is either a SirModel or any callable mapping a query to a score
-    vector; the latter keeps oracle rankers easy to express.
+    vector; the latter keeps oracle rankers easy to express. Either way,
+    labels that do not mark exactly one booked item per query raise
+    ValidationError naming the first such query.
     """
     if not callable(model):
         return evaluate_block(model, prepare_dataset(model, dataset))
     if not dataset.queries:
         raise ValidationError("cannot evaluate a dataset without queries")
+    offsets = np.cumsum([0] + [q.n_items for q in dataset.queries])
+    booked = booked_rows(dataset.queries, offsets)
     parts = []
     for q in dataset.queries:
         scores = np.asarray(model(q), dtype=np.float64)
         if scores.shape != (q.n_items,):
             ndcg(rank(scores), q.labels)  # raises the error for a misshapen score vector
         parts.append(scores)
-    offsets = np.concatenate([[0], np.cumsum([q.n_items for q in dataset.queries])])
-    labels = np.concatenate([q.labels for q in dataset.queries])
-    return EvalResult.of(segment_ndcg(np.concatenate(parts), labels, offsets))
+    return EvalResult.of(segment_ndcg(np.concatenate(parts), booked, offsets))
 
 
 def random_ranker_mean_ndcg(dataset: Dataset) -> float:

@@ -1,9 +1,10 @@
 """Test-time rescaling of designated price-like features.
 
-Each case multiplies the target columns by a per-query scalar: the number of
-nights (1), the query's exchange rate (2), both in sequence (3), or one fixed
-conversion rate applied to every query (4). Multipliers come from stored
-per-query auxiliaries, never fresh randomness, so runs are reproducible.
+Each case multiplies the ``DEFAULT_TARGETS`` columns by a per-query scalar:
+the number of nights (1), the query's exchange rate (2), both in sequence
+(3), or one fixed conversion rate, ``DEFAULT_RATE``, applied to every query
+(4). Multipliers come from stored per-query auxiliaries, never fresh
+randomness, so runs are reproducible.
 Cases rescale raw values; a model standardizes its deep-path inputs from its
 own stats when it scores, so a perturbed split needs no re-standardizing.
 """
@@ -25,16 +26,10 @@ CASE_IDS = (1, 2, 3, 4)
 @dataclass(frozen=True)
 class PerturbationCase:
     case_id: int
-    targets: tuple[str, ...] = DEFAULT_TARGETS
-    rate: float = DEFAULT_RATE
 
     def __post_init__(self):
         if self.case_id not in CASE_IDS:
             raise ConfigError(f"case must be one of {CASE_IDS}, got {self.case_id}")
-        if not self.targets:
-            raise ConfigError("need at least one target feature")
-        if not (self.rate > 0):
-            raise ConfigError(f"rate must be > 0, got {self.rate}")
 
     def factors(self, query: QueryRecord) -> tuple[float, ...]:
         """Per-query multipliers, applied left to right."""
@@ -44,7 +39,7 @@ class PerturbationCase:
             return (float(query.exchange_rate),)
         if self.case_id == 3:
             return (float(query.num_nights), float(query.exchange_rate))
-        return (self.rate,)
+        return (DEFAULT_RATE,)
 
 
 def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
@@ -54,11 +49,11 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     array but the rescaled scale-variant one is shared with ``ds``.
     """
     sv_names = ds.schema.item_features_scalevariant
-    missing = sorted(set(case.targets) - set(sv_names))
+    missing = sorted(set(DEFAULT_TARGETS) - set(sv_names))
     if missing:
         raise ConfigError(f"target features {missing} are not scale-variant "
                           f"features of the schema (has {list(sv_names)})")
-    cols = np.array([sv_names.index(t) for t in case.targets], dtype=np.int64)
+    cols = np.array([sv_names.index(t) for t in DEFAULT_TARGETS], dtype=np.int64)
 
     queries = []
     with np.errstate(over="ignore"):  # an overflow is reported as a data error below

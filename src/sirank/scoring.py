@@ -10,11 +10,13 @@ prepared form: ``prepare_dataset`` stacks every query's item rows into a
 ``DatasetBlock`` with per-query offsets, standardizes the deep-path inputs
 from the model's stats (records stay raw), takes the logs of the wide inputs
 and runs the data checks once over the stack (the first bad query in dataset
-order names the error). ``forward_block`` scores one query's rows of a block
-for a training step; ``score_block`` scores every row, ``EVAL_CHUNK_ROWS``
-at a time, so the memory of an evaluation pass does not grow with the
-dataset; ``forward`` and ``score_query`` score one query through a
-one-query block. Training prepares both of its splits before the first
+order names the error). One of them is the label rule, every label 0 or 1
+and exactly one booked item per query, so a block keeps each query's booked
+row in place of its labels. ``forward_block`` scores one query's rows of a
+block for a training step; ``score_block`` scores every row,
+``EVAL_CHUNK_ROWS`` at a time, so the memory of an evaluation pass does not
+grow with the dataset; ``forward`` and ``score_query`` score one query
+through a one-query block. Training prepares both of its splits before the first
 step, so a bad record is reported before epoch 0. Batched scores match
 per-query ones to within a few ulps (matrix products of another shape sum
 in another order).
@@ -172,15 +174,16 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
 class DatasetBlock:
     """Every query of a dataset stacked for scoring, gathered and checked
     once. Query i owns item rows ``offsets[i]:offsets[i + 1]`` of
-    ``deep_items``, ``log_values`` and ``labels``; ``row_query`` maps each
-    item row to its query. Nothing in a block depends on the parameters, so
-    it can be scored again after every update."""
+    ``deep_items`` and ``log_values``, and ``booked[i]`` is the row of its
+    booked item; ``row_query`` maps each item row to its query. Nothing in a
+    block depends on the parameters, so it can be scored again after every
+    update."""
 
     deep_numeric: np.ndarray        # (Q, numeric query features)
     category_ids: np.ndarray        # (Q, categorical query features)
     deep_items: np.ndarray          # (N, deep-path item inputs)
     log_values: np.ndarray | None   # (N, K1 + K2); None for deep_only models
-    labels: np.ndarray              # (N,)
+    booked: np.ndarray              # (Q,)
     offsets: np.ndarray             # (Q + 1,)
     row_query: np.ndarray           # (N,)
 
@@ -194,7 +197,7 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     If a check fails, the error raised, and its message, are those of the
     first query in dataset order that fails one, for the first check it
     fails: an empty item list, a category id, a non-finite deep-path input,
-    a wide-path input that is not > 0.
+    a wide-path input that is not > 0, the label rule of ``booked_rows``.
     """
     stats = model.stats
     if stats is None:
@@ -234,8 +237,30 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     return DatasetBlock(
         deep_numeric=deep_numeric, category_ids=category_ids, deep_items=deep_items,
         log_values=None if wide_raw is None else np.log(wide_raw, out=wide_raw),
-        labels=np.concatenate([q.labels for q in queries]), offsets=offsets,
+        booked=booked_rows(queries, offsets), offsets=offsets,
         row_query=np.repeat(np.arange(len(queries)), sizes))
+
+
+def booked_rows(queries: list[QueryRecord], offsets: np.ndarray) -> np.ndarray:
+    """Row of each query's booked item among the queries' stacked item rows
+    (query i owns rows ``offsets[i]:offsets[i + 1]``). Every label must be 0
+    or 1 and each query must have exactly one 1; otherwise ValidationError
+    names the first query in order that breaks the rule."""
+    labels = np.concatenate([q.labels for q in queries])
+    booked = np.flatnonzero(labels == 1.0)
+    # every nonzero label is a 1, and the i-th 1 (they ascend) lies in query i's rows
+    if not (booked.size == np.count_nonzero(labels) == len(queries)
+            and (booked >= offsets[:-1]).all() and (booked < offsets[1:]).all()):
+        for q in queries:
+            _check_labels(q)
+    return booked
+
+
+def _check_labels(query: QueryRecord):
+    y = query.labels
+    if np.count_nonzero(y == 1.0) != 1 or not ((y == 0.0) | (y == 1.0)).all():
+        raise ValidationError(f"query {query.query_id}: labels must be 0 or 1 "
+                              "with exactly one booked item")
 
 
 def _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw):
@@ -254,6 +279,7 @@ def _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw
             j, kk = (int(v[0]) for v in np.nonzero(~(wide_raw[rows] > 0)))
             raise DomainError(f"query {q.query_id}, item {q.item_ids[j]}: wide-path feature "
                               f"{names[kk]!r} must be > 0, got {wide_raw[rows][j, kk]}")
+        _check_labels(q)
 
 
 # ---------------------------------------------------------------------------

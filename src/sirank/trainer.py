@@ -117,9 +117,9 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
 
     Both splits are prepared once, before the first step, so a bad record in
     either raises its data error before epoch 0; each step scores one
-    query's rows of the training block and writes its gradients into one
-    vector reused for every step, and every epoch scores the whole
-    validation block. The model standardizes with the training split's
+    query's rows of the training block, passes the loss its booked item's
+    index from the block and writes its gradients into one vector reused for
+    every step, and every epoch scores the whole validation block. The model standardizes with the training split's
     stats; the validation split's stats, if any, are not read. Returns the
     model restored to its best-validation epoch.
     """
@@ -142,6 +142,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     train_block = prepare_dataset(model, train_ds)
     val_block = prepare_dataset(model, val_ds)
     grads = model.params.zeros_like()
+    booked_items = (train_block.booked - train_block.offsets[:-1]).tolist()
     bad_epochs = 0
     stopping = "max_epochs"
 
@@ -152,15 +153,15 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
         for qi in order:
             q = train_ds.queries[qi]
             item_indices = None
-            labels = q.labels
+            booked = booked_items[qi]
             if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
                 item_indices = _softrank_indices(q, epoch_rng)
-                labels = labels[item_indices]
+                booked = item_indices.index(booked)
             try:
                 scores, cache = forward_block(model, train_block, qi, item_indices)
                 if not np.all(np.isfinite(scores)):
                     raise TrainingError("scores became non-finite; training diverged")
-                out = loss_fn(scores, labels)
+                out = loss_fn(scores, booked)
                 sgd_step(model.params, backward(model, cache, out.score_gradients, grads), lr)
             except (TrainingError, DomainError) as exc:
                 raise TrainingError(

@@ -50,6 +50,19 @@ def hand_dataset(n_queries=12, seed=0, items=(3, 6)) -> Dataset:
     return Dataset(schema=schema, queries=queries)
 
 
+LABEL_BREAKS = ("two_booked", "none_booked", "label_of_two")
+
+
+def break_labels(q: QueryRecord, case: str):
+    """Give q (of at least two items) labels that break the one-booked-item
+    rule in the way ``case`` names."""
+    booked, other = q.booked_index, (q.booked_index + 1) % q.n_items
+    labels = np.zeros(q.n_items)
+    labels[booked] = 0.0 if case == "none_booked" else 1.0
+    labels[other] = {"two_booked": 1.0, "label_of_two": 2.0}.get(case, 0.0)
+    q.labels = labels
+
+
 def standardized(q: QueryRecord, stats):
     """Query q's standardized numerics and fixed item features, by the
     per-query formulas: (x - mean) / std with the train-split stats."""

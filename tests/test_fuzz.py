@@ -115,7 +115,8 @@ def check(argv):
 @SETTINGS
 @given(data=st.data())
 def test_mutated_records_end_in_an_exit_code(files, data):
-    lines = open(files["data.jsonl"]).read().splitlines()
+    with open(files["data.jsonl"]) as fh:
+        lines = fh.read().splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))
     action = data.draw(st.sampled_from(["mutate", "mutate", "mutate", "drop", "repeat",
                                         "truncate", "odd_line"]))
@@ -140,7 +141,8 @@ def test_mutated_records_end_in_an_exit_code(files, data):
 @SETTINGS
 @given(data=st.data())
 def test_mutated_schemas_end_in_an_exit_code(files, data):
-    obj = mutate(data, json.load(open(files["data.schema.json"])))
+    with open(files["data.schema.json"]) as fh:
+        obj = mutate(data, json.load(fh))
     bad = files["bad"] + ".schema.json"
     with open(bad, "w") as fh:
         json.dump(obj, fh)
@@ -153,7 +155,8 @@ def test_mutated_schemas_end_in_an_exit_code(files, data):
 @given(data=st.data())
 def test_mutated_checkpoints_end_in_an_exit_code(files, data):
     mode = data.draw(st.sampled_from(["sir", "deep_only"]))
-    obj = mutate(data, json.load(open(files[f"{mode}.json"])))
+    with open(files[f"{mode}.json"]) as fh:
+        obj = mutate(data, json.load(fh))
     bad = files["bad"] + ".model.json"
     with open(bad, "w") as fh:
         json.dump(obj, fh)

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import erfc, expit, logsumexp
 
-from sirank.errors import DomainError, ValidationError
+from sirank.errors import DomainError
 from sirank.losses import (
-    DEFAULT_SOFTRANK_SIGMA,
+    INV_2_SQRT_PI,
     LOSS_NAMES,
+    SQRT2,
     LossOutput,
     _logsumexp,
+    _opponent_fold,
     lambdarank_loss,
     listmle_loss,
     listnet_loss,
@@ -20,27 +22,25 @@ from sirank.losses import (
     ranknet_loss,
     softrank_objective,
 )
+from sirank.scoring import rank
 
 
-def fd_grad(loss_fn, scores, labels, h=1e-5):
+def fd_grad(loss_fn, scores, booked, h=1e-5):
     g = np.zeros_like(scores)
     for i in range(scores.size):
         up = scores.copy()
         up[i] += h
         dn = scores.copy()
         dn[i] -= h
-        g[i] = (loss_fn(up, labels).value - loss_fn(dn, labels).value) / (2 * h)
+        g[i] = (loss_fn(up, booked).value - loss_fn(dn, booked).value) / (2 * h)
     return g
 
 
-def assert_grad_close(loss_fn, scores, labels, tol=1e-4):
-    analytic = loss_fn(scores, labels).score_gradients
-    numeric = fd_grad(loss_fn, scores, labels)
+def assert_grad_close(loss_fn, scores, booked, tol=1e-4):
+    analytic = loss_fn(scores, booked).score_gradients
+    numeric = fd_grad(loss_fn, scores, booked)
     err = np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic)))
     assert err < tol, f"gradient mismatch {err}"
-
-
-BOOKED3 = np.array([1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -48,31 +48,24 @@ BOOKED3 = np.array([1.0, 0.0, 0.0])
 
 
 def test_ranknet_even_pair_is_log2():
-    out = ranknet_loss(np.array([0.3, 0.3]), np.array([1.0, 0.0]))
+    out = ranknet_loss(np.array([0.3, 0.3]), 0)
     assert out.value == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_ranknet_saturated_pair_vanishes():
-    out = ranknet_loss(np.array([60.0, 0.0]), np.array([1.0, 0.0]))
+    out = ranknet_loss(np.array([60.0, 0.0]), 0)
     assert out.value < 1e-20
     assert np.max(np.abs(out.score_gradients)) < 1e-20
 
 
 def test_ranknet_three_items_matches_scalar_expansion():
     scores = np.array([1.0, 0.0, -1.0])
-    out = ranknet_loss(scores, BOOKED3)
+    out = ranknet_loss(scores, 0)
     # oracle: expand the two (booked, other) logistic terms by hand
     expected = math.log(1.0 + math.exp(-1.0)) + math.log(1.0 + math.exp(-2.0))
     assert out.value == pytest.approx(expected, abs=1e-12)
     g1 = -1.0 / (1.0 + math.exp(1.0)) - 1.0 / (1.0 + math.exp(2.0))
     assert out.score_gradients[0] == pytest.approx(g1, abs=1e-12)
-
-
-def test_ranknet_requires_single_booked():
-    with pytest.raises(ValidationError):
-        ranknet_loss(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValidationError):
-        ranknet_loss(np.zeros(3), np.array([1.0, 1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +74,7 @@ def test_ranknet_requires_single_booked():
 
 def test_lambdarank_adjacent_swap_weight():
     scores = np.array([2.0, 1.0])
-    out = lambdarank_loss(scores, np.array([1.0, 0.0]))
+    out = lambdarank_loss(scores, 0)
     w = abs(1.0 / math.log2(2.0) - 1.0 / math.log2(3.0))
     assert w == pytest.approx(0.3690702464, abs=1e-9)
     assert out.value == pytest.approx(w * math.log(1.0 + math.exp(-1.0)), abs=1e-12)
@@ -89,8 +82,7 @@ def test_lambdarank_adjacent_swap_weight():
 
 def test_lambdarank_three_items_matches_pairwise_oracle():
     scores = np.array([0.2, 1.4, -0.5])
-    labels = np.array([1.0, 0.0, 0.0])
-    out = lambdarank_loss(scores, labels)
+    out = lambdarank_loss(scores, 0)
     # positions under descending sort: item1 first, item0 second, item2 third
     pos = {1: 1, 0: 2, 2: 3}
     expected = 0.0
@@ -103,7 +95,7 @@ def test_lambdarank_three_items_matches_pairwise_oracle():
 def test_lambdarank_weights_shrink_with_distance_alignment():
     # booked already on top: swapping with the far item moves NDCG more
     scores = np.array([3.0, 2.0, 1.0])
-    out_near = lambdarank_loss(scores, np.array([1.0, 0.0, 0.0]))
+    out_near = lambdarank_loss(scores, 0)
     assert out_near.value > 0
 
 
@@ -112,11 +104,10 @@ def test_lambdarank_gradient_matches_fd():
     for _ in range(10):
         n = int(rng.integers(2, 7))
         scores = rng.normal(size=n) * 2.0
-        labels = np.zeros(n)
-        labels[rng.integers(n)] = 1.0
+        booked = int(rng.integers(n))
         if np.min(np.abs(np.subtract.outer(scores, scores) + np.eye(n))) < 1e-3:
             continue  # keep the current ranking stable under the probe step
-        assert_grad_close(lambdarank_loss, scores, labels)
+        assert_grad_close(lambdarank_loss, scores, booked)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +118,7 @@ def test_listnet_booked_target_on_25():
     labels = np.zeros(25)
     labels[7] = 1.0
     scores = labels.copy()  # prediction equals target distribution
-    out = listnet_loss(scores, labels)
+    out = listnet_loss(scores, 7)
     t = math.e / (math.e + 24.0)
     u = 1.0 / (math.e + 24.0)
     assert t == pytest.approx(0.10175, abs=5e-5)
@@ -138,20 +129,20 @@ def test_listnet_booked_target_on_25():
 def test_listnet_cross_entropy_is_minimized_at_target():
     labels = np.zeros(6)
     labels[2] = 1.0
-    at_target = listnet_loss(labels.copy(), labels).value
+    at_target = listnet_loss(labels.copy(), 2).value
     rng = np.random.default_rng(32)
     for _ in range(20):
-        assert listnet_loss(labels + rng.normal(size=6) * 0.5, labels).value >= at_target - 1e-12
+        assert listnet_loss(labels + rng.normal(size=6) * 0.5, 2).value >= at_target - 1e-12
 
 
 def test_listnet_uniform_two_items():
-    out = listnet_loss(np.array([0.4, 0.4]), np.array([1.0, 0.0]))
+    out = listnet_loss(np.array([0.4, 0.4]), 0)
     assert out.value == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_listnet_empty_rejected():
     with pytest.raises(DomainError):
-        listnet_loss(np.array([]), np.array([]))
+        listnet_loss(np.array([]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +150,19 @@ def test_listnet_empty_rejected():
 
 
 def test_listmle_even_pair():
-    out = listmle_loss(np.array([1.1, 1.1]), np.array([1.0, 0.0]))
+    out = listmle_loss(np.array([1.1, 1.1]), 0)
     assert out.value == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_listmle_saturated():
-    out = listmle_loss(np.array([80.0, 0.0, 0.0]), BOOKED3)
+    out = listmle_loss(np.array([80.0, 0.0, 0.0]), 0)
     assert out.value < 1e-20
 
 
 def test_listmle_matches_logsumexp_oracle():
     rng = np.random.default_rng(33)
     scores = rng.normal(size=4)
-    labels = np.array([0.0, 0.0, 1.0, 0.0])
-    out = listmle_loss(scores, labels)
+    out = listmle_loss(scores, 2)
     lse = math.log(sum(math.exp(v) for v in scores))
     assert out.value == pytest.approx(lse - scores[2], abs=1e-12)
 
@@ -285,12 +275,12 @@ def test_rank_distribution_matches_monte_carlo():
 
 def test_softrank_point_mass_limit():
     scores = np.array([30.0, 0.0, -5.0, 2.0])
-    out = softrank_objective(scores, np.array([1.0, 0.0, 0.0, 0.0]), sigma=0.15)
+    out = softrank_objective(scores, 0, sigma=0.15)
     assert out.value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_softrank_two_equal_scores():
-    out = softrank_objective(np.array([0.0, 0.0]), np.array([1.0, 0.0]), sigma=0.15)
+    out = softrank_objective(np.array([0.0, 0.0]), 0, sigma=0.15)
     expected = -0.5 * (1.0 + 1.0 / math.log2(3.0))
     assert out.value == pytest.approx(expected, abs=1e-9)
     assert out.value == pytest.approx(-0.81546, abs=5e-6)
@@ -298,34 +288,20 @@ def test_softrank_two_equal_scores():
 
 def test_softrank_gradient_matches_fd_four_items():
     scores = np.array([0.4, 0.1, -0.3, 0.2])
-    labels = np.array([0.0, 1.0, 0.0, 0.0])
-    assert_grad_close(lambda s, y: softrank_objective(s, y, sigma=0.15), scores, labels)
-
-
-def test_softrank_graded_labels_gradient():
-    rng = np.random.default_rng(37)
-    scores = rng.normal(size=5) * 0.4
-    labels = np.array([2.0, 1.0, 0.0, 1.0, 0.0])
-    assert_grad_close(lambda s, y: softrank_objective(s, y, sigma=0.2), scores, labels)
-
-
-def test_softrank_needs_positive_label():
-    with pytest.raises(ValidationError):
-        softrank_objective(np.zeros(3), np.zeros(3))
+    assert_grad_close(lambda s, b: softrank_objective(s, b, sigma=0.15), scores, 1)
 
 
 def test_softrank_rejects_bad_sigma():
     with pytest.raises(DomainError):
-        softrank_objective(np.zeros(2), np.array([1.0, 0.0]), sigma=-1.0)
+        softrank_objective(np.zeros(2), 0, sigma=-1.0)
 
 
 def test_softrank_bounded_below_by_minus_one():
     rng = np.random.default_rng(38)
     for _ in range(20):
         n = int(rng.integers(2, 9))
-        labels = np.zeros(n)
-        labels[rng.integers(n)] = 1.0
-        out = softrank_objective(rng.normal(size=n), labels, sigma=0.15)
+        booked = int(rng.integers(n))
+        out = softrank_objective(rng.normal(size=n), booked, sigma=0.15)
         assert out.value >= -1.0 - 1e-12
 
 
@@ -336,9 +312,7 @@ def test_softrank_bounded_below_by_minus_one():
 def random_case(rng):
     n = int(rng.integers(2, 7))
     scores = rng.normal(size=n) * 1.5
-    labels = np.zeros(n)
-    labels[rng.integers(n)] = 1.0
-    return scores, labels
+    return scores, int(rng.integers(n))
 
 
 @pytest.mark.parametrize("name", LOSS_NAMES)
@@ -347,11 +321,11 @@ def test_every_loss_gradient_matches_fd(name):
     fn = loss_by_name(name)
     checked = 0
     while checked < 8:
-        scores, labels = random_case(rng)
+        scores, booked = random_case(rng)
         gaps = np.abs(np.subtract.outer(scores, scores)) + np.eye(scores.size)
         if name == "lambdarank" and gaps.min() < 1e-3:
             continue
-        assert_grad_close(fn, scores, labels)
+        assert_grad_close(fn, scores, booked)
         checked += 1
 
 
@@ -360,9 +334,9 @@ def test_every_loss_is_translation_invariant(name):
     rng = np.random.default_rng(hash(name) % 2**31)
     fn = loss_by_name(name)
     for shift in (-7.0, 0.3, 42.0):
-        scores, labels = random_case(rng)
-        base = fn(scores, labels)
-        moved = fn(scores + shift, labels)
+        scores, booked = random_case(rng)
+        base = fn(scores, booked)
+        moved = fn(scores + shift, booked)
         assert moved.value == pytest.approx(base.value, abs=1e-9)
         np.testing.assert_allclose(moved.score_gradients, base.score_gradients, atol=1e-9)
 
@@ -372,11 +346,92 @@ def test_pairwise_losses_positive_unless_saturated(name):
     fn = loss_by_name(name)
     rng = np.random.default_rng(39)
     for _ in range(15):
-        scores, labels = random_case(rng)
-        scores[np.argmax(labels)] = np.min(scores) - 0.5  # booked not dominant
-        assert fn(scores, labels).value > 0
+        scores, booked = random_case(rng)
+        scores[booked] = np.min(scores) - 0.5  # booked not dominant
+        assert fn(scores, booked).value > 0
 
 
 def test_loss_output_rejects_non_finite():
     with pytest.raises(Exception):
         LossOutput(value=float("nan"), score_gradients=np.zeros(2))
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_every_loss_rejects_booked_index_out_of_range(name):
+    fn = loss_by_name(name)
+    scores = np.array([0.3, -0.2, 1.1])
+    for booked in (-1, scores.size):
+        with pytest.raises(DomainError, match=f"booked index {booked} out of range"):
+            fn(scores, booked)
+
+
+# graded-gain reference: lambdarank and softrank as they were written for any
+# labelling, with gains 2^y - 1 and the ideal DCG as normalizer
+
+
+def graded_ideal_dcg(y):
+    gains = np.sort(2.0 ** y - 1.0)[::-1]
+    return float(np.sum(gains / np.log2(2.0 + np.arange(y.size))))
+
+
+def graded_lambdarank(s, y):
+    b = int(np.flatnonzero(y == 1.0)[0])
+    index = np.arange(s.size)
+    others = index[index != b]
+    if others.size == 0:
+        return 0.0, np.zeros(1)
+    inv_disc = 1.0 / np.log2(1.0 + rank(s).positions())
+    gains = 2.0 ** y - 1.0
+    w = (np.abs(gains[b] - gains[others]) * np.abs(inv_disc[b] - inv_disc[others])
+         / graded_ideal_dcg(y))
+    d = s[b] - s[others]
+    slope = w * expit(-d)
+    grad = np.zeros(s.size)
+    grad[others] = slope
+    grad[b] = -float(np.sum(slope))
+    return float(np.sum(w * np.logaddexp(0.0, -d))), grad
+
+
+def graded_softrank(s, y, sigma):
+    n = s.size
+    p_beats = 0.5 * erfc(-((s[:, None] - s[None, :]) / (sigma * SQRT2)) / SQRT2)
+    gains = 2.0 ** y - 1.0
+    g_max = graded_ideal_dcg(y)
+    discounts = 1.0 / np.log2(2.0 + np.arange(n))
+    pdf_scaled = (INV_2_SQRT_PI / sigma) * np.exp(
+        -((s[:, None] - s[None, :]) ** 2) / (4.0 * sigma * sigma))
+    ndcg_val = 0.0
+    grad = np.zeros(n)
+    for j in range(n):
+        if gains[j] == 0.0:
+            continue
+        row, history = _opponent_fold(p_beats[:, j], j)
+        ndcg_val += gains[j] / g_max * float(np.dot(row, discounts))
+        g_row = gains[j] / g_max * discounts
+        opponents = [k for k in range(n) if k != j]
+        for k, old in zip(reversed(opponents), reversed(history)):
+            p = p_beats[k, j]
+            g_p = float(np.dot(g_row[1:], old[:-1]) - np.dot(g_row, old))
+            g_old = g_row * (1.0 - p)
+            g_old[:-1] += g_row[1:] * p
+            grad[k] += g_p * pdf_scaled[k, j]
+            grad[j] -= g_p * pdf_scaled[k, j]
+            g_row = g_old
+    return -ndcg_val, -grad
+
+
+def test_one_booked_losses_are_bitwise_the_graded_formulas():
+    rng = np.random.default_rng(40)
+    for trial in range(2000):
+        n = int(rng.integers(1, 26))
+        scores = rng.normal(size=n) * 10.0 ** rng.uniform(-2, math.log10(30.0))
+        if trial % 3 == 1:  # ties, some with the booked item
+            scores = np.round(scores, 0)
+        booked = int(rng.integers(n))
+        labels = (np.arange(n) == booked).astype(np.float64)
+        for got, (value, grad) in ((lambdarank_loss(scores, booked),
+                                    graded_lambdarank(scores, labels)),
+                                   (softrank_objective(scores, booked, sigma=0.15),
+                                    graded_softrank(scores, labels, 0.15))):
+            assert np.float64(got.value).tobytes() == np.float64(value).tobytes(), scores
+            assert got.score_gradients.tobytes() == grad.tobytes(), scores

@@ -187,19 +187,8 @@ def test_batched_ndcg_keeps_per_query_errors():
     with pytest.raises(DomainError):
         mean_ndcg(lambda q: np.zeros(q.n_items + 1), ds)
     ds.queries[2].labels = np.zeros(ds.queries[2].n_items)
-    with pytest.raises(ValidationError, match="positively labeled"):
+    with pytest.raises(ValidationError, match=rf"^query {ds.queries[2].query_id}: labels must"):
         mean_ndcg(lambda q: q.labels, ds)
-
-
-def test_batched_ndcg_graded_labels_match_per_query():
-    ds = prepared_dataset(n=8, seed=34)
-    rng = np.random.default_rng(35)
-    for q in ds.queries:
-        q.labels = rng.integers(0, 3, size=q.n_items).astype(float)
-        q.labels[0] = 2.0
-    score = lambda q: np.log(q.scalevariant[:, 1])
-    res = mean_ndcg(score, ds)
-    assert res.per_query.tolist() == [ndcg(rank(score(q)), q.labels) for q in ds.queries]
 
 
 def test_eval_result_json():

@@ -22,7 +22,7 @@ from sirank.scoring import (
     score_query,
 )
 
-from conftest import hand_dataset, standardized, without_wide
+from conftest import LABEL_BREAKS, break_labels, hand_dataset, standardized, without_wide
 
 SCALES = (1e-2, 0.5, 7.0, 1200.0)
 
@@ -398,10 +398,12 @@ def _break_query(q, case):
     elif case == "non_finite_deep_input":
         q.fixed = q.fixed.copy()
         q.fixed[1, 0] = np.inf
+    else:
+        break_labels(q, case)
 
 
 @pytest.mark.parametrize("case", ["category_out_of_range", "nonpositive_wide_value",
-                                  "non_finite_deep_input"])
+                                  "non_finite_deep_input", *LABEL_BREAKS])
 def test_batched_checks_raise_what_prepare_query_raises(case):
     ds = prepared(seed=21, n_queries=8)
     model = small_model(ds)
@@ -420,6 +422,10 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
         assert str(batched.value).startswith(
             f"query {ds.queries[3].query_id}, item {ds.queries[3].item_ids[2]}: "
             f"wide-path feature 'discount'")
+    if case in LABEL_BREAKS:
+        assert batched.type is ValidationError
+        assert str(batched.value) == (f"query {ds.queries[3].query_id}: labels must be 0 or 1 "
+                                      "with exactly one booked item")
 
 
 def test_batched_path_needs_scalevariant_stats_and_queries():

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from sirank.data import apply_standardization, fit_standardization, split_holdout
-from sirank.errors import ConfigError, ContractError, DomainError, TrainingError
+from sirank.errors import ConfigError, ContractError, DomainError, TrainingError, ValidationError
 from sirank.generator import GeneratorConfig, generate
 from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
 from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
 import sirank.metrics
 import sirank.scoring
 import sirank.trainer
-from sirank.scoring import backward, build_model, forward
+from sirank.scoring import backward, build_model, forward, prepare_dataset
 from sirank.trainer import (
     DEFAULT_LEARNING_RATES,
     ExperimentConfig,
@@ -26,6 +26,8 @@ from sirank.trainer import (
     run_experiment,
     train,
 )
+
+from conftest import LABEL_BREAKS, break_labels
 
 
 def prepared(num_queries=60, seed=11, include_scalevariant=False, split_seed=0):
@@ -146,12 +148,12 @@ def reference_epochs(train_ds, config):
         total = 0.0
         for qi in epoch_rng.permutation(len(train_ds)):
             q = train_ds.queries[qi]
-            rows, labels = None, q.labels
+            rows, booked = None, q.booked_index
             if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
                 rows = _softrank_indices(q, epoch_rng)
-                labels = labels[rows]
+                booked = rows.index(booked)
             scores, cache = forward(model, q, rows)
-            out = loss_fn(scores, labels)
+            out = loss_fn(scores, booked)
             grads = backward(model, cache, out.score_gradients)
             for name, value in model.params.items():
                 value -= lr * grads[name]
@@ -178,6 +180,22 @@ def test_train_is_bitwise_equal_to_reference_loop(loss, mode):
     assert list(model.params) == list(want)
     for name, value in model.params.items():
         assert value.tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("case", LABEL_BREAKS)
+def test_label_rule_is_enforced_where_data_is_prepared(case):
+    tr, va, _, _ = prepared(num_queries=40)
+    bad = tr.queries[3]
+    break_labels(bad, case)
+    break_labels(tr.queries[7], "none_booked")  # a later bad query is not the one named
+    model = build_model(tr.schema, widths=(8, 4), compressor_dim=2, stats=tr.stats)
+    cfg = TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1)
+    for call in (lambda: prepare_dataset(model, tr), lambda: train(tr, va, cfg),
+                 lambda: mean_ndcg(model, tr),
+                 lambda: mean_ndcg(lambda q: np.zeros(q.n_items), tr)):
+        with pytest.raises(ValidationError, match=rf"^query {bad.query_id}: labels must be "
+                                                  r"0 or 1 with exactly one booked item$"):
+            call()
 
 
 def test_bad_record_found_in_training_names_epoch_query_and_feature(monkeypatch):
