@@ -4,7 +4,10 @@ the pooled repeats, printed and optionally written as JSON.
 
 A bench script defines ``SIZES`` (named input sizes, ``full`` and ``smoke``)
 and ``measure(sizes, repeats, seed) -> {metric: [one sample per repeat]}``,
-and calls ``main(__file__, doc, SIZES, measure, unit)``.
+and calls ``main(__file__, doc, SIZES, measure, unit)``. It may also pass
+``single_run(src, seed) -> {"command": ..., "metrics": {metric: value}}``,
+which runs once per tree after the repeats (not with ``--smoke``) and is
+reported under the tree's ``single_run`` key: one run, no median.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ def run_worker(script: Path, src: Path, size: str, repeats: int, seed: int) -> t
     return result["samples"], result["env"]
 
 
-def main(script: str, doc: str, sizes: dict, measure, unit: tuple[str, float]) -> int:
+def main(script: str, doc: str, sizes: dict, measure, unit: tuple[str, float],
+         units: dict[str, tuple[str, float]] | None = None, single_run=None) -> int:
     """Run ``measure`` in workers and report it; ``unit`` is the printed
-    unit and the factor that turns a sample into it."""
+    unit and the factor that turns a sample into it, and ``units`` overrides
+    it per metric."""
     script = Path(script).resolve()
     parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("--src", action="append", type=Path, default=None,
@@ -86,21 +91,28 @@ def main(script: str, doc: str, sizes: dict, measure, unit: tuple[str, float]) -
               "runs": [{"src": label,
                         "metrics": {name: summarize(v) for name, v in pooled[src].items()}}
                        for label, src in zip(labels, srcs)]}
+    if single_run is not None and not args.smoke:
+        for run, src in zip(report["runs"], srcs):
+            run["single_run"] = single_run(src, args.seed)
     if len(srcs) > 1:
         first, last = report["runs"][0]["metrics"], report["runs"][-1]["metrics"]
         report["median_ratio_last_to_first"] = {
-            name: last[name]["median"] / first[name]["median"] for name in first if name in last}
+            name: last[name]["median"] / first[name]["median"]
+            for name in first if name in last and first[name]["median"]}
     print(f"python {env['python']}, numpy {env['numpy']}, {env['cpu_count']} CPUs "
           f"({env['cpus_usable']} usable), BLAS threads 1; size {size}, "
           f"medians of {repeats * rounds} repeats")
     names = list(report["runs"][0]["metrics"])
     width = max(len(n) for n in names)
-    label, factor = unit
     print(f"{'metric':<{width}} " + " ".join(f"{run['src'][-24:]:>24}" for run in report["runs"]))
     for name in names:
+        label, factor = (units or {}).get(name, unit)
         cells = [run["metrics"].get(name) for run in report["runs"]]
         print(f"{name:<{width}} " + " ".join(
             f"{c['median'] * factor:>21.2f} {label:<2}" if c else f"{'-':>24}" for c in cells))
+    for run in report["runs"]:
+        for name, value in run.get("single_run", {}).get("metrics", {}).items():
+            print(f"{name} (single run) {run['src']}: {value:.2f}")
     if args.out:
         args.out.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.out}")

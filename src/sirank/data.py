@@ -17,6 +17,9 @@ from .errors import ContractError, ParseError, SchemaError, ValidationError
 MAX_ITEMS_PER_QUERY = 25
 MIN_ITEMS_PER_QUERY = 2
 MAX_EMBEDDING_VALUES = 10 ** 7  # values in one embedding table or dense weight
+# A rescale that takes a scale-variant value below the smallest normal float64
+# is refused: log of a subnormal loses the precision exact invariance needs.
+SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 def _is_int(v) -> bool:

@@ -19,6 +19,9 @@ from .errors import ConfigError, DomainError, ValidationError
 
 CURRENCY_TABLE = (1.0, 0.85, 0.75, 1.3, 7.1, 18.0, 83.0, 110.0, 1200.0, 0.9)
 MAX_NIGHTS = 14
+# Queries one generate call may make: a larger corpus is refused up front
+# rather than generated for a very long time.
+MAX_QUERIES = 100_000
 
 NUMERIC_NAMES = (
     "num_nights", "exchange_rate", "lead_days", "party_size", "stay_weekend_frac",
@@ -80,8 +83,8 @@ class GeneratorConfig:
     utility_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.num_queries < 1:
-            raise ConfigError("num_queries must be positive")
+        if not 1 <= self.num_queries <= MAX_QUERIES:
+            raise ConfigError(f"num_queries must be in [1, {MAX_QUERIES}], got {self.num_queries}")
         if not (2 <= self.items_min <= self.items_max <= 25):
             raise ConfigError(f"items per query must satisfy 2 <= min <= max <= 25, "
                               f"got [{self.items_min}, {self.items_max}]")

@@ -18,7 +18,7 @@ from scipy.special import stdtr
 
 from .data import Dataset
 from .errors import DomainError, ValidationError
-from .scoring import DatasetBlock, Ranking, booked_rows, prepare_dataset, rank, score_block
+from .scoring import DatasetBlock, Ranking, booked_rows, prepare_dataset, score_block
 
 
 def ndcg(ranking: Ranking, labels) -> float:
@@ -90,9 +90,10 @@ def mean_ndcg(model, dataset: Dataset) -> EvalResult:
     one batched pass over its stacked item rows.
 
     model is either a SirModel or any callable mapping a query to a score
-    vector; the latter keeps oracle rankers easy to express. Either way,
-    labels that do not mark exactly one booked item per query raise
-    ValidationError naming the first such query.
+    vector; the latter keeps oracle rankers easy to express, and a vector
+    that is not one score per item raises ValidationError naming the query.
+    Either way, labels that do not mark exactly one booked item per query
+    raise ValidationError naming the first such query.
     """
     if not callable(model):
         return evaluate_block(model, prepare_dataset(model, dataset))
@@ -104,7 +105,8 @@ def mean_ndcg(model, dataset: Dataset) -> EvalResult:
     for q in dataset.queries:
         scores = np.asarray(model(q), dtype=np.float64)
         if scores.shape != (q.n_items,):
-            ndcg(rank(scores), q.labels)  # raises the error for a misshapen score vector
+            raise ValidationError(f"query {q.query_id}: the ranker returned scores of shape "
+                                  f"{scores.shape}, expected ({q.n_items},)")
         parts.append(scores)
     return EvalResult.of(segment_ndcg(np.concatenate(parts), booked, offsets))
 

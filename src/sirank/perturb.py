@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, QueryRecord
+from .data import SMALLEST_NORMAL, Dataset, QueryRecord
 from .errors import ConfigError, ValidationError
 
 DEFAULT_TARGETS = ("price", "discount")
@@ -47,6 +47,8 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
 
     Labels, fixed features, and query features are untouched, and every
     array but the rescaled scale-variant one is shared with ``ds``.
+    A rescaled value beyond the float64 range or below its smallest normal
+    value raises ValidationError naming the first such query.
     """
     sv_names = ds.schema.item_features_scalevariant
     missing = sorted(set(DEFAULT_TARGETS) - set(sv_names))
@@ -58,11 +60,16 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     queries = []
     with np.errstate(over="ignore"):  # an overflow is reported as a data error below
         for q in ds.queries:
-            sv = q.scalevariant.copy()
+            rescaled = q.scalevariant[:, cols]
             for f in case.factors(q):
-                sv[:, cols] = sv[:, cols] * f
-            if not np.isfinite(sv).all():
+                rescaled = rescaled * f
+            if not rescaled.max() < np.inf:
                 raise ValidationError(f"query {q.query_id}: case {case.case_id} rescales a "
                                       "scale-variant value beyond the float64 range")
+            if rescaled.min() < SMALLEST_NORMAL:
+                raise ValidationError(f"query {q.query_id}: case {case.case_id} rescales a "
+                                      "scale-variant value below the smallest normal float64")
+            sv = q.scalevariant.copy()
+            sv[:, cols] = rescaled
             queries.append(replace(q, scalevariant=sv))
     return Dataset(schema=ds.schema, queries=queries, stats=ds.stats)

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import (MAX_EMBEDDING_VALUES, Dataset, FeatureSchema, QueryRecord,
+from .data import (MAX_EMBEDDING_VALUES, SMALLEST_NORMAL, Dataset, FeatureSchema, QueryRecord,
                    StandardizationStats, check_stats_schema)
 from .errors import (
     ConfigError,
@@ -497,13 +497,18 @@ def rank(scores: np.ndarray) -> Ranking:
 
 
 def scale_query(query: QueryRecord, c: float) -> QueryRecord:
-    """Multiply every item's scale-variant vector by c, leaving the rest alone."""
+    """Multiply every item's scale-variant vector by c, leaving the rest alone.
+    A product beyond the float64 range or below its smallest normal value
+    raises ValidationError naming the query."""
     if not (c > 0) or not np.isfinite(c):
         raise DomainError(f"scale factor must be a positive finite number, got {c}")
     with np.errstate(over="ignore"):  # an overflow is reported as a data error below
         scaled = query.scalevariant * c
     if not np.isfinite(scaled).all():
         raise ValidationError(f"query {query.query_id}: scaling by {c:g} overflows float64")
+    if (scaled < SMALLEST_NORMAL).any():
+        raise ValidationError(f"query {query.query_id}: scaling by {c:g} takes a scale-variant "
+                              "value below the smallest normal float64")
     return replace(query, scalevariant=scaled)
 
 

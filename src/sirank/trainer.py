@@ -4,6 +4,7 @@ full loss-by-mode experiment grid and its report rendering."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,6 +113,9 @@ def _softrank_indices(query, epoch_rng: np.random.Generator) -> list[int]:
     return sorted([booked] + negatives)
 
 
+# A diverged step or validation pass raises TrainingError from the finiteness
+# checks, so numpy's overflow warnings on the way there would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirModel, TrainHistory]:
     """SGD over one query at a time, stopping when validation NDCG stalls.
 
@@ -323,52 +327,88 @@ def _cell_seed(base_seed: int, loss_index: int, mode_index: int) -> int:
     return base_seed * 100 + loss_index * 10 + mode_index
 
 
+# run_experiment's shared inputs while its cells run; forked workers inherit them
+_GRID: tuple | None = None
+
+
+def _worker_count(cells: int) -> int:
+    """One process per usable CPU; 1 runs the cells in-process, as it must
+    without fork or beside another thread, which a fork would not copy."""
+    import multiprocessing
+    import threading
+    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(cells, len(os.sched_getaffinity(0)))
+
+
+def _run_cell(task: tuple[str, str, int], grid: tuple | None = None):
+    """The cell of ``grid`` (``_GRID`` in a worker) and its per-query NDCG arrays."""
+    loss, mode, seed = task
+    config, train_views, val_raw, blocks = grid or _GRID
+    cell = CellResult(loss=loss, mode=mode, seed=seed)
+    tc = TrainConfig(loss=loss, mode=mode, max_epochs=config.max_epochs,
+                     patience=config.patience, learning_rate=config.learning_rate,
+                     sigma=config.sigma, seed=seed, widths=config.widths,
+                     compressor_dim=config.compressor_dim)
+    try:
+        model, history = train(train_views[mode], val_raw, tc)
+    except TrainingError as exc:
+        cell.error = str(exc)
+        return cell, {}
+    cell.history = history
+    cell.val_ndcg = float(history.val_ndcg[history.best_epoch])
+    test_block, case_blocks, scaled_block = blocks[mode]
+    clean = evaluate_block(model, test_block)
+    cell.test_ndcg = clean.mean
+    per_query = {(loss, mode, "test"): clean.per_query}
+    for cid, block in case_blocks.items():
+        res = evaluate_block(model, block)
+        cell.case_ndcg[cid] = res.mean
+        per_query[(loss, mode, f"case{cid}")] = res.per_query
+    cell.invariance_gap_c1200 = block_invariance_gap(
+        model, score_block(model, test_block), scaled_block)
+    return cell, per_query
+
+
 def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
     """Train every loss in both modes on one split, evaluate under all
-    perturbation cases, and compare the mode pairs with one-sided t-tests."""
+    perturbation cases, and compare the mode pairs with one-sided t-tests.
+    Cells run in forked workers; no output depends on how many."""
+    global _GRID
     train_raw, val_raw, test_raw = split_holdout(ds, seed=config.seed)
+    cases = {cid: apply_case(test_raw, PerturbationCase(cid)) for cid in CASE_IDS}
+    scaled_test = replace(test_raw, queries=[scale_query(q, 1200.0) for q in test_raw.queries])
 
     train_views: dict[str, Dataset] = {}
+    blocks: dict[str, tuple] = {}  # an untrained model prepares them: they read schema, mode, stats
     for mode in MODES:
         stats = fit_standardization(train_raw, ds.schema,
                                     include_scalevariant=(mode == "deep_only"))
         train_views[mode] = apply_standardization(train_raw, stats)
-    cases = {cid: apply_case(test_raw, PerturbationCase(cid)) for cid in CASE_IDS}
-    scaled_test = replace(test_raw, queries=[scale_query(q, 1200.0) for q in test_raw.queries])
-    blocks: dict[str, tuple] = {}  # once per mode: they depend on schema, mode and stats
+        model = build_model(ds.schema, mode=mode, widths=config.widths,
+                            compressor_dim=config.compressor_dim, stats=stats)
+        blocks[mode] = (prepare_dataset(model, test_raw),
+                        {cid: prepare_dataset(model, c) for cid, c in cases.items()},
+                        prepare_dataset(model, scaled_test))
 
-    cells: list[CellResult] = []
-    per_query: dict[tuple[str, str, str], np.ndarray] = {}
-    for li, loss in enumerate(config.losses):
-        for mi, mode in enumerate(ROW_ORDER):
-            seed = _cell_seed(config.seed, li, mi)
-            cell = CellResult(loss=loss, mode=mode, seed=seed)
-            cells.append(cell)
-            tc = TrainConfig(loss=loss, mode=mode, max_epochs=config.max_epochs,
-                             patience=config.patience, learning_rate=config.learning_rate,
-                             sigma=config.sigma, seed=seed, widths=config.widths,
-                             compressor_dim=config.compressor_dim)
-            try:
-                model, history = train(train_views[mode], val_raw, tc)
-            except TrainingError as exc:
-                cell.error = str(exc)
-                continue
-            cell.history = history
-            cell.val_ndcg = float(history.val_ndcg[history.best_epoch])
-            if mode not in blocks:
-                blocks[mode] = (prepare_dataset(model, test_raw),
-                                {cid: prepare_dataset(model, c) for cid, c in cases.items()},
-                                prepare_dataset(model, scaled_test))
-            test_block, case_blocks, scaled_block = blocks[mode]
-            clean = evaluate_block(model, test_block)
-            cell.test_ndcg = clean.mean
-            per_query[(loss, mode, "test")] = clean.per_query
-            for cid, block in case_blocks.items():
-                res = evaluate_block(model, block)
-                cell.case_ndcg[cid] = res.mean
-                per_query[(loss, mode, f"case{cid}")] = res.per_query
-            cell.invariance_gap_c1200 = block_invariance_gap(
-                model, score_block(model, test_block), scaled_block)
+    tasks = [(loss, mode, _cell_seed(config.seed, li, mi))
+             for li, loss in enumerate(config.losses) for mi, mode in enumerate(ROW_ORDER)]
+    grid = (config, train_views, val_raw, blocks)
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        results = [_run_cell(task, grid) for task in tasks]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        _GRID = grid
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(_run_cell, tasks))
+        finally:
+            _GRID = None
+    cells = [cell for cell, _ in results]
+    per_query = {key: values for _, arrays in results for key, values in arrays.items()}
 
     n_comparisons = len(CONDITIONS) * len(config.losses)
     threshold = bonferroni(ALPHA, n_comparisons)

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -411,6 +415,24 @@ def test_evaluate_rejects_gap_rescale_beyond_float_range(workdir, tmp_path, caps
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["perturb", "evaluate"])
+def test_rescale_below_smallest_normal_float_is_validation_error(workdir, tmp_path, capsys,
+                                                                 command):
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    record["exchange_rate"] = 1e-320  # case 2 takes every price below the normal range
+    bad = tmp_path / "tiny.jsonl"
+    bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    target = {"perturb": ["--out", str(tmp_path / "p.jsonl")],
+              "evaluate": ["--model", str(workdir / "model.json")]}[command]
+    code = main([command, "--case", "2", *target, "--data", str(bad),
+                 "--schema", str(workdir / "data.schema.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"validation error: query {record['query_id']}: case 2 rescales ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_non_finite_learning_rate_is_usage_error(workdir, tmp_path, capsys, lr):
     code = main(["train", "--data", str(workdir / "data.jsonl"),
@@ -458,6 +480,32 @@ def test_experiment_rejects_bad_epochs_before_generating(tmp_path, capsys, monke
         assert err.startswith("usage error: patience ") and len(err.splitlines()) == 1
     assert generated == []
     assert not (tmp_path / "exp.json").exists()
+
+
+@pytest.mark.parametrize("command", [["generate"], ["experiment", "--generate"]])
+def test_queries_beyond_the_cap_are_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    generated = []
+    monkeypatch.setattr(sirank.cli, "generate", lambda config: generated.append(config))
+    code = main(command + ["--out", str(tmp_path / "out"), "--queries", "100001"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "usage error: num_queries must be in [1, 100000], got 100001\n"
+    assert generated == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diverging_experiment_cell_prints_one_line(tmp_path):
+    # listnet/sir diverges at this seed; its worker's numpy warnings must not show
+    src = Path(sirank.cli.__file__).resolve().parents[1]
+    cmd = [sys.executable, "-c", "import sys, sirank.cli; sys.exit(sirank.cli.main(sys.argv[1:]))",
+           "experiment", "--generate", "--queries", "300", "--epochs", "2", "--patience", "1",
+           "--seed", "34", "--out", str(tmp_path / "rep")]
+    proc = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert lines and all(re.fullmatch(r"cell \w+/\w+ failed: .+", line) for line in lines), \
+        proc.stderr
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,6 +4,7 @@ import pytest
 from sirank.errors import ConfigError, ValidationError
 from sirank.generator import (
     CURRENCY_TABLE,
+    MAX_QUERIES,
     GeneratorConfig,
     default_utility_weights,
     fixed_marginal_params,
@@ -27,6 +28,10 @@ def small_config(**overrides):
 def test_config_validation():
     with pytest.raises(ConfigError):
         GeneratorConfig(num_queries=0)
+    assert MAX_QUERIES == 100_000
+    GeneratorConfig(num_queries=MAX_QUERIES)
+    with pytest.raises(ConfigError, match=r"num_queries must be in \[1, 100000\], got 100001"):
+        GeneratorConfig(num_queries=MAX_QUERIES + 1)
     with pytest.raises(ConfigError):
         GeneratorConfig(num_queries=5, items_min=1)
     with pytest.raises(ConfigError):

@@ -184,11 +184,23 @@ def test_batched_ndcg_keeps_per_query_errors():
     nan_in_last = lambda q: np.full(q.n_items, np.nan if q is ds.queries[-1] else 1.0)
     with pytest.raises(DomainError, match="NaN"):
         mean_ndcg(nan_in_last, ds)
-    with pytest.raises(DomainError):
-        mean_ndcg(lambda q: np.zeros(q.n_items + 1), ds)
     ds.queries[2].labels = np.zeros(ds.queries[2].n_items)
     with pytest.raises(ValidationError, match=rf"^query {ds.queries[2].query_id}: labels must"):
         mean_ndcg(lambda q: q.labels, ds)
+
+
+@pytest.mark.parametrize("bad_scores,shape", [
+    (lambda q: np.zeros(q.n_items + 1), lambda d: f"({d + 1},)"),
+    (lambda q: np.zeros((q.n_items, 1)), lambda d: f"({d}, 1)"),
+])
+def test_callable_ranker_bad_score_vector_names_the_query(bad_scores, shape):
+    ds = prepared_dataset(n=5, seed=33)
+    last = ds.queries[-1]
+    ranker = lambda q: bad_scores(q) if q is last else np.zeros(q.n_items)
+    with pytest.raises(ValidationError) as err:
+        mean_ndcg(ranker, ds)
+    assert str(err.value) == (f"query {last.query_id}: the ranker returned scores of shape "
+                              f"{shape(last.n_items)}, expected ({last.n_items},)")
 
 
 def test_eval_result_json():

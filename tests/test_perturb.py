@@ -33,6 +33,18 @@ def test_rescaling_beyond_float_range_rejected():
         apply_case(ds, PerturbationCase(case_id=4))
 
 
+def test_rescaling_below_smallest_normal_float_rejected():
+    ds = hand_dataset(n_queries=4, seed=3)
+    q = ds.queries[2]
+    q.exchange_rate = 1e-300
+    out = apply_case(ds, PerturbationCase(case_id=2))
+    assert out.queries[2].scalevariant.min() >= np.finfo(np.float64).tiny
+    q.exchange_rate = 1e-320
+    with pytest.raises(ValidationError, match=rf"^query {q.query_id}: case 2 rescales a "
+                                              "scale-variant value below the smallest normal"):
+        apply_case(ds, PerturbationCase(case_id=2))
+
+
 def test_case1_with_single_night_is_identity():
     ds = hand_dataset(n_queries=6, seed=1)
     for q in ds.queries:

@@ -308,6 +308,14 @@ def test_pairwise_differences_survive_scaling():
                 np.testing.assert_array_equal(rank(scaled).order, rank(base).order)
 
 
+def test_scale_query_refuses_products_below_the_smallest_normal_float():
+    q = prepared(seed=17).queries[0]
+    assert scale_query(q, 1e-300).scalevariant.min() >= np.finfo(np.float64).tiny
+    with pytest.raises(ValidationError, match=rf"^query {q.query_id}: scaling by {1e-320:g} takes "
+                                              "a scale-variant value below the smallest normal"):
+        scale_query(q, 1e-320)
+
+
 def test_scale_query_leaves_input_intact():
     ds = prepared(seed=17)
     q = ds.queries[0]

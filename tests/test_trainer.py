@@ -1,5 +1,9 @@
 import json
+import multiprocessing
+import os
 import re
+import threading
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -129,6 +133,16 @@ def test_divergent_run_aborts_with_epoch_and_query_context():
     cfg = TrainConfig(loss="ranknet", learning_rate=20.0, max_epochs=5, patience=4, seed=0)
     with pytest.raises(TrainingError, match=r"epoch \d+, query q\d+"):
         train(tr, va, cfg)
+
+
+def test_divergence_raises_only_a_training_error():
+    # the overflowing forward pass is reported once, by the finiteness check
+    tr, va, te, _ = prepared(num_queries=40)
+    cfg = TrainConfig(loss="ranknet", learning_rate=20.0, max_epochs=5, patience=4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingError, match="non-finite"):
+            train(tr, va, cfg)
 
 
 def reference_epochs(train_ds, config):
@@ -435,12 +449,75 @@ def test_experiment_prepares_each_evaluation_block_once_per_mode(monkeypatch):
     for module in (sirank.scoring, sirank.metrics, sirank.trainer):
         monkeypatch.setattr(module, "prepare_dataset", counting(module.prepare_dataset))
     monkeypatch.setattr(sirank.trainer, "train", counting_train)
+    # in-process, so the counters see the cells' calls too
+    monkeypatch.setattr(sirank.trainer, "_worker_count", lambda cells: 1)
     ds = generate(GeneratorConfig(num_queries=60, seed=11))
     report = run_experiment(ds, ExperimentConfig(seed=4, max_epochs=2, patience=1))
     assert len(report.cells) == 10
     # per mode: the test split, four case splits and the x1200 rescaled test split
     assert calls["evaluation"] <= 12
     assert calls["train"] == 20
+
+
+def grid_in(monkeypatch, workers, ds, config):
+    monkeypatch.setattr(sirank.trainer, "_worker_count", lambda cells: min(cells, workers))
+    return run_experiment(ds, config)
+
+
+def test_worker_pool_and_in_process_grids_give_the_same_bytes(monkeypatch):
+    # listnet's step is raised until its sir cell, and only that one, diverges
+    monkeypatch.setitem(sirank.trainer.DEFAULT_LEARNING_RATES, "listnet", 1.5)
+    ds = generate(GeneratorConfig(num_queries=60, seed=11))
+    config = ExperimentConfig(seed=4, max_epochs=2, patience=1)
+    serial = grid_in(monkeypatch, 1, ds, config)
+    pooled = grid_in(monkeypatch, 2, ds, config)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1  # the pool's own threads are joined too
+    assert len(pooled.cells) == 10
+    assert [(c.loss, c.mode) for c in pooled.cells if c.error] == [("listnet", "sir")]
+    assert (json.dumps(pooled.to_json(), sort_keys=True)
+            == json.dumps(serial.to_json(), sort_keys=True))
+    assert render_text(pooled) == render_text(serial)
+    assert render_csv(pooled) == render_csv(serial)
+
+
+def test_a_cell_error_reaches_the_caller_as_in_process(monkeypatch):
+    real_train = sirank.trainer.train
+
+    def failing_train(train_ds, val_ds, config):
+        if config.loss == "listnet":
+            raise ContractError(f"broken cell {config.loss}/{config.mode}")
+        return real_train(train_ds, val_ds, config)
+
+    monkeypatch.setattr(sirank.trainer, "train", failing_train)
+    ds = generate(GeneratorConfig(num_queries=60, seed=11))
+    config = ExperimentConfig(seed=4, losses=("ranknet", "listnet", "listmle"),
+                              max_epochs=2, patience=1)
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(ContractError) as err:
+            grid_in(monkeypatch, workers, ds, config)
+        errors.append((type(err.value), str(err.value)))
+        assert multiprocessing.active_children() == []
+    # the first failing cell in grid order, whichever worker failed first
+    assert errors == [(ContractError, "broken cell listnet/deep_only")] * 2
+    assert sirank.trainer._GRID is None
+
+
+def test_worker_count_is_bounded_by_cells_and_usable_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert 1 <= sirank.trainer._worker_count(10) <= min(10, cpus)
+    assert sirank.trainer._worker_count(1) == 1
+    # a fork copies only the calling thread, so beside another one the cells run in-process
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert sirank.trainer._worker_count(10) == 1
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
 
 
 def test_default_grid_is_five_losses_two_modes():
