@@ -64,21 +64,20 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
 
         full = sr.generate(sr.GeneratorConfig(num_queries=sizes["eval_queries"], seed=seed))
         train_raw, _, test_raw = sr.split_holdout(full, seed=seed)
-        models, tests = {}, {}
+        models = {}
         for mode in sr.MODES:
             stats = sr.fit_standardization(train_raw, full.schema,
                                            include_scalevariant=(mode == "deep_only"))
             models[mode] = sr.build_model(full.schema, mode=mode, seed=seed, stats=stats)
-            tests[mode] = sr.apply_standardization(test_raw, stats)
             sr.save_checkpoint(models[mode], tmp / f"{mode}.ckpt.json")
 
         batched_gap = getattr(sirank.scoring, "dataset_invariance_gap", None)
 
         def gap():
-            model, test = models["sir"], tests["sir"]
+            model = models["sir"]
             if batched_gap is not None:
-                return batched_gap(model, test, GAP_RATE)
-            return max(sr.invariance_gap(model, q, GAP_RATE) for q in test.queries)
+                return batched_gap(model, test_raw, GAP_RATE)
+            return max(sr.invariance_gap(model, q, GAP_RATE) for q in test_raw.queries)
 
         def evaluate(mode):
             argv = ["evaluate", "--model", str(tmp / f"{mode}.ckpt.json"),
@@ -93,9 +92,9 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
                 lambda: sr.load_dataset(files["load_small"], full.schema),
             f"load_dataset_{sizes['load_large']}q_s":
                 lambda: sr.load_dataset(files["load_large"], full.schema),
-            f"mean_ndcg_sir_{len(test_raw)}q_s": lambda: sr.mean_ndcg(models["sir"], tests["sir"]),
+            f"mean_ndcg_sir_{len(test_raw)}q_s": lambda: sr.mean_ndcg(models["sir"], test_raw),
             f"mean_ndcg_deep_only_{len(test_raw)}q_s":
-                lambda: sr.mean_ndcg(models["deep_only"], tests["deep_only"]),
+                lambda: sr.mean_ndcg(models["deep_only"], test_raw),
             f"invariance_gap_sir_{len(test_raw)}q_s": gap,
             f"cli_evaluate_sir_{sizes['cli_queries']}q_s": lambda: evaluate("sir"),
             f"cli_evaluate_deep_only_{sizes['cli_queries']}q_s": lambda: evaluate("deep_only"),

@@ -54,15 +54,15 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
     train_raw, _, _ = sr.split_holdout(ds, seed=seed)
     samples: dict[str, list[float]] = {}
 
-    def epoch(loss: str, mode: str, stats, train_ds) -> dict[str, float]:
+    def epoch(loss: str, mode: str, stats) -> dict[str, float]:
         model = build_model(ds.schema, mode=mode, seed=seed, stats=stats)
-        block = prepare_dataset(model, train_ds)
+        block = prepare_dataset(model, train_raw)
         loss_fn, lr = loss_by_name(loss), DEFAULT_LEARNING_RATES[loss]
         grads = model.params.zeros_like() if reuses_grads else None
         spent = dict.fromkeys(PHASES, 0.0)
         epoch_rng = np.random.default_rng([seed, 0])
-        for qi in epoch_rng.permutation(len(train_ds)):
-            q = train_ds.queries[qi]
+        for qi in epoch_rng.permutation(len(train_raw)):
+            q = train_raw.queries[qi]
             item_indices = None
             target = int(block.booked[qi] - block.offsets[qi]) if takes_booked else q.labels
             if loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
@@ -82,18 +82,17 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
             t4 = time.perf_counter()
             for phase, dt in zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
                 spent[phase] += dt
-        return {phase: 1e6 * s / len(train_ds) for phase, s in spent.items()}
+        return {phase: 1e6 * s / len(train_raw) for phase, s in spent.items()}
 
-    views = {}
-    for mode in sr.MODES:
-        stats = sr.fit_standardization(train_raw, ds.schema,
-                                       include_scalevariant=(mode == "deep_only"))
-        views[mode] = (stats, sr.apply_standardization(train_raw, stats))
+    # every tree's prepare_dataset standardizes from the model's stats
+    stats = {mode: sr.fit_standardization(train_raw, ds.schema,
+                                          include_scalevariant=(mode == "deep_only"))
+             for mode in sr.MODES}
     for loss, mode in CASES:
-        epoch(loss, mode, *views[mode])  # warm-up: imports, caches, first-call costs
+        epoch(loss, mode, stats[mode])  # warm-up: imports, caches, first-call costs
     for _ in range(repeats):
         for loss, mode in CASES:
-            per_step = epoch(loss, mode, *views[mode])
+            per_step = epoch(loss, mode, stats[mode])
             per_step["step"] = sum(per_step.values())
             for phase, us in per_step.items():
                 samples.setdefault(f"{loss}_{mode}_{phase}_us", []).append(us)

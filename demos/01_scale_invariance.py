@@ -11,7 +11,6 @@ import numpy as np
 
 from sirank import (
     GeneratorConfig,
-    apply_standardization,
     build_model,
     fit_standardization,
     generate,
@@ -34,26 +33,24 @@ def show(model, q, factors):
 
 
 def main():
-    ds_raw = generate(GeneratorConfig(num_queries=50, items_min=5, items_max=6, seed=12))
-    q = ds_raw.queries[7]
+    ds = generate(GeneratorConfig(num_queries=50, items_min=5, items_max=6, seed=12))
+    q = ds.queries[7]
     factors = (0.01, 0.85, 7.1, 1200.0)
 
     print(f"query {q.query_id}: {q.n_items} items, booked item index {q.booked_index}")
     print(f"raw prices: {np.round(q.scalevariant[:, 0], 2).tolist()}\n")
 
-    stats_sir = fit_standardization(ds_raw, ds_raw.schema)
-    ds = apply_standardization(ds_raw, stats_sir)
-    sir = build_model(ds.schema, mode="sir", seed=4, stats=stats_sir)
+    # each model standardizes its deep-path inputs with stats fitted on the corpus
+    sir = build_model(ds.schema, mode="sir", seed=4, stats=fit_standardization(ds, ds.schema))
     print("invariant scorer (deep tower + bilinear log-price term):")
-    show(sir, ds.queries[7], factors)
-    print(f"  max invariance gap at c=1200: {invariance_gap(sir, ds.queries[7], 1200.0):.2e}\n")
+    show(sir, q, factors)
+    print(f"  max invariance gap at c=1200: {invariance_gap(sir, q, 1200.0):.2e}\n")
 
-    stats_deep = fit_standardization(ds_raw, ds_raw.schema, include_scalevariant=True)
-    ds_d = apply_standardization(ds_raw, stats_deep)
-    deep = build_model(ds_d.schema, mode="deep_only", seed=4, stats=stats_deep)
+    deep = build_model(ds.schema, mode="deep_only", seed=4,
+                       stats=fit_standardization(ds, ds.schema, include_scalevariant=True))
     print("deep-only baseline (prices standardized into the tower):")
-    show(deep, ds_d.queries[7], factors)
-    print(f"  max invariance gap at c=1200: {invariance_gap(deep, ds_d.queries[7], 1200.0):.2e}")
+    show(deep, q, factors)
+    print(f"  max invariance gap at c=1200: {invariance_gap(deep, q, 1200.0):.2e}")
 
 
 if __name__ == "__main__":

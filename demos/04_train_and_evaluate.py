@@ -14,8 +14,6 @@ from sirank import (
     PerturbationCase,
     TrainConfig,
     apply_case,
-    apply_standardization,
-    fit_standardization,
     generate,
     mean_ndcg,
     random_ranker_mean_ndcg,
@@ -26,19 +24,15 @@ from sirank import (
 
 def main():
     ds = generate(GeneratorConfig(num_queries=300, seed=11))
-    tr_raw, va_raw, te_raw = split_holdout(ds, seed=0)
-    print(f"{len(ds)} queries -> {len(tr_raw)} train / {len(va_raw)} val / {len(te_raw)} test")
-    print(f"random-ranker test NDCG: {random_ranker_mean_ndcg(te_raw):.4f}\n")
+    tr, va, te = split_holdout(ds, seed=0)
+    print(f"{len(ds)} queries -> {len(tr)} train / {len(va)} val / {len(te)} test")
+    print(f"random-ranker test NDCG: {random_ranker_mean_ndcg(te):.4f}\n")
 
     header = f"{'model':<12} {'test':>7} " + " ".join(f"case{c:>2}".rjust(7) for c in CASE_IDS)
     print(header)
     print("-" * len(header))
     for mode in ("deep_only", "sir"):
-        stats = fit_standardization(tr_raw, ds.schema,
-                                    include_scalevariant=(mode == "deep_only"))
-        tr = apply_standardization(tr_raw, stats)
-        va = apply_standardization(va_raw, stats)
-        te = apply_standardization(te_raw, stats)
+        # train standardizes with stats it fits on the raw training split
         model, hist = train(tr, va, TrainConfig(loss="ranknet", mode=mode,
                                                 max_epochs=25, patience=10, seed=3))
         clean = mean_ndcg(model, te).mean

@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     ParseError,
     SchemaError,
-    SirankError,
     TrainingError,
     ValidationError,
 )
@@ -39,7 +38,6 @@ from .generator import GeneratorConfig, generate
 from .scoring import (
     MODES,
     Ranking,
-    SirModel,
     build_model,
     invariance_gap,
     load_checkpoint,
@@ -51,7 +49,6 @@ from .scoring import (
 from .losses import (
     LOSS_NAMES,
     LossOutput,
-    RankDistribution,
     lambdarank_loss,
     listmle_loss,
     listnet_loss,
@@ -63,7 +60,6 @@ from .losses import (
 )
 from .metrics import (
     EvalResult,
-    TTestResult,
     bonferroni,
     mean_ndcg,
     ndcg,
@@ -75,38 +71,38 @@ from .trainer import (
     ExperimentConfig,
     ExperimentReport,
     TrainConfig,
-    TrainHistory,
     render_csv,
     render_text,
     run_experiment,
     train,
 )
 
+# apply_standardization stays importable for the benchmark workloads, which
+# call it; nothing else uses it, so it is left out of __all__
 __all__ = [
     "__version__",
     # errors
-    "SirankError", "DomainError", "ValidationError", "ParseError",
-    "SchemaError", "ConfigError", "ContractError", "TrainingError",
+    "DomainError", "ValidationError", "ParseError", "SchemaError", "ConfigError",
+    "ContractError", "TrainingError",
     # data
     "FeatureSchema", "QueryFeature", "QueryRecord", "Dataset",
     "StandardizationStats", "load_dataset", "save_dataset", "load_schema",
-    "save_schema", "fit_standardization", "apply_standardization", "split_holdout",
+    "save_schema", "fit_standardization", "split_holdout",
     # synthetic data
     "GeneratorConfig", "generate",
     # scoring
-    "MODES", "SirModel", "build_model", "score_query",
-    "rank", "Ranking", "scale_query", "invariance_gap", "save_checkpoint",
-    "load_checkpoint",
+    "MODES", "build_model", "score_query", "rank", "Ranking", "scale_query",
+    "invariance_gap", "save_checkpoint", "load_checkpoint",
     # losses
     "LOSS_NAMES", "LossOutput", "loss_by_name", "ranknet_loss", "lambdarank_loss",
     "listnet_loss", "listmle_loss", "softrank_objective", "rank_distribution",
-    "RankDistribution", "pairwise_win_prob",
+    "pairwise_win_prob",
     # metrics
     "ndcg", "mean_ndcg", "EvalResult", "random_ranker_mean_ndcg",
-    "two_sample_t_test", "TTestResult", "bonferroni",
+    "two_sample_t_test", "bonferroni",
     # perturbation
     "PerturbationCase", "apply_case", "CASE_IDS", "DEFAULT_TARGETS",
     # training
-    "TrainConfig", "TrainHistory", "train", "ExperimentConfig", "ExperimentReport",
+    "TrainConfig", "train", "ExperimentConfig", "ExperimentReport",
     "run_experiment", "render_text", "render_csv",
 ]

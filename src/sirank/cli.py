@@ -16,8 +16,6 @@ import sys
 from . import __version__
 from .data import (
     Dataset,
-    apply_standardization,
-    fit_standardization,
     load_dataset,
     load_schema,
     save_dataset,
@@ -184,9 +182,7 @@ def cmd_train(args) -> int:
     ds = _load_inputs(args)
     cfg = _train_config(args)
     tr_raw, va_raw, _ = split_holdout(ds, seed=args.seed)
-    stats = fit_standardization(tr_raw, ds.schema,
-                                include_scalevariant=(cfg.mode == "deep_only"))
-    model, history = train(apply_standardization(tr_raw, stats), va_raw, cfg)
+    model, history = train(tr_raw, va_raw, cfg)
     prov = _provenance("train", args.seed, {"data": args.data, "schema": args.schema})
     save_checkpoint(model, args.out, provenance=prov)
     _write_json(str(args.out) + ".history.json",

@@ -1,5 +1,5 @@
 """Feature schema, raw query/item records, JSONL I/O, splits and the stats
-that ``scoring.prepare_dataset`` standardizes deep-path inputs with."""
+that a model standardizes its deep-path inputs with."""
 
 from __future__ import annotations
 
@@ -12,13 +12,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, ParseError, SchemaError, ValidationError
+from .errors import ParseError, SchemaError, ValidationError
 
 MAX_ITEMS_PER_QUERY = 25
 MIN_ITEMS_PER_QUERY = 2
 MAX_EMBEDDING_VALUES = 10 ** 7  # values in one embedding table or dense weight
-# A rescale that takes a scale-variant value below the smallest normal float64
-# is refused: log of a subnormal loses the precision exact invariance needs.
+# A scale-variant value below the smallest normal float64 is refused, on load
+# and after a rescale: log of a subnormal loses the precision exact invariance
+# needs.
 SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
@@ -190,7 +191,6 @@ class QueryRecord:
 class Dataset:
     schema: FeatureSchema
     queries: list[QueryRecord]
-    stats: "StandardizationStats | None" = None
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -265,7 +265,7 @@ def _item_arrays(raw_items: list, schema: FeatureSchema):
         return None
     fixed = _item_matrix(raw_items, "fixed", schema.item_features_fixed)
     sv = _item_matrix(raw_items, "scalevariant", schema.item_features_scalevariant)
-    if fixed is None or sv is None:
+    if fixed is None or sv is None or (sv < SMALLEST_NORMAL).any():
         return None
     return item_ids, fixed, sv, np.array(labels, dtype=np.float64)
 
@@ -289,6 +289,8 @@ def _item_arrays_checked(raw_items: list, schema: FeatureSchema, qid: str):
                        f"item {iid}: scale-variant feature", sv[j])
         _require(_finite_positive(fixed[j]), qid, f"item {iid}: fixed features must be finite and > 0")
         _require(_finite_positive(sv[j]), qid, f"item {iid}: scale-variant features must be finite and > 0")
+        _require((sv[j] >= SMALLEST_NORMAL).all(), qid, f"item {iid}: scale-variant feature "
+                 "below the smallest normal float64")
         label = raw.get("label")
         _require(label in (0, 1) and not isinstance(label, bool), qid,
                  f"item {iid}: label must be 0 or 1")
@@ -406,8 +408,7 @@ def _query_to_obj(q: QueryRecord, schema: FeatureSchema) -> dict:
 
 
 def save_dataset(ds: Dataset, path):
-    """Write the raw records as JSONL, one query object per line (records
-    stay raw, so a view with stats writes the same bytes)."""
+    """Write the raw records as JSONL, one query object per line."""
     with open(path, "w") as fh:
         for q in ds.queries:
             fh.write(json.dumps(_query_to_obj(q, ds.schema), sort_keys=True))
@@ -523,14 +524,12 @@ def check_stats_schema(stats: StandardizationStats, schema: FeatureSchema):
 
 
 def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:
-    """Return a view of ``ds`` that carries ``stats`` and shares its records,
-    for ``train`` to build its model from; no value changes, since
-    ``scoring.prepare_dataset`` standardizes from the model's stats. Stats
-    for other features, or a view that already has stats, are refused."""
-    if ds.stats is not None:
-        raise ContractError("dataset is already standardized")
+    """``ds`` itself, once ``stats`` are checked against its schema. A model
+    carries its own stats, so the package never calls this; it keeps its old
+    signature for ``perfbench/workloads.py``, which passes what it returns
+    to ``train`` on this tree and on older ones."""
     check_stats_schema(stats, ds.schema)
-    return Dataset(schema=ds.schema, queries=list(ds.queries), stats=stats)
+    return ds
 
 
 # ---------------------------------------------------------------------------

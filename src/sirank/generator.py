@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSchema, QueryFeature, QueryRecord
-from .errors import ConfigError, DomainError, ValidationError
+from .errors import ConfigError, DomainError
 
 CURRENCY_TABLE = (1.0, 0.85, 0.75, 1.3, 7.1, 18.0, 83.0, 110.0, 1200.0, 0.9)
 MAX_NIGHTS = 14
@@ -214,32 +214,3 @@ def generate(config: GeneratorConfig) -> Dataset:
         ))
     return Dataset(schema=schema, queries=queries)
 
-
-def recompute_utility(query: QueryRecord, k1: int, weights: np.ndarray) -> np.ndarray:
-    """Rebuild each item's latent utility from its stored feature values.
-
-    Inverts the fixed-feature marginals to recover the standardized draws,
-    then applies the hidden weights; the per-query additive effect is dropped
-    since it cannot change the within-query ordering.
-    """
-    k2 = len(weights) - k1
-    f_shift, f_mu, f_sigma = fixed_marginal_params(k1)
-    fixed = query.fixed
-    if np.any(fixed <= f_shift):
-        raise ValidationError(f"query {query.query_id}: fixed values below the "
-                              "generator's marginal support")
-    zf = (np.log(fixed - f_shift) - f_mu) / f_sigma
-    log_sv = np.log(query.scalevariant)
-    return zf @ weights[:k1] + log_sv @ weights[k1:]
-
-
-def ideal_ndcg_bound(ds: Dataset, weights: np.ndarray | None) -> float:
-    """Mean NDCG of ranking by the true latent utility; an upper reference."""
-    from .metrics import mean_ndcg
-
-    if weights is None:
-        raise ValidationError("hidden utility weights are required for the ideal bound")
-    k1 = ds.schema.k1
-    if np.asarray(weights).shape != (k1 + ds.schema.k2,):
-        raise ValidationError("weights length does not match the schema")
-    return mean_ndcg(lambda q: recompute_utility(q, k1, np.asarray(weights)), ds).mean

@@ -72,4 +72,4 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
             sv = q.scalevariant.copy()
             sv[:, cols] = rescaled
             queries.append(replace(q, scalevariant=sv))
-    return Dataset(schema=ds.schema, queries=queries, stats=ds.stats)
+    return Dataset(schema=ds.schema, queries=queries)

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import (MAX_EMBEDDING_VALUES, SMALLEST_NORMAL, Dataset, FeatureSchema, QueryRecord,
-                   StandardizationStats, check_stats_schema)
+                   StandardizationStats, check_stats_schema, fit_standardization)
 from .errors import (
     ConfigError,
     ContractError,
@@ -94,7 +94,7 @@ class SirModel:
     widths: tuple[int, ...]
     compressor_dim: int
     params: ParamVector
-    stats: StandardizationStats | None = None
+    stats: StandardizationStats
 
     @cached_property
     def embedding_names(self) -> tuple[str, ...]:
@@ -125,10 +125,20 @@ def init_embedding_table(rng: np.random.Generator, cardinality: int, dim: int) -
     return rng.uniform(-0.05, 0.05, size=(cardinality, dim))
 
 
+def fit_stats(train: Dataset, mode: str) -> StandardizationStats:
+    """The stats a ``mode`` model standardizes with, fitted on its raw
+    training split: a deep_only model standardizes the scale-variant
+    features into its dense stack too."""
+    return fit_standardization(train, train.schema, include_scalevariant=(mode == "deep_only"))
+
+
 def build_model(schema: FeatureSchema, mode: str = "sir",
                 widths: tuple[int, ...] = DEFAULT_WIDTHS,
-                compressor_dim: int = DEFAULT_L, seed: int = 0,
-                stats: StandardizationStats | None = None) -> SirModel:
+                compressor_dim: int = DEFAULT_L, seed: int = 0, *,
+                stats: StandardizationStats) -> SirModel:
+    """A freshly initialized model that standardizes with ``stats``, which
+    must name the schema's deep-path features (SchemaError otherwise), the
+    scale-variant ones too for a deep_only model."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
     if not widths or any(w < 1 for w in widths):
@@ -138,6 +148,9 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
         raise ConfigError(
             f"compressor output {compressor_dim} must be at least 1 and smaller than "
             f"the query representation width {m_prime}")
+    check_stats_schema(stats, schema)
+    if mode == "deep_only" and not stats.covers_scalevariant:
+        raise SchemaError("a deep_only model needs stats that cover the scale-variant features")
 
     rng = np.random.default_rng(seed)
     params = {}
@@ -191,8 +204,8 @@ class DatasetBlock:
 @np.errstate(over="ignore")  # a standardized value beyond float64 range is reported below
 def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     """Stack what scoring reads from every query of ``dataset``, standardize
-    the deep-path inputs from ``model.stats`` (a model without stats is
-    refused first), take the logs of the wide inputs and check the data once.
+    the deep-path inputs from ``model.stats``, take the logs of the wide
+    inputs and check the data once.
 
     If a check fails, the error raised, and its message, are those of the
     first query in dataset order that fails one, for the first check it
@@ -200,11 +213,6 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     a wide-path input that is not > 0, the label rule of ``booked_rows``.
     """
     stats = model.stats
-    if stats is None:
-        raise ContractError("deep-path inputs cannot be standardized: the model has no stats")
-    if model.mode == "deep_only" and not stats.covers_scalevariant:
-        raise ContractError("deep_only scoring needs standardization stats that "
-                            "cover the scale-variant features")
     queries = dataset.queries
     if not queries:
         raise ValidationError("cannot evaluate a dataset without queries")
@@ -541,8 +549,6 @@ def dataset_invariance_gap(model: SirModel, dataset: Dataset, c: float) -> float
 
 
 def save_checkpoint(model: SirModel, path, provenance: dict | None = None):
-    if model.stats is None:
-        raise ContractError("refusing to checkpoint a model without standardization stats")
     obj = {
         "version": CHECKPOINT_VERSION,
         "provenance": provenance or {},
@@ -566,9 +572,11 @@ CHECKPOINT_KEYS = ("version", "mode", "widths", "compressor_dim", "schema_finger
 
 
 def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
-    """Read a checkpoint into the parameter vector of the model that its
-    stored mode, widths and compressor width build for ``schema``; a
-    parameter name or shape that does not match raises SchemaError."""
+    """Read a checkpoint: its stats first, then the model that its stored
+    mode, widths and compressor width build for ``schema`` with those stats,
+    whose parameter vector the stored parameters fill. Stats, a layout or a
+    parameter name or shape that does not fit raise SchemaError naming the
+    checkpoint."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -586,16 +594,27 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
             "checkpoint was trained against a different feature schema "
             f"(fingerprint {str(obj['schema_fingerprint'])[:12]}..., "
             f"expected {schema.fingerprint()[:12]}...)")
+    try:
+        stats = StandardizationStats.from_json(obj["stats"])
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"checkpoint {path} has malformed stats: {exc!r}") from exc
+    for group in stats.to_json().values():
+        for name, (mean, std) in group.items():
+            if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
+                raise SchemaError(f"checkpoint {path} stats for feature {name!r} need a finite "
+                                  f"mean and a finite std > 0, got {mean} and {std}")
     layout = f"mode {obj['mode']!r}, widths {obj['widths']}, compressor_dim {obj['compressor_dim']}"
     try:
-        params = build_model(schema, mode=obj["mode"], widths=tuple(obj["widths"]),
-                             compressor_dim=obj["compressor_dim"]).params
+        model = build_model(schema, mode=obj["mode"], widths=tuple(obj["widths"]),
+                            compressor_dim=obj["compressor_dim"], stats=stats)
+    except SchemaError as exc:
+        raise SchemaError(f"checkpoint {path} has stats that do not fit {layout}: {exc}") from exc
     except (ConfigError, TypeError, ValueError) as exc:
         raise SchemaError(f"checkpoint {path} has an invalid layout ({layout}): {exc}") from exc
     stored = obj["params"]
-    if not isinstance(stored, dict) or set(stored) != set(params):
+    if not isinstance(stored, dict) or set(stored) != set(model.params):
         raise SchemaError(f"checkpoint {path} parameters do not match {layout}")
-    for name, want in params.items():
+    for name, want in model.params.items():
         try:
             value = np.array(stored[name]["data"], dtype=np.float64).reshape(stored[name]["shape"])
         except (LookupError, OverflowError, TypeError, ValueError) as exc:
@@ -606,19 +625,4 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
         if not np.isfinite(value).all():
             raise SchemaError(f"checkpoint {path} parameter {name!r} holds a non-finite value")
         want[...] = value
-    try:
-        stats = StandardizationStats.from_json(obj["stats"])
-        check_stats_schema(stats, schema)
-    except (AttributeError, LookupError, OverflowError, SchemaError, TypeError,
-            ValueError) as exc:
-        raise SchemaError(f"checkpoint {path} has malformed stats: {exc!r}") from exc
-    for group in stats.to_json().values():
-        for name, (mean, std) in group.items():
-            if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
-                raise SchemaError(f"checkpoint {path} stats for feature {name!r} need a finite "
-                                  f"mean and a finite std > 0, got {mean} and {std}")
-    if obj["mode"] == "deep_only" and not stats.covers_scalevariant:
-        raise SchemaError(f"checkpoint {path} is deep_only but its stats do not cover "
-                          "the scale-variant features")
-    return SirModel(schema=schema, mode=obj["mode"], widths=tuple(obj["widths"]),
-                    compressor_dim=obj["compressor_dim"], params=params, stats=stats)
+    return model

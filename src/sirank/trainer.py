@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, apply_standardization, fit_standardization, split_holdout
+from .data import Dataset, split_holdout
 from .errors import ConfigError, ContractError, DomainError, TrainingError, ValidationError
 from .losses import (
     DEFAULT_SOFTRANK_SIGMA,
@@ -27,6 +27,7 @@ from .scoring import (
     backward,
     block_invariance_gap,
     build_model,
+    fit_stats,
     forward_block,
     prepare_dataset,
     scale_query,
@@ -123,18 +124,16 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     either raises its data error before epoch 0; each step scores one
     query's rows of the training block, passes the loss its booked item's
     index from the block and writes its gradients into one vector reused for
-    every step, and every epoch scores the whole validation block. The model standardizes with the training split's
-    stats; the validation split's stats, if any, are not read. Returns the
-    model restored to its best-validation epoch.
+    every step, and every epoch scores the whole validation block. Both
+    splits are raw; the model standardizes with ``fit_stats`` of the
+    training split. Returns the model restored to its best-validation epoch.
     """
-    if train_ds.stats is None:
-        raise ContractError("the training split needs standardization stats")
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ContractError("need nonempty training and validation splits")
 
     model = build_model(train_ds.schema, mode=config.mode, widths=config.widths,
                         compressor_dim=config.compressor_dim, seed=config.seed,
-                        stats=train_ds.stats)
+                        stats=fit_stats(train_ds, config.mode))
     loss_fn = loss_by_name(config.loss, config.sigma)
     lr = config.resolved_learning_rate
 
@@ -301,12 +300,6 @@ class ExperimentReport:
             raise ValidationError(f"malformed experiment report: {exc}") from exc
         return cls(cells=cells, tests=tests, meta=meta)
 
-    def cell(self, loss: str, mode: str) -> CellResult:
-        for c in self.cells:
-            if c.loss == loss and c.mode == mode:
-                return c
-        raise KeyError(f"no cell for loss={loss} mode={mode}")
-
 
 # meta fields that render_text formats as numbers
 REPORT_META_NUMBERS = ("alpha", "n_comparisons", "significance_threshold",
@@ -345,14 +338,14 @@ def _worker_count(cells: int) -> int:
 def _run_cell(task: tuple[str, str, int], grid: tuple | None = None):
     """The cell of ``grid`` (``_GRID`` in a worker) and its per-query NDCG arrays."""
     loss, mode, seed = task
-    config, train_views, val_raw, blocks = grid or _GRID
+    config, train_raw, val_raw, blocks = grid or _GRID
     cell = CellResult(loss=loss, mode=mode, seed=seed)
     tc = TrainConfig(loss=loss, mode=mode, max_epochs=config.max_epochs,
                      patience=config.patience, learning_rate=config.learning_rate,
                      sigma=config.sigma, seed=seed, widths=config.widths,
                      compressor_dim=config.compressor_dim)
     try:
-        model, history = train(train_views[mode], val_raw, tc)
+        model, history = train(train_raw, val_raw, tc)
     except TrainingError as exc:
         cell.error = str(exc)
         return cell, {}
@@ -380,21 +373,18 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
     cases = {cid: apply_case(test_raw, PerturbationCase(cid)) for cid in CASE_IDS}
     scaled_test = replace(test_raw, queries=[scale_query(q, 1200.0) for q in test_raw.queries])
 
-    train_views: dict[str, Dataset] = {}
     blocks: dict[str, tuple] = {}  # an untrained model prepares them: they read schema, mode, stats
     for mode in MODES:
-        stats = fit_standardization(train_raw, ds.schema,
-                                    include_scalevariant=(mode == "deep_only"))
-        train_views[mode] = apply_standardization(train_raw, stats)
         model = build_model(ds.schema, mode=mode, widths=config.widths,
-                            compressor_dim=config.compressor_dim, stats=stats)
+                            compressor_dim=config.compressor_dim,
+                            stats=fit_stats(train_raw, mode))
         blocks[mode] = (prepare_dataset(model, test_raw),
                         {cid: prepare_dataset(model, c) for cid, c in cases.items()},
                         prepare_dataset(model, scaled_test))
 
     tasks = [(loss, mode, _cell_seed(config.seed, li, mi))
              for li, loss in enumerate(config.losses) for mi, mode in enumerate(ROW_ORDER)]
-    grid = (config, train_views, val_raw, blocks)
+    grid = (config, train_raw, val_raw, blocks)
     workers = _worker_count(len(tasks))
     if workers == 1:
         results = [_run_cell(task, grid) for task in tasks]

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from sirank.data import apply_standardization, fit_standardization, split_holdout
+from sirank.data import fit_standardization, split_holdout
 from sirank.generator import GeneratorConfig, generate
 from sirank.losses import (
     loss_by_name,
@@ -45,9 +45,8 @@ def _line(criterion: str, ok: bool, detail: str):
 
 
 def _criterion1_report() -> dict:
-    ds_raw = generate(GeneratorConfig(num_queries=100, seed=3))
-    stats = fit_standardization(ds_raw, ds_raw.schema)
-    ds = apply_standardization(ds_raw, stats)
+    ds = generate(GeneratorConfig(num_queries=100, seed=3))
+    stats = fit_standardization(ds, ds.schema)
     width_menu = [(64, 32, 16), (32, 16), (48, 24, 12)]
     per_model_worst = []
     mismatches = 0
@@ -105,11 +104,7 @@ def test_criterion_1_exact_invariance(crit1):
 
 def _criterion2_report() -> dict:
     ds = generate(GeneratorConfig(num_queries=2000, seed=ACCEPT_SEED))
-    tr_raw, va_raw, te_raw = split_holdout(ds, seed=ACCEPT_SEED)
-    stats = fit_standardization(tr_raw, ds.schema, include_scalevariant=True)
-    tr = apply_standardization(tr_raw, stats)
-    va = apply_standardization(va_raw, stats)
-    te = apply_standardization(te_raw, stats)
+    tr, va, te = split_holdout(ds, seed=ACCEPT_SEED)
     model, hist = train(tr, va, TrainConfig(loss="ranknet", mode="deep_only",
                                             seed=ACCEPT_SEED))
     clean = mean_ndcg(model, te)
@@ -169,9 +164,8 @@ def _fd_value(model, q, booked, loss_fn) -> float:
 
 def test_criterion_3_gradient_correctness():
     t0 = time.time()
-    ds_raw = generate(GeneratorConfig(num_queries=12, items_min=5, items_max=5, seed=21))
-    stats = fit_standardization(ds_raw, ds_raw.schema)
-    ds = apply_standardization(ds_raw, stats)
+    ds = generate(GeneratorConfig(num_queries=12, items_min=5, items_max=5, seed=21))
+    stats = fit_standardization(ds, ds.schema)
     h = 1e-5
     worst = {}
     for loss_name in ("ranknet", "lambdarank", "listnet", "listmle", "softrank"):
@@ -363,12 +357,8 @@ def test_criterion_6_statistics():
 
 def _criterion7_report() -> dict:
     ds = generate(GeneratorConfig(num_queries=2000, seed=ACCEPT_SEED))
-    tr_raw, va_raw, te_raw = split_holdout(ds, seed=ACCEPT_SEED)
-    stats = fit_standardization(tr_raw, ds.schema)
-    tr = apply_standardization(tr_raw, stats)
-    va = apply_standardization(va_raw, stats)
-    te = apply_standardization(te_raw, stats)
-    floor = random_ranker_mean_ndcg(te_raw)
+    tr, va, te = split_holdout(ds, seed=ACCEPT_SEED)
+    floor = random_ranker_mean_ndcg(te)
     rows = {}
     for loss in ("ranknet", "lambdarank", "listnet", "listmle", "softrank"):
         model, hist = train(tr, va, TrainConfig(loss=loss, mode="sir", seed=ACCEPT_SEED))

@@ -8,13 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from sirank.data import apply_standardization, fit_standardization
 from sirank.errors import ContractError, DomainError, SchemaError, TrainingError
 from sirank.generator import stable_softmax
 from sirank.scoring import (
     ParamVector,
     backward,
     build_model,
+    fit_stats,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -25,15 +25,14 @@ from sirank.scoring import (
 from conftest import hand_dataset, standardized, without_wide
 
 
-def prepared(seed=0, include_scalevariant=False):
-    ds = hand_dataset(n_queries=4, seed=seed)
-    stats = fit_standardization(ds, ds.schema, include_scalevariant=include_scalevariant)
-    return apply_standardization(ds, stats)
+def prepared(seed=0):
+    return hand_dataset(n_queries=4, seed=seed)
 
 
 def small_model(ds, mode="sir", widths=(8, 4), seed=0):
+    """A model whose stats are fitted on ``ds`` for its mode."""
     return build_model(ds.schema, mode=mode, widths=widths, compressor_dim=2,
-                       seed=seed, stats=ds.stats)
+                       seed=seed, stats=fit_stats(ds, mode))
 
 
 def finite_diff(loss_fn, params, name, i, h=1e-5):
@@ -86,7 +85,7 @@ def test_affine_matches_double_loop_oracle():
     p = model.params
     q = ds.queries[1]
     deep = score_query(without_wide(model), q)
-    deep_numeric, deep_fixed_rows = standardized(q, ds.stats)
+    deep_numeric, deep_fixed_rows = standardized(q, model.stats)
     q_repr = np.concatenate([deep_numeric, p["emb_device_type"][int(q.category_ids[0])]])
     for j, deep_fixed in enumerate(deep_fixed_rows):
         x = list(q_repr) + list(deep_fixed)
@@ -211,7 +210,7 @@ def test_embedding_lookup_matches_slice():
     model = small_model(ds, seed=3)
     table = model.params["emb_device_type"]
     q = ds.queries[1]
-    deep_numeric = standardized(q, ds.stats)[0]
+    deep_numeric = standardized(q, model.stats)[0]
     for cid in range(3):
         q.category_ids = np.array([cid])
         _, cache = forward(model, q)
@@ -280,7 +279,7 @@ def test_backward_two_layer_network_vs_finite_differences():
 
 
 def test_backward_deep_only_vs_finite_differences():
-    ds = prepared(seed=12, include_scalevariant=True)
+    ds = prepared(seed=12)
     model = small_model(ds, mode="deep_only", widths=(8, 4), seed=7)
     assert "wide_w" not in model.params
     for qi in range(2):
@@ -318,7 +317,7 @@ def test_backward_repeatable_after_zeroing():
 def test_backward_into_reused_vector_is_bitwise_fresh(mode):
     # training writes every step's gradients into one vector: what the
     # previous query left there (another embedding row) must not leak
-    ds = prepared(seed=16, include_scalevariant=(mode == "deep_only"))
+    ds = prepared(seed=16)
     model = small_model(ds, mode=mode, seed=10)
     qa = ds.queries[0]
     qb = next(q for q in ds.queries if q.category_ids[0] != qa.category_ids[0])

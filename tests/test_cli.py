@@ -433,6 +433,27 @@ def test_rescale_below_smallest_normal_float_is_validation_error(workdir, tmp_pa
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_subnormal_scalevariant_input_is_refused_where_it_is_loaded(workdir, tmp_path, capsys,
+                                                                    command):
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    item = record["items"][0]
+    item["scalevariant"]["price"] = 5e-324
+    bad = tmp_path / "subnormal.jsonl"
+    bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    target = {"train": ["--out", str(tmp_path / "m.json"), "--epochs", "2"],
+              "evaluate": ["--model", str(workdir / "model.json")]}[command]
+    code = main([command, *target, "--data", str(bad),
+                 "--schema", str(workdir / "data.schema.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"validation error: query {record['query_id']}: item "
+                            f"{item['item_id']}: scale-variant feature below the smallest "
+                            "normal float64\n")
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_non_finite_learning_rate_is_usage_error(workdir, tmp_path, capsys, lr):
     code = main(["train", "--data", str(workdir / "data.jsonl"),

@@ -9,8 +9,6 @@ from sirank.generator import (
     default_utility_weights,
     fixed_marginal_params,
     generate,
-    ideal_ndcg_bound,
-    recompute_utility,
 )
 from sirank.metrics import mean_ndcg, random_ranker_mean_ndcg
 
@@ -19,6 +17,31 @@ def small_config(**overrides):
     defaults = dict(num_queries=60, items_min=4, items_max=10, seed=5)
     defaults.update(overrides)
     return GeneratorConfig(**defaults)
+
+
+def recompute_utility(query, k1: int, weights: np.ndarray) -> np.ndarray:
+    """Rebuild each item's latent utility from its stored feature values.
+
+    Inverts the fixed-feature marginals to recover the standardized draws,
+    then applies the hidden weights; the per-query additive effect is dropped
+    since it cannot change the within-query ordering.
+    """
+    f_shift, f_mu, f_sigma = fixed_marginal_params(k1)
+    if np.any(query.fixed <= f_shift):
+        raise ValidationError(f"query {query.query_id}: fixed values below the "
+                              "generator's marginal support")
+    zf = (np.log(query.fixed - f_shift) - f_mu) / f_sigma
+    return zf @ weights[:k1] + np.log(query.scalevariant) @ weights[k1:]
+
+
+def ideal_ndcg_bound(ds, weights: np.ndarray | None) -> float:
+    """Mean NDCG of ranking by the true latent utility; an upper reference."""
+    if weights is None:
+        raise ValidationError("hidden utility weights are required for the ideal bound")
+    k1 = ds.schema.k1
+    if np.asarray(weights).shape != (k1 + ds.schema.k2,):
+        raise ValidationError("weights length does not match the schema")
+    return mean_ndcg(lambda q: recompute_utility(q, k1, np.asarray(weights)), ds).mean
 
 
 # ---------------------------------------------------------------------------

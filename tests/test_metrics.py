@@ -14,7 +14,7 @@ from sirank.metrics import (
     random_ranker_mean_ndcg,
     two_sample_t_test,
 )
-from sirank.scoring import EVAL_CHUNK_ROWS, Ranking, build_model, rank, score_query
+from sirank.scoring import EVAL_CHUNK_ROWS, Ranking, build_model, fit_stats, rank, score_query
 
 from conftest import hand_dataset
 
@@ -105,8 +105,7 @@ def test_ndcg_range_and_nonbooked_shuffle_invariance():
 
 
 def prepared_dataset(n=10, seed=0):
-    ds = hand_dataset(n_queries=n, seed=seed)
-    return apply_standardization(ds, fit_standardization(ds, ds.schema))
+    return hand_dataset(n_queries=n, seed=seed)
 
 
 def test_oracle_ranker_scores_one():
@@ -139,18 +138,18 @@ def test_batched_ndcg_equals_per_query_bitwise(mode):
     raw = hand_dataset(n_queries=64, seed=30, items=(18, 25))
     bounds = np.cumsum([0] + [q.n_items for q in raw.queries])
     assert bounds[-1] > EVAL_CHUNK_ROWS and not np.any(bounds == EVAL_CHUNK_ROWS)
-    stats = fit_standardization(raw, raw.schema, include_scalevariant=(mode == "deep_only"))
-    ds = apply_standardization(raw, stats)
-    model = build_model(ds.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=3,
-                        stats=stats)
-    res = mean_ndcg(model, ds)
-    want = [ndcg(rank(score_query(model, q)), q.labels) for q in ds.queries]
+    model = build_model(raw.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=3,
+                        stats=fit_stats(raw, mode))
+    res = mean_ndcg(model, raw)
+    want = [ndcg(rank(score_query(model, q)), q.labels) for q in raw.queries]
     assert res.per_query.tolist() == want
-    assert res.count == len(ds)
+    assert res.count == len(raw)
 
 
 @pytest.mark.parametrize("mode", ["sir", "deep_only"])
 def test_raw_and_standardized_views_evaluate_bitwise_equal(mode):
+    # what the benchmark workloads' apply_standardization returns evaluates
+    # like the raw split
     raw = hand_dataset(n_queries=20, seed=33)
     stats = fit_standardization(raw, raw.schema, include_scalevariant=(mode == "deep_only"))
     model = build_model(raw.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=2,
@@ -167,7 +166,8 @@ def test_batched_ndcg_tie_rule_on_identical_items():
         for name in ("fixed", "scalevariant"):
             rows = getattr(q, name)
             setattr(q, name, np.repeat(rows[:1], q.n_items, axis=0))
-    model = build_model(ds.schema, widths=(8, 4), compressor_dim=2, seed=1, stats=ds.stats)
+    model = build_model(ds.schema, widths=(8, 4), compressor_dim=2, seed=1,
+                        stats=fit_stats(ds, "sir"))
     # equal scores rank by item index, so the booked item sits at its index + 1
     want = [1.0 / math.log2(2.0 + q.booked_index) for q in ds.queries]
     assert mean_ndcg(model, ds).per_query.tolist() == want

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sirank.data import apply_standardization, fit_standardization
+from sirank.data import fit_standardization
 from sirank.errors import ConfigError, ValidationError
 from sirank.metrics import mean_ndcg
 from sirank.perturb import PerturbationCase, apply_case
@@ -93,18 +93,16 @@ def _assert_arrays(q, snap, names=RECORD_ARRAYS):
 def test_everything_else_untouched_and_input_unmodified():
     raw = hand_dataset(n_queries=6, seed=6)
     stats = fit_standardization(raw, raw.schema)
-    # the standardized view shares its raw arrays with raw, so check both
-    for ds in (raw, apply_standardization(raw, stats)):
-        snapshot = [_snapshot(q) for q in ds.queries]
-        deep_before = [standardized(q, stats) for q in ds.queries]
-        out = apply_case(ds, PerturbationCase(case_id=3))
-        for q, snap in zip(ds.queries, snapshot):
-            _assert_arrays(q, snap)  # input intact, every array
-        for q, q_out, snap, deep in zip(ds.queries, out.queries, snapshot, deep_before):
-            _assert_arrays(q_out, snap, ("numeric", "fixed", "labels"))
-            for got, want in zip(standardized(q_out, stats), deep):
-                np.testing.assert_array_equal(got, want)
-            assert q_out.num_nights == q.num_nights
+    snapshot = [_snapshot(q) for q in raw.queries]
+    deep_before = [standardized(q, stats) for q in raw.queries]
+    out = apply_case(raw, PerturbationCase(case_id=3))
+    for q, snap in zip(raw.queries, snapshot):
+        _assert_arrays(q, snap)  # input intact, every array
+    for q, q_out, snap, deep in zip(raw.queries, out.queries, snapshot, deep_before):
+        _assert_arrays(q_out, snap, ("numeric", "fixed", "labels"))
+        for got, want in zip(standardized(q_out, stats), deep):
+            np.testing.assert_array_equal(got, want)
+        assert q_out.num_nights == q.num_nights
 
 
 def test_multiplier_constant_within_query():
@@ -118,12 +116,12 @@ def test_multiplier_constant_within_query():
 
 def test_sir_rankings_survive_every_case():
     ds = hand_dataset(n_queries=10, seed=8)
-    std = apply_standardization(ds, fit_standardization(ds, ds.schema))
-    model = build_model(std.schema, widths=(8, 4), compressor_dim=2, seed=1, stats=std.stats)
-    base = mean_ndcg(model, std)
+    model = build_model(ds.schema, widths=(8, 4), compressor_dim=2, seed=1,
+                        stats=fit_standardization(ds, ds.schema))
+    base = mean_ndcg(model, ds)
     for case_id in (1, 2, 3, 4):
-        perturbed = apply_case(std, PerturbationCase(case_id=case_id))
-        for q0, q1 in zip(std.queries, perturbed.queries):
+        perturbed = apply_case(ds, PerturbationCase(case_id=case_id))
+        for q0, q1 in zip(ds.queries, perturbed.queries):
             np.testing.assert_array_equal(
                 rank(score_query(model, q1)).order, rank(score_query(model, q0)).order)
         after = mean_ndcg(model, perturbed)

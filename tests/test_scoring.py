@@ -1,16 +1,18 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from sirank.data import apply_standardization, fit_standardization
-from sirank.data import Dataset
-from sirank.errors import ConfigError, ContractError, DomainError, SchemaError, ValidationError
+from sirank.data import Dataset, fit_standardization
+from sirank.errors import ConfigError, DomainError, SchemaError, ValidationError
 from sirank.scoring import (
     EVAL_CHUNK_ROWS,
     Ranking,
     build_model,
     dataset_invariance_gap,
+    fit_stats,
     forward,
     invariance_gap,
     load_checkpoint,
@@ -27,15 +29,14 @@ from conftest import LABEL_BREAKS, break_labels, hand_dataset, standardized, wit
 SCALES = (1e-2, 0.5, 7.0, 1200.0)
 
 
-def prepared(seed=0, n_queries=12, include_scalevariant=False, items=(3, 6)):
-    ds = hand_dataset(n_queries=n_queries, seed=seed, items=items)
-    stats = fit_standardization(ds, ds.schema, include_scalevariant=include_scalevariant)
-    return apply_standardization(ds, stats)
+def prepared(seed=0, n_queries=12, items=(3, 6)):
+    return hand_dataset(n_queries=n_queries, seed=seed, items=items)
 
 
 def small_model(ds, mode="sir", seed=0):
+    """A model whose stats are fitted on ``ds`` for its mode."""
     return build_model(ds.schema, mode=mode, widths=(8, 4), compressor_dim=2,
-                       seed=seed, stats=ds.stats)
+                       seed=seed, stats=fit_stats(ds, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -46,25 +47,25 @@ def test_build_rejects_wide_compressor():
     ds = prepared()
     # query repr is 5 wide here, compressor must stay below that
     with pytest.raises(ConfigError):
-        build_model(ds.schema, compressor_dim=5)
+        build_model(ds.schema, compressor_dim=5, stats=fit_stats(ds, "sir"))
 
 
 def test_build_rejects_empty_compressor():
     ds = prepared()
     with pytest.raises(ConfigError, match="at least 1"):
-        build_model(ds.schema, compressor_dim=0)
+        build_model(ds.schema, compressor_dim=0, stats=fit_stats(ds, "sir"))
 
 
 def test_build_rejects_dense_weight_beyond_cap():
     ds = prepared()
     with pytest.raises(ConfigError, match="dense weight"):
-        build_model(ds.schema, widths=(10 ** 10,))
+        build_model(ds.schema, widths=(10 ** 10,), stats=fit_stats(ds, "sir"))
 
 
 def test_build_rejects_unknown_mode():
     ds = prepared()
     with pytest.raises(ConfigError):
-        build_model(ds.schema, mode="wide_only")
+        build_model(ds.schema, mode="wide_only", stats=fit_stats(ds, "sir"))
 
 
 def test_wide_weight_length():
@@ -74,20 +75,17 @@ def test_wide_weight_length():
 
 
 def test_unstandardized_query_rejected():
+    # every model standardizes: one cannot be built without stats
     raw = hand_dataset(n_queries=3, seed=1)
-    model = build_model(raw.schema, widths=(4,), compressor_dim=2)
-    with pytest.raises(ContractError, match="standardized"):
-        score_query(model, raw.queries[0])
-    # refused before any data check
-    raw.queries[1].category_ids = np.array([7])
-    with pytest.raises(ContractError, match="standardized"):
-        prepare_dataset(model, raw)
+    with pytest.raises(TypeError, match="stats"):
+        build_model(raw.schema, widths=(4,), compressor_dim=2)
 
 
 @pytest.mark.parametrize("mode", ["sir", "deep_only"])
 def test_prepared_block_holds_the_per_query_standardized_values(mode):
     raw = hand_dataset(n_queries=12, seed=24)
     stats = fit_standardization(raw, raw.schema, include_scalevariant=(mode == "deep_only"))
+    assert fit_stats(raw, mode).to_json() == stats.to_json()
     model = build_model(raw.schema, mode=mode, widths=(8, 4), compressor_dim=2, stats=stats)
     block = prepare_dataset(model, raw)
     deep = [standardized(q, stats) for q in raw.queries]
@@ -117,10 +115,10 @@ def test_identical_fixed_features_tie_deep_scores():
     ds = prepared(seed=3)
     model = small_model(ds)
     q = ds.queries[0]
-    # the raw and standardized views share arrays: copy before editing a row
+    # copy before editing a row: the arrays may be shared with other records
     q.fixed = q.fixed.copy()
     q.fixed[1] = q.fixed[0]
-    deep_fixed = standardized(q, ds.stats)[1]
+    deep_fixed = standardized(q, model.stats)[1]
     np.testing.assert_array_equal(deep_fixed[1], deep_fixed[0])
     q.scalevariant = q.scalevariant.copy()
     q.scalevariant[1] = q.scalevariant[0] * 17.3
@@ -160,7 +158,7 @@ def test_zero_wide_weights_degenerate_to_deep():
     q = ds.queries[1]
     # the deep tower written out from the parameters, with no wide term at all
     p = model.params
-    numeric, fixed = standardized(q, ds.stats)
+    numeric, fixed = standardized(q, model.stats)
     q_repr = np.concatenate([numeric, p["emb_device_type"][int(q.category_ids[0])]])
     h = np.hstack([np.tile(q_repr, (q.n_items, 1)), fixed])
     for i in range(len(model.widths)):
@@ -175,7 +173,7 @@ def test_wide_score_matches_triple_loop_oracle():
     schema = ds.schema
     q = ds.queries[3]
     # oracle: recompute <w, s (x) v> with explicit loops and hand-built s
-    q_repr = list(standardized(q, ds.stats)[0])
+    q_repr = list(standardized(q, model.stats)[0])
     for f, cid in zip(schema.categorical_query_features, q.category_ids):
         q_repr.extend(model.params[f"emb_{f.name}"][int(cid)])
     q_repr = np.array(q_repr)
@@ -218,17 +216,15 @@ def test_single_item_query_scores():
 
 
 def test_deep_only_needs_scalevariant_stats():
-    ds = prepared(seed=10)  # stats without scale-variant coverage
-    model = build_model(ds.schema, mode="deep_only", widths=(8, 4),
-                        compressor_dim=2, stats=ds.stats)
-    with pytest.raises(ContractError):
-        score_query(model, ds.queries[0])
+    ds = prepared(seed=10)
+    with pytest.raises(SchemaError, match="scale-variant"):
+        build_model(ds.schema, mode="deep_only", widths=(8, 4), compressor_dim=2,
+                    stats=fit_stats(ds, "sir"))
 
 
 def test_deep_only_scores_finite():
-    ds = prepared(seed=12, include_scalevariant=True)
-    model = build_model(ds.schema, mode="deep_only", widths=(8, 4),
-                        compressor_dim=2, seed=1, stats=ds.stats)
+    ds = prepared(seed=12)
+    model = small_model(ds, mode="deep_only", seed=1)
     scores = score_query(model, ds.queries[0])
     assert np.all(np.isfinite(scores))
     assert "wide_w" not in model.params
@@ -321,14 +317,15 @@ def test_scale_query_leaves_input_intact():
     q = ds.queries[0]
     names = ("numeric", "fixed", "scalevariant", "labels")
     before = {name: getattr(q, name).copy() for name in names}
-    deep_before = standardized(q, ds.stats)
+    stats = fit_stats(ds, "sir")
+    deep_before = standardized(q, stats)
     scaled = scale_query(q, 7.0)
     for name in names:
         np.testing.assert_array_equal(getattr(q, name), before[name], err_msg=name)
     np.testing.assert_array_equal(scaled.scalevariant, before["scalevariant"] * 7.0)
     for name in ("numeric", "fixed", "labels"):
         np.testing.assert_array_equal(getattr(scaled, name), before[name], err_msg=name)
-    for got, want in zip(standardized(scaled, ds.stats), deep_before):
+    for got, want in zip(standardized(scaled, stats), deep_before):
         np.testing.assert_array_equal(got, want)
     assert scaled.item_ids == q.item_ids
 
@@ -344,9 +341,8 @@ def test_scores_do_shift_by_common_term():
 
 
 def test_deep_only_gap_is_macroscopic():
-    ds = prepared(seed=19, include_scalevariant=True)
-    model = build_model(ds.schema, mode="deep_only", widths=(8, 4),
-                        compressor_dim=2, seed=4, stats=ds.stats)
+    ds = prepared(seed=19)
+    model = small_model(ds, mode="deep_only", seed=4)
     gap = invariance_gap(model, ds.queries[0], 1200.0)
     assert np.isfinite(gap)
     assert gap > 1e-6
@@ -356,11 +352,10 @@ def test_deep_only_gap_is_macroscopic():
 # batched scoring
 
 
-def chunk_straddling(n_queries=64, seed=20, include_scalevariant=False):
+def chunk_straddling(n_queries=64, seed=20):
     """More item rows than one evaluation chunk, with a query that owns rows
     on both sides of the first chunk boundary."""
-    ds = prepared(seed=seed, n_queries=n_queries, include_scalevariant=include_scalevariant,
-                  items=(18, 25))
+    ds = prepared(seed=seed, n_queries=n_queries, items=(18, 25))
     bounds = np.cumsum([0] + [q.n_items for q in ds.queries])
     assert bounds[-1] > EVAL_CHUNK_ROWS
     assert not np.any(bounds == EVAL_CHUNK_ROWS)
@@ -368,11 +363,8 @@ def chunk_straddling(n_queries=64, seed=20, include_scalevariant=False):
 
 
 def models_of_both_modes():
-    sir_ds = chunk_straddling()
-    deep_ds = chunk_straddling(include_scalevariant=True)
-    return [(small_model(sir_ds, seed=6), sir_ds),
-            (build_model(deep_ds.schema, mode="deep_only", widths=(8, 4), compressor_dim=2,
-                         seed=6, stats=deep_ds.stats), deep_ds)]
+    ds = chunk_straddling()
+    return [(small_model(ds, mode=mode, seed=6), ds) for mode in ("sir", "deep_only")]
 
 
 def test_batched_scores_match_per_query_across_chunks():
@@ -420,7 +412,7 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
     _break_query(ds.queries[6], "nonpositive_wide_value" if case != "nonpositive_wide_value"
                  else "category_out_of_range")
     with pytest.raises(Exception) as per_query:
-        prepare_dataset(model, Dataset(schema=ds.schema, queries=[ds.queries[3]], stats=ds.stats))
+        prepare_dataset(model, Dataset(schema=ds.schema, queries=[ds.queries[3]]))
     with pytest.raises(type(per_query.value)) as batched:
         prepare_dataset(model, ds)
     assert str(batched.value) == str(per_query.value)
@@ -438,12 +430,10 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
 
 def test_batched_path_needs_scalevariant_stats_and_queries():
     ds = prepared(seed=10)
-    model = build_model(ds.schema, mode="deep_only", widths=(8, 4), compressor_dim=2,
-                        stats=ds.stats)
-    with pytest.raises(ContractError, match="scale-variant"):
-        prepare_dataset(model, ds)
+    # the stats a deep_only model scores with cover the scale-variant features
+    assert small_model(ds, mode="deep_only").stats.covers_scalevariant
     with pytest.raises(ValidationError):
-        prepare_dataset(small_model(ds), Dataset(schema=ds.schema, queries=[], stats=ds.stats))
+        prepare_dataset(small_model(ds), Dataset(schema=ds.schema, queries=[]))
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +468,24 @@ def test_checkpoint_rejects_other_schema(tmp_path):
 
 
 def test_checkpoint_deep_only_needs_scalevariant_stats(tmp_path):
-    ds = prepared(seed=23)  # stats without scale-variant coverage
-    model = build_model(ds.schema, mode="deep_only", widths=(4,), compressor_dim=2,
-                        stats=ds.stats)
+    ds = prepared(seed=23)
     path = tmp_path / "m.json"
-    save_checkpoint(model, path)
-    with pytest.raises(SchemaError, match="scale-variant"):
+    save_checkpoint(small_model(ds, mode="deep_only"), path)
+    obj = json.loads(path.read_text())
+    del obj["stats"]["scalevariant"]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match=rf"^checkpoint {re.escape(str(path))} .*scale-variant"):
         load_checkpoint(path, ds.schema)
 
 
 def test_checkpoint_requires_stats(tmp_path):
     ds = prepared(seed=22)
-    model = build_model(ds.schema, widths=(4,), compressor_dim=2)
-    with pytest.raises(ContractError):
-        save_checkpoint(model, tmp_path / "m.json")
+    model = small_model(ds)
+    path = tmp_path / "m.json"
+    save_checkpoint(model, path)
+    assert load_checkpoint(path, ds.schema).stats.to_json() == model.stats.to_json()
+    obj = json.loads(path.read_text())
+    del obj["stats"]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match="lacks stats"):
+        load_checkpoint(path, ds.schema)

@@ -5,12 +5,11 @@ import re
 import threading
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sirank.data import apply_standardization, fit_standardization, split_holdout
+from sirank.data import fit_standardization, split_holdout
 from sirank.errors import ConfigError, ContractError, DomainError, TrainingError, ValidationError
 from sirank.generator import GeneratorConfig, generate
 from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
@@ -18,7 +17,7 @@ from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
 import sirank.metrics
 import sirank.scoring
 import sirank.trainer
-from sirank.scoring import backward, build_model, forward, prepare_dataset
+from sirank.scoring import backward, build_model, fit_stats, forward, prepare_dataset
 from sirank.trainer import (
     DEFAULT_LEARNING_RATES,
     ExperimentConfig,
@@ -34,14 +33,10 @@ from sirank.trainer import (
 from conftest import LABEL_BREAKS, break_labels
 
 
-def prepared(num_queries=60, seed=11, include_scalevariant=False, split_seed=0):
+def prepared(num_queries=60, seed=11, split_seed=0):
+    """Raw training, validation and test splits of a generated corpus."""
     ds = generate(GeneratorConfig(num_queries=num_queries, seed=seed))
-    tr_raw, va_raw, te_raw = split_holdout(ds, seed=split_seed)
-    stats = fit_standardization(tr_raw, ds.schema, include_scalevariant=include_scalevariant)
-    return (apply_standardization(tr_raw, stats),
-            apply_standardization(va_raw, stats),
-            apply_standardization(te_raw, stats),
-            te_raw)
+    return split_holdout(ds, seed=split_seed)
 
 
 # --- config validation ------------------------------------------------------
@@ -78,7 +73,7 @@ def test_per_loss_default_learning_rates():
 # --- training loop mechanics -------------------------------------------------
 
 def test_zero_lr_stops_after_patience_plus_one_epochs():
-    tr, va, te, _ = prepared(num_queries=40)
+    tr, va, te = prepared(num_queries=40)
     cfg = TrainConfig(loss="ranknet", learning_rate=0.0, max_epochs=30, patience=3, seed=5)
     model, hist = train(tr, va, cfg)
     # epoch 0 improves over -inf, then `patience` flat epochs in a row
@@ -89,7 +84,7 @@ def test_zero_lr_stops_after_patience_plus_one_epochs():
 
 
 def test_max_epochs_reached_when_patience_never_exhausted():
-    tr, va, te, _ = prepared(num_queries=40)
+    tr, va, te = prepared(num_queries=40)
     cfg = TrainConfig(loss="ranknet", max_epochs=3, patience=2, seed=5)
     model, hist = train(tr, va, cfg)
     assert hist.stopping_reason == "max_epochs"
@@ -98,7 +93,7 @@ def test_max_epochs_reached_when_patience_never_exhausted():
 
 
 def test_history_is_deterministic_for_fixed_seed():
-    tr, va, te, _ = prepared(num_queries=40)
+    tr, va, te = prepared(num_queries=40)
     cfg = TrainConfig(loss="listmle", max_epochs=4, patience=3, seed=9)
     _, h1 = train(tr, va, cfg)
     _, h2 = train(tr, va, cfg)
@@ -110,7 +105,7 @@ def test_history_is_deterministic_for_fixed_seed():
 
 
 def test_returned_model_is_restored_to_best_epoch():
-    tr, va, te, _ = prepared(num_queries=60)
+    tr, va, te = prepared(num_queries=60)
     cfg = TrainConfig(loss="ranknet", max_epochs=10, patience=9, seed=2)
     model, hist = train(tr, va, cfg)
     val_now = mean_ndcg(model, va).mean
@@ -119,7 +114,7 @@ def test_returned_model_is_restored_to_best_epoch():
 
 
 def test_history_serializes_to_json():
-    tr, va, te, _ = prepared(num_queries=40)
+    tr, va, te = prepared(num_queries=40)
     _, hist = train(tr, va, TrainConfig(max_epochs=2, patience=1, seed=0))
     blob = json.dumps(hist.to_json())
     back = json.loads(blob)
@@ -129,7 +124,7 @@ def test_history_serializes_to_json():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_run_aborts_with_epoch_and_query_context():
-    tr, va, te, _ = prepared(num_queries=40)
+    tr, va, te = prepared(num_queries=40)
     cfg = TrainConfig(loss="ranknet", learning_rate=20.0, max_epochs=5, patience=4, seed=0)
     with pytest.raises(TrainingError, match=r"epoch \d+, query q\d+"):
         train(tr, va, cfg)
@@ -137,7 +132,7 @@ def test_divergent_run_aborts_with_epoch_and_query_context():
 
 def test_divergence_raises_only_a_training_error():
     # the overflowing forward pass is reported once, by the finiteness check
-    tr, va, te, _ = prepared(num_queries=40)
+    tr, va, te = prepared(num_queries=40)
     cfg = TrainConfig(loss="ranknet", learning_rate=20.0, max_epochs=5, patience=4, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -150,10 +145,12 @@ def reference_epochs(train_ds, config):
     caching: ``forward`` on the query, the loss, ``backward``, then
     ``value -= lr * g`` per parameter by name, with train's epoch RNG and
     softrank sub-sampling. Returns the parameters after each epoch and the
-    mean training loss of each epoch."""
+    mean training loss of each epoch. The stats are fitted on the raw
+    training split, the scale-variant features too for a deep_only model."""
+    stats = fit_standardization(train_ds, train_ds.schema,
+                                include_scalevariant=(config.mode == "deep_only"))
     model = build_model(train_ds.schema, mode=config.mode, widths=config.widths,
-                        compressor_dim=config.compressor_dim, seed=config.seed,
-                        stats=train_ds.stats)
+                        compressor_dim=config.compressor_dim, seed=config.seed, stats=stats)
     loss_fn = loss_by_name(config.loss, config.sigma)
     lr = config.resolved_learning_rate
     snapshots, losses = [], []
@@ -182,9 +179,7 @@ def reference_epochs(train_ds, config):
                                        ("lambdarank", "deep_only")])
 def test_train_is_bitwise_equal_to_reference_loop(loss, mode):
     ds = generate(GeneratorConfig(num_queries=40, items_min=10, items_max=20, seed=6))
-    tr_raw, va_raw, _ = split_holdout(ds, seed=0)
-    stats = fit_standardization(tr_raw, ds.schema, include_scalevariant=(mode == "deep_only"))
-    tr, va = apply_standardization(tr_raw, stats), apply_standardization(va_raw, stats)
+    tr, va, _ = split_holdout(ds, seed=0)
     assert min(q.n_items for q in tr.queries) > SOFTRANK_LIST_SIZE
     cfg = TrainConfig(loss=loss, mode=mode, max_epochs=2, patience=1, seed=4)
     model, hist = train(tr, va, cfg)
@@ -198,11 +193,11 @@ def test_train_is_bitwise_equal_to_reference_loop(loss, mode):
 
 @pytest.mark.parametrize("case", LABEL_BREAKS)
 def test_label_rule_is_enforced_where_data_is_prepared(case):
-    tr, va, _, _ = prepared(num_queries=40)
+    tr, va, _ = prepared(num_queries=40)
     bad = tr.queries[3]
     break_labels(bad, case)
     break_labels(tr.queries[7], "none_booked")  # a later bad query is not the one named
-    model = build_model(tr.schema, widths=(8, 4), compressor_dim=2, stats=tr.stats)
+    model = build_model(tr.schema, widths=(8, 4), compressor_dim=2, stats=fit_stats(tr, "sir"))
     cfg = TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1)
     for call in (lambda: prepare_dataset(model, tr), lambda: train(tr, va, cfg),
                  lambda: mean_ndcg(model, tr),
@@ -213,7 +208,7 @@ def test_label_rule_is_enforced_where_data_is_prepared(case):
 
 
 def test_bad_record_found_in_training_names_epoch_query_and_feature(monkeypatch):
-    tr, va, te, _ = prepared(num_queries=40)
+    tr, va, te = prepared(num_queries=40)
     q = tr.queries[3]
     q.scalevariant = q.scalevariant.copy()
     q.scalevariant[1, 0] = -1.0
@@ -230,33 +225,27 @@ def test_bad_record_found_in_training_names_epoch_query_and_feature(monkeypatch)
 
 # --- contract checks ---------------------------------------------------------
 
-def test_train_rejects_unstandardized_data():
-    ds = generate(GeneratorConfig(num_queries=20, seed=1))
-    tr_raw, va_raw, _ = split_holdout(ds, seed=0)
-    with pytest.raises(ContractError):
-        train(tr_raw, va_raw, TrainConfig())
-
-
 @pytest.mark.parametrize("mode", ["sir", "deep_only"])
 def test_validation_split_needs_no_stats(mode):
-    # only the training split's stats reach the model, so a raw validation
-    # split trains exactly like its standardized view
+    # train fits the model's stats on its raw training split alone and
+    # keeps nothing between calls, on the splits or anywhere else
     ds = generate(GeneratorConfig(num_queries=40, seed=1))
-    tr_raw, va_raw, _ = split_holdout(ds, seed=0)
-    stats = fit_standardization(tr_raw, ds.schema, include_scalevariant=(mode == "deep_only"))
-    tr = apply_standardization(tr_raw, stats)
+    tr, va, _ = split_holdout(ds, seed=0)
+
+    def attributes(split):
+        return set(vars(split)), [set(vars(q)) for q in split.queries]
+
+    before = [attributes(tr), attributes(va)]
     cfg = TrainConfig(mode=mode, max_epochs=3, patience=2, seed=2)
-    model, hist = train(tr, va_raw, cfg)
-    want_model, want_hist = train(tr, apply_standardization(va_raw, stats), cfg)
-    assert model.params.flat.tobytes() == want_model.params.flat.tobytes()
-    assert hist.train_loss == want_hist.train_loss
-    assert hist.val_ndcg == want_hist.val_ndcg
-
-
-def test_deep_only_requires_scalevariant_stats():
-    tr, va, te, _ = prepared(num_queries=20, include_scalevariant=False)
-    with pytest.raises(ContractError):
-        train(tr, va, TrainConfig(mode="deep_only", max_epochs=2, patience=1))
+    model, hist = train(tr, va, cfg)
+    want = fit_standardization(tr, ds.schema, include_scalevariant=(mode == "deep_only"))
+    assert model.stats.to_json() == want.to_json()
+    assert model.stats.covers_scalevariant == (mode == "deep_only")
+    again, again_hist = train(tr, va, cfg)
+    assert again.params.flat.tobytes() == model.params.flat.tobytes()
+    assert again_hist.train_loss == hist.train_loss
+    assert again_hist.val_ndcg == hist.val_ndcg
+    assert [attributes(tr), attributes(va)] == before
 
 
 # --- softrank list truncation -------------------------------------------------
@@ -290,10 +279,7 @@ def test_softrank_short_lists_left_alone():
 
 def test_softrank_trains_on_long_lists():
     ds = generate(GeneratorConfig(num_queries=30, items_min=20, items_max=25, seed=3))
-    tr_raw, va_raw, _ = split_holdout(ds, seed=0)
-    stats = fit_standardization(tr_raw, ds.schema)
-    tr = apply_standardization(tr_raw, stats)
-    va = apply_standardization(va_raw, stats)
+    tr, va, _ = split_holdout(ds, seed=0)
     model, hist = train(tr, va, TrainConfig(loss="softrank", max_epochs=2, patience=1, seed=0))
     assert len(hist.train_loss) == 2
     assert all(np.isfinite(v) for v in hist.train_loss)
@@ -303,11 +289,11 @@ def test_softrank_trains_on_long_lists():
 
 @pytest.mark.parametrize("loss", ["ranknet", "lambdarank", "listnet", "listmle", "softrank"])
 def test_every_loss_beats_random_ranker(loss):
-    tr, va, te, te_raw = prepared(num_queries=200, seed=11)
+    tr, va, te = prepared(num_queries=200, seed=11)
     cfg = TrainConfig(loss=loss, mode="sir", max_epochs=15, patience=14, seed=3)
     model, hist = train(tr, va, cfg)
     achieved = mean_ndcg(model, te).mean
-    floor = random_ranker_mean_ndcg(te_raw)
+    floor = random_ranker_mean_ndcg(te)
     assert achieved > floor + 0.05, f"{loss}: {achieved:.4f} vs random {floor:.4f}"
 
 
@@ -410,7 +396,7 @@ def test_experiment_config_checks_epochs_and_patience_like_train_config():
 
 
 def test_each_validation_query_is_prepared_once(monkeypatch):
-    tr, va, te, _ = prepared(num_queries=60)
+    tr, va, te = prepared(num_queries=60)
     seen = Counter()
 
     def counting(prepare):
@@ -526,13 +512,15 @@ def test_default_grid_is_five_losses_two_modes():
 
 
 def test_overflowing_validation_scores_are_a_training_error(monkeypatch):
-    # one training query, so the first update is followed by the validation
-    # pass, which scores with parameters too large for float64
-    tr, va, _, _ = prepared(num_queries=40)
-    tr = replace(tr, queries=tr.queries[:1])
+    # the epoch's last update is followed by the validation pass, which
+    # scores with parameters too large for float64
+    tr, va, _ = prepared(num_queries=40)
+    steps = []
 
     def blow_up(params, grads, lr):
-        params["head_w"][...] = 1e308
+        steps.append(lr)
+        if len(steps) == len(tr):
+            params["head_w"][...] = 1e308
 
     monkeypatch.setattr(sirank.trainer, "sgd_step", blow_up)
     with pytest.raises(TrainingError, match=r"^epoch 0: .* scores are not finite"):
