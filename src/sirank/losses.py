@@ -65,12 +65,12 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _logsumexp(a: np.ndarray) -> np.float64:
     """``scipy.special.logsumexp(a)`` of a float64 vector, step for step, so
     the bits match: the maxima are taken out of the shifted sum and added
     back as log(count), and a non-finite result falls back to
-    log(sum(exp(a)))."""
+    log(sum(exp(a))). Finite scores raise no numpy warning here; ``train``
+    checks its scores before any loss runs."""
     a_max = a.max()
     is_max = a == a_max
     count = float(np.count_nonzero(is_max))

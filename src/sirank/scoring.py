@@ -216,11 +216,6 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     queries = dataset.queries
     if not queries:
         raise ValidationError("cannot evaluate a dataset without queries")
-    cut = next((i for i, q in enumerate(queries) if q.n_items == 0), None)
-    if cut is not None:
-        if cut:  # a data error in an earlier query comes first
-            prepare_dataset(model, replace(dataset, queries=queries[:cut]))
-        raise ContractError("cannot score an empty item selection")
 
     cats = model.schema.categorical_query_features
     category_ids = np.array([q.category_ids for q in queries], dtype=np.int64)
@@ -238,7 +233,7 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     sizes = [q.n_items for q in queries]
     offsets = np.cumsum([0] + sizes)
     cardinality = np.array([f.cardinality for f in cats], dtype=np.int64)
-    if not (((category_ids >= 0) & (category_ids < cardinality)).all()
+    if not (0 not in sizes and ((category_ids >= 0) & (category_ids < cardinality)).all()
             and np.isfinite(deep_items).all() and np.isfinite(deep_numeric).all()
             and (wide_raw is None or (wide_raw > 0).all())):
         _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw)
@@ -276,6 +271,8 @@ def _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw
     inputs and raise the first one that fails."""
     names = model.schema.item_features_fixed + model.schema.item_features_scalevariant
     for qi, q in enumerate(queries):
+        if q.n_items == 0:
+            raise ContractError("cannot score an empty item selection")
         rows = slice(offsets[qi], offsets[qi + 1])
         for f, cid in zip(model.schema.categorical_query_features, q.category_ids):
             if not 0 <= cid < f.cardinality:

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sirank.generator import GeneratorConfig, generate
+from sirank.generator import SCHEMA, GeneratorConfig, generate
 from sirank.scoring import build_model, fit_stats, rank, scale_query, score_query
 
 CORPUS = GeneratorConfig(num_queries=40, seed=13)
-REPR_DIM = CORPUS.schema().query_repr_dim  # the compressor stays narrower than this
+REPR_DIM = SCHEMA.query_repr_dim  # the compressor stays narrower than this
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sirank.data import Dataset, fit_standardization
-from sirank.errors import ConfigError, DomainError, SchemaError, ValidationError
+from sirank.errors import ConfigError, ContractError, DomainError, SchemaError, ValidationError
 from sirank.scoring import (
     EVAL_CHUNK_ROWS,
     Ranking,
@@ -426,6 +427,28 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
         assert batched.type is ValidationError
         assert str(batched.value) == (f"query {ds.queries[3].query_id}: labels must be 0 or 1 "
                                       "with exactly one booked item")
+
+
+@pytest.mark.parametrize("bad_category_at", [None, 1, 5], ids=["alone", "before", "after"])
+def test_empty_query_is_reported_in_dataset_order(bad_category_at):
+    ds = prepared(seed=21, n_queries=8)
+    model = small_model(ds)
+    q = ds.queries[3]
+    ds.queries[3] = replace(q, item_ids=(), fixed=q.fixed[:0], scalevariant=q.scalevariant[:0],
+                            labels=q.labels[:0])
+    if bad_category_at is None:
+        ds = Dataset(schema=ds.schema, queries=[ds.queries[3]])
+    else:
+        _break_query(ds.queries[bad_category_at], "category_out_of_range")
+    with pytest.raises(Exception) as err:
+        prepare_dataset(model, ds)
+    if bad_category_at == 1:
+        assert err.type is DomainError
+        assert str(err.value) == ("category id 7 out of range for feature 'device_type' "
+                                  "(cardinality 3)")
+    else:
+        assert err.type is ContractError
+        assert str(err.value) == "cannot score an empty item selection"
 
 
 def test_batched_path_needs_scalevariant_stats_and_queries():
