@@ -1,5 +1,6 @@
-"""Evaluation-path timings: JSONL loading, batched NDCG, the dataset
-invariance gap and one ``sirank evaluate`` call.
+"""Evaluation-path timings: JSONL loading, the four perturbation cases,
+batched NDCG, the dataset invariance gap and one ``sirank evaluate`` and
+one ``sirank perturb`` call.
 
 Run from the root of a checkout:
 
@@ -79,25 +80,39 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
                 return batched_gap(model, test_raw, GAP_RATE)
             return max(sr.invariance_gap(model, q, GAP_RATE) for q in test_raw.queries)
 
-        def evaluate(mode):
-            argv = ["evaluate", "--model", str(tmp / f"{mode}.ckpt.json"),
-                    "--data", str(files["cli_queries"]), "--schema", str(schema_path),
-                    "--case", "1,2,3,4", "--out", str(tmp / "eval.json")]
+        def cli(argv):
             with contextlib.redirect_stdout(io.StringIO()):
                 if sirank.cli.main(argv) != 0:
                     raise SystemExit(f"bench_evaluation: sirank {' '.join(argv)} failed")
+
+        def evaluate(mode):
+            cli(["evaluate", "--model", str(tmp / f"{mode}.ckpt.json"),
+                 "--data", str(files["cli_queries"]), "--schema", str(schema_path),
+                 "--case", "1,2,3,4", "--out", str(tmp / "eval.json")])
+
+        def perturb():
+            cli(["perturb", "--data", str(files["cli_queries"]), "--schema", str(schema_path),
+                 "--case", "3", "--out", str(tmp / "perturbed.jsonl")])
+
+        cases_ds = sr.load_dataset(files["cli_queries"], full.schema)
+
+        def all_cases():
+            for cid in sr.CASE_IDS:
+                sr.apply_case(cases_ds, sr.PerturbationCase(cid))
 
         ops = {
             f"load_dataset_{sizes['load_small']}q_s":
                 lambda: sr.load_dataset(files["load_small"], full.schema),
             f"load_dataset_{sizes['load_large']}q_s":
                 lambda: sr.load_dataset(files["load_large"], full.schema),
+            f"apply_case_4_cases_{len(cases_ds)}q_s": all_cases,
             f"mean_ndcg_sir_{len(test_raw)}q_s": lambda: sr.mean_ndcg(models["sir"], test_raw),
             f"mean_ndcg_deep_only_{len(test_raw)}q_s":
                 lambda: sr.mean_ndcg(models["deep_only"], test_raw),
             f"invariance_gap_sir_{len(test_raw)}q_s": gap,
             f"cli_evaluate_sir_{sizes['cli_queries']}q_s": lambda: evaluate("sir"),
             f"cli_evaluate_deep_only_{sizes['cli_queries']}q_s": lambda: evaluate("deep_only"),
+            f"cli_perturb_case3_{sizes['cli_queries']}q_s": perturb,
         }
         for fn in ops.values():
             fn()  # warm-up: imports, caches, first-call costs

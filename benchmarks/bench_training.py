@@ -50,6 +50,8 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
     reuses_grads = "grads" in inspect.signature(backward).parameters
     # a tree whose losses read a label vector gets the query's labels instead of an index
     takes_booked = "booked" in inspect.signature(ranknet_loss).parameters
+    # a tree whose softrank sampler finds the booked item itself gets the query
+    sampler_takes_query = "query" in inspect.signature(_softrank_indices).parameters
     ds = sr.generate(sr.GeneratorConfig(num_queries=sizes["queries"], seed=seed))
     train_raw, _, _ = sr.split_holdout(ds, seed=seed)
     samples: dict[str, list[float]] = {}
@@ -66,7 +68,8 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
             item_indices = None
             target = int(block.booked[qi] - block.offsets[qi]) if takes_booked else q.labels
             if loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
-                item_indices = _softrank_indices(q, epoch_rng)
+                item_indices = (_softrank_indices(q, epoch_rng) if sampler_takes_query else
+                                _softrank_indices(q.n_items, target, epoch_rng))
                 target = item_indices.index(target) if takes_booked else target[item_indices]
             t0 = time.perf_counter()
             scores, cache = forward_block(model, block, qi, item_indices)

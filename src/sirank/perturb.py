@@ -11,11 +11,11 @@ own stats when it scores, so a perturbed split needs no re-standardizing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SMALLEST_NORMAL, Dataset, QueryRecord
+from .data import SMALLEST_NORMAL, Dataset, QueryRecord, rescale_scalevariant
 from .errors import ConfigError, ValidationError
 
 DEFAULT_TARGETS = ("price", "discount")
@@ -31,15 +31,12 @@ class PerturbationCase:
         if self.case_id not in CASE_IDS:
             raise ConfigError(f"case must be one of {CASE_IDS}, got {self.case_id}")
 
-    def factors(self, query: QueryRecord) -> tuple[float, ...]:
-        """Per-query multipliers, applied left to right."""
-        if self.case_id == 1:
-            return (float(query.num_nights),)
-        if self.case_id == 2:
-            return (float(query.exchange_rate),)
-        if self.case_id == 3:
-            return (float(query.num_nights), float(query.exchange_rate))
-        return (DEFAULT_RATE,)
+    def factors(self, queries: list[QueryRecord]) -> list[np.ndarray]:
+        """Per-query multipliers, one array per factor, applied left to right."""
+        nights = np.array([float(q.num_nights) for q in queries])
+        rates = np.array([float(q.exchange_rate) for q in queries])
+        return {1: [nights], 2: [rates], 3: [nights, rates],
+                4: [np.full(len(queries), DEFAULT_RATE)]}[self.case_id]
 
 
 def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
@@ -55,21 +52,27 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     if missing:
         raise ConfigError(f"target features {missing} are not scale-variant "
                           f"features of the schema (has {list(sv_names)})")
-    cols = np.array([sv_names.index(t) for t in DEFAULT_TARGETS], dtype=np.int64)
+    queries = ds.queries
 
-    queries = []
-    with np.errstate(over="ignore"):  # an overflow is reported as a data error below
-        for q in ds.queries:
-            rescaled = q.scalevariant[:, cols]
-            for f in case.factors(q):
-                rescaled = rescaled * f
-            if not rescaled.max() < np.inf:
-                raise ValidationError(f"query {q.query_id}: case {case.case_id} rescales a "
-                                      "scale-variant value beyond the float64 range")
-            if rescaled.min() < SMALLEST_NORMAL:
-                raise ValidationError(f"query {q.query_id}: case {case.case_id} rescales a "
-                                      "scale-variant value below the smallest normal float64")
-            sv = q.scalevariant.copy()
-            sv[:, cols] = rescaled
-            queries.append(replace(q, scalevariant=sv))
-    return Dataset(schema=ds.schema, queries=queries)
+    def rescale(sv: np.ndarray):
+        sizes = [q.n_items for q in queries]
+        factors = [np.repeat(f, sizes) for f in case.factors(queries)]
+        over = np.zeros(len(sv), dtype=bool)
+        below = np.zeros(len(sv), dtype=bool)
+        with np.errstate(over="ignore"):  # an overflow is reported as a data error below
+            for name in DEFAULT_TARGETS:
+                column = sv[:, sv_names.index(name)]  # a view: the products land in sv
+                for f in factors:
+                    column *= f
+                over |= ~(column < np.inf)  # NaN too
+                below |= column < SMALLEST_NORMAL
+        bad = over | below
+        if bad.any():
+            offsets = np.cumsum([0] + sizes)
+            qi = int(np.searchsorted(offsets, np.flatnonzero(bad)[0], side="right")) - 1
+            where = ("beyond the float64 range" if over[offsets[qi]:offsets[qi + 1]].any()
+                     else "below the smallest normal float64")
+            raise ValidationError(f"query {queries[qi].query_id}: case {case.case_id} rescales "
+                                  f"a scale-variant value {where}")
+
+    return rescale_scalevariant(ds, rescale)

@@ -37,7 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import (MAX_EMBEDDING_VALUES, SMALLEST_NORMAL, Dataset, FeatureSchema, QueryRecord,
-                   StandardizationStats, check_stats_schema, fit_standardization)
+                   StandardizationStats, check_stats_schema, fit_standardization,
+                   rescale_scalevariant, stack_item_rows)
 from .errors import (
     ConfigError,
     ContractError,
@@ -221,9 +222,9 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     category_ids = np.array([q.category_ids for q in queries], dtype=np.int64)
     category_ids = category_ids.reshape(len(queries), len(cats))
     deep_numeric = (np.stack([q.numeric for q in queries]) - stats.numeric_mean) / stats.numeric_std
-    fixed = np.concatenate([q.fixed for q in queries])
+    fixed = stack_item_rows(queries, "fixed", model.schema.k1)
     deep_items = (fixed - stats.fixed_mean) / stats.fixed_std
-    scalevariant = np.concatenate([q.scalevariant for q in queries])
+    scalevariant = stack_item_rows(queries, "scalevariant", model.schema.k2)
     if model.mode == "deep_only":
         deep_items = np.concatenate(
             [deep_items, (scalevariant - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
@@ -501,20 +502,46 @@ def rank(scores: np.ndarray) -> Ranking:
     return Ranking(order=order)
 
 
+def _check_scale(c: float):
+    if not (c > 0) or not np.isfinite(c):
+        raise DomainError(f"scale factor must be a positive finite number, got {c}")
+
+
+def _raise_if_badly_scaled(query_id: str, c: float, scaled: np.ndarray):
+    if not np.isfinite(scaled).all():
+        raise ValidationError(f"query {query_id}: scaling by {c:g} overflows float64")
+    if (scaled < SMALLEST_NORMAL).any():
+        raise ValidationError(f"query {query_id}: scaling by {c:g} takes a scale-variant "
+                              "value below the smallest normal float64")
+
+
 def scale_query(query: QueryRecord, c: float) -> QueryRecord:
     """Multiply every item's scale-variant vector by c, leaving the rest alone.
     A product beyond the float64 range or below its smallest normal value
     raises ValidationError naming the query."""
-    if not (c > 0) or not np.isfinite(c):
-        raise DomainError(f"scale factor must be a positive finite number, got {c}")
+    _check_scale(c)
     with np.errstate(over="ignore"):  # an overflow is reported as a data error below
         scaled = query.scalevariant * c
-    if not np.isfinite(scaled).all():
-        raise ValidationError(f"query {query.query_id}: scaling by {c:g} overflows float64")
-    if (scaled < SMALLEST_NORMAL).any():
-        raise ValidationError(f"query {query.query_id}: scaling by {c:g} takes a scale-variant "
-                              "value below the smallest normal float64")
+    _raise_if_badly_scaled(query.query_id, c, scaled)
     return replace(query, scalevariant=scaled)
+
+
+def scale_dataset(ds: Dataset, c: float) -> Dataset:
+    """``scale_query`` of every query of ``ds``, as one multiply and one
+    check over the stacked scale-variant rows; an error names the first
+    query that ``scale_query`` would refuse, with its message."""
+    _check_scale(c)
+
+    def rescale(scaled: np.ndarray):
+        with np.errstate(over="ignore"):
+            scaled *= c
+        if not (np.isfinite(scaled).all() and (scaled >= SMALLEST_NORMAL).all()):
+            start = 0
+            for q in ds.queries:
+                _raise_if_badly_scaled(q.query_id, c, scaled[start:start + q.n_items])
+                start += q.n_items
+
+    return rescale_scalevariant(ds, rescale)
 
 
 def invariance_gap(model: SirModel, query: QueryRecord, c: float) -> float:
@@ -536,7 +563,7 @@ def block_invariance_gap(model: SirModel, base_scores: np.ndarray, scaled: Datas
 def dataset_invariance_gap(model: SirModel, dataset: Dataset, c: float) -> float:
     """The largest ``invariance_gap`` over the queries of ``dataset``, from
     one batched pass over the dataset and one over its rescaled copy."""
-    scaled = replace(dataset, queries=[scale_query(q, c) for q in dataset.queries])
+    scaled = scale_dataset(dataset, c)
     base_scores = score_block(model, prepare_dataset(model, dataset))  # one block alive at a time
     return block_invariance_gap(model, base_scores, prepare_dataset(model, scaled))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .scoring import (
     fit_stats,
     forward_block,
     prepare_dataset,
-    scale_query,
+    scale_dataset,
     score_block,
     sgd_step,
 )
@@ -105,9 +105,10 @@ class TrainHistory:
         }
 
 
-def _softrank_indices(query, epoch_rng: np.random.Generator) -> list[int]:
-    booked = query.booked_index
-    negatives = [j for j in range(query.n_items) if j != booked]
+def _softrank_indices(n_items: int, booked: int, epoch_rng: np.random.Generator) -> list[int]:
+    """The items a softrank step scores: the booked one and at most
+    ``SOFTRANK_LIST_SIZE - 1`` others drawn without replacement."""
+    negatives = [j for j in range(n_items) if j != booked]
     keep = SOFTRANK_LIST_SIZE - 1
     if len(negatives) > keep:
         negatives = sorted(epoch_rng.choice(negatives, size=keep, replace=False).tolist())
@@ -158,7 +159,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
             item_indices = None
             booked = booked_items[qi]
             if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
-                item_indices = _softrank_indices(q, epoch_rng)
+                item_indices = _softrank_indices(q.n_items, booked, epoch_rng)
                 booked = item_indices.index(booked)
             try:
                 scores, cache = forward_block(model, train_block, qi, item_indices)
@@ -371,7 +372,7 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
     global _GRID
     train_raw, val_raw, test_raw = split_holdout(ds, seed=config.seed)
     cases = {cid: apply_case(test_raw, PerturbationCase(cid)) for cid in CASE_IDS}
-    scaled_test = replace(test_raw, queries=[scale_query(q, 1200.0) for q in test_raw.queries])
+    scaled_test = scale_dataset(test_raw, DEFAULT_RATE)
 
     blocks: dict[str, tuple] = {}  # an untrained model prepares them: they read schema, mode, stats
     for mode in MODES:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sirank.data
 from sirank.data import Dataset, FeatureSchema, QueryFeature, QueryRecord
 from sirank.scoring import ParamVector
 
@@ -86,3 +87,28 @@ def schema():
 @pytest.fixture
 def dataset():
     return hand_dataset()
+
+
+@pytest.fixture(autouse=True)
+def valid_chunks_skip_the_walk(monkeypatch):
+    """Fail a test in which ``load_dataset`` walks a chunk query by query
+    and finds nothing wrong: the column-wise chunk checks must accept every
+    valid file the suite loads, so the walk only runs to raise an error. A
+    test that replaces the chunk checks on purpose is exempt."""
+    real_parse, real_load = sirank.data._parse_query_obj, sirank.data._load_chunk
+    real_check = sirank.data._chunk_records
+    walked = []
+
+    def parse(obj, schema):
+        walked.append(obj)
+        return real_parse(obj, schema)
+
+    def load_chunk(chunk, schema, first_line):
+        walked.clear()
+        records = real_load(chunk, schema, first_line)
+        assert not walked or sirank.data._chunk_records is not real_check, (
+            f"a valid chunk failed the column-wise checks (first line {chunk[0][0]})")
+        return records
+
+    monkeypatch.setattr(sirank.data, "_parse_query_obj", parse)
+    monkeypatch.setattr(sirank.data, "_load_chunk", load_chunk)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import sirank as sr
 import sirank.cli
 from sirank.cli import main
+from sirank.scoring import fit_stats
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,39 @@ def test_perturb_composes_bitwise(workdir, tmp_path):
     meta = json.loads((tmp_path / "p3.jsonl.meta.json").read_text())
     assert meta["case"] == 3
     assert meta["targets"] == ["price", "discount"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_evaluate_and_perturb_outputs_are_pinned(workdir, tmp_path, capsys):
+    # sha256 under numpy 2.4.6 of what `perturb --case 3` writes and of the
+    # `results` block of `evaluate --case 1,2,3,4`, for the trained sir
+    # checkpoint and an untrained deep_only one: any change to a loaded,
+    # rescaled or scored value moves them
+    schema_path = workdir / "data.schema.json"
+    data = workdir / "data.jsonl"
+    ds = sr.load_dataset(data, sr.load_schema(schema_path))
+    deep = sr.build_model(ds.schema, mode="deep_only", seed=3, stats=fit_stats(ds, "deep_only"))
+    sr.save_checkpoint(deep, tmp_path / "deep.json")
+    assert main(["perturb", "--data", str(data), "--schema", str(schema_path),
+                 "--case", "3", "--out", str(tmp_path / "p3.jsonl")]) == 0
+    got = {"perturb": _sha256((tmp_path / "p3.jsonl").read_bytes()),
+           "perturb_meta": _sha256((tmp_path / "p3.jsonl.meta.json").read_bytes())}
+    for name, model in (("sir", workdir / "model.json"), ("deep_only", tmp_path / "deep.json")):
+        out = tmp_path / f"eval_{name}.json"
+        assert main(["evaluate", "--model", str(model), "--data", str(data),
+                     "--schema", str(schema_path), "--case", "1,2,3,4", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        got[f"evaluate_{name}"] = _sha256(json.dumps(results, sort_keys=True).encode())
+    capsys.readouterr()
+    assert got == {
+        "perturb": "e11ad5d514ab0e0b11e35dcf0b640aa099955ea7f2fe70af4ce3b622f9814ea7",
+        "perturb_meta": "d73545964594e1e61ec5f4fc5e8ae1abec5c8893470d032f7d34a85e03f0fffb",
+        "evaluate_sir": "d1d7ddf6e91df150908db6c935f72e4d8f2a35d42c08aa3d76e442cf5b3db3f5",
+        "evaluate_deep_only": "3e7dd083b4132687e2d2c509c28b0052019cfab02e0f624cfc686544932c837c",
+    }
 
 
 def test_perturb_rejects_unknown_case(workdir, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import copy
 import json
 
 import numpy as np
@@ -263,38 +262,167 @@ def _mutate(obj, j, mutation):
         items[j][group][key] = value
 
 
-def _parse_outcome(obj, schema):
+QUERY_MUTATIONS = (
+    [(("query_id",), v) for v in (None, "", 5, "q1")]
+    + [(("query",), v) for v in (None, [], {})]
+    + [(("query", "lead_days"), v) for v in ("0.3", None, True, 10 ** 400, float("nan"),
+                                             float("inf"), 7, 2 ** 60, "drop")]
+    + [(("query", "colour"), 1.0)]
+    + [(("query", "device_type"), v) for v in (1.0, True, 3, -1, "1", 2 ** 70, "drop")]
+    + [(("num_nights",), v) for v in (0, -1, 1.5, True, None, 10 ** 400, "2", 3, "drop")]
+    + [(("exchange_rate",), v) for v in (0.0, -1.0, float("inf"), float("nan"), None, True,
+                                         10 ** 400, 7, 1e-300, "drop")]
+    + [(("items",), v) for v in (None, {}, [], "one", "many")]
+)
+
+
+def _mutate_query(obj, mutation):
+    path, value = mutation
+    *parents, key = path
+    target = obj
+    for name in parents:
+        target = target.get(name) if isinstance(target, dict) else None
+    if not isinstance(target, dict):
+        return
+    if value == "drop":
+        target.pop(key, None)
+    elif key == "items" and value in ("one", "many"):
+        items = target.get("items")
+        if isinstance(items, list):
+            many = [dict(raw, item_id=f"x{k}") if isinstance(raw, dict) else raw
+                    for k, raw in enumerate(items * 9)]
+            target["items"] = items[:1] if value == "one" else many
+    else:
+        target[key] = value
+
+
+def _base_query(k: int) -> dict:
+    """A valid query ``q<k>``; its items ``a``, ``b`` and ``c`` repeat in
+    every query, as hotel ids do in real data."""
+    obj = _one_query_obj(None)
+    obj["query_id"] = f"q{k}"
+    obj["items"].append({"item_id": "c", "fixed": {"star_rating": 2, "review_score": 6.5},
+                         "scalevariant": {"price": 70, "discount": 2.5}, "label": 0})
+    obj["query"]["lead_days"] = 0.1 * k
+    for raw in obj["items"]:
+        raw["scalevariant"]["price"] *= k + 1
+    return obj
+
+
+def _write_lines(path, objs):
+    path.write_text("".join((obj if isinstance(obj, str) else json.dumps(obj)) + "\n"
+                            for obj in objs))
+    return path
+
+
+def _load_outcome(path, schema):
     try:
-        q = sirank.data._parse_query_obj(copy.deepcopy(obj), schema)
+        ds = load_dataset(path, schema)
     except ValidationError as exc:
-        return ("error", str(exc))
-    return ("ok", q.item_ids, q.fixed.tobytes(), q.scalevariant.tobytes(), q.labels.tobytes())
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", [(q.query_id, q.numeric.tobytes(), q.category_ids.tobytes(), q.num_nights,
+                    q.exchange_rate, q.item_ids, q.fixed.tobytes(), q.scalevariant.tobytes(),
+                    q.labels.tobytes()) for q in ds.queries])
 
 
-def test_columnwise_item_checks_agree_with_per_item_checks(schema, monkeypatch):
-    base = _one_query_obj(None)
-    base["items"].append({"item_id": "c", "fixed": {"star_rating": 2, "review_score": 6.5},
-                          "scalevariant": {"price": 70, "discount": 2.5}, "label": 0})
-    cases = [base]
-    for j in range(3):
-        for mutation in ITEM_MUTATIONS:
-            obj = copy.deepcopy(base)
-            _mutate(obj, j, mutation)
-            cases.append(obj)
+def _outcomes_both_ways(paths, schema, monkeypatch):
+    """Each file's load outcome through the chunk checks, and with every
+    chunk walked query by query."""
+    chunked = [_load_outcome(p, schema) for p in paths]
+    with monkeypatch.context() as m:
+        m.setattr(sirank.data, "_chunk_records", lambda objs, schema: None)
+        walked = [_load_outcome(p, schema) for p in paths]
+    return chunked, walked
+
+
+def test_columnwise_item_checks_agree_with_per_item_checks(tmp_path, schema, monkeypatch):
+    n_long = 2 * sirank.data.LOAD_CHUNK_QUERIES + 3
+    files = [[_base_query(k) for k in range(3)]]
+    for k in range(3):
+        for j in range(3):
+            for mutation in ITEM_MUTATIONS:
+                objs = [_base_query(i) for i in range(3)]
+                _mutate(objs[k], j, mutation)
+                files.append(objs)
+        for mutation in QUERY_MUTATIONS:
+            objs = [_base_query(i) for i in range(3)]
+            _mutate_query(objs[k], mutation)
+            files.append(objs)
     rng = np.random.default_rng(40)
-    for _ in range(300):
-        obj = copy.deepcopy(base)
-        for _ in range(2):
-            j = int(rng.integers(3))
-            if isinstance(obj["items"][j], dict):
-                _mutate(obj, j, ITEM_MUTATIONS[rng.integers(len(ITEM_MUTATIONS))])
-        cases.append(obj)
-    columnwise = [_parse_outcome(obj, schema) for obj in cases]
-    monkeypatch.setattr(sirank.data, "_item_arrays", lambda raw_items, schema: None)
-    per_item = [_parse_outcome(obj, schema) for obj in cases]
-    assert columnwise == per_item
-    assert columnwise[0][0] == "ok"
-    assert {outcome[0] for outcome in columnwise} == {"ok", "error"}
+    for _ in range(150):
+        objs = [_base_query(i) for i in range(n_long)]
+        for _ in range(int(rng.integers(1, 4))):
+            k, j = int(rng.integers(n_long)), int(rng.integers(3))
+            items = objs[k].get("items")
+            if rng.random() < 0.5:
+                _mutate_query(objs[k], QUERY_MUTATIONS[rng.integers(len(QUERY_MUTATIONS))])
+            elif isinstance(items, list) and len(items) > j and isinstance(items[j], dict):
+                _mutate(objs[k], j, ITEM_MUTATIONS[rng.integers(len(ITEM_MUTATIONS))])
+        files.append(objs)
+    paths = [_write_lines(tmp_path / f"f{i}.jsonl", objs) for i, objs in enumerate(files)]
+    chunked, walked = _outcomes_both_ways(paths, schema, monkeypatch)
+    assert chunked == walked
+    assert chunked[0][0] == "ok"
+    assert {outcome[0] for outcome in chunked} == {"ok", "error"}
+
+
+def test_chunk_boundaries_keep_the_first_error_in_file_order(tmp_path, schema, monkeypatch):
+    chunk = sirank.data.LOAD_CHUNK_QUERIES
+    n = 2 * chunk + 3
+
+    def long_file(name, edit=lambda objs: None):
+        objs = [_base_query(k) for k in range(n)]
+        edit(objs)
+        return _write_lines(tmp_path / name, objs)
+
+    def duplicate_across_boundary(objs):
+        objs[chunk]["query_id"] = objs[chunk - 1]["query_id"]
+
+    def bad_in_last_chunk(objs):
+        objs[2 * chunk + 1]["num_nights"] = 0
+
+    def error_before_syntax_error(objs):
+        objs[chunk + 1]["items"][0]["label"] = 2
+        objs[chunk + 4] = "{not json"
+
+    def error_before_non_object(objs):
+        objs[3]["exchange_rate"] = -1.0
+        objs[5] = "[1, 2]"
+
+    def syntax_error_before_error(objs):
+        objs[1] = "{not json"
+        objs[4]["num_nights"] = 0
+
+    paths = [long_file(name, edit) for name, edit in (
+        ("ok.jsonl", lambda objs: None), ("dup.jsonl", duplicate_across_boundary),
+        ("late.jsonl", bad_in_last_chunk), ("syntax.jsonl", error_before_syntax_error),
+        ("object.jsonl", error_before_non_object), ("first.jsonl", syntax_error_before_error))]
+    chunked, walked = _outcomes_both_ways(paths, schema, monkeypatch)
+    assert chunked == walked
+    assert chunked[0][0] == "ok" and len(chunked[0][1]) == n
+    last, first = f"q{chunk - 1}", chunk
+    assert chunked[1] == ("error", "ValidationError", f"query {last}: duplicate query_id "
+                          f"(lines {first} and {first + 1})")
+    assert chunked[2] == ("error", "ValidationError",
+                          f"query q{2 * chunk + 1}: num_nights must be a positive integer")
+    assert chunked[3] == ("error", "ValidationError",
+                          f"query q{chunk + 1}: item a: label must be 0 or 1")
+    assert chunked[4] == ("error", "ValidationError",
+                          "query q3: exchange_rate must be a positive finite number")
+    assert chunked[5][:2] == ("error", "ParseError") and "line 2:" in chunked[5][2]
+
+
+def test_valid_long_file_never_walks(tmp_path, schema, monkeypatch):
+    n = 2 * sirank.data.LOAD_CHUNK_QUERIES + 3
+    path = _write_lines(tmp_path / "long.jsonl", [_base_query(k) for k in range(n)])
+
+    def walk(obj, schema):
+        raise AssertionError("a valid chunk was parsed query by query")
+
+    monkeypatch.setattr(sirank.data, "_parse_query_obj", walk)
+    ds = load_dataset(path, schema)
+    assert [q.query_id for q in ds.queries] == [f"q{k}" for k in range(n)]
+    assert all(q.item_ids == ("a", "b", "c") for q in ds.queries)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from sirank.data import Dataset, fit_standardization
 from sirank.errors import ConfigError, ContractError, DomainError, SchemaError, ValidationError
+from sirank.perturb import PerturbationCase, apply_case
 from sirank.scoring import (
     EVAL_CHUNK_ROWS,
     Ranking,
@@ -20,6 +21,7 @@ from sirank.scoring import (
     prepare_dataset,
     rank,
     save_checkpoint,
+    scale_dataset,
     scale_query,
     score_block,
     score_query,
@@ -449,6 +451,57 @@ def test_empty_query_is_reported_in_dataset_order(bad_category_at):
     else:
         assert err.type is ContractError
         assert str(err.value) == "cannot score an empty item selection"
+
+
+@pytest.mark.parametrize("group", ["fixed", "scalevariant"])
+@pytest.mark.parametrize("how", ["one_1d", "all_1d", "one_too_wide"])
+def test_item_arrays_of_the_wrong_shape_are_a_contract_error(group, how):
+    ds = prepared(seed=22, n_queries=8)
+    model = small_model(ds)
+    k = ds.schema.k1 if group == "fixed" else ds.schema.k2
+    for q in ds.queries[2:] if how == "all_1d" else ds.queries[2:3]:
+        a = getattr(q, group)
+        setattr(q, group, a[:, 0].copy() if how.endswith("1d") else np.hstack([a, a[:, :1]]))
+    q = ds.queries[2]
+    shape = [q.n_items] if how.endswith("1d") else [q.n_items, k + 1]
+    want = (f"query {q.query_id}: {group} array has shape {shape}, "
+            f"expected (D, K) = ({q.n_items}, {k})")
+    calls = [lambda: prepare_dataset(model, ds)]
+    if group == "scalevariant":
+        calls += [lambda: apply_case(ds, PerturbationCase(3)), lambda: scale_dataset(ds, 7.0),
+                  lambda: dataset_invariance_gap(model, ds, 7.0)]
+    for call in calls:
+        with pytest.raises(ContractError) as err:
+            call()
+        assert str(err.value) == want
+
+
+def test_scale_dataset_is_scale_query_of_every_query():
+    ds = prepared(seed=23)
+    for c in SCALES:
+        scaled = scale_dataset(ds, c)
+        assert scaled.schema == ds.schema
+        for q, got in zip(ds.queries, scaled.queries):
+            want = scale_query(q, c)
+            np.testing.assert_array_equal(got.scalevariant, want.scalevariant)
+            assert got.fixed is q.fixed and got.labels is q.labels and got.item_ids == q.item_ids
+    assert scale_dataset(Dataset(schema=ds.schema, queries=[]), 2.0).queries == []
+
+
+@pytest.mark.parametrize("c, bad_value", [(1e300, 1e10), (1e-300, 1e-10), (1e300, float("nan"))])
+def test_scale_dataset_names_the_first_query_scale_query_refuses(c, bad_value):
+    ds = prepared(seed=24)
+    for qi in (5, 8):
+        ds.queries[qi].scalevariant = ds.queries[qi].scalevariant.copy()
+        ds.queries[qi].scalevariant[1, 0] = bad_value
+    with pytest.raises(ValidationError) as want:
+        scale_query(ds.queries[5], c)
+    with pytest.raises(ValidationError) as got:
+        scale_dataset(ds, c)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"query {ds.queries[5].query_id}: scaling by {c:g}")
+    with pytest.raises(DomainError, match="positive finite"):
+        scale_dataset(ds, -1.0)
 
 
 def test_batched_path_needs_scalevariant_stats_and_queries():

@@ -161,7 +161,7 @@ def reference_epochs(train_ds, config):
             q = train_ds.queries[qi]
             rows, booked = None, q.booked_index
             if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
-                rows = _softrank_indices(q, epoch_rng)
+                rows = _softrank_indices(q.n_items, booked, epoch_rng)
                 booked = rows.index(booked)
             scores, cache = forward(model, q, rows)
             out = loss_fn(scores, booked)
@@ -254,7 +254,7 @@ def test_softrank_indices_keep_booked_and_cap_length():
     ds = generate(GeneratorConfig(num_queries=10, items_min=20, items_max=25, seed=3))
     rng = np.random.default_rng(0)
     for q in ds.queries:
-        idx = _softrank_indices(q, rng)
+        idx = _softrank_indices(q.n_items, q.booked_index, rng)
         assert len(idx) == 9
         assert q.booked_index in idx
         assert idx == sorted(idx)
@@ -264,8 +264,8 @@ def test_softrank_indices_keep_booked_and_cap_length():
 def test_softrank_indices_resampled_per_epoch():
     ds = generate(GeneratorConfig(num_queries=4, items_min=25, items_max=25, seed=3))
     q = ds.queries[0]
-    a = _softrank_indices(q, np.random.default_rng([7, 0]))
-    b = _softrank_indices(q, np.random.default_rng([7, 1]))
+    a = _softrank_indices(q.n_items, q.booked_index, np.random.default_rng([7, 0]))
+    b = _softrank_indices(q.n_items, q.booked_index, np.random.default_rng([7, 1]))
     assert a != b
 
 
@@ -273,7 +273,7 @@ def test_softrank_short_lists_left_alone():
     ds = generate(GeneratorConfig(num_queries=10, items_min=5, items_max=8, seed=3))
     rng = np.random.default_rng(0)
     for q in ds.queries:
-        idx = _softrank_indices(q, rng)
+        idx = _softrank_indices(q.n_items, q.booked_index, rng)
         assert idx == list(range(q.n_items))
 
 
