@@ -31,15 +31,18 @@ from .errors import (
 )
 from .generator import GeneratorConfig, generate
 from .losses import DEFAULT_SOFTRANK_SIGMA, LOSS_NAMES
-from .metrics import mean_ndcg
+from .metrics import EvalResult, mean_ndcg, segment_ndcg
 from .perturb import CASE_IDS, DEFAULT_RATE, DEFAULT_TARGETS, PerturbationCase, apply_case
 from .scoring import (
     DEFAULT_L,
     DEFAULT_WIDTHS,
     MODES,
-    dataset_invariance_gap,
+    block_invariance_gap,
     load_checkpoint,
+    prepare_dataset,
     save_checkpoint,
+    scale_dataset,
+    score_block,
 )
 from .trainer import (
     DEFAULT_MAX_EPOCHS,
@@ -204,7 +207,11 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(args.model, schema)
     ds = load_dataset(args.data, schema)
 
-    results = {"clean": mean_ndcg(model, ds).to_json()}
+    block = prepare_dataset(model, ds)
+    clean_scores = score_block(model, block)  # scored once: for NDCG and the gap
+    results = {"clean": EvalResult.of(
+        segment_ndcg(clean_scores, block.booked, block.offsets)).to_json()}
+    del block  # one block alive at a time
     print(f"clean mean NDCG: {results['clean']['mean']:.6f} over {len(ds)} queries")
     for cid in (args.case or ()):
         case_ds = apply_case(ds, PerturbationCase(cid))
@@ -212,7 +219,8 @@ def cmd_evaluate(args) -> int:
         results[f"case{cid}"] = res.to_json()
         print(f"case {cid} mean NDCG: {res.mean:.6f}")
     if model.mode == "sir":
-        gap = dataset_invariance_gap(model, ds, DEFAULT_RATE)
+        gap = block_invariance_gap(
+            model, clean_scores, prepare_dataset(model, scale_dataset(ds, DEFAULT_RATE)))
         results["invariance_gap_c1200"] = gap
         print(f"invariance gap at c={DEFAULT_RATE:g}: {gap:.3e}")
 

@@ -1,5 +1,5 @@
-"""Feature schema, raw query/item records, JSONL I/O, splits and the stats
-that a model standardizes its deep-path inputs with."""
+"""Feature schema, frozen raw query records, datasets that check their records
+once where they are made, JSONL I/O, splits and standardization stats."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, ParseError, SchemaError, ValidationError
+from .errors import ContractError, DomainError, ParseError, SchemaError, ValidationError
 
 MAX_ITEMS_PER_QUERY = 25
 MIN_ITEMS_PER_QUERY = 2
@@ -164,10 +164,10 @@ def load_schema(path) -> FeatureSchema:
     return FeatureSchema.from_json(obj)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryRecord:
     """One query and its D items; row j of every item array belongs to
-    item ``item_ids[j]``."""
+    item ``item_ids[j]``. Records are frozen."""
 
     query_id: str
     numeric: np.ndarray        # raw numeric query values, schema order
@@ -175,9 +175,14 @@ class QueryRecord:
     num_nights: int
     exchange_rate: float
     item_ids: tuple[str, ...]
-    fixed: np.ndarray          # raw, strictly positive, (D, K1)
-    scalevariant: np.ndarray   # raw, strictly positive, (D, K2)
+    fixed: np.ndarray          # raw, finite and > 0, (D, K1)
+    scalevariant: np.ndarray   # raw, finite and >= SMALLEST_NORMAL, (D, K2)
     labels: np.ndarray         # 1.0 for the booked item, else 0.0, (D,)
+
+    def __post_init__(self):  # read-only arrays: a checked record cannot be edited
+        for a in (self.numeric, self.category_ids, self.fixed, self.scalevariant, self.labels):
+            if a.flags.writeable:
+                a.setflags(write=False)
 
     @property
     def n_items(self) -> int:
@@ -185,16 +190,32 @@ class QueryRecord:
 
     @property
     def booked_index(self) -> int:
-        booked = np.flatnonzero(self.labels == 1.0)
-        if booked.size == 0:
-            raise ValidationError(f"query {self.query_id}: no booked item")
-        return int(booked[0])
+        return int(np.flatnonzero(self.labels)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
+    """Queries under one schema. Making one checks its records once, as
+    stacked columns (``_valid_columns``), and raises the first bad query's
+    error (``_raise_first_bad``); its records are frozen and ``queries`` is
+    a tuple, so a dataset stays valid."""
+
     schema: FeatureSchema
-    queries: list[QueryRecord]
+    queries: tuple[QueryRecord, ...]
+
+    def __post_init__(self):
+        queries = tuple(self.queries)
+        object.__setattr__(self, "queries", queries)
+        try:
+            columns = [np.stack([q.numeric for q in queries]),
+                       np.stack([q.category_ids for q in queries]),
+                       *(np.concatenate([getattr(q, group) for q in queries])
+                         for group in ("fixed", "scalevariant", "labels"))]
+        except ValueError:  # arrays of different shapes, or no queries
+            columns = None
+        if columns is None or not _valid_columns(self.schema, *columns,
+                                                 [q.n_items for q in queries]):
+            _raise_first_bad(self.schema, queries)
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -203,42 +224,101 @@ class Dataset:
         return iter(self.queries)
 
 
-def stack_item_rows(queries: list[QueryRecord], group: str, width: int) -> np.ndarray:
-    """One item array ("fixed" or "scalevariant") of every one of the
-    (nonempty) ``queries``, stacked into one new (N, width) matrix;
-    ContractError names the first query whose array is not (D, width)."""
-    arrays = [getattr(q, group) for q in queries]
-    try:
-        stacked = np.concatenate(arrays)
-    except ValueError:
-        stacked = None
-    if stacked is None or stacked.shape != (sum(q.n_items for q in queries), width):
-        for q, a in zip(queries, arrays):
-            shape = np.shape(a)
-            if shape != (q.n_items, width):
-                raise ContractError(f"query {q.query_id}: {group} array has shape {list(shape)}, "
-                                    f"expected (D, K) = ({q.n_items}, {width})")
-    return stacked
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` without ``__post_init__``'s checks: for valid, read-only values only."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _valid_columns(schema: FeatureSchema, numeric, category_ids, fixed, scalevariant,
+                   labels, sizes: list[int]) -> bool:
+    """Whether the stacked arrays of queries of ``sizes`` items keep every
+    rule of a Dataset: the array shapes, at least one item per query,
+    category ids within the cardinalities, finite numerics, finite fixed
+    values > 0, finite scale-variant values >= ``SMALLEST_NORMAL``, and
+    labels of 0 or 1 with one 1 per query."""
+    n, cats = sum(sizes), schema.categorical_query_features
+    return bool([a.shape for a in (numeric, category_ids, fixed, scalevariant, labels)] == [
+        (len(sizes), len(schema.numeric_query_names)), (len(sizes), len(cats)),
+        (n, schema.k1), (n, schema.k2), (n,)]
+        and min(sizes) > 0 and np.isfinite(numeric).all()
+        and ((category_ids >= 0) & (category_ids < [f.cardinality for f in cats])).all()
+        and _finite_positive(fixed)
+        and np.isfinite(scalevariant).all() and (scalevariant >= SMALLEST_NORMAL).all()
+        and ((labels == 0.0) | (labels == 1.0)).all()
+        and (np.add.reduceat(labels, np.cumsum([0] + sizes[:-1])) == 1.0).all())
+
+
+def _raise_first_bad(schema: FeatureSchema, queries: tuple[QueryRecord, ...]):
+    """Check ``_valid_columns``' rules one query at a time, in order, and
+    raise the error of the first one a query breaks."""
+    cats = schema.categorical_query_features
+    names = schema.item_features_fixed + schema.item_features_scalevariant
+    for q in queries:
+        d = q.n_items
+        for group, want in (("numeric", (len(schema.numeric_query_names),)),
+                            ("category_ids", (len(cats),)), ("fixed", (d, schema.k1)),
+                            ("scalevariant", (d, schema.k2)), ("labels", (d,))):
+            shape = np.shape(getattr(q, group))
+            if shape != want:
+                expected = f"(D, K) = {want}" if len(want) == 2 else f"{want}"
+                raise ContractError(f"query {q.query_id}: {group} array has shape "
+                                    f"{list(shape)}, expected {expected}")
+        if d == 0:
+            raise ContractError("cannot score an empty item selection")
+        for f, cid in zip(cats, q.category_ids):
+            if not 0 <= cid < f.cardinality:
+                raise DomainError(f"category id {cid} out of range for feature '{f.name}' "
+                                  f"(cardinality {f.cardinality})")
+        if not (np.isfinite(q.numeric).all() and np.isfinite(q.fixed).all()):
+            raise DomainError(f"query {q.query_id}: non-finite deep-path input")
+        wide = np.hstack([q.fixed, q.scalevariant])
+        not_normal = ~(np.isfinite(wide) & (wide >= SMALLEST_NORMAL))
+        not_normal[:, :schema.k1] = False  # a fixed value need only be finite and > 0
+        for bad, rule in ((~(wide > 0), "must be > 0"),
+                          (not_normal, "must be finite and at least the smallest normal float64")):
+            if bad.any():
+                j, k = (int(v[0]) for v in np.nonzero(bad))
+                raise DomainError(f"query {q.query_id}, item {q.item_ids[j]}: wide-path feature "
+                                  f"{names[k]!r} {rule}, got {wide[j, k]}")
+        if np.count_nonzero(q.labels == 1.0) != 1 or not np.isin(q.labels, (0.0, 1.0)).all():
+            raise ValidationError(f"query {q.query_id}: labels must be 0 or 1 "
+                                  "with exactly one booked item")
 
 
 def rescale_scalevariant(ds: Dataset, rescale) -> Dataset:
     """A copy of ``ds`` whose scale-variant arrays are those of ``ds`` after
     ``rescale``, which multiplies the stacked (N, K2) rows of every query in
-    place and raises if a result is bad; every other array is shared."""
+    place and checks them with ``check_rescaled``, so the copy is valid
+    too; every other array is shared."""
     if not ds.queries:
-        return Dataset(schema=ds.schema, queries=[])
+        return ds
     # each query gets its own array, made before the stack: the stack is then
     # the last block made and the first freed, and leaves no hole under
     # them (about 0.3 MB less peak RSS in a cli_evaluate benchmark run)
     outs = [np.empty_like(q.scalevariant) for q in ds.queries]
-    stacked = stack_item_rows(ds.queries, "scalevariant", ds.schema.k2)
-    rescale(stacked)
+    stacked = np.concatenate([q.scalevariant for q in ds.queries])
+    with np.errstate(over="ignore"):  # check_rescaled reports an overflow as a data error
+        rescale(stacked)
     queries, start = [], 0
     for q, out in zip(ds.queries, outs):
         out[...] = stacked[start:start + q.n_items]
-        queries.append(replace(q, scalevariant=out))
+        out.setflags(write=False)
+        queries.append(_unchecked(QueryRecord, **{**vars(q), "scalevariant": out}))
         start += q.n_items
-    return Dataset(schema=ds.schema, queries=queries)
+    return _unchecked(Dataset, schema=ds.schema, queries=tuple(queries))
+
+
+def check_rescaled(queries, stacked: np.ndarray, error):
+    """Raise ValidationError(``error(query_id, overflow)``) for the first of
+    ``queries`` whose rows of ``stacked``, its rescaled scale-variant values,
+    hold one that is not finite (``overflow``) or below ``SMALLEST_NORMAL``."""
+    if np.isfinite(stacked).all() and (stacked >= SMALLEST_NORMAL).all():
+        return
+    for q, rows in zip(queries, np.split(stacked, np.cumsum([q.n_items for q in queries]))):
+        if not (np.isfinite(rows).all() and (rows >= SMALLEST_NORMAL).all()):
+            raise ValidationError(error(q.query_id, not np.isfinite(rows).all()))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +364,7 @@ def _float_column(values: list) -> np.ndarray | None:
 def _item_matrix(raw_items: list, group: str, names: tuple[str, ...]) -> np.ndarray | None:
     """One feature group of every item as a (D, len(names)) matrix, or None
     if any item lacks the group or one of its features, has a feature the
-    schema does not name, or holds a value that is not a finite positive
-    JSON number."""
+    schema does not name, or holds a value that is not a JSON number."""
     try:
         groups = [raw[group] for raw in raw_items]
         if set(map(len, groups)) != {len(names)}:
@@ -293,9 +372,7 @@ def _item_matrix(raw_items: list, group: str, names: tuple[str, ...]) -> np.ndar
         out = _float_column([values[name] for values in groups for name in names])
     except (KeyError, TypeError):
         return None
-    if out is None or not _finite_positive(out):
-        return None
-    return out.reshape(len(raw_items), len(names))
+    return None if out is None else out.reshape(len(raw_items), len(names))
 
 
 def _item_arrays(raw_items: list, schema: FeatureSchema, qid: str):
@@ -390,7 +467,8 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
 def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord] | None:
     """The queries of ``objs`` as records holding row views into one array
     per column, every rule of ``_parse_query_obj`` checked column-wise over
-    the whole chunk; None if any value breaks one."""
+    the whole chunk (the value rules a Dataset keeps by ``_valid_columns``);
+    None if any value breaks one."""
     qids = [obj.get("query_id") for obj in objs]
     qvals = [obj.get("query") for obj in objs]
     cats = schema.categorical_query_features
@@ -406,8 +484,7 @@ def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord]
     nights = [obj.get("num_nights") for obj in objs]
     rates = [obj.get("exchange_rate") for obj in objs]
     rate_column = _float_column(rates)
-    if (numeric is None or not np.isfinite(numeric).all()
-            or not set(map(type, cat_values)) <= {int}
+    if (numeric is None or not set(map(type, cat_values)) <= {int}
             or set(map(type, nights)) != {int}
             or not 0 < min(nights) <= max(nights) <= sys.float_info.max
             or rate_column is None or not _finite_positive(rate_column)):
@@ -415,9 +492,6 @@ def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord]
     try:
         category_ids = np.array(cat_values, dtype=np.int64).reshape(len(objs), len(cats))
     except OverflowError:
-        return None
-    cardinality = np.array([f.cardinality for f in cats], dtype=np.int64)
-    if not ((category_ids >= 0) & (category_ids < cardinality)).all():
         return None
 
     items = [obj.get("items") for obj in objs]
@@ -431,7 +505,7 @@ def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord]
     item_ids = [raw.get("item_id") for raw in raw_items]
     labels = [raw.get("label") for raw in raw_items]
     if (set(map(type, item_ids)) != {str} or not all(item_ids)
-            or not (set(map(type, labels)) <= {int, float} and set(labels) <= {0, 1})):
+            or not set(map(type, labels)) <= {int, float}):
         return None
     offsets = np.cumsum([0] + sizes).tolist()
     # tuples of list slices are made at their final size; long-lived tuples
@@ -442,10 +516,10 @@ def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord]
     fixed = _item_matrix(raw_items, "fixed", schema.item_features_fixed)
     sv = _item_matrix(raw_items, "scalevariant", schema.item_features_scalevariant)
     labels = np.array(labels, dtype=np.float64)
-    if (fixed is None or sv is None or (sv < SMALLEST_NORMAL).any()
-            or not (np.add.reduceat(labels, offsets[:-1]) == 1.0).all()):
-        return None
     numeric = numeric.reshape(len(objs), len(schema.numeric_query_names))
+    if (fixed is None or sv is None
+            or not _valid_columns(schema, numeric, category_ids, fixed, sv, labels, sizes)):
+        return None
     return [QueryRecord(query_id=qids[i], numeric=numeric[i], category_ids=category_ids[i],
                         num_nights=nights[i], exchange_rate=float(rates[i]), item_ids=ids[i],
                         fixed=fixed[a:b], scalevariant=sv[a:b], labels=labels[a:b])
@@ -496,15 +570,12 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
                 queries += _load_chunk(chunk, schema, first_line)
                 chunk = []
     queries += _load_chunk(chunk, schema, first_line)
-    return Dataset(schema=schema, queries=queries)
+    return _unchecked(Dataset, schema=schema, queries=tuple(queries))
 
 
 def _query_to_obj(q: QueryRecord, schema: FeatureSchema) -> dict:
-    qvals: dict = {}
-    for name, v in zip(schema.numeric_query_names, q.numeric):
-        qvals[name] = float(v)
-    for f, v in zip(schema.categorical_query_features, q.category_ids):
-        qvals[f.name] = int(v)
+    qvals = {name: float(v) for name, v in zip(schema.numeric_query_names, q.numeric)}
+    qvals |= {f.name: int(v) for f, v in zip(schema.categorical_query_features, q.category_ids)}
     return {
         "query_id": q.query_id,
         "query": qvals,
@@ -669,7 +740,5 @@ def split_holdout(ds: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     idx_val = np.sort(perm[n_train:n_train + n_val])
     idx_test = np.sort(perm[n_train + n_val:])
 
-    def take(idx):
-        return Dataset(schema=ds.schema, queries=[ds.queries[i] for i in idx])
-
-    return take(idx_train), take(idx_val), take(idx_test)
+    return tuple(_unchecked(Dataset, schema=ds.schema, queries=tuple(ds.queries[i] for i in idx))
+                 for idx in (idx_train, idx_val, idx_test))

@@ -4,8 +4,8 @@ Each loss takes a query's scores and the index of its booked item among
 them, and returns its value together with analytic gradients w.r.t. the
 score vector; the trainer feeds those to the scorer's backward pass, so the
 losses stay plain numpy and are easy to check against finite differences.
-Labels are not read here: ``scoring.prepare_dataset`` enforces that each
-query has one item labelled 1 (booked) and the rest 0, and keeps its index.
+Labels are not read here: a ``Dataset`` holds one item labelled 1 (booked)
+per query and the rest 0, and ``scoring.prepare_dataset`` keeps its index.
 
 Pairs are only formed between the booked item and each non-booked item: the
 non-booked items are tied and contribute no pairwise loss. One booked item

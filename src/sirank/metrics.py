@@ -4,8 +4,8 @@
 all item rows come from ``scoring.score_block`` (``EVAL_CHUNK_ROWS`` rows at
 a time) or from a callable ranker, and ``segment_ndcg`` takes every query's
 NDCG from its segment of the stacked rows at once. It reads only the row of
-each query's booked item: ``scoring.prepare_dataset`` (or, for a callable
-ranker, ``scoring.booked_rows``) enforces one booked item per query first.
+each query's booked item: a ``Dataset`` holds exactly one per query, checked
+when the dataset was made.
 ``ndcg`` keeps the general graded-gain formula and serves as the oracle.
 """
 
@@ -18,7 +18,7 @@ from scipy.special import stdtr
 
 from .data import Dataset
 from .errors import DomainError, ValidationError
-from .scoring import DatasetBlock, Ranking, booked_rows, prepare_dataset, score_block
+from .scoring import DatasetBlock, Ranking, prepare_dataset, score_block
 
 
 def ndcg(ranking: Ranking, labels) -> float:
@@ -92,15 +92,13 @@ def mean_ndcg(model, dataset: Dataset) -> EvalResult:
     model is either a SirModel or any callable mapping a query to a score
     vector; the latter keeps oracle rankers easy to express, and a vector
     that is not one score per item raises ValidationError naming the query.
-    Either way, labels that do not mark exactly one booked item per query
-    raise ValidationError naming the first such query.
     """
     if not callable(model):
         return evaluate_block(model, prepare_dataset(model, dataset))
     if not dataset.queries:
         raise ValidationError("cannot evaluate a dataset without queries")
     offsets = np.cumsum([0] + [q.n_items for q in dataset.queries])
-    booked = booked_rows(dataset.queries, offsets)
+    booked = np.flatnonzero(np.concatenate([q.labels for q in dataset.queries]))
     parts = []
     for q in dataset.queries:
         scores = np.asarray(model(q), dtype=np.float64)
@@ -117,14 +115,9 @@ def random_ranker_mean_ndcg(dataset: Dataset) -> float:
     For a query with d items and one booked, every position is equally
     likely, so the expectation is the average of 1/log2(1+p) over p=1..d.
     """
-    per_size: dict[int, float] = {}
-    vals = np.empty(len(dataset))
-    for i, q in enumerate(dataset.queries):
-        d = q.n_items
-        if d not in per_size:
-            per_size[d] = float(np.mean(1.0 / np.log2(2.0 + np.arange(d))))
-        vals[i] = per_size[d]
-    return float(vals.mean())
+    sizes = [q.n_items for q in dataset.queries]
+    per_size = {d: np.mean(1.0 / np.log2(2.0 + np.arange(d))) for d in set(sizes)}
+    return float(np.mean([per_size[d] for d in sizes]))
 
 
 # ---------------------------------------------------------------------------

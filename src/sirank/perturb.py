@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SMALLEST_NORMAL, Dataset, QueryRecord, rescale_scalevariant
-from .errors import ConfigError, ValidationError
+from .data import Dataset, QueryRecord, check_rescaled, rescale_scalevariant
+from .errors import ConfigError
 
 DEFAULT_TARGETS = ("price", "discount")
 DEFAULT_RATE = 1200.0
@@ -31,7 +31,7 @@ class PerturbationCase:
         if self.case_id not in CASE_IDS:
             raise ConfigError(f"case must be one of {CASE_IDS}, got {self.case_id}")
 
-    def factors(self, queries: list[QueryRecord]) -> list[np.ndarray]:
+    def factors(self, queries: tuple[QueryRecord, ...]) -> list[np.ndarray]:
         """Per-query multipliers, one array per factor, applied left to right."""
         nights = np.array([float(q.num_nights) for q in queries])
         rates = np.array([float(q.exchange_rate) for q in queries])
@@ -52,27 +52,15 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     if missing:
         raise ConfigError(f"target features {missing} are not scale-variant "
                           f"features of the schema (has {list(sv_names)})")
-    queries = ds.queries
 
     def rescale(sv: np.ndarray):
-        sizes = [q.n_items for q in queries]
-        factors = [np.repeat(f, sizes) for f in case.factors(queries)]
-        over = np.zeros(len(sv), dtype=bool)
-        below = np.zeros(len(sv), dtype=bool)
-        with np.errstate(over="ignore"):  # an overflow is reported as a data error below
-            for name in DEFAULT_TARGETS:
-                column = sv[:, sv_names.index(name)]  # a view: the products land in sv
-                for f in factors:
-                    column *= f
-                over |= ~(column < np.inf)  # NaN too
-                below |= column < SMALLEST_NORMAL
-        bad = over | below
-        if bad.any():
-            offsets = np.cumsum([0] + sizes)
-            qi = int(np.searchsorted(offsets, np.flatnonzero(bad)[0], side="right")) - 1
-            where = ("beyond the float64 range" if over[offsets[qi]:offsets[qi + 1]].any()
-                     else "below the smallest normal float64")
-            raise ValidationError(f"query {queries[qi].query_id}: case {case.case_id} rescales "
-                                  f"a scale-variant value {where}")
+        factors = [np.repeat(f, [q.n_items for q in ds.queries]) for f in case.factors(ds.queries)]
+        for name in DEFAULT_TARGETS:
+            column = sv[:, sv_names.index(name)]  # a view: the products land in sv
+            for f in factors:
+                column *= f
+        where = ("below the smallest normal float64", "beyond the float64 range")
+        check_rescaled(ds.queries, sv, lambda query_id, overflow: f"query {query_id}: case "
+                       f"{case.case_id} rescales a scale-variant value {where[overflow]}")
 
     return rescale_scalevariant(ds, rescale)

@@ -8,18 +8,19 @@ The network is fixed, so its forward pass, its backward pass and the SGD
 step are written out by hand below. Everything that scores reads one
 prepared form: ``prepare_dataset`` stacks every query's item rows into a
 ``DatasetBlock`` with per-query offsets, standardizes the deep-path inputs
-from the model's stats (records stay raw), takes the logs of the wide inputs
-and runs the data checks once over the stack (the first bad query in dataset
-order names the error). One of them is the label rule, every label 0 or 1
-and exactly one booked item per query, so a block keeps each query's booked
-row in place of its labels. ``forward_block`` scores one query's rows of a
-block for a training step; ``score_block`` scores every row,
-``EVAL_CHUNK_ROWS`` at a time, so the memory of an evaluation pass does not
-grow with the dataset; ``forward`` and ``score_query`` score one query
-through a one-query block. Training prepares both of its splits before the first
-step, so a bad record is reported before epoch 0. Batched scores match
-per-query ones to within a few ulps (matrix products of another shape sum
-in another order).
+from the model's stats (records stay raw) and takes the logs of the wide
+inputs. The data rules were checked once, when the ``Dataset`` was made, so
+``prepare_dataset`` checks only what depends on the model: the schema and
+the finiteness of the standardized inputs. A dataset holds exactly one
+booked item per query, so a block keeps each query's booked row in place of
+its labels. ``forward_block`` scores one query's rows of a block for a
+training step; ``score_block`` scores every row, ``EVAL_CHUNK_ROWS`` at a
+time, so the memory of an evaluation pass does not grow with the dataset;
+``forward`` and ``score_query`` score one query through a one-query
+dataset and block. Training prepares both of its splits before the first
+step, so an input that standardizes to a non-finite value is reported
+before epoch 0. Batched scores match per-query ones to within a few ulps
+(matrix products of another shape sum in another order).
 
 All parameters live in one contiguous float64 vector; ``SirModel.params`` is
 a ``ParamVector``, a dict of named views into it in build order. ``backward``
@@ -36,9 +37,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import (MAX_EMBEDDING_VALUES, SMALLEST_NORMAL, Dataset, FeatureSchema, QueryRecord,
-                   StandardizationStats, check_stats_schema, fit_standardization,
-                   rescale_scalevariant, stack_item_rows)
+from .data import (MAX_EMBEDDING_VALUES, Dataset, FeatureSchema, QueryRecord,
+                   StandardizationStats, check_rescaled, check_stats_schema,
+                   fit_standardization, rescale_scalevariant)
 from .errors import (
     ConfigError,
     ContractError,
@@ -205,26 +206,24 @@ class DatasetBlock:
 @np.errstate(over="ignore")  # a standardized value beyond float64 range is reported below
 def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     """Stack what scoring reads from every query of ``dataset``, standardize
-    the deep-path inputs from ``model.stats``, take the logs of the wide
-    inputs and check the data once.
-
-    If a check fails, the error raised, and its message, are those of the
-    first query in dataset order that fails one, for the first check it
-    fails: an empty item list, a category id, a non-finite deep-path input,
-    a wide-path input that is not > 0, the label rule of ``booked_rows``.
-    """
+    the deep-path inputs from ``model.stats`` and take the logs of the wide
+    inputs. The dataset checked its records when it was made; checked here
+    is what depends on the model: the schema must be the model's
+    (ContractError), a query must be there (ValidationError), and every
+    standardized input must be finite (DomainError naming the query)."""
+    if dataset.schema != model.schema:
+        raise ContractError(f"the dataset's schema (fingerprint {dataset.schema.fingerprint()[:12]}"
+                            f"...) is not the model's ({model.schema.fingerprint()[:12]}...)")
     stats = model.stats
     queries = dataset.queries
     if not queries:
         raise ValidationError("cannot evaluate a dataset without queries")
 
-    cats = model.schema.categorical_query_features
-    category_ids = np.array([q.category_ids for q in queries], dtype=np.int64)
-    category_ids = category_ids.reshape(len(queries), len(cats))
+    category_ids = np.stack([q.category_ids for q in queries]).astype(np.int64, copy=False)
     deep_numeric = (np.stack([q.numeric for q in queries]) - stats.numeric_mean) / stats.numeric_std
-    fixed = stack_item_rows(queries, "fixed", model.schema.k1)
+    fixed = np.concatenate([q.fixed for q in queries])
     deep_items = (fixed - stats.fixed_mean) / stats.fixed_std
-    scalevariant = stack_item_rows(queries, "scalevariant", model.schema.k2)
+    scalevariant = np.concatenate([q.scalevariant for q in queries])
     if model.mode == "deep_only":
         deep_items = np.concatenate(
             [deep_items, (scalevariant - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
@@ -233,59 +232,16 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
         wide_raw = np.concatenate([fixed, scalevariant], axis=1)
     sizes = [q.n_items for q in queries]
     offsets = np.cumsum([0] + sizes)
-    cardinality = np.array([f.cardinality for f in cats], dtype=np.int64)
-    if not (0 not in sizes and ((category_ids >= 0) & (category_ids < cardinality)).all()
-            and np.isfinite(deep_items).all() and np.isfinite(deep_numeric).all()
-            and (wide_raw is None or (wide_raw > 0).all())):
-        _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw)
+    if not (np.isfinite(deep_items).all() and np.isfinite(deep_numeric).all()):
+        bad = ~(np.isfinite(deep_numeric).all(axis=1)
+                & np.logical_and.reduceat(np.isfinite(deep_items).all(axis=1), offsets[:-1]))
+        raise DomainError(f"query {queries[int(np.argmax(bad))].query_id}: "
+                          "non-finite deep-path input")
     return DatasetBlock(
         deep_numeric=deep_numeric, category_ids=category_ids, deep_items=deep_items,
         log_values=None if wide_raw is None else np.log(wide_raw, out=wide_raw),
-        booked=booked_rows(queries, offsets), offsets=offsets,
+        booked=np.flatnonzero(np.concatenate([q.labels for q in queries])), offsets=offsets,
         row_query=np.repeat(np.arange(len(queries)), sizes))
-
-
-def booked_rows(queries: list[QueryRecord], offsets: np.ndarray) -> np.ndarray:
-    """Row of each query's booked item among the queries' stacked item rows
-    (query i owns rows ``offsets[i]:offsets[i + 1]``). Every label must be 0
-    or 1 and each query must have exactly one 1; otherwise ValidationError
-    names the first query in order that breaks the rule."""
-    labels = np.concatenate([q.labels for q in queries])
-    booked = np.flatnonzero(labels == 1.0)
-    # every nonzero label is a 1, and the i-th 1 (they ascend) lies in query i's rows
-    if not (booked.size == np.count_nonzero(labels) == len(queries)
-            and (booked >= offsets[:-1]).all() and (booked < offsets[1:]).all()):
-        for q in queries:
-            _check_labels(q)
-    return booked
-
-
-def _check_labels(query: QueryRecord):
-    y = query.labels
-    if np.count_nonzero(y == 1.0) != 1 or not ((y == 0.0) | (y == 1.0)).all():
-        raise ValidationError(f"query {query.query_id}: labels must be 0 or 1 "
-                              "with exactly one booked item")
-
-
-def _raise_first_bad(model, queries, offsets, deep_numeric, deep_items, wide_raw):
-    """Run ``prepare_dataset``'s data checks query by query on the stacked
-    inputs and raise the first one that fails."""
-    names = model.schema.item_features_fixed + model.schema.item_features_scalevariant
-    for qi, q in enumerate(queries):
-        if q.n_items == 0:
-            raise ContractError("cannot score an empty item selection")
-        rows = slice(offsets[qi], offsets[qi + 1])
-        for f, cid in zip(model.schema.categorical_query_features, q.category_ids):
-            if not 0 <= cid < f.cardinality:
-                raise DomainError(f"category id {cid} out of range for feature '{f.name}' "
-                                  f"(cardinality {f.cardinality})")
-        if not (np.isfinite(deep_items[rows]).all() and np.isfinite(deep_numeric[qi]).all()):
-            raise DomainError(f"query {q.query_id}: non-finite deep-path input")
-        if wide_raw is not None and not np.all(wide_raw[rows] > 0):
-            j, kk = (int(v[0]) for v in np.nonzero(~(wide_raw[rows] > 0)))
-            raise DomainError(f"query {q.query_id}, item {q.item_ids[j]}: wide-path feature "
-                              f"{names[kk]!r} must be > 0, got {wide_raw[rows][j, kk]}")
-        _check_labels(q)
 
 
 # ---------------------------------------------------------------------------
@@ -502,27 +458,23 @@ def rank(scores: np.ndarray) -> Ranking:
     return Ranking(order=order)
 
 
-def _check_scale(c: float):
+def _scaling_error(c: float):
+    """``check_rescaled``'s message for a rescale by c (DomainError unless c > 0 is finite)."""
     if not (c > 0) or not np.isfinite(c):
         raise DomainError(f"scale factor must be a positive finite number, got {c}")
-
-
-def _raise_if_badly_scaled(query_id: str, c: float, scaled: np.ndarray):
-    if not np.isfinite(scaled).all():
-        raise ValidationError(f"query {query_id}: scaling by {c:g} overflows float64")
-    if (scaled < SMALLEST_NORMAL).any():
-        raise ValidationError(f"query {query_id}: scaling by {c:g} takes a scale-variant "
-                              "value below the smallest normal float64")
+    return lambda query_id, overflow: f"query {query_id}: scaling by {c:g} " + (
+        "overflows float64" if overflow
+        else "takes a scale-variant value below the smallest normal float64")
 
 
 def scale_query(query: QueryRecord, c: float) -> QueryRecord:
     """Multiply every item's scale-variant vector by c, leaving the rest alone.
     A product beyond the float64 range or below its smallest normal value
     raises ValidationError naming the query."""
-    _check_scale(c)
+    error = _scaling_error(c)
     with np.errstate(over="ignore"):  # an overflow is reported as a data error below
         scaled = query.scalevariant * c
-    _raise_if_badly_scaled(query.query_id, c, scaled)
+    check_rescaled([query], scaled, error)
     return replace(query, scalevariant=scaled)
 
 
@@ -530,18 +482,9 @@ def scale_dataset(ds: Dataset, c: float) -> Dataset:
     """``scale_query`` of every query of ``ds``, as one multiply and one
     check over the stacked scale-variant rows; an error names the first
     query that ``scale_query`` would refuse, with its message."""
-    _check_scale(c)
-
-    def rescale(scaled: np.ndarray):
-        with np.errstate(over="ignore"):
-            scaled *= c
-        if not (np.isfinite(scaled).all() and (scaled >= SMALLEST_NORMAL).all()):
-            start = 0
-            for q in ds.queries:
-                _raise_if_badly_scaled(q.query_id, c, scaled[start:start + q.n_items])
-                start += q.n_items
-
-    return rescale_scalevariant(ds, rescale)
+    error = _scaling_error(c)
+    return rescale_scalevariant(
+        ds, lambda scaled: check_rescaled(ds.queries, np.multiply(scaled, c, out=scaled), error))
 
 
 def invariance_gap(model: SirModel, query: QueryRecord, c: float) -> float:

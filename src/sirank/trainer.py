@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from .losses import (
     SOFTRANK_LIST_SIZE,
     loss_by_name,
 )
-from .metrics import bonferroni, evaluate_block, random_ranker_mean_ndcg, two_sample_t_test
+from .metrics import (EvalResult, bonferroni, evaluate_block, random_ranker_mean_ndcg,
+                      segment_ndcg, two_sample_t_test)
 from .perturb import DEFAULT_RATE, DEFAULT_TARGETS, CASE_IDS, PerturbationCase, apply_case
 from .scoring import (
     DEFAULT_L,
@@ -121,8 +122,8 @@ def _softrank_indices(n_items: int, booked: int, epoch_rng: np.random.Generator)
 def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirModel, TrainHistory]:
     """SGD over one query at a time, stopping when validation NDCG stalls.
 
-    Both splits are prepared once, before the first step, so a bad record in
-    either raises its data error before epoch 0; each step scores one
+    Both splits are prepared once, before the first step, so an input that
+    standardizes to a non-finite value raises before epoch 0; each step scores one
     query's rows of the training block, passes the loss its booked item's
     index from the block and writes its gradients into one vector reused for
     every step, and every epoch scores the whole validation block. Both
@@ -256,11 +257,7 @@ class TestCell:
     significant: bool
 
     def to_json(self) -> dict:
-        return {
-            "loss": self.loss, "condition": self.condition,
-            "baseline_mean": self.baseline_mean, "sir_mean": self.sir_mean,
-            "t": self.t, "p_value": self.p_value, "significant": self.significant,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -353,15 +350,15 @@ def _run_cell(task: tuple[str, str, int], grid: tuple | None = None):
     cell.history = history
     cell.val_ndcg = float(history.val_ndcg[history.best_epoch])
     test_block, case_blocks, scaled_block = blocks[mode]
-    clean = evaluate_block(model, test_block)
+    test_scores = score_block(model, test_block)  # scored once: for NDCG and the gap
+    clean = EvalResult.of(segment_ndcg(test_scores, test_block.booked, test_block.offsets))
     cell.test_ndcg = clean.mean
     per_query = {(loss, mode, "test"): clean.per_query}
     for cid, block in case_blocks.items():
         res = evaluate_block(model, block)
         cell.case_ndcg[cid] = res.mean
         per_query[(loss, mode, f"case{cid}")] = res.per_query
-    cell.invariance_gap_c1200 = block_invariance_gap(
-        model, score_block(model, test_block), scaled_block)
+    cell.invariance_gap_c1200 = block_invariance_gap(model, test_scores, scaled_block)
     return cell, per_query
 
 

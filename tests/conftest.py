@@ -54,14 +54,28 @@ def hand_dataset(n_queries=12, seed=0, items=(3, 6)) -> Dataset:
 LABEL_BREAKS = ("two_booked", "none_booked", "label_of_two")
 
 
-def break_labels(q: QueryRecord, case: str):
-    """Give q (of at least two items) labels that break the one-booked-item
+def break_labels(q: QueryRecord, case: str) -> QueryRecord:
+    """q (of at least two items) with labels that break the one-booked-item
     rule in the way ``case`` names."""
     booked, other = q.booked_index, (q.booked_index + 1) % q.n_items
     labels = np.zeros(q.n_items)
     labels[booked] = 0.0 if case == "none_booked" else 1.0
     labels[other] = {"two_booked": 1.0, "label_of_two": 2.0}.get(case, 0.0)
-    q.labels = labels
+    return replace(q, labels=labels)
+
+
+def edited(a: np.ndarray, index, value) -> np.ndarray:
+    """A copy of the (read-only) record array ``a`` with ``a[index] = value``."""
+    out = a.copy()
+    out[index] = value
+    return out
+
+
+def with_queries(ds: Dataset, changed: dict[int, QueryRecord]) -> Dataset:
+    """A new Dataset of ``ds``'s queries with query i replaced by
+    ``changed[i]``; making it checks the records."""
+    return Dataset(schema=ds.schema,
+                   queries=[changed.get(i, q) for i, q in enumerate(ds.queries)])
 
 
 def standardized(q: QueryRecord, stats):

@@ -4,6 +4,7 @@ differences, the SGD step, and the max-shifted softmax."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sirank.scoring import (
     sgd_step,
 )
 
-from conftest import hand_dataset, standardized, without_wide
+from conftest import edited, hand_dataset, standardized, without_wide
 
 
 def prepared(seed=0):
@@ -184,8 +185,7 @@ def test_log_requires_positive():
     ds = prepared(seed=4)
     model = small_model(ds)
     q = ds.queries[0]
-    q.fixed = q.fixed.copy()
-    q.fixed[0] = [1.0, 0.0]
+    q = replace(q, fixed=edited(q.fixed, 0, [1.0, 0.0]))
     with pytest.raises(DomainError, match="review_score"):
         forward(model, q)
 
@@ -200,7 +200,7 @@ def test_embedding_lookup_one_hot_row():
     model.params["emb_device_type"][...] = np.eye(3, 2)
     q = ds.queries[0]
     for cid in range(3):
-        q.category_ids = np.array([cid])
+        q = replace(q, category_ids=np.array([cid]))
         _, cache = forward(model, q)
         np.testing.assert_array_equal(cache.q_repr[-2:], np.eye(3, 2)[cid])
 
@@ -212,7 +212,7 @@ def test_embedding_lookup_matches_slice():
     q = ds.queries[1]
     deep_numeric = standardized(q, model.stats)[0]
     for cid in range(3):
-        q.category_ids = np.array([cid])
+        q = replace(q, category_ids=np.array([cid]))
         _, cache = forward(model, q)
         np.testing.assert_array_equal(cache.q_repr, np.concatenate([deep_numeric, table[cid]]))
 
@@ -233,7 +233,7 @@ def test_embedding_out_of_range_names_feature():
     model = small_model(ds)
     q = ds.queries[0]
     for bad in (3, -1):  # numpy indexing would wrap -1 to the last row
-        q.category_ids = np.array([bad])
+        q = replace(q, category_ids=np.array([bad]))
         with pytest.raises(DomainError, match=r"category id -?\d out of range.*device_type"):
             forward(model, q)
 

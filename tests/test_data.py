@@ -1,8 +1,11 @@
 import json
+import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+import sirank.cli
 import sirank.data
 from sirank.data import (
     Dataset,
@@ -17,9 +20,11 @@ from sirank.data import (
     split_holdout,
 )
 from sirank.errors import ParseError, SchemaError, ValidationError
-from sirank.scoring import build_model, prepare_dataset
+from sirank.generator import GeneratorConfig, generate
+from sirank.perturb import CASE_IDS, PerturbationCase, apply_case
+from sirank.scoring import build_model, prepare_dataset, scale_dataset
 
-from conftest import hand_dataset, tiny_schema
+from conftest import edited, hand_dataset, tiny_schema, with_queries
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +431,98 @@ def test_valid_long_file_never_walks(tmp_path, schema, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# valid by construction
+
+
+def test_datasets_built_without_the_check_pass_it(tmp_path, monkeypatch):
+    """Each builder that skips the check makes a dataset whose records pass
+    it, by the column-wise pass alone, when made into a new Dataset."""
+    ds = generate(GeneratorConfig(num_queries=60, seed=5))
+    data, schema_path = tmp_path / "d.jsonl", tmp_path / "d.schema.json"
+    save_dataset(ds, data)
+    save_schema(ds.schema, schema_path)
+    loaded = load_dataset(data, ds.schema)
+    built = {"load_dataset": loaded}
+    for cid in CASE_IDS:
+        out = tmp_path / f"case{cid}.jsonl"
+        assert sirank.cli.main(["perturb", "--data", str(data), "--schema", str(schema_path),
+                                "--case", str(cid), "--out", str(out)]) == 0
+        built[f"load_dataset of perturb case {cid}"] = load_dataset(out, ds.schema)
+        built[f"apply_case {cid}"] = apply_case(loaded, PerturbationCase(cid))
+    built.update(zip(("train", "validation", "test"), split_holdout(loaded, seed=3)))
+    for c in (1e-3, 1200.0):
+        built[f"scale_dataset {c:g}"] = scale_dataset(loaded, c)
+    walked = []
+    monkeypatch.setattr(sirank.data, "_raise_first_bad", lambda *args: walked.append(args))
+    for name, made in built.items():
+        rebuilt = Dataset(schema=made.schema, queries=made.queries)
+        assert not walked, name
+        assert len(rebuilt) == len(made) > 0 and all(
+            a is b for a, b in zip(rebuilt.queries, made.queries)), name
+
+
+def test_records_and_datasets_cannot_be_edited(tmp_path):
+    hand = hand_dataset(n_queries=3)
+    save_dataset(hand, tmp_path / "d.jsonl")
+    loaded = load_dataset(tmp_path / "d.jsonl", hand.schema)
+    for ds in (hand, loaded, apply_case(loaded, PerturbationCase(3)), split_holdout(
+            hand_dataset(n_queries=10), seed=1)[0]):
+        q = ds.queries[0]
+        with pytest.raises(FrozenInstanceError):
+            q.labels = np.zeros(q.n_items)
+        for name in ("numeric", "category_ids", "fixed", "scalevariant", "labels"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(q, name)[0] = 1
+        with pytest.raises(TypeError):
+            ds.queries[0] = q
+        with pytest.raises(FrozenInstanceError):
+            ds.queries = ()
+
+
+@pytest.mark.parametrize("group, index, value, error", [
+    ("numeric", 1, np.nan, "non-finite deep-path input"),
+    ("numeric", 2, -np.inf, "non-finite deep-path input"),
+    ("category_ids", 0, 3, "category id 3 out of range"),
+    ("category_ids", 0, -1, "category id -1 out of range"),
+    ("fixed", (0, 1), 0.0, "'review_score' must be > 0, got 0.0"),
+    ("fixed", (0, 1), -2.0, "'review_score' must be > 0, got -2.0"),
+    ("fixed", (1, 0), np.inf, "non-finite deep-path input"),
+    ("fixed", (1, 0), np.nan, "non-finite deep-path input"),
+    ("fixed", (1, 0), 1e-310, None),  # a fixed value need only be > 0
+    ("scalevariant", (1, 1), 0.0, "'discount' must be > 0, got 0.0"),
+    ("scalevariant", (1, 1), np.nan, "'discount' must be > 0, got nan"),
+    ("scalevariant", (1, 1), np.inf, "'discount' must be finite and at least the smallest normal"),
+    ("scalevariant", (1, 1), 1e-310, "'discount' must be finite and at least the smallest normal"),
+    ("scalevariant", (1, 1), sirank.data.SMALLEST_NORMAL, None),
+    ("labels", 0, 0.5, "labels must be 0 or 1 with exactly one booked item"),
+    ("labels", 1, 2.0, "labels must be 0 or 1 with exactly one booked item"),
+])
+def test_column_check_and_walk_agree(group, index, value, error):
+    """The column-wise check refuses exactly what the query walk, run on its
+    own, raises for, and a Dataset raises the walk's error."""
+    ds = hand_dataset(n_queries=5, seed=6)
+    q = ds.queries[2]
+    records = ds.queries[:2] + (replace(q, **{group: edited(getattr(q, group), index, value)}),
+                                ) + ds.queries[3:]
+    if error is None:
+        sirank.data._raise_first_bad(ds.schema, records)
+        assert len(Dataset(schema=ds.schema, queries=records)) == 5
+        return
+    with pytest.raises(Exception, match=re.escape(error)) as walked:
+        sirank.data._raise_first_bad(ds.schema, records)
+    with pytest.raises(type(walked.value)) as made:
+        Dataset(schema=ds.schema, queries=records)
+    assert str(made.value) == str(walked.value)
+
+
+# ---------------------------------------------------------------------------
 # standardization
 
 
 def test_constant_feature_rejected():
     ds = hand_dataset(n_queries=6, seed=1)
-    for q in ds.queries:
-        q.numeric[2] = 5.0
+    ds = Dataset(schema=ds.schema, queries=[replace(q, numeric=edited(q.numeric, 2, 5.0))
+                                            for q in ds.queries])
     with pytest.raises(ValidationError, match="lead_days"):
         fit_standardization(ds, ds.schema)
 
@@ -440,17 +530,17 @@ def test_constant_feature_rejected():
 @pytest.mark.parametrize("factor", [1e200, 1e307])
 def test_non_finite_stats_rejected_naming_feature(factor):
     ds = hand_dataset(n_queries=6, seed=1)
-    for q in ds.queries:
-        q.fixed = q.fixed.copy()
-        q.fixed[:, 1] *= factor
+    ds = Dataset(schema=ds.schema, queries=[replace(q, fixed=q.fixed * [1.0, factor])
+                                            for q in ds.queries])
     with pytest.raises(ValidationError, match="'review_score' has a non-finite"):
         fit_standardization(ds, ds.schema)
 
 
 def test_symmetric_pair_gives_zero_mean_unit_std():
     ds = hand_dataset(n_queries=6, seed=1)
-    for i, q in enumerate(ds.queries):
-        q.numeric[2] = 1.0 if i % 2 == 0 else -1.0
+    ds = Dataset(schema=ds.schema, queries=[
+        replace(q, numeric=edited(q.numeric, 2, 1.0 if i % 2 == 0 else -1.0))
+        for i, q in enumerate(ds.queries)])
     stats = fit_standardization(ds, ds.schema)
     assert stats.numeric_mean[2] == 0.0
     assert stats.numeric_std[2] == 1.0
@@ -475,8 +565,10 @@ def test_fit_matches_two_pass_oracle():
 def test_apply_maps_mean_to_zero_and_mean_plus_std_to_one():
     ds = hand_dataset(n_queries=10, seed=2)
     stats = fit_standardization(ds, ds.schema)
-    ds.queries[0].numeric[2] = stats.numeric_mean[2]
-    ds.queries[1].numeric[2] = stats.numeric_mean[2] + stats.numeric_std[2]
+    mean, std = stats.numeric_mean[2], stats.numeric_std[2]
+    q0, q1 = ds.queries[:2]
+    ds = with_queries(ds, {0: replace(q0, numeric=edited(q0.numeric, 2, mean)),
+                           1: replace(q1, numeric=edited(q1.numeric, 2, mean + std))})
     model = build_model(ds.schema, widths=(4,), compressor_dim=2, stats=stats)
     deep_numeric = prepare_dataset(model, ds).deep_numeric
     assert deep_numeric[0, 2] == pytest.approx(0.0, abs=1e-12)
@@ -519,10 +611,8 @@ def test_stats_for_foreign_schema_rejected():
     stats = fit_standardization(ds, ds.schema, include_scalevariant=True)
     with pytest.raises(SchemaError):
         build_model(other.schema, widths=(4,), compressor_dim=2, stats=stats)
-    with pytest.raises(SchemaError):
-        apply_standardization(
-            Dataset(schema=other.schema, queries=ds.queries), stats
-        )
+    with pytest.raises(SchemaError):  # ds.queries do not fit other.schema: Dataset refuses them
+        apply_standardization(other, stats)
 
 
 def test_stats_json_round_trip():

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sirank.data import apply_standardization, fit_standardization
+from sirank.data import Dataset, apply_standardization, fit_standardization
 from sirank.errors import DomainError, ValidationError
 from sirank.metrics import (
     EvalResult,
@@ -16,7 +17,7 @@ from sirank.metrics import (
 )
 from sirank.scoring import EVAL_CHUNK_ROWS, Ranking, build_model, fit_stats, rank, score_query
 
-from conftest import hand_dataset
+from conftest import hand_dataset, with_queries
 
 
 def ranking_with_booked_at(pos: int, d: int) -> tuple[Ranking, np.ndarray]:
@@ -162,10 +163,9 @@ def test_raw_and_standardized_views_evaluate_bitwise_equal(mode):
 
 def test_batched_ndcg_tie_rule_on_identical_items():
     ds = prepared_dataset(n=6, seed=31)
-    for q in ds.queries:
-        for name in ("fixed", "scalevariant"):
-            rows = getattr(q, name)
-            setattr(q, name, np.repeat(rows[:1], q.n_items, axis=0))
+    ds = Dataset(schema=ds.schema, queries=[
+        replace(q, **{name: np.repeat(getattr(q, name)[:1], q.n_items, axis=0)
+                      for name in ("fixed", "scalevariant")}) for q in ds.queries])
     model = build_model(ds.schema, widths=(8, 4), compressor_dim=2, seed=1,
                         stats=fit_stats(ds, "sir"))
     # equal scores rank by item index, so the booked item sits at its index + 1
@@ -184,9 +184,9 @@ def test_batched_ndcg_keeps_per_query_errors():
     nan_in_last = lambda q: np.full(q.n_items, np.nan if q is ds.queries[-1] else 1.0)
     with pytest.raises(DomainError, match="NaN"):
         mean_ndcg(nan_in_last, ds)
-    ds.queries[2].labels = np.zeros(ds.queries[2].n_items)
-    with pytest.raises(ValidationError, match=rf"^query {ds.queries[2].query_id}: labels must"):
-        mean_ndcg(lambda q: q.labels, ds)
+    q = ds.queries[2]
+    with pytest.raises(ValidationError, match=rf"^query {q.query_id}: labels must"):
+        mean_ndcg(lambda q: q.labels, with_queries(ds, {2: replace(q, labels=np.zeros(q.n_items))}))
 
 
 @pytest.mark.parametrize("bad_scores,shape", [

@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sirank.data import fit_standardization
+from sirank.data import Dataset, fit_standardization
 from sirank.errors import ConfigError, ValidationError
 from sirank.metrics import mean_ndcg
 from sirank.perturb import PerturbationCase, apply_case
 from sirank.scoring import build_model, rank, score_query
 
-from conftest import hand_dataset, standardized
+from conftest import edited, hand_dataset, standardized, with_queries
 
 
 def test_case_validation():
@@ -19,7 +19,8 @@ def test_case_validation():
 
 def test_unknown_target_rejected():
     ds = hand_dataset(n_queries=4)
-    ds.schema = replace(ds.schema, item_features_scalevariant=("price", "taxes"))
+    ds = Dataset(schema=replace(ds.schema, item_features_scalevariant=("price", "taxes")),
+                 queries=ds.queries)
     with pytest.raises(ConfigError, match="discount"):
         apply_case(ds, PerturbationCase(case_id=1))
 
@@ -27,8 +28,7 @@ def test_unknown_target_rejected():
 def test_rescaling_beyond_float_range_rejected():
     ds = hand_dataset(n_queries=4, seed=3)
     q = ds.queries[2]
-    q.scalevariant = q.scalevariant.copy()
-    q.scalevariant[0, 0] = 1e306
+    ds = with_queries(ds, {2: replace(q, scalevariant=edited(q.scalevariant, (0, 0), 1e306))})
     with pytest.raises(ValidationError, match=rf"^query {q.query_id}: case 4 rescales"):
         apply_case(ds, PerturbationCase(case_id=4))
 
@@ -36,20 +36,19 @@ def test_rescaling_beyond_float_range_rejected():
 def test_rescaling_below_smallest_normal_float_rejected():
     ds = hand_dataset(n_queries=4, seed=3)
     q = ds.queries[2]
-    q.exchange_rate = 1e-300
-    out = apply_case(ds, PerturbationCase(case_id=2))
+    out = apply_case(with_queries(ds, {2: replace(q, exchange_rate=1e-300)}),
+                     PerturbationCase(case_id=2))
     assert out.queries[2].scalevariant.min() >= np.finfo(np.float64).tiny
-    q.exchange_rate = 1e-320
     with pytest.raises(ValidationError, match=rf"^query {q.query_id}: case 2 rescales a "
                                               "scale-variant value below the smallest normal"):
-        apply_case(ds, PerturbationCase(case_id=2))
+        apply_case(with_queries(ds, {2: replace(q, exchange_rate=1e-320)}),
+                   PerturbationCase(case_id=2))
 
 
 def test_case1_with_single_night_is_identity():
     ds = hand_dataset(n_queries=6, seed=1)
-    for q in ds.queries:
-        q.num_nights = 1
-        q.numeric[0] = 1.0
+    ds = Dataset(schema=ds.schema, queries=[
+        replace(q, num_nights=1, numeric=edited(q.numeric, 0, 1.0)) for q in ds.queries])
     out = apply_case(ds, PerturbationCase(case_id=1))
     for q0, q1 in zip(ds.queries, out.queries):
         np.testing.assert_array_equal(q0.scalevariant, q1.scalevariant)

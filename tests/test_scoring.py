@@ -27,7 +27,8 @@ from sirank.scoring import (
     score_query,
 )
 
-from conftest import LABEL_BREAKS, break_labels, hand_dataset, standardized, without_wide
+from conftest import (LABEL_BREAKS, break_labels, edited, hand_dataset, standardized,
+                      with_queries, without_wide)
 
 SCALES = (1e-2, 0.5, 7.0, 1200.0)
 
@@ -118,13 +119,10 @@ def test_identical_fixed_features_tie_deep_scores():
     ds = prepared(seed=3)
     model = small_model(ds)
     q = ds.queries[0]
-    # copy before editing a row: the arrays may be shared with other records
-    q.fixed = q.fixed.copy()
-    q.fixed[1] = q.fixed[0]
+    q = replace(q, fixed=edited(q.fixed, 1, q.fixed[0]))
     deep_fixed = standardized(q, model.stats)[1]
     np.testing.assert_array_equal(deep_fixed[1], deep_fixed[0])
-    q.scalevariant = q.scalevariant.copy()
-    q.scalevariant[1] = q.scalevariant[0] * 17.3
+    q = replace(q, scalevariant=edited(q.scalevariant, 1, q.scalevariant[0] * 17.3))
     deep = score_query(without_wide(model), q)
     assert deep[0] == deep[1]
 
@@ -135,8 +133,7 @@ def test_deep_score_ignores_scalevariant_bitwise():
     q = ds.queries[2]
     deep_model = without_wide(model)
     before = score_query(deep_model, q).tolist()
-    q.scalevariant = q.scalevariant * 1000.0
-    after = score_query(deep_model, q).tolist()
+    after = score_query(deep_model, replace(q, scalevariant=q.scalevariant * 1000.0)).tolist()
     assert before == after
 
 
@@ -148,8 +145,7 @@ def test_unit_features_zero_wide_score():
     ds = prepared(seed=5)
     model = small_model(ds)
     q = ds.queries[0]
-    q.fixed = np.ones_like(q.fixed)
-    q.scalevariant = np.ones_like(q.scalevariant)
+    q = replace(q, fixed=np.ones_like(q.fixed), scalevariant=np.ones_like(q.scalevariant))
     # log(1) = 0, so the wide term adds exactly nothing to the deep tower
     assert score_query(model, q).tolist() == score_query(without_wide(model), q).tolist()
 
@@ -199,10 +195,31 @@ def test_nonpositive_wide_value_names_feature_and_item():
     ds = prepared(seed=8)
     model = small_model(ds)
     q = ds.queries[0]
-    q.scalevariant = q.scalevariant.copy()
-    q.scalevariant[1, 0] = -3.0
+    q = replace(q, scalevariant=edited(q.scalevariant, (1, 0), -3.0))
     with pytest.raises(DomainError, match=r"price"):
         score_query(model, q)
+
+
+@pytest.mark.parametrize("mode", ["sir", "deep_only"])
+@pytest.mark.parametrize("group, value, rule", [
+    ("fixed", 0.0, "must be > 0"),
+    ("scalevariant", np.inf, "must be finite and at least the smallest normal float64"),
+    ("scalevariant", 1e-310, "must be finite and at least the smallest normal float64"),
+])
+def test_values_no_mode_can_score_are_refused_in_both(mode, group, value, rule):
+    ds = prepared(seed=8)
+    model = small_model(ds, mode=mode)
+    q = ds.queries[0]
+    with pytest.raises(DomainError, match=rf"^query {q.query_id}, item {q.item_ids[1]}: .*{rule}"):
+        score_query(model, replace(q, **{group: edited(getattr(q, group), (1, 0), value)}))
+
+
+def test_prepare_refuses_a_dataset_of_another_schema():
+    ds = prepared(seed=8)
+    model = small_model(ds)
+    other = replace(ds.schema, item_features_fixed=("star_rating", "review_count"))
+    with pytest.raises(ContractError, match="schema .* is not the model's"):
+        prepare_dataset(model, Dataset(schema=other, queries=ds.queries))
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +409,14 @@ def test_batched_identity_gap_exactly_zero():
 
 
 def _break_query(q, case):
-    """Damage one record the way a caller could, copying shared arrays first."""
+    """A copy of one record, damaged the way a caller could."""
     if case == "category_out_of_range":
-        q.category_ids = np.array([7])
-    elif case == "nonpositive_wide_value":
-        q.scalevariant = q.scalevariant.copy()
-        q.scalevariant[2, 1] = 0.0
-    elif case == "non_finite_deep_input":
-        q.fixed = q.fixed.copy()
-        q.fixed[1, 0] = np.inf
-    else:
-        break_labels(q, case)
+        return replace(q, category_ids=np.array([7]))
+    if case == "nonpositive_wide_value":
+        return replace(q, scalevariant=edited(q.scalevariant, (2, 1), 0.0))
+    if case == "non_finite_deep_input":
+        return replace(q, fixed=edited(q.fixed, (1, 0), np.inf))
+    return break_labels(q, case)
 
 
 @pytest.mark.parametrize("case", ["category_out_of_range", "nonpositive_wide_value",
@@ -411,13 +425,14 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
     ds = prepared(seed=21, n_queries=8)
     model = small_model(ds)
     # a later query broken in another way must not be the one reported
-    _break_query(ds.queries[3], case)
-    _break_query(ds.queries[6], "nonpositive_wide_value" if case != "nonpositive_wide_value"
-                 else "category_out_of_range")
+    bad = _break_query(ds.queries[3], case)
+    later = _break_query(ds.queries[6], "nonpositive_wide_value"
+                         if case != "nonpositive_wide_value" else "category_out_of_range")
+    # a Dataset checks its records when it is made: the error is raised there
     with pytest.raises(Exception) as per_query:
-        prepare_dataset(model, Dataset(schema=ds.schema, queries=[ds.queries[3]]))
+        prepare_dataset(model, Dataset(schema=ds.schema, queries=[bad]))
     with pytest.raises(type(per_query.value)) as batched:
-        prepare_dataset(model, ds)
+        prepare_dataset(model, with_queries(ds, {3: bad, 6: later}))
     assert str(batched.value) == str(per_query.value)
     if case == "non_finite_deep_input":
         assert str(batched.value) == f"query {ds.queries[3].query_id}: non-finite deep-path input"
@@ -436,14 +451,15 @@ def test_empty_query_is_reported_in_dataset_order(bad_category_at):
     ds = prepared(seed=21, n_queries=8)
     model = small_model(ds)
     q = ds.queries[3]
-    ds.queries[3] = replace(q, item_ids=(), fixed=q.fixed[:0], scalevariant=q.scalevariant[:0],
-                            labels=q.labels[:0])
-    if bad_category_at is None:
-        ds = Dataset(schema=ds.schema, queries=[ds.queries[3]])
-    else:
-        _break_query(ds.queries[bad_category_at], "category_out_of_range")
-    with pytest.raises(Exception) as err:
-        prepare_dataset(model, ds)
+    empty = replace(q, item_ids=(), fixed=q.fixed[:0], scalevariant=q.scalevariant[:0],
+                    labels=q.labels[:0])
+    with pytest.raises(Exception) as err:  # raised where the Dataset is made
+        if bad_category_at is None:
+            broken = Dataset(schema=ds.schema, queries=[empty])
+        else:
+            broken = with_queries(ds, {3: empty, bad_category_at: _break_query(
+                ds.queries[bad_category_at], "category_out_of_range")})
+        prepare_dataset(model, broken)
     if bad_category_at == 1:
         assert err.type is DomainError
         assert str(err.value) == ("category id 7 out of range for feature 'device_type' "
@@ -459,17 +475,21 @@ def test_item_arrays_of_the_wrong_shape_are_a_contract_error(group, how):
     ds = prepared(seed=22, n_queries=8)
     model = small_model(ds)
     k = ds.schema.k1 if group == "fixed" else ds.schema.k2
-    for q in ds.queries[2:] if how == "all_1d" else ds.queries[2:3]:
-        a = getattr(q, group)
-        setattr(q, group, a[:, 0].copy() if how.endswith("1d") else np.hstack([a, a[:, :1]]))
+    changed = {}
+    for i in range(2, len(ds) if how == "all_1d" else 3):
+        a = getattr(ds.queries[i], group)
+        changed[i] = replace(ds.queries[i], **{group: a[:, 0].copy() if how.endswith("1d")
+                                               else np.hstack([a, a[:, :1]])})
     q = ds.queries[2]
     shape = [q.n_items] if how.endswith("1d") else [q.n_items, k + 1]
     want = (f"query {q.query_id}: {group} array has shape {shape}, "
             f"expected (D, K) = ({q.n_items}, {k})")
-    calls = [lambda: prepare_dataset(model, ds)]
+    # every call gets a dataset made from the records, which raises there
+    calls = [lambda: prepare_dataset(model, with_queries(ds, changed))]
     if group == "scalevariant":
-        calls += [lambda: apply_case(ds, PerturbationCase(3)), lambda: scale_dataset(ds, 7.0),
-                  lambda: dataset_invariance_gap(model, ds, 7.0)]
+        calls += [lambda: apply_case(with_queries(ds, changed), PerturbationCase(3)),
+                  lambda: scale_dataset(with_queries(ds, changed), 7.0),
+                  lambda: dataset_invariance_gap(model, with_queries(ds, changed), 7.0)]
     for call in calls:
         with pytest.raises(ContractError) as err:
             call()
@@ -485,23 +505,27 @@ def test_scale_dataset_is_scale_query_of_every_query():
             want = scale_query(q, c)
             np.testing.assert_array_equal(got.scalevariant, want.scalevariant)
             assert got.fixed is q.fixed and got.labels is q.labels and got.item_ids == q.item_ids
-    assert scale_dataset(Dataset(schema=ds.schema, queries=[]), 2.0).queries == []
+    assert scale_dataset(Dataset(schema=ds.schema, queries=[]), 2.0).queries == ()
 
 
 @pytest.mark.parametrize("c, bad_value", [(1e300, 1e10), (1e-300, 1e-10), (1e300, float("nan"))])
 def test_scale_dataset_names_the_first_query_scale_query_refuses(c, bad_value):
     ds = prepared(seed=24)
-    for qi in (5, 8):
-        ds.queries[qi].scalevariant = ds.queries[qi].scalevariant.copy()
-        ds.queries[qi].scalevariant[1, 0] = bad_value
-    with pytest.raises(ValidationError) as want:
-        scale_query(ds.queries[5], c)
-    with pytest.raises(ValidationError) as got:
-        scale_dataset(ds, c)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith(f"query {ds.queries[5].query_id}: scaling by {c:g}")
     with pytest.raises(DomainError, match="positive finite"):
         scale_dataset(ds, -1.0)
+    changed = {qi: replace(ds.queries[qi], scalevariant=edited(ds.queries[qi].scalevariant,
+                                                               (1, 0), bad_value))
+               for qi in (5, 8)}
+    with pytest.raises(ValidationError) as want:
+        scale_query(changed[5], c)
+    if math.isnan(bad_value):  # no Dataset holds a NaN: it is refused where it is made
+        with pytest.raises(DomainError, match="wide-path feature 'price' must be > 0, got nan"):
+            with_queries(ds, changed)
+        return
+    with pytest.raises(ValidationError) as got:
+        scale_dataset(with_queries(ds, changed), c)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"query {ds.queries[5].query_id}: scaling by {c:g}")
 
 
 def test_batched_path_needs_scalevariant_stats_and_queries():

@@ -5,6 +5,7 @@ import re
 import threading
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from sirank.trainer import (
     train,
 )
 
-from conftest import LABEL_BREAKS, break_labels
+from conftest import LABEL_BREAKS, break_labels, edited, with_queries
 
 
 def prepared(num_queries=60, seed=11, split_seed=0):
@@ -195,13 +196,17 @@ def test_train_is_bitwise_equal_to_reference_loop(loss, mode):
 def test_label_rule_is_enforced_where_data_is_prepared(case):
     tr, va, _ = prepared(num_queries=40)
     bad = tr.queries[3]
-    break_labels(bad, case)
-    break_labels(tr.queries[7], "none_booked")  # a later bad query is not the one named
     model = build_model(tr.schema, widths=(8, 4), compressor_dim=2, stats=fit_stats(tr, "sir"))
     cfg = TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1)
-    for call in (lambda: prepare_dataset(model, tr), lambda: train(tr, va, cfg),
-                 lambda: mean_ndcg(model, tr),
-                 lambda: mean_ndcg(lambda q: np.zeros(q.n_items), tr)):
+
+    def broken():  # a later bad query is not the one named
+        return with_queries(tr, {3: break_labels(bad, case),
+                                 7: break_labels(tr.queries[7], "none_booked")})
+
+    # each call gets a dataset made from the broken records, which raises there
+    for call in (lambda: prepare_dataset(model, broken()), lambda: train(broken(), va, cfg),
+                 lambda: mean_ndcg(model, broken()),
+                 lambda: mean_ndcg(lambda q: np.zeros(q.n_items), broken())):
         with pytest.raises(ValidationError, match=rf"^query {bad.query_id}: labels must be "
                                                   r"0 or 1 with exactly one booked item$"):
             call()
@@ -210,16 +215,16 @@ def test_label_rule_is_enforced_where_data_is_prepared(case):
 def test_bad_record_found_in_training_names_epoch_query_and_feature(monkeypatch):
     tr, va, te = prepared(num_queries=40)
     q = tr.queries[3]
-    q.scalevariant = q.scalevariant.copy()
-    q.scalevariant[1, 0] = -1.0
     feature = tr.schema.item_features_scalevariant[0]
     steps = []
     monkeypatch.setattr(sirank.trainer, "sgd_step", lambda *args: steps.append(args))
-    # the training split is checked as a whole before the first step
+    # the training split is checked as a whole, where it is made, before the first step
     with pytest.raises(DomainError, match=rf"^query {q.query_id}, "
                                           rf"item {re.escape(q.item_ids[1])}: "
                                           rf"wide-path feature '{feature}'"):
-        train(tr, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1))
+        broken = with_queries(tr, {3: replace(q, scalevariant=edited(q.scalevariant,
+                                                                    (1, 0), -1.0))})
+        train(broken, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1))
     assert steps == []
 
 
