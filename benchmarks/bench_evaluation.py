@@ -72,13 +72,13 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
             models[mode] = sr.build_model(full.schema, mode=mode, seed=seed, stats=stats)
             sr.save_checkpoint(models[mode], tmp / f"{mode}.ckpt.json")
 
-        batched_gap = getattr(sirank.scoring, "dataset_invariance_gap", None)
-
-        def gap():
+        def gap():  # as ``sirank evaluate`` takes it
             model = models["sir"]
-            if batched_gap is not None:
-                return batched_gap(model, test_raw, GAP_RATE)
-            return max(sr.invariance_gap(model, q, GAP_RATE) for q in test_raw.queries)
+            base_scores = sirank.scoring.score_block(
+                model, sirank.scoring.prepare_dataset(model, test_raw))
+            scaled = sirank.scoring.prepare_dataset(
+                model, sirank.scoring.scale_dataset(test_raw, GAP_RATE))
+            return sirank.scoring.block_invariance_gap(model, base_scores, scaled)
 
         def cli(argv):
             with contextlib.redirect_stdout(io.StringIO()):

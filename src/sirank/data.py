@@ -224,10 +224,11 @@ class Dataset:
         return iter(self.queries)
 
 
-def _unchecked(cls, **fields):
-    """``cls(**fields)`` without ``__post_init__``'s checks: for valid, read-only values only."""
+def _unchecked(cls, base=(), **fields):
+    """``cls(**base, **fields)`` without ``__post_init__``'s checks: for valid,
+    read-only values only."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    obj.__dict__.update(base, **fields)
     return obj
 
 
@@ -235,7 +236,7 @@ def _valid_columns(schema: FeatureSchema, numeric, category_ids, fixed, scalevar
                    labels, sizes: list[int]) -> bool:
     """Whether the stacked arrays of queries of ``sizes`` items keep every
     rule of a Dataset: the array shapes, at least one item per query,
-    category ids within the cardinalities, finite numerics, finite fixed
+    integer category ids within the cardinalities, finite numerics, finite fixed
     values > 0, finite scale-variant values >= ``SMALLEST_NORMAL``, and
     labels of 0 or 1 with one 1 per query."""
     n, cats = sum(sizes), schema.categorical_query_features
@@ -243,6 +244,7 @@ def _valid_columns(schema: FeatureSchema, numeric, category_ids, fixed, scalevar
         (len(sizes), len(schema.numeric_query_names)), (len(sizes), len(cats)),
         (n, schema.k1), (n, schema.k2), (n,)]
         and min(sizes) > 0 and np.isfinite(numeric).all()
+        and np.issubdtype(category_ids.dtype, np.integer)
         and ((category_ids >= 0) & (category_ids < [f.cardinality for f in cats])).all()
         and _finite_positive(fixed)
         and np.isfinite(scalevariant).all() and (scalevariant >= SMALLEST_NORMAL).all()
@@ -267,6 +269,9 @@ def _raise_first_bad(schema: FeatureSchema, queries: tuple[QueryRecord, ...]):
                                     f"{list(shape)}, expected {expected}")
         if d == 0:
             raise ContractError("cannot score an empty item selection")
+        if not np.issubdtype(q.category_ids.dtype, np.integer):
+            raise DomainError(f"query {q.query_id}: category ids must be integers, "
+                              f"got dtype {q.category_ids.dtype}")
         for f, cid in zip(cats, q.category_ids):
             if not 0 <= cid < f.cardinality:
                 raise DomainError(f"category id {cid} out of range for feature '{f.name}' "
@@ -287,38 +292,42 @@ def _raise_first_bad(schema: FeatureSchema, queries: tuple[QueryRecord, ...]):
                                   "with exactly one booked item")
 
 
-def rescale_scalevariant(ds: Dataset, rescale) -> Dataset:
-    """A copy of ``ds`` whose scale-variant arrays are those of ``ds`` after
-    ``rescale``, which multiplies the stacked (N, K2) rows of every query in
-    place and checks them with ``check_rescaled``, so the copy is valid
-    too; every other array is shared."""
-    if not ds.queries:
-        return ds
+def rescale_records(queries: tuple[QueryRecord, ...], columns, factors: list[np.ndarray],
+                    what: str) -> tuple[QueryRecord, ...]:
+    """``queries`` with scale-variant ``columns`` multiplied by each array of
+    ``factors`` in turn (one value per query each); every other array is
+    shared. A query holding a product that is not finite, or one below
+    ``SMALLEST_NORMAL``, raises ValidationError for the first such query:
+    "query <id>: <what> a scale-variant value beyond the float64 range" (or
+    "below the smallest normal float64")."""
+    if not queries:
+        return ()
     # each query gets its own array, made before the stack: the stack is then
     # the last block made and the first freed, and leaves no hole under
     # them (about 0.3 MB less peak RSS in a cli_evaluate benchmark run)
-    outs = [np.empty_like(q.scalevariant) for q in ds.queries]
-    stacked = np.concatenate([q.scalevariant for q in ds.queries])
-    with np.errstate(over="ignore"):  # check_rescaled reports an overflow as a data error
-        rescale(stacked)
-    queries, start = [], 0
-    for q, out in zip(ds.queries, outs):
-        out[...] = stacked[start:start + q.n_items]
+    outs = [np.empty(q.scalevariant.shape) for q in queries]
+    stacked = np.concatenate([q.scalevariant for q in queries], dtype=np.float64)
+    sizes = [len(out) for out in outs]
+    per_row = [np.repeat(f, sizes) for f in factors]
+    with np.errstate(over="ignore"):  # an overflow is reported as a data error below
+        for k in columns:
+            column = stacked[:, k]  # a view: the products land in stacked
+            for f in per_row:
+                column *= f
+    if not (np.isfinite(stacked).all() and (stacked >= SMALLEST_NORMAL).all()):
+        starts = np.cumsum([0] + sizes[:-1])
+        finite = np.logical_and.reduceat(np.isfinite(stacked).all(axis=1), starts)
+        normal = np.logical_and.reduceat((stacked >= SMALLEST_NORMAL).all(axis=1), starts)
+        i = int(np.argmin(finite & normal))
+        where = "below the smallest normal float64" if finite[i] else "beyond the float64 range"
+        raise ValidationError(f"query {queries[i].query_id}: {what} a scale-variant value {where}")
+    rescaled, start = [], 0
+    for q, out in zip(queries, outs):
+        out[...] = stacked[start:start + len(out)]
         out.setflags(write=False)
-        queries.append(_unchecked(QueryRecord, **{**vars(q), "scalevariant": out}))
-        start += q.n_items
-    return _unchecked(Dataset, schema=ds.schema, queries=tuple(queries))
-
-
-def check_rescaled(queries, stacked: np.ndarray, error):
-    """Raise ValidationError(``error(query_id, overflow)``) for the first of
-    ``queries`` whose rows of ``stacked``, its rescaled scale-variant values,
-    hold one that is not finite (``overflow``) or below ``SMALLEST_NORMAL``."""
-    if np.isfinite(stacked).all() and (stacked >= SMALLEST_NORMAL).all():
-        return
-    for q, rows in zip(queries, np.split(stacked, np.cumsum([q.n_items for q in queries]))):
-        if not (np.isfinite(rows).all() and (rows >= SMALLEST_NORMAL).all()):
-            raise ValidationError(error(q.query_id, not np.isfinite(rows).all()))
+        rescaled.append(_unchecked(QueryRecord, vars(q), scalevariant=out))
+        start += len(out)
+    return tuple(rescaled)
 
 
 # ---------------------------------------------------------------------------

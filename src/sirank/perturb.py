@@ -4,7 +4,8 @@ Each case multiplies the ``DEFAULT_TARGETS`` columns by a per-query scalar:
 the number of nights (1), the query's exchange rate (2), both in sequence
 (3), or one fixed conversion rate, ``DEFAULT_RATE``, applied to every query
 (4). Multipliers come from stored per-query auxiliaries, never fresh
-randomness, so runs are reproducible.
+randomness, so runs are reproducible. A case multiplies and checks through
+``data.rescale_records``, as ``scoring.scale_dataset`` does.
 Cases rescale raw values; a model standardizes its deep-path inputs from its
 own stats when it scores, so a perturbed split needs no re-standardizing.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, QueryRecord, check_rescaled, rescale_scalevariant
+from .data import Dataset, QueryRecord, _unchecked, rescale_records
 from .errors import ConfigError
 
 DEFAULT_TARGETS = ("price", "discount")
@@ -52,15 +53,6 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     if missing:
         raise ConfigError(f"target features {missing} are not scale-variant "
                           f"features of the schema (has {list(sv_names)})")
-
-    def rescale(sv: np.ndarray):
-        factors = [np.repeat(f, [q.n_items for q in ds.queries]) for f in case.factors(ds.queries)]
-        for name in DEFAULT_TARGETS:
-            column = sv[:, sv_names.index(name)]  # a view: the products land in sv
-            for f in factors:
-                column *= f
-        where = ("below the smallest normal float64", "beyond the float64 range")
-        check_rescaled(ds.queries, sv, lambda query_id, overflow: f"query {query_id}: case "
-                       f"{case.case_id} rescales a scale-variant value {where[overflow]}")
-
-    return rescale_scalevariant(ds, rescale)
+    queries = rescale_records(ds.queries, [sv_names.index(name) for name in DEFAULT_TARGETS],
+                              case.factors(ds.queries), f"case {case.case_id} rescales")
+    return _unchecked(Dataset, schema=ds.schema, queries=queries)

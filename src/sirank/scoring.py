@@ -32,14 +32,14 @@ checks and updates every parameter with one vector operation each.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .data import (MAX_EMBEDDING_VALUES, Dataset, FeatureSchema, QueryRecord,
-                   StandardizationStats, check_rescaled, check_stats_schema,
-                   fit_standardization, rescale_scalevariant)
+                   StandardizationStats, _unchecked, check_stats_schema, fit_standardization,
+                   rescale_records)
 from .errors import (
     ConfigError,
     ContractError,
@@ -458,33 +458,29 @@ def rank(scores: np.ndarray) -> Ranking:
     return Ranking(order=order)
 
 
-def _scaling_error(c: float):
-    """``check_rescaled``'s message for a rescale by c (DomainError unless c > 0 is finite)."""
+def _scaling(c: float) -> str:
+    """What a rescale by c does, for ``rescale_records``' message; DomainError
+    unless c > 0 is finite."""
     if not (c > 0) or not np.isfinite(c):
         raise DomainError(f"scale factor must be a positive finite number, got {c}")
-    return lambda query_id, overflow: f"query {query_id}: scaling by {c:g} " + (
-        "overflows float64" if overflow
-        else "takes a scale-variant value below the smallest normal float64")
+    return f"scaling by {c:g} takes"
 
 
 def scale_query(query: QueryRecord, c: float) -> QueryRecord:
     """Multiply every item's scale-variant vector by c, leaving the rest alone.
     A product beyond the float64 range or below its smallest normal value
     raises ValidationError naming the query."""
-    error = _scaling_error(c)
-    with np.errstate(over="ignore"):  # an overflow is reported as a data error below
-        scaled = query.scalevariant * c
-    check_rescaled([query], scaled, error)
-    return replace(query, scalevariant=scaled)
+    what = _scaling(c)
+    return rescale_records((query,), range(query.scalevariant.shape[1]), [np.array([c])], what)[0]
 
 
 def scale_dataset(ds: Dataset, c: float) -> Dataset:
-    """``scale_query`` of every query of ``ds``, as one multiply and one
-    check over the stacked scale-variant rows; an error names the first
-    query that ``scale_query`` would refuse, with its message."""
-    error = _scaling_error(c)
-    return rescale_scalevariant(
-        ds, lambda scaled: check_rescaled(ds.queries, np.multiply(scaled, c, out=scaled), error))
+    """``scale_query`` of every query of ``ds``, as one multiply per column
+    and one check over the stacked scale-variant rows; an error names the
+    first query that ``scale_query`` would refuse, with its message."""
+    what = _scaling(c)
+    queries = rescale_records(ds.queries, range(ds.schema.k2), [np.full(len(ds), c)], what)
+    return _unchecked(Dataset, schema=ds.schema, queries=queries)
 
 
 def invariance_gap(model: SirModel, query: QueryRecord, c: float) -> float:
@@ -501,14 +497,6 @@ def block_invariance_gap(model: SirModel, base_scores: np.ndarray, scaled: Datas
     delta = score_block(model, scaled) - base_scores
     starts = scaled.offsets[:-1]
     return float(np.max(np.maximum.reduceat(delta, starts) - np.minimum.reduceat(delta, starts)))
-
-
-def dataset_invariance_gap(model: SirModel, dataset: Dataset, c: float) -> float:
-    """The largest ``invariance_gap`` over the queries of ``dataset``, from
-    one batched pass over the dataset and one over its rescaled copy."""
-    scaled = scale_dataset(dataset, c)
-    base_scores = score_block(model, prepare_dataset(model, dataset))  # one block alive at a time
-    return block_invariance_gap(model, base_scores, prepare_dataset(model, scaled))
 
 
 # ---------------------------------------------------------------------------

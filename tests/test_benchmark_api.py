@@ -42,14 +42,26 @@ def _sirank_bindings(tree) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
     return bound, imported
 
 
+def _getattr_chain(node):
+    """``getattr(a.b, "c", ...)`` as ["a", "b", "c"]; None for any other node
+    and for a getattr whose name is not a string literal."""
+    if not (isinstance(node, ast.Call) and _dotted(node.func) == ["getattr"]
+            and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)):
+        return None
+    base = _dotted(node.args[0])
+    return None if base is None else base + [node.args[1].value]
+
+
 def sirank_reads(path: Path) -> set[tuple[str, str]]:
     """(module, name) for every ``from sirank... import name`` in ``path`` and
-    every attribute read through a name bound by ``import sirank...``."""
+    every attribute read through a name bound by ``import sirank...``, by
+    attribute access or by ``getattr`` with a literal name."""
     tree = ast.parse(path.read_text())
     bound, imported = _sirank_bindings(tree)
     reads = set(imported.values())
     for node in ast.walk(tree):
-        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else _getattr_chain(node)
         if chain and chain[0] in bound:
             module = bound[chain[0]]
             for name in chain[1:]:
@@ -85,6 +97,15 @@ def test_every_sirank_name_a_benchmark_reads_exists(path):
     assert reads, f"{path.name} reads nothing from sirank: the parse missed its imports"
     missing = sorted(f"{module}.{name}" for module, name in reads if not _exists(module, name))
     assert missing == []
+
+
+def test_a_getattr_with_a_literal_name_is_a_read(tmp_path):
+    script = tmp_path / "script.py"
+    script.write_text("import sirank.scoring\n"
+                      "gap = getattr(sirank.scoring, 'gone', None)\n"
+                      "name = 'computed'\n"
+                      "other = getattr(sirank.scoring, name, None)\n")
+    assert sirank_reads(script) == {("sirank", "scoring"), ("sirank.scoring", "gone")}
 
 
 def sirank_keyword_calls(path: Path) -> list[tuple[str, list[str]]]:

@@ -19,10 +19,10 @@ from sirank.data import (
     save_schema,
     split_holdout,
 )
-from sirank.errors import ParseError, SchemaError, ValidationError
+from sirank.errors import DomainError, ParseError, SchemaError, ValidationError
 from sirank.generator import GeneratorConfig, generate
 from sirank.perturb import CASE_IDS, PerturbationCase, apply_case
-from sirank.scoring import build_model, prepare_dataset, scale_dataset
+from sirank.scoring import build_model, prepare_dataset, scale_dataset, scale_query
 
 from conftest import edited, hand_dataset, tiny_schema, with_queries
 
@@ -466,7 +466,8 @@ def test_records_and_datasets_cannot_be_edited(tmp_path):
     save_dataset(hand, tmp_path / "d.jsonl")
     loaded = load_dataset(tmp_path / "d.jsonl", hand.schema)
     for ds in (hand, loaded, apply_case(loaded, PerturbationCase(3)), split_holdout(
-            hand_dataset(n_queries=10), seed=1)[0]):
+            hand_dataset(n_queries=10), seed=1)[0],
+            Dataset(schema=hand.schema, queries=[scale_query(loaded.queries[0], 7.0)])):
         q = ds.queries[0]
         with pytest.raises(FrozenInstanceError):
             q.labels = np.zeros(q.n_items)
@@ -513,6 +514,26 @@ def test_column_check_and_walk_agree(group, index, value, error):
     with pytest.raises(type(walked.value)) as made:
         Dataset(schema=ds.schema, queries=records)
     assert str(made.value) == str(walked.value)
+
+
+@pytest.mark.parametrize("ids", [[1.7], [1.0]], ids=["fraction", "integral_float"])
+def test_category_ids_of_a_float_dtype_are_refused(ids, tmp_path):
+    """An id array must have an integer dtype: a float id is not truncated
+    to an embedding row. The loader and the generator make int64 ids."""
+    ds = hand_dataset(n_queries=5, seed=6)
+    q = ds.queries[2]
+    records = ds.queries[:2] + (replace(q, category_ids=np.array(ids)),) + ds.queries[3:]
+    with pytest.raises(DomainError) as walked:
+        sirank.data._raise_first_bad(ds.schema, records)
+    with pytest.raises(DomainError) as made:
+        Dataset(schema=ds.schema, queries=records)
+    assert str(made.value) == str(walked.value) == (
+        f"query {q.query_id}: category ids must be integers, got dtype float64")
+    generated = generate(GeneratorConfig(num_queries=20, seed=1))
+    save_dataset(generated, tmp_path / "g.jsonl")
+    for made in (generated, load_dataset(tmp_path / "g.jsonl", generated.schema)):
+        assert {q.category_ids.dtype for q in made} == {np.dtype(np.int64)}
+        assert len(Dataset(schema=made.schema, queries=made.queries)) == 20
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from sirank.perturb import PerturbationCase, apply_case
 from sirank.scoring import (
     EVAL_CHUNK_ROWS,
     Ranking,
+    block_invariance_gap,
     build_model,
-    dataset_invariance_gap,
     fit_stats,
     forward,
     invariance_gap,
@@ -396,16 +396,23 @@ def test_batched_scores_match_per_query_across_chunks():
         np.testing.assert_array_equal(block.offsets, np.cumsum([0] + [q.n_items for q in ds]))
 
 
+def batched_gap(model, ds, c):
+    """The largest invariance gap over ``ds``, as ``sirank evaluate`` takes it:
+    ``block_invariance_gap`` of the clean scores and the rescaled block."""
+    base_scores = score_block(model, prepare_dataset(model, ds))
+    return block_invariance_gap(model, base_scores, prepare_dataset(model, scale_dataset(ds, c)))
+
+
 def test_batched_gap_matches_per_query_max():
     for model, ds in models_of_both_modes():
         for c in (0.5, 1200.0):
             want = max(invariance_gap(model, q, c) for q in ds.queries)
-            assert abs(dataset_invariance_gap(model, ds, c) - want) < 1e-12, (model.mode, c)
+            assert abs(batched_gap(model, ds, c) - want) < 1e-12, (model.mode, c)
 
 
 def test_batched_identity_gap_exactly_zero():
     model, ds = models_of_both_modes()[0]
-    assert dataset_invariance_gap(model, ds, 1.0) == 0.0
+    assert batched_gap(model, ds, 1.0) == 0.0
 
 
 def _break_query(q, case):
@@ -489,7 +496,7 @@ def test_item_arrays_of_the_wrong_shape_are_a_contract_error(group, how):
     if group == "scalevariant":
         calls += [lambda: apply_case(with_queries(ds, changed), PerturbationCase(3)),
                   lambda: scale_dataset(with_queries(ds, changed), 7.0),
-                  lambda: dataset_invariance_gap(model, with_queries(ds, changed), 7.0)]
+                  lambda: batched_gap(model, with_queries(ds, changed), 7.0)]
     for call in calls:
         with pytest.raises(ContractError) as err:
             call()
@@ -526,6 +533,28 @@ def test_scale_dataset_names_the_first_query_scale_query_refuses(c, bad_value):
         scale_dataset(with_queries(ds, changed), c)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(f"query {ds.queries[5].query_id}: scaling by {c:g}")
+
+
+@pytest.mark.parametrize("price, c, case_id, where", [
+    (1e306, 1200.0, 4, "beyond the float64 range"),
+    (1e-300, 1e-20, 2, "below the smallest normal float64")], ids=["overflow", "below_normal"])
+@pytest.mark.parametrize("rescale", ["scale_query", "scale_dataset", "apply_case"])
+def test_every_rescale_reports_through_one_template(rescale, price, c, case_id, where):
+    """Each rescale names the first bad query in dataset order in the same
+    words: what rescaled it, then where a product fell."""
+    ds = prepared(seed=25, n_queries=6)
+    # case 2 multiplies a query by its exchange rate: c for the two changed here
+    ds = with_queries(ds, {qi: replace(ds.queries[qi], exchange_rate=c, scalevariant=edited(
+        ds.queries[qi].scalevariant, (1, 0), price)) for qi in (2, 4)})
+    call, what = {
+        "scale_query": (lambda: scale_query(ds.queries[2], c), f"scaling by {c:g} takes"),
+        "scale_dataset": (lambda: scale_dataset(ds, c), f"scaling by {c:g} takes"),
+        "apply_case": (lambda: apply_case(ds, PerturbationCase(case_id)),
+                       f"case {case_id} rescales"),
+    }[rescale]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == f"query {ds.queries[2].query_id}: {what} a scale-variant value {where}"
 
 
 def test_batched_path_needs_scalevariant_stats_and_queries():
