@@ -25,7 +25,6 @@ one thread, as in perfbench.
 
 from __future__ import annotations
 
-import inspect
 import sys
 import time
 
@@ -42,16 +41,10 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
     import numpy as np
 
     import sirank as sr
-    from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name, ranknet_loss
+    from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
     from sirank.scoring import backward, build_model, forward_block, prepare_dataset, sgd_step
     from sirank.trainer import DEFAULT_LEARNING_RATES, _softrank_indices
 
-    # a tree whose backward cannot write into a given vector gets a fresh one per step
-    reuses_grads = "grads" in inspect.signature(backward).parameters
-    # a tree whose losses read a label vector gets the query's labels instead of an index
-    takes_booked = "booked" in inspect.signature(ranknet_loss).parameters
-    # a tree whose softrank sampler finds the booked item itself gets the query
-    sampler_takes_query = "query" in inspect.signature(_softrank_indices).parameters
     ds = sr.generate(sr.GeneratorConfig(num_queries=sizes["queries"], seed=seed))
     train_raw, _, _ = sr.split_holdout(ds, seed=seed)
     samples: dict[str, list[float]] = {}
@@ -60,26 +53,22 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
         model = build_model(ds.schema, mode=mode, seed=seed, stats=stats)
         block = prepare_dataset(model, train_raw)
         loss_fn, lr = loss_by_name(loss), DEFAULT_LEARNING_RATES[loss]
-        grads = model.params.zeros_like() if reuses_grads else None
+        grads = model.params.zeros_like()
         spent = dict.fromkeys(PHASES, 0.0)
         epoch_rng = np.random.default_rng([seed, 0])
         for qi in epoch_rng.permutation(len(train_raw)):
             q = train_raw.queries[qi]
             item_indices = None
-            target = int(block.booked[qi] - block.offsets[qi]) if takes_booked else q.labels
+            booked = int(block.booked[qi] - block.offsets[qi])
             if loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
-                item_indices = (_softrank_indices(q, epoch_rng) if sampler_takes_query else
-                                _softrank_indices(q.n_items, target, epoch_rng))
-                target = item_indices.index(target) if takes_booked else target[item_indices]
+                item_indices = _softrank_indices(q.n_items, booked, epoch_rng)
+                booked = item_indices.index(booked)
             t0 = time.perf_counter()
             scores, cache = forward_block(model, block, qi, item_indices)
             t1 = time.perf_counter()
-            out = loss_fn(scores, target)
+            out = loss_fn(scores, booked)
             t2 = time.perf_counter()
-            if reuses_grads:
-                step_grads = backward(model, cache, out.score_gradients, grads)
-            else:
-                step_grads = backward(model, cache, out.score_gradients)
+            step_grads = backward(model, cache, out.score_gradients, grads)
             t3 = time.perf_counter()
             sgd_step(model.params, step_grads, lr)
             t4 = time.perf_counter()

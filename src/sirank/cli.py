@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .data import (
@@ -89,11 +90,15 @@ def _write_json(path, payload: dict):
         fh.write("\n")
 
 
-def _header_lines(prov: dict) -> list[str]:
+def _write_tables(out, prov: dict, report: ExperimentReport):
+    """The report's table and CSV at ``out``.txt and .csv, under ``#`` provenance lines."""
     pairs = [f"tool={prov['tool']} {prov['version']}", f"subcommand={prov['subcommand']}",
              f"seed={prov['seed']}"]
     pairs += [f"input:{k}={v}" for k, v in sorted(prov["inputs"].items())]
-    return [f"# {p}" for p in pairs]
+    header = "".join(f"# {p}\n" for p in pairs)
+    for ext, render in ((".txt", render_text), (".csv", render_csv)):
+        with open(str(out) + ext, "w") as fh:
+            fh.write(header + render(report))
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -189,7 +194,7 @@ def cmd_train(args) -> int:
     prov = _provenance("train", args.seed, {"data": args.data, "schema": args.schema})
     save_checkpoint(model, args.out, provenance=prov)
     _write_json(str(args.out) + ".history.json",
-                {"provenance": prov, "history": history.to_json(),
+                {"provenance": prov, "history": asdict(history),
                  "train_config": {"loss": cfg.loss, "mode": cfg.mode,
                                   "learning_rate": cfg.resolved_learning_rate,
                                   "max_epochs": cfg.max_epochs, "patience": cfg.patience,
@@ -272,12 +277,8 @@ def cmd_experiment(args) -> int:
     report = run_experiment(ds, cfg)
 
     prov = _provenance("experiment", args.seed, inputs)
-    header = "\n".join(_header_lines(prov)) + "\n"
-    _write_json(str(args.out) + ".json", {"provenance": prov, "report": report.to_json()})
-    with open(str(args.out) + ".txt", "w") as fh:
-        fh.write(header + render_text(report))
-    with open(str(args.out) + ".csv", "w") as fh:
-        fh.write(header + render_csv(report))
+    _write_json(str(args.out) + ".json", {"provenance": prov, "report": asdict(report)})
+    _write_tables(args.out, prov, report)
     print(render_text(report))
     print(f"report written to {args.out}.json / .txt / .csv")
 
@@ -297,17 +298,11 @@ def cmd_report(args) -> int:
         raise ValidationError(f"{args.data}: not an experiment report file")
     report = ExperimentReport.from_json(payload["report"])
 
-    text = render_text(report)
     if args.out:
-        header = "\n".join(_header_lines(
-            _provenance("report", args.seed, {"data": args.data}))) + "\n"
-        with open(str(args.out) + ".txt", "w") as fh:
-            fh.write(header + text)
-        with open(str(args.out) + ".csv", "w") as fh:
-            fh.write(header + render_csv(report))
+        _write_tables(args.out, _provenance("report", args.seed, {"data": args.data}), report)
         print(f"rendered {args.out}.txt / {args.out}.csv")
     else:
-        print(text)
+        print(render_text(report))
     return EXIT_OK
 
 

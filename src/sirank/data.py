@@ -213,8 +213,9 @@ class Dataset:
                          for group in ("fixed", "scalevariant", "labels"))]
         except ValueError:  # arrays of different shapes, or no queries
             columns = None
-        if columns is None or not _valid_columns(self.schema, *columns,
-                                                 [q.n_items for q in queries]):
+        if columns is None or not _valid_columns(
+                self.schema, *columns, [q.n_items for q in queries],
+                [q.num_nights for q in queries], [q.exchange_rate for q in queries]):
             _raise_first_bad(self.schema, queries)
 
     def __len__(self) -> int:
@@ -233,12 +234,12 @@ def _unchecked(cls, base=(), **fields):
 
 
 def _valid_columns(schema: FeatureSchema, numeric, category_ids, fixed, scalevariant,
-                   labels, sizes: list[int]) -> bool:
-    """Whether the stacked arrays of queries of ``sizes`` items keep every
-    rule of a Dataset: the array shapes, at least one item per query,
-    integer category ids within the cardinalities, finite numerics, finite fixed
-    values > 0, finite scale-variant values >= ``SMALLEST_NORMAL``, and
-    labels of 0 or 1 with one 1 per query."""
+                   labels, sizes: list[int], nights: list, rates: list) -> bool:
+    """Whether the stacked arrays of queries of ``sizes`` items, and their
+    ``nights`` and ``rates``, keep every rule of a Dataset: the array shapes,
+    at least one item per query, integer category ids within the cardinalities,
+    finite numerics, finite fixed values > 0, finite scale-variant values >=
+    ``SMALLEST_NORMAL``, labels of 0 or 1 with one 1 per query, ``_check_stay``."""
     n, cats = sum(sizes), schema.categorical_query_features
     return bool([a.shape for a in (numeric, category_ids, fixed, scalevariant, labels)] == [
         (len(sizes), len(schema.numeric_query_names)), (len(sizes), len(cats)),
@@ -249,7 +250,8 @@ def _valid_columns(schema: FeatureSchema, numeric, category_ids, fixed, scalevar
         and _finite_positive(fixed)
         and np.isfinite(scalevariant).all() and (scalevariant >= SMALLEST_NORMAL).all()
         and ((labels == 0.0) | (labels == 1.0)).all()
-        and (np.add.reduceat(labels, np.cumsum([0] + sizes[:-1])) == 1.0).all())
+        and (np.add.reduceat(labels, np.cumsum([0] + sizes[:-1])) == 1.0).all()
+        and all(map(_positive_int, nights)) and all(map(_positive_finite, rates)))
 
 
 def _raise_first_bad(schema: FeatureSchema, queries: tuple[QueryRecord, ...]):
@@ -276,6 +278,7 @@ def _raise_first_bad(schema: FeatureSchema, queries: tuple[QueryRecord, ...]):
             if not 0 <= cid < f.cardinality:
                 raise DomainError(f"category id {cid} out of range for feature '{f.name}' "
                                   f"(cardinality {f.cardinality})")
+        _check_stay(q.query_id, q.num_nights, q.exchange_rate)
         if not (np.isfinite(q.numeric).all() and np.isfinite(q.fixed).all()):
             raise DomainError(f"query {q.query_id}: non-finite deep-path input")
         wide = np.hstack([q.fixed, q.scalevariant])
@@ -336,6 +339,19 @@ def rescale_records(queries: tuple[QueryRecord, ...], columns, factors: list[np.
 def _require(cond: bool, query_id: str, rule: str):
     if not cond:
         raise ValidationError(f"query {query_id}: {rule}")
+
+
+def _positive_int(v) -> bool:
+    return _is_int(v) and 0 < v <= sys.float_info.max
+
+
+def _positive_finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v) and v > 0
+
+
+def _check_stay(qid: str, nights, rate):
+    _require(_positive_int(nights), qid, "num_nights must be a positive integer")
+    _require(_positive_finite(rate), qid, "exchange_rate must be a positive finite number")
 
 
 def _finite_positive(arr: np.ndarray) -> bool:
@@ -442,12 +458,8 @@ def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
     extra = sorted(set(qvals) - known)
     _require(not extra, qid, f"unknown query features {extra}")
 
-    nights = obj.get("num_nights")
-    _require(_is_int(nights) and _is_number(nights) and nights > 0, qid,
-             "num_nights must be a positive integer")
-    rate = obj.get("exchange_rate")
-    _require(_is_number(rate) and math.isfinite(rate) and rate > 0,
-             qid, "exchange_rate must be a positive finite number")
+    nights, rate = obj.get("num_nights"), obj.get("exchange_rate")
+    _check_stay(qid, nights, rate)
 
     raw_items = obj.get("items")
     _require(isinstance(raw_items, list), qid, "missing items list")
@@ -492,11 +504,8 @@ def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord]
         return None
     nights = [obj.get("num_nights") for obj in objs]
     rates = [obj.get("exchange_rate") for obj in objs]
-    rate_column = _float_column(rates)
     if (numeric is None or not set(map(type, cat_values)) <= {int}
-            or set(map(type, nights)) != {int}
-            or not 0 < min(nights) <= max(nights) <= sys.float_info.max
-            or rate_column is None or not _finite_positive(rate_column)):
+            or set(map(type, nights)) != {int} or _float_column(rates) is None):
         return None
     try:
         category_ids = np.array(cat_values, dtype=np.int64).reshape(len(objs), len(cats))
@@ -527,7 +536,8 @@ def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord]
     labels = np.array(labels, dtype=np.float64)
     numeric = numeric.reshape(len(objs), len(schema.numeric_query_names))
     if (fixed is None or sv is None
-            or not _valid_columns(schema, numeric, category_ids, fixed, sv, labels, sizes)):
+            or not _valid_columns(schema, numeric, category_ids, fixed, sv, labels, sizes,
+                                  nights, rates)):
         return None
     return [QueryRecord(query_id=qids[i], numeric=numeric[i], category_ids=category_ids[i],
                         num_nights=nights[i], exchange_rate=float(rates[i]), item_ids=ids[i],

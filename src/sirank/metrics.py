@@ -131,10 +131,6 @@ class TTestResult:
     df: float
     degenerate: bool = False
 
-    def to_json(self) -> dict:
-        return {"t": float(self.t), "p_value": float(self.p_value),
-                "df": float(self.df), "degenerate": bool(self.degenerate)}
-
 
 def two_sample_t_test(a, b) -> TTestResult:
     """Welch's unequal-variance t-test, one-sided.

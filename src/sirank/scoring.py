@@ -469,9 +469,13 @@ def _scaling(c: float) -> str:
 def scale_query(query: QueryRecord, c: float) -> QueryRecord:
     """Multiply every item's scale-variant vector by c, leaving the rest alone.
     A product beyond the float64 range or below its smallest normal value
-    raises ValidationError naming the query."""
+    raises ValidationError naming the query; an array not of D rows, ContractError."""
+    shape = np.shape(query.scalevariant)
+    if len(shape) != 2 or shape[0] != query.n_items:
+        raise ContractError(f"query {query.query_id}: scalevariant array has shape {list(shape)}, "
+                            f"expected (D, K) with D = {query.n_items}")
     what = _scaling(c)
-    return rescale_records((query,), range(query.scalevariant.shape[1]), [np.array([c])], what)[0]
+    return rescale_records((query,), range(shape[1]), [np.array([c])], what)[0]
 
 
 def scale_dataset(ds: Dataset, c: float) -> Dataset:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -96,14 +96,6 @@ class TrainHistory:
     val_ndcg: list[float]
     stopping_reason: str  # "max_epochs" or "early_stop"
     best_epoch: int
-
-    def to_json(self) -> dict:
-        return {
-            "train_loss": [float(v) for v in self.train_loss],
-            "val_ndcg": [float(v) for v in self.val_ndcg],
-            "stopping_reason": self.stopping_reason,
-            "best_epoch": int(self.best_epoch),
-        }
 
 
 def _softrank_indices(n_items: int, booked: int, epoch_rng: np.random.Generator) -> list[int]:
@@ -232,19 +224,6 @@ class CellResult:
     history: TrainHistory | None = None
     error: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "loss": self.loss,
-            "mode": self.mode,
-            "seed": int(self.seed),
-            "val_ndcg": self.val_ndcg,
-            "test_ndcg": self.test_ndcg,
-            "case_ndcg": {str(k): v for k, v in sorted(self.case_ndcg.items())},
-            "invariance_gap_c1200": self.invariance_gap_c1200,
-            "history": self.history.to_json() if self.history else None,
-            "error": self.error,
-        }
-
 
 @dataclass
 class TestCell:
@@ -256,9 +235,6 @@ class TestCell:
     p_value: float
     significant: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ExperimentReport:
@@ -266,17 +242,9 @@ class ExperimentReport:
     tests: list[TestCell]
     meta: dict
 
-    def to_json(self) -> dict:
-        return {
-            "meta": self.meta,
-            "cells": [c.to_json() for c in self.cells],
-            "tests": [t.to_json() for t in self.tests],
-        }
-
     @classmethod
     def from_json(cls, obj) -> ExperimentReport:
-        """Inverse of ``to_json``; a missing key or a value of the wrong type
-        raises ValidationError."""
+        """Inverse of ``asdict``; a missing key or a wrong-typed value raises ValidationError."""
         try:
             cells = [CellResult(
                 loss=c["loss"], mode=c["mode"], seed=c["seed"],
@@ -492,9 +460,6 @@ def render_csv(report: ExperimentReport) -> str:
             cell.invariance_gap_c1200, cell.error or "",
         ])
     writer.writerow([])
-    writer.writerow(["loss", "condition", "baseline_mean", "sir_mean", "t", "p_value",
-                     "significant"])
-    for t in report.tests:
-        writer.writerow([t.loss, t.condition, t.baseline_mean, t.sir_mean, t.t,
-                         t.p_value, t.significant])
+    writer.writerow([f.name for f in fields(TestCell)])
+    writer.writerows(astuple(t) for t in report.tests)
     return buf.getvalue()

@@ -189,6 +189,34 @@ def test_experiment_is_deterministic(experiment_out, tmp_path):
                 == (experiment_out / "rep").with_suffix(ext).read_bytes())
 
 
+def test_experiment_train_and_report_outputs_are_pinned(workdir, experiment_out, tmp_path,
+                                                        capsys, monkeypatch):
+    # sha256 under numpy 2.4.6 of the report files, of a train run's history
+    # and of a report with a diverging cell (listnet/sir, its step raised to
+    # 1.5): any change to how a report or a history is written moves them
+    got = {f"rep{ext}": _sha256((experiment_out / f"rep{ext}").read_bytes())
+           for ext in (".json", ".txt", ".csv")}
+    got["history"] = _sha256((workdir / "model.json.history.json").read_bytes())
+    monkeypatch.setitem(sr.trainer.DEFAULT_LEARNING_RATES, "listnet", 1.5)
+    assert main(["experiment", "--generate", "--queries", "60", "--seed", "4",
+                 "--loss", "ranknet,listnet", "--epochs", "2", "--patience", "1",
+                 "--out", str(tmp_path / "div")]) == 4
+    capsys.readouterr()
+    report = json.loads((tmp_path / "div.json").read_text())["report"]
+    assert [(c["loss"], c["mode"]) for c in report["cells"] if c["error"]] == [("listnet", "sir")]
+    for ext in (".json", ".txt", ".csv"):
+        got[f"div{ext}"] = _sha256((tmp_path / f"div{ext}").read_bytes())
+    assert got == {
+        "rep.json": "a67c5b3dbb42af286614c0c7da020661c99400a31b72020b22e5fc2a67bec4e2",
+        "rep.txt": "e1bd10b3ec8878ca2fedf5db84c5aecbe4c6840b0d8c4434985ef2eaa505c09a",
+        "rep.csv": "7883acebd7553db072b2afad76d41db079f5d0336dd82134f4497a89190875e8",
+        "history": "4acbcb8171cc490d746923931de7967fb4321ea2452f382e2b13ede6e773cc14",
+        "div.json": "6d0e23372adc824b35b54edb5c3f6050edc8a0d41030348540e8099e83cc9e58",
+        "div.txt": "b62bb03062a8101fd7485f1b0f62dff3567a74f341067ac54778b1de297bc14f",
+        "div.csv": "6513568a2fc3f3ceeb9a3889c70d453a5995919d999e627c98b63d1468adbb4f",
+    }
+
+
 def test_report_rerenders_saved_json(experiment_out, tmp_path, capsys):
     code = main(["report", "--data", str(experiment_out / "rep.json")])
     assert code == 0

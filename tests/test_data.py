@@ -536,6 +536,30 @@ def test_category_ids_of_a_float_dtype_are_refused(ids, tmp_path):
         assert len(Dataset(schema=made.schema, queries=made.queries)) == 20
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    *(("num_nights", v, "num_nights must be a positive integer")
+      for v in (2.5, 0, -3, True, 2.0, 10 ** 400, None)),
+    *(("exchange_rate", v, "exchange_rate must be a positive finite number")
+      for v in (-1.0, 0.0, float("nan"), float("inf"), 10 ** 400, True, "1.5", None)),
+], ids=lambda v: "beyond_float64" if v == 10 ** 400 else None)
+def test_a_dataset_checks_num_nights_and_exchange_rate_as_the_loader_does(field, value, rule):
+    """A hand-built Dataset refuses what the loader refuses: a bad rate would
+    otherwise surface as a rescale error in case 1/2, and save_dataset would
+    write a night count of 2.5 as 2."""
+    ds = hand_dataset(n_queries=5, seed=6)
+    q = ds.queries[2]
+    records = ds.queries[:2] + (replace(q, **{field: value}),) + ds.queries[3:]
+    with pytest.raises(ValidationError) as walked:
+        sirank.data._raise_first_bad(ds.schema, records)
+    with pytest.raises(ValidationError) as made:
+        Dataset(schema=ds.schema, queries=records)
+    with pytest.raises(ValidationError) as loaded:
+        sirank.data._parse_query_obj(
+            dict(sirank.data._query_to_obj(q, ds.schema), **{field: value}), ds.schema)
+    assert str(made.value) == str(walked.value) == str(loaded.value) == (
+        f"query {q.query_id}: {rule}")
+
+
 # ---------------------------------------------------------------------------
 # standardization
 

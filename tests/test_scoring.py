@@ -503,6 +503,16 @@ def test_item_arrays_of_the_wrong_shape_are_a_contract_error(group, how):
         assert str(err.value) == want
 
 
+@pytest.mark.parametrize("how", ["1d", "short"])
+def test_scale_query_names_a_record_whose_scalevariant_is_not_d_rows(how):
+    q = hand_dataset().queries[0]
+    sv = q.scalevariant[:, 0].copy() if how == "1d" else q.scalevariant[1:].copy()
+    with pytest.raises(ContractError) as err:
+        scale_query(replace(q, scalevariant=sv), 2.0)
+    assert str(err.value) == (f"query {q.query_id}: scalevariant array has shape "
+                              f"{list(sv.shape)}, expected (D, K) with D = {q.n_items}")
+
+
 def test_scale_dataset_is_scale_query_of_every_query():
     ds = prepared(seed=23)
     for c in SCALES:

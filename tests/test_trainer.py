@@ -5,7 +5,7 @@ import re
 import threading
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -117,7 +117,7 @@ def test_returned_model_is_restored_to_best_epoch():
 def test_history_serializes_to_json():
     tr, va, te = prepared(num_queries=40)
     _, hist = train(tr, va, TrainConfig(max_epochs=2, patience=1, seed=0))
-    blob = json.dumps(hist.to_json())
+    blob = json.dumps(asdict(hist))
     back = json.loads(blob)
     assert back["stopping_reason"] in ("max_epochs", "early_stop")
     assert len(back["train_loss"]) == len(back["val_ndcg"])
@@ -355,7 +355,7 @@ def test_deep_only_cells_feel_the_rescaling(report):
 
 
 def test_report_round_trips_through_json(report):
-    blob = json.dumps(report.to_json(), sort_keys=True)
+    blob = json.dumps(asdict(report), sort_keys=True)
     back = json.loads(blob)
     assert len(back["cells"]) == 4
     assert back["meta"]["random_ranker_test_ndcg"] > 0
@@ -382,7 +382,7 @@ def test_experiment_records_partial_failures():
     for c in failed:
         assert c.test_ndcg is None
         assert "epoch" in c.error
-    json.dumps(report.to_json())  # still serializable
+    json.dumps(asdict(report))  # still serializable
 
 
 def test_experiment_config_rejects_unknown_loss():
@@ -466,8 +466,8 @@ def test_worker_pool_and_in_process_grids_give_the_same_bytes(monkeypatch):
     assert threading.active_count() == 1  # the pool's own threads are joined too
     assert len(pooled.cells) == 10
     assert [(c.loss, c.mode) for c in pooled.cells if c.error] == [("listnet", "sir")]
-    assert (json.dumps(pooled.to_json(), sort_keys=True)
-            == json.dumps(serial.to_json(), sort_keys=True))
+    assert (json.dumps(asdict(pooled), sort_keys=True)
+            == json.dumps(asdict(serial), sort_keys=True))
     assert render_text(pooled) == render_text(serial)
     assert render_csv(pooled) == render_csv(serial)
 
