@@ -1,6 +1,6 @@
 """Evaluation-path timings: JSONL loading, the four perturbation cases,
-batched NDCG, the dataset invariance gap and one ``sirank evaluate`` and
-one ``sirank perturb`` call.
+batched NDCG, the dataset invariance gap, writing a perturbed dataset, and
+one ``sirank evaluate`` and one ``sirank perturb`` call.
 
 Run from the root of a checkout:
 
@@ -100,12 +100,16 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
             for cid in sr.CASE_IDS:
                 sr.apply_case(cases_ds, sr.PerturbationCase(cid))
 
+        perturbed = sr.apply_case(cases_ds, sr.PerturbationCase(3))  # what perturb() writes
+
         ops = {
             f"load_dataset_{sizes['load_small']}q_s":
                 lambda: sr.load_dataset(files["load_small"], full.schema),
             f"load_dataset_{sizes['load_large']}q_s":
                 lambda: sr.load_dataset(files["load_large"], full.schema),
             f"apply_case_4_cases_{len(cases_ds)}q_s": all_cases,
+            f"save_dataset_{len(perturbed)}q_s":
+                lambda: sr.save_dataset(perturbed, tmp / "saved.jsonl"),
             f"mean_ndcg_sir_{len(test_raw)}q_s": lambda: sr.mean_ndcg(models["sir"], test_raw),
             f"mean_ndcg_deep_only_{len(test_raw)}q_s":
                 lambda: sr.mean_ndcg(models["deep_only"], test_raw),

@@ -193,13 +193,10 @@ def cmd_train(args) -> int:
     model, history = train(tr_raw, va_raw, cfg)
     prov = _provenance("train", args.seed, {"data": args.data, "schema": args.schema})
     save_checkpoint(model, args.out, provenance=prov)
+    train_config = asdict(cfg) | {"learning_rate": cfg.resolved_learning_rate}
+    del train_config["seed"]
     _write_json(str(args.out) + ".history.json",
-                {"provenance": prov, "history": asdict(history),
-                 "train_config": {"loss": cfg.loss, "mode": cfg.mode,
-                                  "learning_rate": cfg.resolved_learning_rate,
-                                  "max_epochs": cfg.max_epochs, "patience": cfg.patience,
-                                  "sigma": cfg.sigma, "widths": list(cfg.widths),
-                                  "compressor_dim": cfg.compressor_dim}})
+                {"provenance": prov, "history": asdict(history), "train_config": train_config})
     best = history.val_ndcg[history.best_epoch]
     print(f"trained {cfg.loss} ({cfg.mode}) for {len(history.val_ndcg)} epochs, "
           f"stopped by {history.stopping_reason}, best val NDCG {best:.4f}")

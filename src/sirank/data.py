@@ -9,6 +9,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -502,10 +503,7 @@ def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord]
         cat_values = [v[f.name] for v in qvals for f in cats]
     except KeyError:
         return None
-    nights = [obj.get("num_nights") for obj in objs]
-    rates = [obj.get("exchange_rate") for obj in objs]
-    if (numeric is None or not set(map(type, cat_values)) <= {int}
-            or set(map(type, nights)) != {int} or _float_column(rates) is None):
+    if numeric is None or not set(map(type, cat_values)) <= {int}:
         return None
     try:
         category_ids = np.array(cat_values, dtype=np.int64).reshape(len(objs), len(cats))
@@ -535,6 +533,8 @@ def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord]
     sv = _item_matrix(raw_items, "scalevariant", schema.item_features_scalevariant)
     labels = np.array(labels, dtype=np.float64)
     numeric = numeric.reshape(len(objs), len(schema.numeric_query_names))
+    nights = [obj.get("num_nights") for obj in objs]
+    rates = [obj.get("exchange_rate") for obj in objs]
     if (fixed is None or sv is None
             or not _valid_columns(schema, numeric, category_ids, fixed, sv, labels, sizes,
                                   nights, rates)):
@@ -592,34 +592,41 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
     return _unchecked(Dataset, schema=schema, queries=tuple(queries))
 
 
-def _query_to_obj(q: QueryRecord, schema: FeatureSchema) -> dict:
-    qvals = {name: float(v) for name, v in zip(schema.numeric_query_names, q.numeric)}
-    qvals |= {f.name: int(v) for f, v in zip(schema.categorical_query_features, q.category_ids)}
-    return {
-        "query_id": q.query_id,
-        "query": qvals,
-        "num_nights": int(q.num_nights),
-        "exchange_rate": float(q.exchange_rate),
-        "items": [
-            {
-                "item_id": iid,
-                "fixed": {n: float(v) for n, v in zip(schema.item_features_fixed, fixed)},
-                "scalevariant": {
-                    n: float(v) for n, v in zip(schema.item_features_scalevariant, sv)
-                },
-                "label": int(label),
-            }
-            for iid, fixed, sv, label in zip(q.item_ids, q.fixed, q.scalevariant, q.labels)
-        ],
-    }
+def _object_template(fields: list[tuple[str, str]]) -> tuple[str, list[int]]:
+    """The %-format template of a JSON object of ``fields``' (name, value
+    format) pairs, keys in sorted order as ``json.dumps(..., sort_keys=True)``
+    writes them, and the positions of the fields in that order."""
+    order = sorted(range(len(fields)), key=lambda i: fields[i][0])
+    return "{" + ", ".join(encode_basestring_ascii(fields[i][0]).replace("%", "%%") + ": "
+                           + fields[i][1] for i in order) + "}", order
 
 
 def save_dataset(ds: Dataset, path):
-    """Write the raw records as JSONL, one query object per line."""
+    """Write the raw records as JSONL, one query object per line: each line
+    is ``json.dumps(record, sort_keys=True)``, filled into templates made
+    once from the schema. A Dataset's values are finite, so ``%r`` (a
+    Python float's repr) writes each float as json does."""
+    schema = ds.schema
+    query, query_order = _object_template(
+        [(name, "%r") for name in schema.numeric_query_names]
+        + [(f.name, "%d") for f in schema.categorical_query_features])
+    fixed, fixed_order = _object_template([(name, "%r") for name in schema.item_features_fixed])
+    sv, sv_order = _object_template([(name, "%r") for name in schema.item_features_scalevariant])
+    line = ('{"exchange_rate": %r, "items": [%s], "num_nights": %d, "query": ' + query
+            + ', "query_id": %s}\n')
+    item = '{"fixed": ' + fixed + ', "item_id": %s, "label": %d, "scalevariant": ' + sv + "}"
+    # the columns of [fixed | scalevariant | label] in the item template's order
+    columns = [*fixed_order, schema.k1 + schema.k2, *(schema.k1 + i for i in sv_order)]
     with open(path, "w") as fh:
         for q in ds.queries:
-            fh.write(json.dumps(_query_to_obj(q, ds.schema), sort_keys=True))
-            fh.write("\n")
+            rows = np.hstack([q.fixed, q.scalevariant, q.labels[:, None]],
+                             dtype=np.float64)[:, columns].tolist()
+            for row, item_id in zip(rows, q.item_ids):
+                row.insert(schema.k1, encode_basestring_ascii(item_id))
+            # category ids are below MAX_EMBEDDING_VALUES, so exact as float64
+            values = np.concatenate([q.numeric, q.category_ids], dtype=np.float64)[query_order]
+            fh.write(line % (float(q.exchange_rate), ", ".join([item % tuple(r) for r in rows]),
+                             q.num_nights, *values.tolist(), encode_basestring_ascii(q.query_id)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sirank.cli
 import sirank.data
@@ -11,6 +13,7 @@ from sirank.data import (
     Dataset,
     FeatureSchema,
     QueryFeature,
+    QueryRecord,
     apply_standardization,
     fit_standardization,
     load_dataset,
@@ -138,6 +141,106 @@ def test_malformed_line_reports_line_number(tmp_path, schema):
         fh.write("{not json\n")
     with pytest.raises(ParseError, match="line 3"):
         load_dataset(path, schema)
+
+
+# ---------------------------------------------------------------------------
+# save_dataset against a reference writer
+
+
+def _query_to_obj(q: QueryRecord, schema: FeatureSchema) -> dict:
+    """One record as a JSON object built field by field: the reference that
+    ``save_dataset``'s lines are checked against."""
+    qvals = {name: float(v) for name, v in zip(schema.numeric_query_names, q.numeric)}
+    qvals |= {f.name: int(v) for f, v in zip(schema.categorical_query_features, q.category_ids)}
+    return {
+        "query_id": q.query_id,
+        "query": qvals,
+        "num_nights": int(q.num_nights),
+        "exchange_rate": float(q.exchange_rate),
+        "items": [
+            {
+                "item_id": iid,
+                "fixed": {n: float(v) for n, v in zip(schema.item_features_fixed, fixed)},
+                "scalevariant": {
+                    n: float(v) for n, v in zip(schema.item_features_scalevariant, sv)
+                },
+                "label": int(label),
+            }
+            for iid, fixed, sv, label in zip(q.item_ids, q.fixed, q.scalevariant, q.labels)
+        ],
+    }
+
+
+def _assert_saved_as_reference(ds: Dataset, path):
+    save_dataset(ds, path)
+    reference = "".join(json.dumps(_query_to_obj(q, ds.schema), sort_keys=True) + "\n"
+                        for q in ds.queries)
+    assert path.read_bytes() == reference.encode()
+
+
+# names out of sorted order, differing only in case, non-ASCII, and holding
+# characters that JSON escapes or that a format template would read
+ODD_SCHEMA = FeatureSchema(
+    query_features=(QueryFeature("zeta", "numeric"),
+                    QueryFeature("{cat}", "categorical", cardinality=4, embedding_dim=2),
+                    QueryFeature("Zeta", "numeric"), QueryFeature("100%", "numeric"),
+                    QueryFeature("ünïcode", "numeric"),
+                    QueryFeature('say "hi"', "categorical", cardinality=3, embedding_dim=1)),
+    item_features_fixed=("stars", "Stars", "back\\slash", "%r", "}{"),
+    item_features_scalevariant=("price", "Price", "€uro", "%%s", '"q"'),
+)
+
+
+def _odd_record(qid, item_ids, fixed, scalevariant, numeric=(3.0, -0.0, 1e308, -2.5),
+                nights=3, rate=1.5) -> QueryRecord:
+    d = len(item_ids)
+    return QueryRecord(query_id=qid, numeric=np.asarray(numeric), category_ids=np.array([3, 0]),
+                       num_nights=nights, exchange_rate=rate, item_ids=tuple(item_ids),
+                       fixed=np.reshape(fixed, (d, ODD_SCHEMA.k1)),
+                       scalevariant=np.reshape(scalevariant, (d, ODD_SCHEMA.k2)),
+                       labels=(np.arange(d) == d - 1).astype(np.float64))
+
+
+def test_save_dataset_writes_the_reference_bytes_for_the_generated_corpus(tmp_path):
+    ds = generate(GeneratorConfig(num_queries=40, seed=2))
+    _assert_saved_as_reference(ds, tmp_path / "g.jsonl")
+    _assert_saved_as_reference(apply_case(ds, PerturbationCase(3)), tmp_path / "p.jsonl")
+
+
+def test_save_dataset_writes_the_reference_bytes_for_odd_names_ids_and_values(tmp_path):
+    ds = Dataset(schema=ODD_SCHEMA, queries=[
+        _odd_record("qé\n\t\x00", ["i\u2028\x7f", "日本\x1f", 'i"d\\'],
+                    fixed=[3.0, 1e308, 5e-324, 0.1, 7.0] * 3,
+                    scalevariant=[sirank.data.SMALLEST_NORMAL, 3.0, 1e308, 2.5e-8, 12.0] * 3),
+        # an integer exchange rate, a numpy float one, and integer arrays
+        replace(_odd_record("%s {0}", ["a", "b"], fixed=np.arange(1, 11),
+                            scalevariant=np.arange(1, 11), numeric=np.array([1, -2, 3, 0]),
+                            nights=10 ** 6, rate=2), labels=np.array([0, 1])),
+        _odd_record("q3", ["a", "b"], fixed=[1e-310] * 10, scalevariant=[1e300] * 10,
+                    rate=np.float64(0.85)),
+    ])
+    _assert_saved_as_reference(ds, tmp_path / "odd.jsonl")
+    assert load_dataset(tmp_path / "odd.jsonl", ODD_SCHEMA).queries[0].item_ids == (
+        "i\u2028\x7f", "日本\x1f", 'i"d\\')
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), d=st.integers(2, 4))
+def test_save_dataset_writes_the_reference_bytes_for_drawn_floats(tmp_path, data, d):
+    def floats(n, **bounds):
+        return data.draw(st.lists(st.floats(**bounds, **_FINITE), min_size=n, max_size=n))
+
+    record = _odd_record(
+        "q", [f"i{j}" for j in range(d)],
+        fixed=floats(d * ODD_SCHEMA.k1, min_value=0.0, exclude_min=True),
+        scalevariant=floats(d * ODD_SCHEMA.k2, min_value=sirank.data.SMALLEST_NORMAL),
+        numeric=floats(4), rate=floats(1, min_value=0.0, exclude_min=True)[0])
+    _assert_saved_as_reference(Dataset(schema=ODD_SCHEMA, queries=[record]),
+                               tmp_path / "drawn.jsonl")
 
 
 def _one_query_obj(ds):
@@ -555,7 +658,7 @@ def test_a_dataset_checks_num_nights_and_exchange_rate_as_the_loader_does(field,
         Dataset(schema=ds.schema, queries=records)
     with pytest.raises(ValidationError) as loaded:
         sirank.data._parse_query_obj(
-            dict(sirank.data._query_to_obj(q, ds.schema), **{field: value}), ds.schema)
+            dict(_query_to_obj(q, ds.schema), **{field: value}), ds.schema)
     assert str(made.value) == str(walked.value) == str(loaded.value) == (
         f"query {q.query_id}: {rule}")
 
