@@ -7,8 +7,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import accumulate, pairwise
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -197,33 +198,27 @@ class QueryRecord:
 @dataclass(frozen=True)
 class Dataset:
     """Queries under one schema. Making one checks its records once, as
-    stacked columns (``_valid_columns``), and raises the first bad query's
-    error (``_raise_first_bad``); its records are frozen and ``queries`` is
-    a tuple, so a dataset stays valid."""
+    stacked columns (``_check_columns``), and raises the first bad query's
+    error; its records are frozen and ``queries`` is a tuple, so a dataset
+    stays valid."""
 
     schema: FeatureSchema
     queries: tuple[QueryRecord, ...]
 
     def __post_init__(self):
-        queries = tuple(self.queries)
-        object.__setattr__(self, "queries", queries)
-        try:
-            columns = [np.stack([q.numeric for q in queries]),
-                       np.stack([q.category_ids for q in queries]),
-                       *(np.concatenate([getattr(q, group) for q in queries])
-                         for group in ("fixed", "scalevariant", "labels"))]
-        except ValueError:  # arrays of different shapes, or no queries
-            columns = None
-        if columns is None or not _valid_columns(
-                self.schema, *columns, [q.n_items for q in queries],
-                [q.num_nights for q in queries], [q.exchange_rate for q in queries]):
-            _raise_first_bad(self.schema, queries)
+        object.__setattr__(self, "queries", tuple(self.queries))
+        columns = [[getattr(q, f.name) for q in self.queries] for f in fields(QueryRecord)]
+        _check_columns(self.schema, columns, range(len(self)), "positions", {})
 
     def __len__(self) -> int:
         return len(self.queries)
 
     def __iter__(self):
         return iter(self.queries)
+
+
+_NO_QUERY_ID = "record without a non-empty string query_id"
+_NO_ITEM_ID = "item without a non-empty string item_id"
 
 
 def _unchecked(cls, base=(), **fields):
@@ -234,66 +229,112 @@ def _unchecked(cls, base=(), **fields):
     return obj
 
 
-def _valid_columns(schema: FeatureSchema, numeric, category_ids, fixed, scalevariant,
-                   labels, sizes: list[int], nights: list, rates: list) -> bool:
-    """Whether the stacked arrays of queries of ``sizes`` items, and their
-    ``nights`` and ``rates``, keep every rule of a Dataset: the array shapes,
-    at least one item per query, integer category ids within the cardinalities,
-    finite numerics, finite fixed values > 0, finite scale-variant values >=
-    ``SMALLEST_NORMAL``, labels of 0 or 1 with one 1 per query, ``_check_stay``."""
-    n, cats = sum(sizes), schema.categorical_query_features
-    return bool([a.shape for a in (numeric, category_ids, fixed, scalevariant, labels)] == [
-        (len(sizes), len(schema.numeric_query_names)), (len(sizes), len(cats)),
-        (n, schema.k1), (n, schema.k2), (n,)]
-        and min(sizes) > 0 and np.isfinite(numeric).all()
-        and np.issubdtype(category_ids.dtype, np.integer)
-        and ((category_ids >= 0) & (category_ids < [f.cardinality for f in cats])).all()
-        and _finite_positive(fixed)
-        and np.isfinite(scalevariant).all() and (scalevariant >= SMALLEST_NORMAL).all()
-        and ((labels == 0.0) | (labels == 1.0)).all()
-        and (np.add.reduceat(labels, np.cumsum([0] + sizes[:-1])) == 1.0).all()
-        and all(map(_positive_int, nights)) and all(map(_positive_finite, rates)))
+def _is_number(v) -> bool:
+    """A JSON number that converts to float64: a float, or an int that is
+    not a bool and not too large for a float."""
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
-def _raise_first_bad(schema: FeatureSchema, queries: tuple[QueryRecord, ...]):
-    """Check ``_valid_columns``' rules one query at a time, in order, and
-    raise the error of the first one a query breaks."""
-    cats = schema.categorical_query_features
-    names = schema.item_features_fixed + schema.item_features_scalevariant
-    for q in queries:
-        d = q.n_items
-        for group, want in (("numeric", (len(schema.numeric_query_names),)),
-                            ("category_ids", (len(cats),)), ("fixed", (d, schema.k1)),
-                            ("scalevariant", (d, schema.k2)), ("labels", (d,))):
-            shape = np.shape(getattr(q, group))
-            if shape != want:
+def _check_columns(schema: FeatureSchema, columns: list[list], places, unit: str, seen: dict):
+    """Raise the first broken rule of the first query that breaks a rule of
+    a Dataset. ``columns`` holds one sequence per ``QueryRecord`` field, in
+    field order, with one entry (or array row) per query. A repeated query
+    id is named by the ``unit`` ("positions" or "lines") of its ``places``,
+    or of ``seen``, which maps the ids of queries checked before to theirs.
+    Each rule is one boolean per query. Array shapes and the category ids'
+    dtype come first: the other rules read the stacked columns, so the
+    queries before a bad shape are checked on their own first."""
+    qids, numeric, category_ids, nights, rates, item_ids, fixed, sv, labels = columns
+    cats, sizes = schema.categorical_query_features, [len(ids) for ids in item_ids]
+    arrays = {"numeric": numeric, "category_ids": category_ids, "fixed": fixed,
+              "scalevariant": sv, "labels": labels}
+    n, c, k1, k2 = len(schema.numeric_query_names), len(cats), schema.k1, schema.k2
+
+    def shapes(d):  # of the arrays of a query of d items, in ``arrays`` order
+        return (n,), (c,), (d, k1), (d, k2), (d,)
+
+    structure = [(a.shape, b.shape, f.shape, s.shape, y.shape) != shapes(d)
+                 or b.dtype.kind not in "iu" for a, b, f, s, y, d in zip(*arrays.values(), sizes)]
+    if True in structure:  # a shape or a dtype that only a hand-built record can have
+        k = structure.index(True)
+        _check_columns(schema, [column[:k] for column in columns], places[:k], unit, seen)
+        for (name, column), want in zip(arrays.items(), shapes(sizes[k])):
+            if column[k].shape != want:
                 expected = f"(D, K) = {want}" if len(want) == 2 else f"{want}"
-                raise ContractError(f"query {q.query_id}: {group} array has shape "
-                                    f"{list(shape)}, expected {expected}")
-        if d == 0:
-            raise ContractError("cannot score an empty item selection")
-        if not np.issubdtype(q.category_ids.dtype, np.integer):
-            raise DomainError(f"query {q.query_id}: category ids must be integers, "
-                              f"got dtype {q.category_ids.dtype}")
-        for f, cid in zip(cats, q.category_ids):
-            if not 0 <= cid < f.cardinality:
-                raise DomainError(f"category id {cid} out of range for feature '{f.name}' "
-                                  f"(cardinality {f.cardinality})")
-        _check_stay(q.query_id, q.num_nights, q.exchange_rate)
-        if not (np.isfinite(q.numeric).all() and np.isfinite(q.fixed).all()):
-            raise DomainError(f"query {q.query_id}: non-finite deep-path input")
-        wide = np.hstack([q.fixed, q.scalevariant])
-        not_normal = ~(np.isfinite(wide) & (wide >= SMALLEST_NORMAL))
-        not_normal[:, :schema.k1] = False  # a fixed value need only be finite and > 0
-        for bad, rule in ((~(wide > 0), "must be > 0"),
-                          (not_normal, "must be finite and at least the smallest normal float64")):
-            if bad.any():
-                j, k = (int(v[0]) for v in np.nonzero(bad))
-                raise DomainError(f"query {q.query_id}, item {q.item_ids[j]}: wide-path feature "
-                                  f"{names[k]!r} {rule}, got {wide[j, k]}")
-        if np.count_nonzero(q.labels == 1.0) != 1 or not np.isin(q.labels, (0.0, 1.0)).all():
-            raise ValidationError(f"query {q.query_id}: labels must be 0 or 1 "
-                                  "with exactly one booked item")
+                raise ContractError(f"query {qids[k]}: {name} array has shape "
+                                    f"{list(column[k].shape)}, expected {expected}")
+        raise DomainError(f"query {qids[k]}: category ids must be integers, "
+                          f"got dtype {category_ids[k].dtype}")
+    if not qids:
+        return
+    offsets = [0, *accumulate(sizes)]
+    numeric, category_ids = np.asarray(numeric), np.asarray(category_ids)  # stacked: same shapes
+    fixed, sv, labels = (np.concatenate(a) for a in (fixed, sv, labels))
+    ids_ok = [set(map(type, ids)) <= {str} and all(ids) for ids in item_ids]
+    keys = [q if type(q) is str and q else None for q in qids]
+    first = dict(zip(reversed(keys), range(len(qids) - 1, -1, -1)))
+    label_ok = (labels == 0) | (labels == 1)
+
+    def per_query(rows, reduce=np.logical_and, pad=True):
+        # the pad row gives an empty last query an index to read; an empty
+        # query reads a wrong row, but it breaks the items count rule first
+        return reduce.reduceat(np.concatenate((rows, [pad])), offsets[:-1])
+
+    booked = per_query(labels == 1, np.add, 0)
+
+    def item(i, row_ok):  # "item <id>: " of query i's first item whose row breaks a rule
+        j = int(np.argmin(row_ok[offsets[i]:offsets[i + 1]]))
+        return f"item {item_ids[i][j]}: ", offsets[i] + j
+
+    def values_rule(values, ok, names, rules, what, per_item):
+        """(holds, message) of the rule "feature k of ``names`` must be ``rules[k]``",
+        kept where ``ok(values)``; a row is an item if ``per_item``."""
+        row_ok = ok(values).all(axis=1)
+
+        def message(i):
+            prefix, row = item(i, row_ok) if per_item else ("", i)
+            k = int(np.argmin(ok(values[row])))  # the row it names, tested again
+            return f"{prefix}{what} {names[k]!r} must be {rules[k]}, got {values[row, k]}"
+        return (per_query(row_ok) if per_item else row_ok), message
+
+    def repeated(i):  # an item id of query i that repeats
+        return next(iid for j, iid in enumerate(item_ids[i]) if iid in item_ids[i][:j])
+
+    # (holds, message) per rule, in order; holds[i]: query i keeps the rule
+    rules = [
+        ([key is not None for key in keys], None),
+        values_rule(numeric, np.isfinite, schema.numeric_query_names, ["finite"] * n,
+                    "query feature", False),
+        values_rule(category_ids, lambda a: (a >= 0) & (a < [f.cardinality for f in cats]),
+                    [f.name for f in cats], [f"an id in [0, {f.cardinality})" for f in cats],
+                    "query feature", False),
+        ([_is_int(v) and 0 < v <= sys.float_info.max for v in nights],
+         lambda i: "num_nights must be a positive integer"),
+        ([_is_number(v) and math.isfinite(v) and v > 0 for v in rates],
+         lambda i: "exchange_rate must be a positive finite number"),
+        ([MIN_ITEMS_PER_QUERY <= d <= MAX_ITEMS_PER_QUERY for d in sizes], lambda i: (
+            f"items count {sizes[i]} outside [{MIN_ITEMS_PER_QUERY}, {MAX_ITEMS_PER_QUERY}]")),
+        (ids_ok, lambda i: _NO_ITEM_ID),
+        ([not good or len(set(ids)) == len(ids) for good, ids in zip(ids_ok, item_ids)],
+         lambda i: f"item {repeated(i)}: duplicate item_id"),
+        values_rule(fixed, lambda a: np.isfinite(a) & (a > 0), schema.item_features_fixed,
+                    ["finite and > 0"] * k1, "fixed feature", True),
+        values_rule(sv, lambda a: np.isfinite(a) & (a >= SMALLEST_NORMAL),
+                    schema.item_features_scalevariant,
+                    ["finite and at least the smallest normal float64"] * k2,
+                    "scale-variant feature", True),
+        (per_query(label_ok), lambda i: f"{item(i, label_ok)[0]}label must be 0 or 1"),
+        (booked > 0, lambda i: "no booked item"),
+        (booked < 2, lambda i: "multiple booked items"),
+        ([q not in seen and first[q] == i for i, q in enumerate(keys)],
+         lambda i: f"duplicate query_id ({unit} {seen.get(qids[i], places[first[qids[i]]])} "
+                   f"and {places[i]})"),
+    ]
+    broken = ~np.array([holds for holds, _ in rules], dtype=bool)
+    if broken.any():
+        i = int(np.argmax(broken.any(axis=0)))
+        message = rules[int(np.argmax(broken[:, i]))][1]
+        raise ValidationError(_NO_QUERY_ID if message is None else f"query {qids[i]}: {message(i)}")
 
 
 def rescale_records(queries: tuple[QueryRecord, ...], columns, factors: list[np.ndarray],
@@ -337,54 +378,20 @@ def rescale_records(queries: tuple[QueryRecord, ...], columns, factors: list[np.
 # ---------------------------------------------------------------------------
 # JSONL I/O
 
-def _require(cond: bool, query_id: str, rule: str):
-    if not cond:
-        raise ValidationError(f"query {query_id}: {rule}")
+def _is_category_id(v) -> bool:
+    """An integer that a category id column (int64) can hold."""
+    return _is_int(v) and -2 ** 63 <= v < 2 ** 63
 
 
-def _positive_int(v) -> bool:
-    return _is_int(v) and 0 < v <= sys.float_info.max
-
-
-def _positive_finite(v) -> bool:
-    return _is_number(v) and math.isfinite(v) and v > 0
-
-
-def _check_stay(qid: str, nights, rate):
-    _require(_positive_int(nights), qid, "num_nights must be a positive integer")
-    _require(_positive_finite(rate), qid, "exchange_rate must be a positive finite number")
-
-
-def _finite_positive(arr: np.ndarray) -> bool:
-    return bool(np.isfinite(arr).all() and (arr > 0).all())
-
-
-def _is_number(v) -> bool:
-    """A JSON number that converts to float64: a float, or an int that is
-    not a bool and not too large for a float."""
-    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
-
-
-def _item_features(values, names: tuple[str, ...], qid: str, what: str, out: np.ndarray):
-    """Write one item's feature group into the row ``out`` in schema order;
-    every value must be a JSON number (not a string, null or boolean), and
-    the group must hold no feature that the schema does not name."""
-    for i, name in enumerate(names):
-        _require(isinstance(values, dict) and name in values, qid, f"missing {what} {name!r}")
-        v = values[name]
-        _require(_is_number(v), qid, f"{what} {name!r} is not numeric")
-        out[i] = float(v)
-    extra = sorted(set(values) - set(names)) if isinstance(values, dict) else []
-    _require(not extra, qid, f"{what}s not in the schema: {extra}")
-
-
-def _float_column(values: list) -> np.ndarray | None:
-    """``values`` as one float64 array, or None unless every value is a JSON
-    number (``_is_number``)."""
-    types = set(map(type, values))
-    if not types <= {float, int} or (int in types and not all(map(_is_number, values))):
+def _float_column(values: list, shape) -> np.ndarray | None:
+    """``values`` as a float64 array of ``shape``, or None unless every value
+    is a JSON number (``_is_number``)."""
+    if not set(map(type, values)) <= {float, int}:
         return None
-    return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.float64).reshape(shape)
+    except OverflowError:  # an int too large for a float
+        return None
 
 
 def _item_matrix(raw_items: list, group: str, names: tuple[str, ...]) -> np.ndarray | None:
@@ -393,176 +400,119 @@ def _item_matrix(raw_items: list, group: str, names: tuple[str, ...]) -> np.ndar
     schema does not name, or holds a value that is not a JSON number."""
     try:
         groups = [raw[group] for raw in raw_items]
-        if set(map(len, groups)) != {len(names)}:
-            return None
-        out = _float_column([values[name] for values in groups for name in names])
+        if set(map(len, groups)) <= {len(names)}:
+            return _float_column([values[name] for values in groups for name in names],
+                                 (len(raw_items), len(names)))
     except (KeyError, TypeError):
-        return None
-    return None if out is None else out.reshape(len(raw_items), len(names))
+        pass
+    return None
 
 
-def _item_arrays(raw_items: list, schema: FeatureSchema, qid: str):
-    """A query's item ids, fixed and scale-variant matrices and labels, read
-    item by item, raising ValidationError with the rule at the first item
-    that breaks one."""
-    d = len(raw_items)
-    item_ids = []
-    fixed = np.empty((d, schema.k1))
-    sv = np.empty((d, schema.k2))
-    labels = np.empty(d)
-    for j, raw in enumerate(raw_items):
-        _require(isinstance(raw, dict), qid, f"item at position {j} is not a JSON object")
-        iid = raw.get("item_id")
-        _require(isinstance(iid, str) and bool(iid), qid, "item without a string item_id")
-        _require(iid not in item_ids, qid, f"item {iid}: duplicate item_id")
-        _item_features(raw.get("fixed"), schema.item_features_fixed, qid,
-                       f"item {iid}: fixed feature", fixed[j])
-        _item_features(raw.get("scalevariant"), schema.item_features_scalevariant, qid,
-                       f"item {iid}: scale-variant feature", sv[j])
-        _require(_finite_positive(fixed[j]), qid, f"item {iid}: fixed features must be finite and > 0")
-        _require(_finite_positive(sv[j]), qid, f"item {iid}: scale-variant features must be finite and > 0")
-        _require((sv[j] >= SMALLEST_NORMAL).all(), qid, f"item {iid}: scale-variant feature "
-                 "below the smallest normal float64")
-        label = raw.get("label")
-        _require(label in (0, 1) and not isinstance(label, bool), qid,
-                 f"item {iid}: label must be 0 or 1")
-        item_ids.append(iid)
-        labels[j] = label
-    return tuple(item_ids), fixed, sv, labels
-
-
-def _parse_query_obj(obj: dict, schema: FeatureSchema) -> QueryRecord:
-    qid = obj.get("query_id")
-    if not isinstance(qid, str) or not qid:
-        raise ValidationError("record without a string query_id")
-    qvals = obj.get("query")
-    _require(isinstance(qvals, dict), qid, "missing query feature object")
-
-    numeric = np.empty(len(schema.numeric_query_names), dtype=np.float64)
-    for i, name in enumerate(schema.numeric_query_names):
-        _require(name in qvals, qid, f"missing query feature {name!r}")
-        v = qvals[name]
-        _require(_is_number(v), qid, f"query feature {name!r} is not numeric")
-        numeric[i] = float(v)
-    _require(bool(np.all(np.isfinite(numeric))), qid, "non-finite query feature value")
-
-    cats = schema.categorical_query_features
-    category_ids = np.empty(len(cats), dtype=np.int64)
-    for i, f in enumerate(cats):
-        _require(f.name in qvals, qid, f"missing query feature {f.name!r}")
-        v = qvals[f.name]
-        _require(_is_int(v), qid, f"categorical feature {f.name!r} must be an integer id")
-        _require(0 <= v < f.cardinality, qid,
-                 f"categorical feature {f.name!r} id {v} out of range [0, {f.cardinality})")
-        category_ids[i] = v
-    known = set(schema.numeric_query_names) | {f.name for f in cats}
-    extra = sorted(set(qvals) - known)
-    _require(not extra, qid, f"unknown query features {extra}")
-
-    nights, rate = obj.get("num_nights"), obj.get("exchange_rate")
-    _check_stay(qid, nights, rate)
-
-    raw_items = obj.get("items")
-    _require(isinstance(raw_items, list), qid, "missing items list")
-    _require(MIN_ITEMS_PER_QUERY <= len(raw_items) <= MAX_ITEMS_PER_QUERY, qid,
-             f"items count {len(raw_items)} outside [{MIN_ITEMS_PER_QUERY}, {MAX_ITEMS_PER_QUERY}]")
-
-    item_ids, fixed, sv, labels = _item_arrays(raw_items, schema, qid)
-
-    booked = int(labels.sum())
-    _require(booked != 0, qid, "no booked item")
-    _require(booked == 1, qid, "multiple booked items")
-
-    return QueryRecord(
-        query_id=qid,
-        numeric=numeric,
-        category_ids=category_ids,
-        num_nights=int(nights),
-        exchange_rate=float(rate),
-        item_ids=item_ids,
-        fixed=fixed,
-        scalevariant=sv,
-        labels=labels,
-    )
-
-
-def _chunk_records(objs: list[dict], schema: FeatureSchema) -> list[QueryRecord] | None:
-    """The queries of ``objs`` as records holding row views into one array
-    per column, every rule of ``_parse_query_obj`` checked column-wise over
-    the whole chunk (the value rules a Dataset keeps by ``_valid_columns``);
-    None if any value breaks one."""
+def _chunk_columns(objs: list[dict], schema: FeatureSchema) -> list[list] | None:
+    """The columns of the query objects ``objs`` as ``_check_columns`` takes
+    them, item arrays as row views into one array per group; None if a key
+    is missing, a value has the wrong JSON type or a feature is not in the
+    schema (the faults ``_type_fault`` names). Values are not checked: a
+    label that is not a number becomes NaN."""
     qids = [obj.get("query_id") for obj in objs]
     qvals = [obj.get("query") for obj in objs]
     cats = schema.categorical_query_features
     n_known = len(schema.numeric_query_names) + len(cats)
-    if (set(map(type, qids)) != {str} or not all(qids)
+    if (not set(map(type, qids)) <= {str}
             or not all(type(v) is dict and len(v) == n_known for v in qvals)):
         return None
     try:  # every name present and no others: no unknown query feature
-        numeric = _float_column([v[name] for v in qvals for name in schema.numeric_query_names])
+        numeric = _float_column([v[name] for v in qvals for name in schema.numeric_query_names],
+                                (len(objs), len(schema.numeric_query_names)))
         cat_values = [v[f.name] for v in qvals for f in cats]
     except KeyError:
         return None
-    if numeric is None or not set(map(type, cat_values)) <= {int}:
+    if numeric is None or not all(map(_is_category_id, cat_values)):
         return None
-    try:
-        category_ids = np.array(cat_values, dtype=np.int64).reshape(len(objs), len(cats))
-    except OverflowError:
-        return None
-
     items = [obj.get("items") for obj in objs]
-    if not all(type(v) is list for v in items):
-        return None
-    sizes = [len(v) for v in items]
-    raw_items = [raw for v in items for raw in v]
-    if (not MIN_ITEMS_PER_QUERY <= min(sizes) <= max(sizes) <= MAX_ITEMS_PER_QUERY
-            or not all(type(raw) is dict for raw in raw_items)):
+    raw_items = [raw for v in items if type(v) is list for raw in v]
+    if not all(type(v) is list for v in items) or not all(type(r) is dict for r in raw_items):
         return None
     item_ids = [raw.get("item_id") for raw in raw_items]
-    labels = [raw.get("label") for raw in raw_items]
-    if (set(map(type, item_ids)) != {str} or not all(item_ids)
-            or not set(map(type, labels)) <= {int, float}):
-        return None
-    offsets = np.cumsum([0] + sizes).tolist()
-    # tuples of list slices are made at their final size; long-lived tuples
-    # grown from generators fragmented the heap and raised peak RSS
-    ids = [tuple(item_ids[a:b]) for a, b in zip(offsets, offsets[1:])]
-    if not all(len(set(t)) == len(t) for t in ids):  # item ids repeat across queries
-        return None
     fixed = _item_matrix(raw_items, "fixed", schema.item_features_fixed)
     sv = _item_matrix(raw_items, "scalevariant", schema.item_features_scalevariant)
-    labels = np.array(labels, dtype=np.float64)
-    numeric = numeric.reshape(len(objs), len(schema.numeric_query_names))
-    nights = [obj.get("num_nights") for obj in objs]
-    rates = [obj.get("exchange_rate") for obj in objs]
-    if (fixed is None or sv is None
-            or not _valid_columns(schema, numeric, category_ids, fixed, sv, labels, sizes,
-                                  nights, rates)):
+    if not set(map(type, item_ids)) <= {str} or fixed is None or sv is None:
         return None
-    return [QueryRecord(query_id=qids[i], numeric=numeric[i], category_ids=category_ids[i],
-                        num_nights=nights[i], exchange_rate=float(rates[i]), item_ids=ids[i],
-                        fixed=fixed[a:b], scalevariant=sv[a:b], labels=labels[a:b])
-            for i, (a, b) in enumerate(zip(offsets, offsets[1:]))]
+    raw_labels = [raw.get("label") for raw in raw_items]
+    labels = _float_column(raw_labels, -1)
+    if labels is None:  # a label that is not a number breaks the label rule as NaN
+        labels = np.array([float(v) if _is_number(v) else np.nan for v in raw_labels])
+    spans = list(pairwise([0, *accumulate(map(len, items))]))
+    # tuples of list slices are made at their final size; long-lived tuples
+    # grown from generators fragmented the heap and raised peak RSS
+    return [qids, numeric, np.array(cat_values, dtype=np.int64).reshape(len(objs), len(cats)),
+            [obj.get("num_nights") for obj in objs], [obj.get("exchange_rate") for obj in objs],
+            [tuple(item_ids[a:b]) for a, b in spans],
+            *([column[a:b] for a, b in spans] for column in (fixed, sv, labels))]
+
+
+def _group_fault(values, tests: dict, what: str) -> str | None:
+    """What is wrong, as JSON decides, with ``values``: a JSON object that
+    holds exactly the features that ``tests`` maps to an (is_ok, fault)
+    pair, each value passing its ``is_ok``; None if nothing is."""
+    if type(values) is not dict:
+        return f"missing {what} object"
+    for name, (is_ok, fault) in tests.items():
+        if name not in values:
+            return f"missing {what} {name!r}"
+        if not is_ok(values[name]):
+            return f"{what} {name!r} {fault}"
+    extra = sorted(set(values) - set(tests))
+    return f"{what}s not in the schema: {extra}" if extra else None
+
+
+def _type_fault(obj: dict, schema: FeatureSchema) -> str | None:
+    """The message of the first fault in the query object ``obj`` that
+    makes ``_chunk_columns`` refuse it, or None: what JSON decides, never a
+    value."""
+    qid, number = obj.get("query_id"), (_is_number, "is not numeric")
+    if type(qid) is not str:
+        return _NO_QUERY_ID
+    fault = _group_fault(obj.get("query"), {
+        **dict.fromkeys(schema.numeric_query_names, number),
+        **{f.name: (_is_category_id, "must be an integer id")
+           for f in schema.categorical_query_features}}, "query feature")
+    if fault:
+        return f"query {qid}: {fault}"
+    items = obj.get("items")
+    if type(items) is not list:
+        return f"query {qid}: missing items list"
+    for j, raw in enumerate(items):
+        if type(raw) is not dict:
+            return f"query {qid}: item at position {j} is not a JSON object"
+        if type(raw.get("item_id")) is not str:
+            return f"query {qid}: {_NO_ITEM_ID}"
+        for group, names, what in (
+                ("fixed", schema.item_features_fixed, "fixed feature"),
+                ("scalevariant", schema.item_features_scalevariant, "scale-variant feature")):
+            fault = _group_fault(raw.get(group), dict.fromkeys(names, number), what)
+            if fault:
+                return f"query {qid}: item {raw['item_id']}: {fault}"
+    return None
 
 
 def _load_chunk(chunk: list[tuple[int, dict]], schema: FeatureSchema,
                 first_line: dict[str, int]) -> list[QueryRecord]:
-    """The records of ``chunk``'s (line number, JSON object) pairs. If the
-    column-wise checks fail, the chunk is parsed query by query instead,
-    which raises the first error in file order."""
-    records = _chunk_records([obj for _, obj in chunk], schema)
-    qids = [q.query_id for q in records or ()]
-    if records is None or len(set(qids)) != len(qids) or not first_line.keys().isdisjoint(qids):
-        records = []
-        for lineno, obj in chunk:
-            q = _parse_query_obj(obj, schema)
-            _require(q.query_id not in first_line, q.query_id,
-                     f"duplicate query_id (lines {first_line.get(q.query_id)} and {lineno})")
-            first_line[q.query_id] = lineno
-            records.append(q)
-        return records
-    first_line.update(zip(qids, (lineno for lineno, _ in chunk)))
-    return records
+    """The records of ``chunk``'s (line number, JSON object) pairs, checked by
+    ``_check_columns``; ``first_line`` maps the ids loaded so far to their
+    lines. ``_type_fault`` names a fault that JSON decides, after the queries
+    before it are checked: the first error in file order is raised."""
+    objs = [obj for _, obj in chunk]
+    columns = _chunk_columns(objs, schema)
+    if columns is None:
+        k, fault = next((k, fault) for k, obj in enumerate(objs)
+                        if (fault := _type_fault(obj, schema)) is not None)
+        _load_chunk(chunk[:k], schema, first_line)
+        raise ValidationError(fault)
+    lines = [lineno for lineno, _ in chunk]
+    _check_columns(schema, columns, lines, "lines", first_line)
+    first_line.update(zip(columns[0], lines))
+    return [QueryRecord(*f[:4], float(f[4]), *f[5:]) for f in zip(*columns)]
 
 
 def load_dataset(path, schema: FeatureSchema) -> Dataset:
@@ -578,12 +528,12 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
                 continue
             try:
                 obj = json.loads(line)
+                fault = None if isinstance(obj, dict) else "expected a JSON object"
             except json.JSONDecodeError as exc:
+                fault = exc.msg
+            if fault:
                 _load_chunk(chunk, schema, first_line)  # an error on an earlier line wins
-                raise ParseError(f"{path}: line {lineno}: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                _load_chunk(chunk, schema, first_line)
-                raise ParseError(f"{path}: line {lineno}: expected a JSON object")
+                raise ParseError(f"{path}: line {lineno}: {fault}")
             chunk.append((lineno, obj))
             if len(chunk) == LOAD_CHUNK_QUERIES:
                 queries += _load_chunk(chunk, schema, first_line)

@@ -104,25 +104,19 @@ def dataset():
 
 
 @pytest.fixture(autouse=True)
-def valid_chunks_skip_the_walk(monkeypatch):
-    """Fail a test in which ``load_dataset`` walks a chunk query by query
-    and finds nothing wrong: the column-wise chunk checks must accept every
-    valid file the suite loads, so the walk only runs to raise an error. A
-    test that replaces the chunk checks on purpose is exempt."""
-    real_parse, real_load = sirank.data._parse_query_obj, sirank.data._load_chunk
-    real_check = sirank.data._chunk_records
-    walked = []
+def chunk_columns_agree_with_type_faults(monkeypatch):
+    """Fail a test in which ``load_dataset``'s column-wise parse of a chunk
+    and the per-query pass that names a fault JSON decides disagree: valid
+    data must never reach that pass, and the pass must name a fault in
+    every chunk that the column-wise parse refuses."""
+    real_columns, real_fault = sirank.data._chunk_columns, sirank.data._type_fault
 
-    def parse(obj, schema):
-        walked.append(obj)
-        return real_parse(obj, schema)
+    def chunk_columns(objs, schema):
+        columns = real_columns(objs, schema)
+        faults = [f for obj in objs if (f := real_fault(obj, schema)) is not None]
+        assert (columns is None) == bool(faults), (
+            f"the chunk's columns were {'refused' if columns is None else 'parsed'}, "
+            f"the per-query pass found {faults[:1] or 'no fault'}")
+        return columns
 
-    def load_chunk(chunk, schema, first_line):
-        walked.clear()
-        records = real_load(chunk, schema, first_line)
-        assert not walked or sirank.data._chunk_records is not real_check, (
-            f"a valid chunk failed the column-wise checks (first line {chunk[0][0]})")
-        return records
-
-    monkeypatch.setattr(sirank.data, "_parse_query_obj", parse)
-    monkeypatch.setattr(sirank.data, "_load_chunk", load_chunk)
+    monkeypatch.setattr(sirank.data, "_chunk_columns", chunk_columns)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sirank.errors import ContractError, DomainError, SchemaError, TrainingError
+from sirank.errors import ContractError, DomainError, SchemaError, TrainingError, ValidationError
 from sirank.generator import stable_softmax
 from sirank.scoring import (
     ParamVector,
@@ -186,7 +186,7 @@ def test_log_requires_positive():
     model = small_model(ds)
     q = ds.queries[0]
     q = replace(q, fixed=edited(q.fixed, 0, [1.0, 0.0]))
-    with pytest.raises(DomainError, match="review_score"):
+    with pytest.raises(ValidationError, match="review_score"):
         forward(model, q)
 
 
@@ -234,7 +234,8 @@ def test_embedding_out_of_range_names_feature():
     q = ds.queries[0]
     for bad in (3, -1):  # numpy indexing would wrap -1 to the last row
         q = replace(q, category_ids=np.array([bad]))
-        with pytest.raises(DomainError, match=r"category id -?\d out of range.*device_type"):
+        with pytest.raises(ValidationError, match=r"feature 'device_type' must be an id in "
+                                                  rf"\[0, 3\), got {bad}$"):
             forward(model, q)
 
 

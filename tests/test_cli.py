@@ -514,8 +514,8 @@ def test_subnormal_scalevariant_input_is_refused_where_it_is_loaded(workdir, tmp
     assert code == 3
     assert captured.out == ""
     assert captured.err == (f"validation error: query {record['query_id']}: item "
-                            f"{item['item_id']}: scale-variant feature below the smallest "
-                            "normal float64\n")
+                            f"{item['item_id']}: scale-variant feature 'price' must be finite "
+                            "and at least the smallest normal float64, got 5e-324\n")
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])

@@ -1,5 +1,4 @@
 import json
-import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -290,8 +289,9 @@ def test_nonpositive_scalevariant_rejected(tmp_path, schema):
 def test_subnormal_scalevariant_rejected_naming_query_and_item(tmp_path, schema, value):
     obj = _one_query_obj(None)
     obj["items"][1]["scalevariant"]["discount"] = value
-    with pytest.raises(ValidationError, match=r"^query q0: item b: scale-variant feature "
-                                              "below the smallest normal float64$"):
+    with pytest.raises(ValidationError, match=rf"^query q0: item b: scale-variant feature "
+                                              rf"'discount' must be finite and at least the "
+                                              rf"smallest normal float64, got {value}$"):
         _write_and_load(tmp_path, schema, obj)
 
 
@@ -350,7 +350,7 @@ ITEM_MUTATIONS = (
     + [(group, None, value) for group in ("fixed", "scalevariant")
        for value in (None, [4.0, 8.0], {"star_rating": 4.0}, "drop")]
     + [(None, "item_id", v) for v in (None, "", 5, "a")]
-    + [(None, "label", v) for v in (True, 2, 1.0, 0.0, None, "1", float("nan"))]
+    + [(None, "label", v) for v in (True, 2, 1.0, 0.0, None, "1", float("nan"), 10 ** 400)]
     + [("item", None, v) for v in (7, None, [])]
 )
 
@@ -434,28 +434,31 @@ def _load_outcome(path, schema):
 
 
 def _outcomes_both_ways(paths, schema, monkeypatch):
-    """Each file's load outcome through the chunk checks, and with every
-    chunk walked query by query."""
+    """Each file's load outcome in chunks of ``LOAD_CHUNK_QUERIES`` queries,
+    and with one query a chunk: the first error in file order does not
+    depend on where the chunks end."""
     chunked = [_load_outcome(p, schema) for p in paths]
     with monkeypatch.context() as m:
-        m.setattr(sirank.data, "_chunk_records", lambda objs, schema: None)
-        walked = [_load_outcome(p, schema) for p in paths]
-    return chunked, walked
+        m.setattr(sirank.data, "LOAD_CHUNK_QUERIES", 1)
+        one_by_one = [_load_outcome(p, schema) for p in paths]
+    return chunked, one_by_one
 
 
-def test_columnwise_item_checks_agree_with_per_item_checks(tmp_path, schema, monkeypatch):
+def test_load_outcomes_do_not_depend_on_the_chunk_size(tmp_path, schema, monkeypatch):
     n_long = 2 * sirank.data.LOAD_CHUNK_QUERIES + 3
-    files = [[_base_query(k) for k in range(3)]]
+    files, broken = [[_base_query(k) for k in range(3)]], [None]
     for k in range(3):
         for j in range(3):
             for mutation in ITEM_MUTATIONS:
                 objs = [_base_query(i) for i in range(3)]
                 _mutate(objs[k], j, mutation)
                 files.append(objs)
+                broken.append(k)
         for mutation in QUERY_MUTATIONS:
             objs = [_base_query(i) for i in range(3)]
             _mutate_query(objs[k], mutation)
             files.append(objs)
+            broken.append(k)
     rng = np.random.default_rng(40)
     for _ in range(150):
         objs = [_base_query(i) for i in range(n_long)]
@@ -467,11 +470,18 @@ def test_columnwise_item_checks_agree_with_per_item_checks(tmp_path, schema, mon
             elif isinstance(items, list) and len(items) > j and isinstance(items[j], dict):
                 _mutate(objs[k], j, ITEM_MUTATIONS[rng.integers(len(ITEM_MUTATIONS))])
         files.append(objs)
+        broken.append(None)
     paths = [_write_lines(tmp_path / f"f{i}.jsonl", objs) for i, objs in enumerate(files)]
-    chunked, walked = _outcomes_both_ways(paths, schema, monkeypatch)
-    assert chunked == walked
+    chunked, one_by_one = _outcomes_both_ways(paths, schema, monkeypatch)
+    assert chunked == one_by_one
     assert chunked[0][0] == "ok"
     assert {outcome[0] for outcome in chunked} == {"ok", "error"}
+    # a file with one broken query names that query, or names its repeated id
+    for outcome, objs, k in zip(chunked, files, broken):
+        if k is not None and outcome[0] == "error":
+            qid = objs[k]["query_id"]
+            assert (outcome[2].startswith(f"query {qid}: ") if isinstance(qid, str) and qid
+                    else outcome[2] == "record without a non-empty string query_id"), outcome
 
 
 def test_chunk_boundaries_keep_the_first_error_in_file_order(tmp_path, schema, monkeypatch):
@@ -505,8 +515,8 @@ def test_chunk_boundaries_keep_the_first_error_in_file_order(tmp_path, schema, m
         ("ok.jsonl", lambda objs: None), ("dup.jsonl", duplicate_across_boundary),
         ("late.jsonl", bad_in_last_chunk), ("syntax.jsonl", error_before_syntax_error),
         ("object.jsonl", error_before_non_object), ("first.jsonl", syntax_error_before_error))]
-    chunked, walked = _outcomes_both_ways(paths, schema, monkeypatch)
-    assert chunked == walked
+    chunked, one_by_one = _outcomes_both_ways(paths, schema, monkeypatch)
+    assert chunked == one_by_one
     assert chunked[0][0] == "ok" and len(chunked[0][1]) == n
     last, first = f"q{chunk - 1}", chunk
     assert chunked[1] == ("error", "ValidationError", f"query {last}: duplicate query_id "
@@ -524,10 +534,10 @@ def test_valid_long_file_never_walks(tmp_path, schema, monkeypatch):
     n = 2 * sirank.data.LOAD_CHUNK_QUERIES + 3
     path = _write_lines(tmp_path / "long.jsonl", [_base_query(k) for k in range(n)])
 
-    def walk(obj, schema):
-        raise AssertionError("a valid chunk was parsed query by query")
+    def type_fault(obj, schema):
+        raise AssertionError("a valid chunk reached the per-query pass")
 
-    monkeypatch.setattr(sirank.data, "_parse_query_obj", walk)
+    monkeypatch.setattr(sirank.data, "_type_fault", type_fault)
     ds = load_dataset(path, schema)
     assert [q.query_id for q in ds.queries] == [f"q{k}" for k in range(n)]
     assert all(q.item_ids == ("a", "b", "c") for q in ds.queries)
@@ -537,9 +547,9 @@ def test_valid_long_file_never_walks(tmp_path, schema, monkeypatch):
 # valid by construction
 
 
-def test_datasets_built_without_the_check_pass_it(tmp_path, monkeypatch):
+def test_datasets_built_without_the_check_pass_it(tmp_path):
     """Each builder that skips the check makes a dataset whose records pass
-    it, by the column-wise pass alone, when made into a new Dataset."""
+    it when made into a new Dataset."""
     ds = generate(GeneratorConfig(num_queries=60, seed=5))
     data, schema_path = tmp_path / "d.jsonl", tmp_path / "d.schema.json"
     save_dataset(ds, data)
@@ -555,11 +565,8 @@ def test_datasets_built_without_the_check_pass_it(tmp_path, monkeypatch):
     built.update(zip(("train", "validation", "test"), split_holdout(loaded, seed=3)))
     for c in (1e-3, 1200.0):
         built[f"scale_dataset {c:g}"] = scale_dataset(loaded, c)
-    walked = []
-    monkeypatch.setattr(sirank.data, "_raise_first_bad", lambda *args: walked.append(args))
     for name, made in built.items():
         rebuilt = Dataset(schema=made.schema, queries=made.queries)
-        assert not walked, name
         assert len(rebuilt) == len(made) > 0 and all(
             a is b for a, b in zip(rebuilt.queries, made.queries)), name
 
@@ -583,55 +590,138 @@ def test_records_and_datasets_cannot_be_edited(tmp_path):
             ds.queries = ()
 
 
-@pytest.mark.parametrize("group, index, value, error", [
-    ("numeric", 1, np.nan, "non-finite deep-path input"),
-    ("numeric", 2, -np.inf, "non-finite deep-path input"),
-    ("category_ids", 0, 3, "category id 3 out of range"),
-    ("category_ids", 0, -1, "category id -1 out of range"),
-    ("fixed", (0, 1), 0.0, "'review_score' must be > 0, got 0.0"),
-    ("fixed", (0, 1), -2.0, "'review_score' must be > 0, got -2.0"),
-    ("fixed", (1, 0), np.inf, "non-finite deep-path input"),
-    ("fixed", (1, 0), np.nan, "non-finite deep-path input"),
+def _edit_record(q: QueryRecord, field: str, index, value) -> QueryRecord:
+    """q with one value changed: ``field``'s entry ``index``, or the whole
+    field when ``index`` is None; "n_items" keeps the first ``value`` items."""
+    if field == "n_items":
+        return replace(q, item_ids=q.item_ids[:value], fixed=q.fixed[:value],
+                       scalevariant=q.scalevariant[:value], labels=q.labels[:value])
+    if index is None:
+        return replace(q, **{field: value})
+    if field == "item_ids":
+        return replace(q, item_ids=tuple(value if j == index else iid
+                                         for j, iid in enumerate(q.item_ids)))
+    return replace(q, **{field: edited(getattr(q, field), index, value)})
+
+
+def _edit_obj(obj: dict, schema: FeatureSchema, field: str, index, value) -> dict:
+    """The JSON object ``obj`` with the change that ``_edit_record`` makes."""
+    items = obj["items"]
+    if field == "n_items":
+        obj["items"] = items[:value]
+    elif index is None and field == "category_ids":
+        obj["query"].update(zip([f.name for f in schema.categorical_query_features],
+                                value.tolist()))
+    elif index is None:
+        obj[field] = value
+    elif field == "item_ids":
+        items[index]["item_id"] = value
+    elif field == "labels":
+        items[index]["label"] = value
+    elif field in ("numeric", "category_ids"):
+        names = (schema.numeric_query_names if field == "numeric"
+                 else [f.name for f in schema.categorical_query_features])
+        obj["query"][names[index]] = value
+    else:
+        j, k = index
+        names = {"fixed": schema.item_features_fixed,
+                 "scalevariant": schema.item_features_scalevariant}[field]
+        items[j][field][names[k]] = value
+    return obj
+
+
+_NORMAL_RULE = "must be finite and at least the smallest normal float64"
+
+
+@pytest.mark.parametrize("field, index, value, error", [
+    ("numeric", 1, np.nan, "query q2: query feature 'exchange_rate' must be finite, got nan"),
+    ("numeric", 2, -np.inf, "query q2: query feature 'lead_days' must be finite, got -inf"),
+    ("category_ids", 0, 3, "query q2: query feature 'device_type' must be an id in [0, 3), got 3"),
+    ("category_ids", 0, -1,
+     "query q2: query feature 'device_type' must be an id in [0, 3), got -1"),
+    ("fixed", (0, 1), 0.0,
+     "query q2: item q2-i0: fixed feature 'review_score' must be finite and > 0, got 0.0"),
+    ("fixed", (0, 1), -2.0,
+     "query q2: item q2-i0: fixed feature 'review_score' must be finite and > 0, got -2.0"),
+    ("fixed", (1, 0), np.inf,
+     "query q2: item q2-i1: fixed feature 'star_rating' must be finite and > 0, got inf"),
+    ("fixed", (1, 0), np.nan,
+     "query q2: item q2-i1: fixed feature 'star_rating' must be finite and > 0, got nan"),
     ("fixed", (1, 0), 1e-310, None),  # a fixed value need only be > 0
-    ("scalevariant", (1, 1), 0.0, "'discount' must be > 0, got 0.0"),
-    ("scalevariant", (1, 1), np.nan, "'discount' must be > 0, got nan"),
-    ("scalevariant", (1, 1), np.inf, "'discount' must be finite and at least the smallest normal"),
-    ("scalevariant", (1, 1), 1e-310, "'discount' must be finite and at least the smallest normal"),
+    *(("scalevariant", (1, 1), v, f"query q2: item q2-i1: scale-variant feature 'discount' "
+                                  f"{_NORMAL_RULE}, got {v}")
+      for v in (0.0, np.nan, np.inf, 1e-310)),
     ("scalevariant", (1, 1), sirank.data.SMALLEST_NORMAL, None),
-    ("labels", 0, 0.5, "labels must be 0 or 1 with exactly one booked item"),
-    ("labels", 1, 2.0, "labels must be 0 or 1 with exactly one booked item"),
-])
-def test_column_check_and_walk_agree(group, index, value, error):
-    """The column-wise check refuses exactly what the query walk, run on its
-    own, raises for, and a Dataset raises the walk's error."""
+    ("labels", 0, 0.5, "query q2: item q2-i0: label must be 0 or 1"),
+    ("labels", 1, 2.0, "query q2: item q2-i1: label must be 0 or 1"),
+    ("labels", 3, 1.0, "query q2: multiple booked items"),
+    ("labels", 1, 0.0, "query q2: no booked item"),
+    *(("num_nights", None, v, "query q2: num_nights must be a positive integer")
+      for v in (2.5, 0, -3, True, 2.0, 10 ** 400, None)),
+    *(("exchange_rate", None, v, "query q2: exchange_rate must be a positive finite number")
+      for v in (-1.0, 0.0, float("nan"), float("inf"), 10 ** 400, True, "1.5", None)),
+    ("n_items", None, 1, "query q2: items count 1 outside [2, 25]"),
+    ("query_id", None, "", "record without a non-empty string query_id"),
+    ("item_ids", 2, "q2-i0", "query q2: item q2-i0: duplicate item_id"),
+    ("item_ids", 1, "", "query q2: item without a non-empty string item_id"),
+], ids=lambda v: "beyond_float64" if v == 10 ** 400 else None)
+def test_a_dataset_and_the_loader_refuse_a_record_with_one_message(tmp_path, field, index,
+                                                                    value, error):
+    """A hand-built Dataset refuses what the loader refuses, with the same
+    error type and text: a bad rate would otherwise surface as a rescale
+    error in case 1/2, and save_dataset would write a night count of 2.5
+    as 2."""
     ds = hand_dataset(n_queries=5, seed=6)
     q = ds.queries[2]
-    records = ds.queries[:2] + (replace(q, **{group: edited(getattr(q, group), index, value)}),
-                                ) + ds.queries[3:]
+    assert q.booked_index == 1 and q.n_items >= 4  # the label rows rely on both
+    records = list(ds.queries)
+    records[2] = _edit_record(q, field, index, value)
+    path = _write_lines(tmp_path / "one.jsonl", [
+        _edit_obj(_query_to_obj(r, ds.schema), ds.schema, field, index, value) if i == 2
+        else _query_to_obj(r, ds.schema) for i, r in enumerate(ds.queries)])
     if error is None:
-        sirank.data._raise_first_bad(ds.schema, records)
-        assert len(Dataset(schema=ds.schema, queries=records)) == 5
+        made = Dataset(schema=ds.schema, queries=records)
+        loaded = load_dataset(path, ds.schema)
+        assert made.queries[2].fixed.tobytes() == loaded.queries[2].fixed.tobytes()
+        assert made.queries[2].scalevariant.tobytes() == loaded.queries[2].scalevariant.tobytes()
         return
-    with pytest.raises(Exception, match=re.escape(error)) as walked:
-        sirank.data._raise_first_bad(ds.schema, records)
-    with pytest.raises(type(walked.value)) as made:
+    with pytest.raises(ValidationError) as made:
         Dataset(schema=ds.schema, queries=records)
-    assert str(made.value) == str(walked.value)
+    with pytest.raises(ValidationError) as loaded:
+        load_dataset(path, ds.schema)
+    assert type(made.value) is type(loaded.value) is ValidationError
+    assert str(made.value) == str(loaded.value) == error
+
+
+def test_a_repeated_query_id_is_named_by_positions_or_lines(tmp_path):
+    ds = hand_dataset(n_queries=5, seed=6)
+    records = [replace(q, query_id="q0") if i == 2 else q for i, q in enumerate(ds.queries)]
+    with pytest.raises(ValidationError) as made:
+        Dataset(schema=ds.schema, queries=records)
+    path = _write_lines(tmp_path / "dup.jsonl", [_query_to_obj(r, ds.schema) for r in records])
+    with pytest.raises(ValidationError) as loaded:
+        load_dataset(path, ds.schema)
+    assert str(made.value) == "query q0: duplicate query_id (positions 0 and 2)"
+    assert str(loaded.value) == "query q0: duplicate query_id (lines 1 and 3)"
 
 
 @pytest.mark.parametrize("ids", [[1.7], [1.0]], ids=["fraction", "integral_float"])
 def test_category_ids_of_a_float_dtype_are_refused(ids, tmp_path):
     """An id array must have an integer dtype: a float id is not truncated
-    to an embedding row. The loader and the generator make int64 ids."""
+    to an embedding row. The loader and the generator make int64 ids, and a
+    file's float id is not an integer id."""
     ds = hand_dataset(n_queries=5, seed=6)
     q = ds.queries[2]
-    records = ds.queries[:2] + (replace(q, category_ids=np.array(ids)),) + ds.queries[3:]
-    with pytest.raises(DomainError) as walked:
-        sirank.data._raise_first_bad(ds.schema, records)
     with pytest.raises(DomainError) as made:
-        Dataset(schema=ds.schema, queries=records)
-    assert str(made.value) == str(walked.value) == (
+        Dataset(schema=ds.schema, queries=[*ds.queries[:2], _edit_record(
+            q, "category_ids", None, np.array(ids)), *ds.queries[3:]])
+    assert str(made.value) == (
         f"query {q.query_id}: category ids must be integers, got dtype float64")
+    path = _write_lines(tmp_path / "float.jsonl", [_edit_obj(
+        _query_to_obj(q, ds.schema), ds.schema, "category_ids", None, np.array(ids))])
+    with pytest.raises(ValidationError, match=f"^query {q.query_id}: query feature "
+                                              "'device_type' must be an integer id$"):
+        load_dataset(path, ds.schema)
     generated = generate(GeneratorConfig(num_queries=20, seed=1))
     save_dataset(generated, tmp_path / "g.jsonl")
     for made in (generated, load_dataset(tmp_path / "g.jsonl", generated.schema)):
@@ -639,28 +729,73 @@ def test_category_ids_of_a_float_dtype_are_refused(ids, tmp_path):
         assert len(Dataset(schema=made.schema, queries=made.queries)) == 20
 
 
-@pytest.mark.parametrize("field, value, rule", [
-    *(("num_nights", v, "num_nights must be a positive integer")
-      for v in (2.5, 0, -3, True, 2.0, 10 ** 400, None)),
-    *(("exchange_rate", v, "exchange_rate must be a positive finite number")
-      for v in (-1.0, 0.0, float("nan"), float("inf"), 10 ** 400, True, "1.5", None)),
-], ids=lambda v: "beyond_float64" if v == 10 ** 400 else None)
-def test_a_dataset_checks_num_nights_and_exchange_rate_as_the_loader_does(field, value, rule):
-    """A hand-built Dataset refuses what the loader refuses: a bad rate would
-    otherwise surface as a rescale error in case 1/2, and save_dataset would
-    write a night count of 2.5 as 2."""
-    ds = hand_dataset(n_queries=5, seed=6)
-    q = ds.queries[2]
-    records = ds.queries[:2] + (replace(q, **{field: value}),) + ds.queries[3:]
-    with pytest.raises(ValidationError) as walked:
-        sirank.data._raise_first_bad(ds.schema, records)
+# the four kinds of Dataset that save_dataset once wrote and load_dataset refused
+@pytest.mark.parametrize("gap", ["one_item", "repeated_query_id", "repeated_item_id",
+                                 "empty_query_id"])
+def test_a_dataset_refuses_what_its_file_would_be_refused_for(tmp_path, gap):
+    ds = hand_dataset(n_queries=3, seed=2)
+    q = ds.queries[1]
+    bad = {"one_item": lambda: _edit_record(q, "n_items", None, 1),
+           "repeated_query_id": lambda: replace(q, query_id="q0"),
+           "repeated_item_id": lambda: _edit_record(q, "item_ids", 1, q.item_ids[0]),
+           "empty_query_id": lambda: replace(q, query_id="")}[gap]()
+    records = [ds.queries[0], bad, ds.queries[2]]
+    path = _write_lines(tmp_path / "gap.jsonl", [_query_to_obj(r, ds.schema) for r in records])
     with pytest.raises(ValidationError) as made:
         Dataset(schema=ds.schema, queries=records)
     with pytest.raises(ValidationError) as loaded:
-        sirank.data._parse_query_obj(
-            dict(_query_to_obj(q, ds.schema), **{field: value}), ds.schema)
-    assert str(made.value) == str(walked.value) == str(loaded.value) == (
-        f"query {q.query_id}: {rule}")
+        load_dataset(path, ds.schema)
+    want = {"one_item": "query q1: items count 1 outside [2, 25]",
+            "repeated_query_id": "query q0: duplicate query_id (lines 1 and 2)",
+            "repeated_item_id": "query q1: item q1-i0: duplicate item_id",
+            "empty_query_id": "record without a non-empty string query_id"}[gap]
+    assert type(made.value) is type(loaded.value)
+    assert str(loaded.value) == want
+    assert str(made.value) == want.replace("lines 1 and 2", "positions 0 and 1")
+
+
+# ids with non-ASCII, control and JSON-escaped characters
+_IDS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_dataset_of_save_dataset_is_the_dataset(tmp_path, data):
+    """The round trip gives every value back bitwise: float64 bytes for the
+    values (a hand-built record may hold int arrays, the loader makes
+    float64) and int64 bytes for the category ids."""
+    def values(shape, as_int, **bounds):
+        n = int(np.prod(shape))
+        drawn = (st.integers(max(1, int(bounds.get("min_value", -10 ** 6))), 10 ** 6) if as_int
+                 else st.floats(**bounds, **_FINITE))
+        return np.reshape(data.draw(st.lists(drawn, min_size=n, max_size=n)), shape)
+
+    qids = data.draw(st.lists(_IDS, min_size=1, max_size=3, unique=True))
+    records = []
+    for qid in qids:
+        item_ids = data.draw(st.lists(_IDS, min_size=2, max_size=25, unique=True))
+        d, as_int = len(item_ids), data.draw(st.booleans())
+        records.append(QueryRecord(
+            query_id=qid, numeric=values((4,), as_int), item_ids=tuple(item_ids),
+            category_ids=np.array([data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))]),
+            num_nights=data.draw(st.integers(1, 10 ** 6)),
+            exchange_rate=data.draw(st.floats(min_value=0.0, exclude_min=True, **_FINITE)),
+            fixed=values((d, ODD_SCHEMA.k1), as_int, min_value=0.0, exclude_min=True),
+            scalevariant=values((d, ODD_SCHEMA.k2), as_int,
+                                min_value=sirank.data.SMALLEST_NORMAL),
+            labels=(np.arange(d) == data.draw(st.integers(0, d - 1))).astype(np.float64)))
+    ds = Dataset(schema=ODD_SCHEMA, queries=records)
+    save_dataset(ds, tmp_path / "drawn.jsonl")
+    back = load_dataset(tmp_path / "drawn.jsonl", ODD_SCHEMA)
+
+    def as_bytes(q):
+        return (q.query_id, q.item_ids, q.num_nights, float(q.exchange_rate),
+                q.category_ids.astype(np.int64).tobytes(),
+                *(np.asarray(a, dtype=np.float64).tobytes()
+                  for a in (q.numeric, q.fixed, q.scalevariant, q.labels)))
+
+    assert [as_bytes(q) for q in back.queries] == [as_bytes(q) for q in ds.queries]
 
 
 # ---------------------------------------------------------------------------

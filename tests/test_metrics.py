@@ -185,7 +185,7 @@ def test_batched_ndcg_keeps_per_query_errors():
     with pytest.raises(DomainError, match="NaN"):
         mean_ndcg(nan_in_last, ds)
     q = ds.queries[2]
-    with pytest.raises(ValidationError, match=rf"^query {q.query_id}: labels must"):
+    with pytest.raises(ValidationError, match=rf"^query {q.query_id}: no booked item$"):
         mean_ndcg(lambda q: q.labels, with_queries(ds, {2: replace(q, labels=np.zeros(q.n_items))}))
 
 

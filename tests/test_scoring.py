@@ -196,21 +196,24 @@ def test_nonpositive_wide_value_names_feature_and_item():
     model = small_model(ds)
     q = ds.queries[0]
     q = replace(q, scalevariant=edited(q.scalevariant, (1, 0), -3.0))
-    with pytest.raises(DomainError, match=r"price"):
+    with pytest.raises(ValidationError, match=r"price"):
         score_query(model, q)
 
 
 @pytest.mark.parametrize("mode", ["sir", "deep_only"])
 @pytest.mark.parametrize("group, value, rule", [
-    ("fixed", 0.0, "must be > 0"),
-    ("scalevariant", np.inf, "must be finite and at least the smallest normal float64"),
-    ("scalevariant", 1e-310, "must be finite and at least the smallest normal float64"),
+    ("fixed", 0.0, "fixed feature 'star_rating' must be finite and > 0, got 0.0"),
+    ("scalevariant", np.inf, "scale-variant feature 'price' must be finite and at least the "
+                             "smallest normal float64, got inf"),
+    ("scalevariant", 1e-310, "scale-variant feature 'price' must be finite and at least the "
+                             "smallest normal float64, got 1e-310"),
 ])
 def test_values_no_mode_can_score_are_refused_in_both(mode, group, value, rule):
     ds = prepared(seed=8)
     model = small_model(ds, mode=mode)
     q = ds.queries[0]
-    with pytest.raises(DomainError, match=rf"^query {q.query_id}, item {q.item_ids[1]}: .*{rule}"):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"query {q.query_id}: item {q.item_ids[1]}: {rule}")):
         score_query(model, replace(q, **{group: edited(getattr(q, group), (1, 0), value)}))
 
 
@@ -441,16 +444,18 @@ def test_batched_checks_raise_what_prepare_query_raises(case):
     with pytest.raises(type(per_query.value)) as batched:
         prepare_dataset(model, with_queries(ds, {3: bad, 6: later}))
     assert str(batched.value) == str(per_query.value)
-    if case == "non_finite_deep_input":
-        assert str(batched.value) == f"query {ds.queries[3].query_id}: non-finite deep-path input"
-    if case == "nonpositive_wide_value":
-        assert str(batched.value).startswith(
-            f"query {ds.queries[3].query_id}, item {ds.queries[3].item_ids[2]}: "
-            f"wide-path feature 'discount'")
-    if case in LABEL_BREAKS:
-        assert batched.type is ValidationError
-        assert str(batched.value) == (f"query {ds.queries[3].query_id}: labels must be 0 or 1 "
-                                      "with exactly one booked item")
+    q = ds.queries[3]
+    assert batched.type is ValidationError
+    assert str(batched.value) == f"query {q.query_id}: " + {
+        "category_out_of_range": "query feature 'device_type' must be an id in [0, 3), got 7",
+        "nonpositive_wide_value": f"item {q.item_ids[2]}: scale-variant feature 'discount' "
+                                  "must be finite and at least the smallest normal float64, "
+                                  "got 0.0",
+        "non_finite_deep_input": f"item {q.item_ids[1]}: fixed feature 'star_rating' must be "
+                                 "finite and > 0, got inf",
+        "two_booked": "multiple booked items", "none_booked": "no booked item",
+        "label_of_two": f"item {q.item_ids[(q.booked_index + 1) % q.n_items]}: label must be "
+                        "0 or 1"}[case]
 
 
 @pytest.mark.parametrize("bad_category_at", [None, 1, 5], ids=["alone", "before", "after"])
@@ -467,13 +472,12 @@ def test_empty_query_is_reported_in_dataset_order(bad_category_at):
             broken = with_queries(ds, {3: empty, bad_category_at: _break_query(
                 ds.queries[bad_category_at], "category_out_of_range")})
         prepare_dataset(model, broken)
+    assert err.type is ValidationError
     if bad_category_at == 1:
-        assert err.type is DomainError
-        assert str(err.value) == ("category id 7 out of range for feature 'device_type' "
-                                  "(cardinality 3)")
+        assert str(err.value) == (f"query {ds.queries[1].query_id}: query feature "
+                                  "'device_type' must be an id in [0, 3), got 7")
     else:
-        assert err.type is ContractError
-        assert str(err.value) == "cannot score an empty item selection"
+        assert str(err.value) == f"query {q.query_id}: items count 0 outside [2, 25]"
 
 
 @pytest.mark.parametrize("group", ["fixed", "scalevariant"])
@@ -536,7 +540,8 @@ def test_scale_dataset_names_the_first_query_scale_query_refuses(c, bad_value):
     with pytest.raises(ValidationError) as want:
         scale_query(changed[5], c)
     if math.isnan(bad_value):  # no Dataset holds a NaN: it is refused where it is made
-        with pytest.raises(DomainError, match="wide-path feature 'price' must be > 0, got nan"):
+        with pytest.raises(ValidationError, match="feature 'price' must be finite and at least "
+                                                  "the smallest normal float64, got nan"):
             with_queries(ds, changed)
         return
     with pytest.raises(ValidationError) as got:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sirank.data import fit_standardization, split_holdout
-from sirank.errors import ConfigError, ContractError, DomainError, TrainingError, ValidationError
+from sirank.errors import ConfigError, ContractError, TrainingError, ValidationError
 from sirank.generator import GeneratorConfig, generate
 from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
 from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
@@ -203,13 +203,16 @@ def test_label_rule_is_enforced_where_data_is_prepared(case):
         return with_queries(tr, {3: break_labels(bad, case),
                                  7: break_labels(tr.queries[7], "none_booked")})
 
+    rule = {"two_booked": "multiple booked items", "none_booked": "no booked item",
+            "label_of_two": f"item {bad.item_ids[(bad.booked_index + 1) % bad.n_items]}: "
+                            "label must be 0 or 1"}[case]
     # each call gets a dataset made from the broken records, which raises there
     for call in (lambda: prepare_dataset(model, broken()), lambda: train(broken(), va, cfg),
                  lambda: mean_ndcg(model, broken()),
                  lambda: mean_ndcg(lambda q: np.zeros(q.n_items), broken())):
-        with pytest.raises(ValidationError, match=rf"^query {bad.query_id}: labels must be "
-                                                  r"0 or 1 with exactly one booked item$"):
+        with pytest.raises(ValidationError) as err:
             call()
+        assert str(err.value) == f"query {bad.query_id}: {rule}"
 
 
 def test_bad_record_found_in_training_names_epoch_query_and_feature(monkeypatch):
@@ -219,9 +222,9 @@ def test_bad_record_found_in_training_names_epoch_query_and_feature(monkeypatch)
     steps = []
     monkeypatch.setattr(sirank.trainer, "sgd_step", lambda *args: steps.append(args))
     # the training split is checked as a whole, where it is made, before the first step
-    with pytest.raises(DomainError, match=rf"^query {q.query_id}, "
-                                          rf"item {re.escape(q.item_ids[1])}: "
-                                          rf"wide-path feature '{feature}'"):
+    with pytest.raises(ValidationError, match=rf"^query {q.query_id}: "
+                                              rf"item {re.escape(q.item_ids[1])}: "
+                                              rf"scale-variant feature '{feature}'"):
         broken = with_queries(tr, {3: replace(q, scalevariant=edited(q.scalevariant,
                                                                     (1, 0), -1.0))})
         train(broken, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=1))
