@@ -1,6 +1,7 @@
 """Evaluation-path timings: JSONL loading, the four perturbation cases,
-batched NDCG, the dataset invariance gap, writing a perturbed dataset, and
-one ``sirank evaluate`` and one ``sirank perturb`` call.
+batched NDCG, the dataset invariance gap, writing a perturbed dataset,
+``score_query`` on one generated query, and one ``sirank evaluate`` and one
+``sirank perturb`` call.
 
 Run from the root of a checkout:
 
@@ -38,6 +39,8 @@ SIZES = {
     "smoke": {"load_small": 30, "load_large": 100, "eval_queries": 100, "cli_queries": 30},
 }
 GAP_RATE = 1200.0
+# score_query calls per sample of score_query_us, which is in microseconds a call
+SCORE_QUERY_CALLS = 200
 
 
 def _timed(fn) -> float:
@@ -101,6 +104,11 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
                 sr.apply_case(cases_ds, sr.PerturbationCase(cid))
 
         perturbed = sr.apply_case(cases_ds, sr.PerturbationCase(3))  # what perturb() writes
+        query = test_raw.queries[0]
+
+        def score_query():
+            for _ in range(SCORE_QUERY_CALLS):
+                sr.score_query(models["sir"], query)
 
         ops = {
             f"load_dataset_{sizes['load_small']}q_s":
@@ -117,14 +125,18 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
             f"cli_evaluate_sir_{sizes['cli_queries']}q_s": lambda: evaluate("sir"),
             f"cli_evaluate_deep_only_{sizes['cli_queries']}q_s": lambda: evaluate("deep_only"),
             f"cli_perturb_case3_{sizes['cli_queries']}q_s": perturb,
+            "score_query_us": score_query,
         }
         for fn in ops.values():
             fn()  # warm-up: imports, caches, first-call costs
         for _ in range(repeats):
             for name, fn in ops.items():
-                samples.setdefault(name, []).append(_timed(fn))
+                seconds = _timed(fn)
+                samples.setdefault(name, []).append(
+                    seconds * 1e6 / SCORE_QUERY_CALLS if name == "score_query_us" else seconds)
     return samples
 
 
 if __name__ == "__main__":
-    sys.exit(bench_common.main(__file__, __doc__, SIZES, measure, unit=("ms", 1e3)))
+    sys.exit(bench_common.main(__file__, __doc__, SIZES, measure, unit=("ms", 1e3),
+                               units={"score_query_us": ("us", 1.0)}))

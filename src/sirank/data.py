@@ -1,5 +1,6 @@
-"""Feature schema, frozen raw query records, datasets that check their records
-once where they are made, JSONL I/O, splits and standardization stats."""
+"""Feature schema, frozen raw query records, datasets held as one read-only
+array per field and checked once where they are made, JSONL I/O, splits,
+rescales and standardization stats."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -23,9 +24,11 @@ MAX_EMBEDDING_VALUES = 10 ** 7  # values in one embedding table or dense weight
 # and after a rescale: log of a subnormal loses the precision exact invariance
 # needs.
 SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-# Queries that ``load_dataset`` parses and checks as one block: enough to
+# Queries that ``load_dataset`` parses into columns as one block: enough to
 # spread numpy's per-call cost, few enough that one block's parsed JSON
-# (about 20 kB a query) adds little to peak RSS.
+# (about 20 kB a query) adds little to peak RSS. The blocks' columns are
+# joined into the Dataset's one array per field, and ``_check_columns`` runs
+# once, over those, per file.
 LOAD_CHUNK_QUERIES = 16
 
 
@@ -195,23 +198,94 @@ class QueryRecord:
         return int(np.flatnonzero(self.labels)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Dataset:
-    """Queries under one schema. Making one checks its records once, as
-    stacked columns (``_check_columns``), and raises the first bad query's
-    error; its records are frozen and ``queries`` is a tuple, so a dataset
-    stays valid."""
+    """Queries under one schema, held as one read-only column per field:
+    query i is entry i of the query columns and owns rows
+    ``offsets[i]:offsets[i + 1]`` of the item columns.
+
+    ``Dataset(schema, queries)`` stacks the records once and checks them
+    (``_check_columns``), raising the first bad query's error. The loader,
+    the generator, splits and rescales make theirs from columns
+    (``_of_columns``). ``queries`` gives the records back as read-only
+    views into the columns, made on first use."""
 
     schema: FeatureSchema
-    queries: tuple[QueryRecord, ...]
+    query_ids: tuple[str, ...]
+    numeric: np.ndarray          # (Q, numeric query features), float64
+    category_ids: np.ndarray     # (Q, categorical query features), int64
+    num_nights: tuple[int, ...]  # ints: a night count may exceed int64
+    exchange_rates: np.ndarray   # (Q,), float64
+    item_ids: tuple[str, ...]    # (N,): query 0's items, then query 1's, ...
+    fixed: np.ndarray            # (N, K1), float64
+    scalevariant: np.ndarray     # (N, K2), float64
+    labels: np.ndarray           # (N,), float64
+    offsets: np.ndarray          # (Q + 1,), int64
 
-    def __post_init__(self):
-        object.__setattr__(self, "queries", tuple(self.queries))
-        columns = [[getattr(q, f.name) for q in self.queries] for f in fields(QueryRecord)]
-        _check_columns(self.schema, columns, range(len(self)), "positions", {})
+    def __init__(self, schema: FeatureSchema, queries):
+        queries = tuple(queries)
+        n, c = len(schema.numeric_query_names), len(schema.categorical_query_features)
+        for k, q in enumerate(queries):  # shapes and the id dtype first: stacking reads them
+            d = len(q.item_ids)
+            for name, want in (("numeric", (n,)), ("category_ids", (c,)), ("fixed", (d, schema.k1)),
+                               ("scalevariant", (d, schema.k2)), ("labels", (d,))):
+                if getattr(q, name).shape != want:
+                    Dataset(schema, queries[:k])  # the queries before it are checked first
+                    expected = f"(D, K) = {want}" if len(want) == 2 else f"{want}"
+                    raise ContractError(f"query {q.query_id}: {name} array has shape "
+                                        f"{list(getattr(q, name).shape)}, expected {expected}")
+            if q.category_ids.dtype.kind not in "iu":
+                Dataset(schema, queries[:k])
+                raise DomainError(f"query {q.query_id}: category ids must be integers, "
+                                  f"got dtype {q.category_ids.dtype}")
+        # each record is a one-query chunk; one record's arrays are the columns
+        columns = _joined_chunks([dict(
+            query_ids=[q.query_id], numeric=q.numeric[None], category_ids=q.category_ids[None],
+            num_nights=[q.num_nights], exchange_rates=[q.exchange_rate], item_ids=q.item_ids,
+            fixed=q.fixed, scalevariant=q.scalevariant, labels=q.labels, sizes=[len(q.item_ids)])
+            for q in queries] or [_chunk_columns([], schema)])
+        _check_columns(schema, range(len(queries)), "positions", **columns)
+        self._set(schema, **columns)
+
+    def _set(self, schema, query_ids, numeric, category_ids, num_nights, exchange_rates,
+             item_ids, fixed, scalevariant, labels, offsets):
+        """Fill every field from its column, converted to the field's type; arrays read-only."""
+        values = dict(
+            schema=schema, query_ids=tuple(query_ids), numeric=np.asarray(numeric, np.float64),
+            category_ids=np.asarray(category_ids, np.int64), num_nights=tuple(num_nights),
+            exchange_rates=np.asarray(exchange_rates, np.float64), item_ids=tuple(item_ids),
+            fixed=np.asarray(fixed, np.float64), scalevariant=np.asarray(scalevariant, np.float64),
+            labels=np.asarray(labels, np.float64), offsets=np.asarray(offsets, np.int64))
+        for value in values.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(values)  # frozen: set once, here
+
+    @classmethod
+    def _of_columns(cls, schema: FeatureSchema, **columns) -> Dataset:
+        """A dataset of ``columns`` (one per field but the schema) without
+        the check: for columns that passed ``_check_columns``, or that keep
+        what a dataset's columns held."""
+        ds = object.__new__(cls)
+        ds._set(schema, **columns)
+        return ds
+
+    @cached_property
+    def queries(self) -> tuple[QueryRecord, ...]:
+        """Every query as a ``QueryRecord`` whose arrays are read-only views
+        into the columns, made on first use. Loading, rescaling, training
+        and evaluating a model read the columns; only a callable ranker
+        (``metrics.mean_ndcg``) is handed records."""
+        return tuple(
+            QueryRecord(qid, self.numeric[i], self.category_ids[i], nights, rate,
+                        self.item_ids[a:b], self.fixed[a:b], self.scalevariant[a:b],
+                        self.labels[a:b])
+            for i, (qid, nights, rate, (a, b)) in enumerate(zip(
+                self.query_ids, self.num_nights, self.exchange_rates.tolist(),
+                pairwise(self.offsets.tolist()))))
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return len(self.query_ids)
 
     def __iter__(self):
         return iter(self.queries)
@@ -221,158 +295,134 @@ _NO_QUERY_ID = "record without a non-empty string query_id"
 _NO_ITEM_ID = "item without a non-empty string item_id"
 
 
-def _unchecked(cls, base=(), **fields):
-    """``cls(**base, **fields)`` without ``__post_init__``'s checks: for valid,
-    read-only values only."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(base, **fields)
-    return obj
-
-
 def _is_number(v) -> bool:
     """A JSON number that converts to float64: a float, or an int that is
     not a bool and not too large for a float."""
     return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
-def _check_columns(schema: FeatureSchema, columns: list[list], places, unit: str, seen: dict):
+def _check_columns(schema: FeatureSchema, places, unit: str, *, query_ids, numeric,
+                   category_ids, num_nights, exchange_rates, item_ids, fixed, scalevariant,
+                   labels, offsets):
     """Raise the first broken rule of the first query that breaks a rule of
-    a Dataset. ``columns`` holds one sequence per ``QueryRecord`` field, in
-    field order, with one entry (or array row) per query. A repeated query
-    id is named by the ``unit`` ("positions" or "lines") of its ``places``,
-    or of ``seen``, which maps the ids of queries checked before to theirs.
-    Each rule is one boolean per query. Array shapes and the category ids'
-    dtype come first: the other rules read the stacked columns, so the
-    queries before a bad shape are checked on their own first."""
-    qids, numeric, category_ids, nights, rates, item_ids, fixed, sv, labels = columns
-    cats, sizes = schema.categorical_query_features, [len(ids) for ids in item_ids]
-    arrays = {"numeric": numeric, "category_ids": category_ids, "fixed": fixed,
-              "scalevariant": sv, "labels": labels}
-    n, c, k1, k2 = len(schema.numeric_query_names), len(cats), schema.k1, schema.k2
-
-    def shapes(d):  # of the arrays of a query of d items, in ``arrays`` order
-        return (n,), (c,), (d, k1), (d, k2), (d,)
-
-    structure = [(a.shape, b.shape, f.shape, s.shape, y.shape) != shapes(d)
-                 or b.dtype.kind not in "iu" for a, b, f, s, y, d in zip(*arrays.values(), sizes)]
-    if True in structure:  # a shape or a dtype that only a hand-built record can have
-        k = structure.index(True)
-        _check_columns(schema, [column[:k] for column in columns], places[:k], unit, seen)
-        for (name, column), want in zip(arrays.items(), shapes(sizes[k])):
-            if column[k].shape != want:
-                expected = f"(D, K) = {want}" if len(want) == 2 else f"{want}"
-                raise ContractError(f"query {qids[k]}: {name} array has shape "
-                                    f"{list(column[k].shape)}, expected {expected}")
-        raise DomainError(f"query {qids[k]}: category ids must be integers, "
-                          f"got dtype {category_ids[k].dtype}")
-    if not qids:
+    a Dataset. The columns are a Dataset's fields before ``Dataset._set``
+    converts them: nights and exchange rates as given, category ids of any
+    integer dtype. A repeated query id is named by the ``unit`` ("positions"
+    or "lines") of its ``places``. Each rule is one boolean per query; a
+    rule on the item rows holds at most one (N, K) boolean array at a time."""
+    if not query_ids:
         return
-    offsets = [0, *accumulate(sizes)]
-    numeric, category_ids = np.asarray(numeric), np.asarray(category_ids)  # stacked: same shapes
-    fixed, sv, labels = (np.concatenate(a) for a in (fixed, sv, labels))
-    ids_ok = [set(map(type, ids)) <= {str} and all(ids) for ids in item_ids]
-    keys = [q if type(q) is str and q else None for q in qids]
-    first = dict(zip(reversed(keys), range(len(qids) - 1, -1, -1)))
-    label_ok = (labels == 0) | (labels == 1)
+    cats = schema.categorical_query_features
+    n, k1, k2 = len(schema.numeric_query_names), schema.k1, schema.k2
+    bounds = offsets.tolist()
+    ids = [item_ids[a:b] for a, b in pairwise(bounds)]
+    ids_ok = [set(map(type, i)) <= {str} and all(i) for i in ids]
+    keys = [q if type(q) is str and q else None for q in query_ids]
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    booked_rows = labels == 1
+    label_ok = booked_rows | (labels == 0)
 
     def per_query(rows, reduce=np.logical_and, pad=True):
-        # the pad row gives an empty last query an index to read; an empty
-        # query reads a wrong row, but it breaks the items count rule first
-        return reduce.reduceat(np.concatenate((rows, [pad])), offsets[:-1])
+        # an empty query reads a wrong row, but it breaks the items count rule
+        # first; an empty last query reads a pad row
+        if bounds[-2] == bounds[-1]:
+            rows = np.concatenate((rows, [pad]))
+        return reduce.reduceat(rows, offsets[:-1])
 
-    booked = per_query(labels == 1, np.add, 0)
+    booked = per_query(booked_rows, np.add, 0)
 
     def item(i, row_ok):  # "item <id>: " of query i's first item whose row breaks a rule
-        j = int(np.argmin(row_ok[offsets[i]:offsets[i + 1]]))
-        return f"item {item_ids[i][j]}: ", offsets[i] + j
+        j = int(np.argmin(row_ok[bounds[i]:bounds[i + 1]]))
+        return f"item {ids[i][j]}: ", bounds[i] + j
 
-    def values_rule(values, ok, names, rules, what, per_item):
-        """(holds, message) of the rule "feature k of ``names`` must be ``rules[k]``",
-        kept where ``ok(values)``; a row is an item if ``per_item``."""
-        row_ok = ok(values).all(axis=1)
+    def within(values, tests):  # elementwise: every (comparison, bound) of ``tests`` holds
+        ok = tests[0][0](values, tests[0][1])
+        for compare, bound in tests[1:]:
+            compare(values, bound, out=ok, where=ok)  # in place: one boolean array
+        return ok
+
+    def values_rule(values, tests, names, rules, what, per_item):
+        """(holds, message) of the rule "feature k of ``names`` must be
+        ``rules[k]``", kept where ``within(values, tests)``; a row is an
+        item if ``per_item``."""
+        row_ok = np.logical_and.reduce(within(values, tests), axis=1)
 
         def message(i):
             prefix, row = item(i, row_ok) if per_item else ("", i)
-            k = int(np.argmin(ok(values[row])))  # the row it names, tested again
+            k = int(np.argmin(within(values[row], tests)))  # the row it names, tested again
             return f"{prefix}{what} {names[k]!r} must be {rules[k]}, got {values[row, k]}"
         return (per_query(row_ok) if per_item else row_ok), message
 
     def repeated(i):  # an item id of query i that repeats
-        return next(iid for j, iid in enumerate(item_ids[i]) if iid in item_ids[i][:j])
+        return next(iid for j, iid in enumerate(ids[i]) if iid in ids[i][:j])
 
+    finite = [(np.greater, -np.inf), (np.less, np.inf)]  # NaN fails both
     # (holds, message) per rule, in order; holds[i]: query i keeps the rule
     rules = [
         ([key is not None for key in keys], None),
-        values_rule(numeric, np.isfinite, schema.numeric_query_names, ["finite"] * n,
+        values_rule(numeric, finite, schema.numeric_query_names, ["finite"] * n,
                     "query feature", False),
-        values_rule(category_ids, lambda a: (a >= 0) & (a < [f.cardinality for f in cats]),
+        values_rule(category_ids, [(np.greater_equal, 0),
+                                   (np.less, np.array([f.cardinality for f in cats]))],
                     [f.name for f in cats], [f"an id in [0, {f.cardinality})" for f in cats],
                     "query feature", False),
-        ([_is_int(v) and 0 < v <= sys.float_info.max for v in nights],
+        ([_is_int(v) and 0 < v <= sys.float_info.max for v in num_nights],
          lambda i: "num_nights must be a positive integer"),
-        ([_is_number(v) and math.isfinite(v) and v > 0 for v in rates],
+        ([_is_number(v) and math.isfinite(v) and v > 0 for v in exchange_rates],
          lambda i: "exchange_rate must be a positive finite number"),
-        ([MIN_ITEMS_PER_QUERY <= d <= MAX_ITEMS_PER_QUERY for d in sizes], lambda i: (
-            f"items count {sizes[i]} outside [{MIN_ITEMS_PER_QUERY}, {MAX_ITEMS_PER_QUERY}]")),
+        ([MIN_ITEMS_PER_QUERY <= len(i) <= MAX_ITEMS_PER_QUERY for i in ids], lambda i: (
+            f"items count {len(ids[i])} outside [{MIN_ITEMS_PER_QUERY}, {MAX_ITEMS_PER_QUERY}]")),
         (ids_ok, lambda i: _NO_ITEM_ID),
-        ([not good or len(set(ids)) == len(ids) for good, ids in zip(ids_ok, item_ids)],
+        ([not good or len(set(i)) == len(i) for good, i in zip(ids_ok, ids)],
          lambda i: f"item {repeated(i)}: duplicate item_id"),
-        values_rule(fixed, lambda a: np.isfinite(a) & (a > 0), schema.item_features_fixed,
+        values_rule(fixed, [(np.greater, 0), finite[1]], schema.item_features_fixed,
                     ["finite and > 0"] * k1, "fixed feature", True),
-        values_rule(sv, lambda a: np.isfinite(a) & (a >= SMALLEST_NORMAL),
+        values_rule(scalevariant, [(np.greater_equal, SMALLEST_NORMAL), finite[1]],
                     schema.item_features_scalevariant,
                     ["finite and at least the smallest normal float64"] * k2,
                     "scale-variant feature", True),
         (per_query(label_ok), lambda i: f"{item(i, label_ok)[0]}label must be 0 or 1"),
         (booked > 0, lambda i: "no booked item"),
         (booked < 2, lambda i: "multiple booked items"),
-        ([q not in seen and first[q] == i for i, q in enumerate(keys)],
-         lambda i: f"duplicate query_id ({unit} {seen.get(qids[i], places[first[qids[i]]])} "
-                   f"and {places[i]})"),
+        ([first[q] == i for i, q in enumerate(keys)],
+         lambda i: f"duplicate query_id ({unit} {places[first[keys[i]]]} and {places[i]})"),
     ]
-    broken = ~np.array([holds for holds, _ in rules], dtype=bool)
-    if broken.any():
+    held = np.array([holds for holds, _ in rules], dtype=bool)
+    if not held.all():
+        broken = ~held
         i = int(np.argmax(broken.any(axis=0)))
         message = rules[int(np.argmax(broken[:, i]))][1]
-        raise ValidationError(_NO_QUERY_ID if message is None else f"query {qids[i]}: {message(i)}")
+        raise ValidationError(_NO_QUERY_ID if message is None
+                              else f"query {query_ids[i]}: {message(i)}")
 
 
-def rescale_records(queries: tuple[QueryRecord, ...], columns, factors: list[np.ndarray],
-                    what: str) -> tuple[QueryRecord, ...]:
-    """``queries`` with scale-variant ``columns`` multiplied by each array of
-    ``factors`` in turn (one value per query each); every other array is
-    shared. A query holding a product that is not finite, or one below
-    ``SMALLEST_NORMAL``, raises ValidationError for the first such query:
-    "query <id>: <what> a scale-variant value beyond the float64 range" (or
-    "below the smallest normal float64")."""
-    if not queries:
-        return ()
-    # each query gets its own array, made before the stack: the stack is then
-    # the last block made and the first freed, and leaves no hole under
-    # them (about 0.3 MB less peak RSS in a cli_evaluate benchmark run)
-    outs = [np.empty(q.scalevariant.shape) for q in queries]
-    stacked = np.concatenate([q.scalevariant for q in queries], dtype=np.float64)
-    sizes = [len(out) for out in outs]
-    per_row = [np.repeat(f, sizes) for f in factors]
+def rescaled(ds: Dataset, columns, factors: list[np.ndarray], what: str) -> Dataset:
+    """``ds`` with the scale-variant ``columns`` (an index of the feature
+    axis) multiplied by each array of ``factors`` in turn, one value per
+    query each; every other column is shared. A product out of range
+    raises ValidationError (``check_rescaled``)."""
+    scalevariant = ds.scalevariant.copy()
     with np.errstate(over="ignore"):  # an overflow is reported as a data error below
-        for k in columns:
-            column = stacked[:, k]  # a view: the products land in stacked
-            for f in per_row:
-                column *= f
-    if not (np.isfinite(stacked).all() and (stacked >= SMALLEST_NORMAL).all()):
-        starts = np.cumsum([0] + sizes[:-1])
-        finite = np.logical_and.reduceat(np.isfinite(stacked).all(axis=1), starts)
-        normal = np.logical_and.reduceat((stacked >= SMALLEST_NORMAL).all(axis=1), starts)
-        i = int(np.argmin(finite & normal))
-        where = "below the smallest normal float64" if finite[i] else "beyond the float64 range"
-        raise ValidationError(f"query {queries[i].query_id}: {what} a scale-variant value {where}")
-    rescaled, start = [], 0
-    for q, out in zip(queries, outs):
-        out[...] = stacked[start:start + len(out)]
-        out.setflags(write=False)
-        rescaled.append(_unchecked(QueryRecord, vars(q), scalevariant=out))
-        start += len(out)
-    return tuple(rescaled)
+        for f in factors:
+            scalevariant[:, columns] *= np.repeat(f, np.diff(ds.offsets))[:, None]
+    check_rescaled(scalevariant, ds.offsets, ds.query_ids, what)
+    return Dataset._of_columns(ds.schema, **{f.name: getattr(ds, f.name) for f in fields(ds)[1:]}
+                               | {"scalevariant": scalevariant})
+
+
+def check_rescaled(scalevariant: np.ndarray, offsets, query_ids, what: str):
+    """Raise ValidationError for the first query (rows ``offsets[i]:offsets[i
+    + 1]``) holding a rescaled scale-variant value that is not finite, or one
+    below ``SMALLEST_NORMAL``: "query <id>: <what> a scale-variant value
+    beyond the float64 range" (or "below the smallest normal float64")."""
+    if scalevariant.size == 0 or (scalevariant.max() < np.inf
+                                  and scalevariant.min() >= SMALLEST_NORMAL):
+        return
+    finite = np.logical_and.reduceat(np.isfinite(scalevariant).all(axis=1), offsets[:-1])
+    normal = np.logical_and.reduceat((scalevariant >= SMALLEST_NORMAL).all(axis=1), offsets[:-1])
+    i = int(np.argmin(finite & normal))
+    where = "below the smallest normal float64" if finite[i] else "beyond the float64 range"
+    raise ValidationError(f"query {query_ids[i]}: {what} a scale-variant value {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +458,12 @@ def _item_matrix(raw_items: list, group: str, names: tuple[str, ...]) -> np.ndar
     return None
 
 
-def _chunk_columns(objs: list[dict], schema: FeatureSchema) -> list[list] | None:
-    """The columns of the query objects ``objs`` as ``_check_columns`` takes
-    them, item arrays as row views into one array per group; None if a key
-    is missing, a value has the wrong JSON type or a feature is not in the
-    schema (the faults ``_type_fault`` names). Values are not checked: a
-    label that is not a number becomes NaN."""
+def _chunk_columns(objs: list[dict], schema: FeatureSchema) -> dict | None:
+    """The query objects ``objs`` as ``_check_columns`` takes a Dataset's
+    columns, with ``sizes`` (items per query) in place of ``offsets``; None
+    if a key is missing, a value has the wrong JSON type or a feature is not
+    in the schema (the faults ``_type_fault`` names). Values are not
+    checked: a label that is not a number becomes NaN."""
     qids = [obj.get("query_id") for obj in objs]
     qvals = [obj.get("query") for obj in objs]
     cats = schema.categorical_query_features
@@ -442,13 +492,24 @@ def _chunk_columns(objs: list[dict], schema: FeatureSchema) -> list[list] | None
     labels = _float_column(raw_labels, -1)
     if labels is None:  # a label that is not a number breaks the label rule as NaN
         labels = np.array([float(v) if _is_number(v) else np.nan for v in raw_labels])
-    spans = list(pairwise([0, *accumulate(map(len, items))]))
-    # tuples of list slices are made at their final size; long-lived tuples
-    # grown from generators fragmented the heap and raised peak RSS
-    return [qids, numeric, np.array(cat_values, dtype=np.int64).reshape(len(objs), len(cats)),
-            [obj.get("num_nights") for obj in objs], [obj.get("exchange_rate") for obj in objs],
-            [tuple(item_ids[a:b]) for a, b in spans],
-            *([column[a:b] for a, b in spans] for column in (fixed, sv, labels))]
+    return dict(query_ids=qids, numeric=numeric,
+                category_ids=np.array(cat_values, dtype=np.int64).reshape(len(objs), len(cats)),
+                num_nights=[obj.get("num_nights") for obj in objs],
+                exchange_rates=[obj.get("exchange_rate") for obj in objs], item_ids=item_ids,
+                fixed=fixed, scalevariant=sv, labels=labels, sizes=list(map(len, items)))
+
+
+def _joined_chunks(chunks: list[dict]) -> dict:
+    """Consecutive chunks of columns, as ``_chunk_columns`` makes them, as
+    one Dataset's columns; a single chunk's columns are used as they are."""
+    columns = dict(chunks[0])
+    if len(chunks) > 1:
+        for name, first in chunks[0].items():
+            parts = [chunk[name] for chunk in chunks]
+            columns[name] = (np.concatenate(parts) if isinstance(first, np.ndarray)
+                             else [value for part in parts for value in part])
+    columns["offsets"] = np.array([0, *columns.pop("sizes")]).cumsum()
+    return columns
 
 
 def _group_fault(values, tests: dict, what: str) -> str | None:
@@ -496,50 +557,56 @@ def _type_fault(obj: dict, schema: FeatureSchema) -> str | None:
     return None
 
 
-def _load_chunk(chunk: list[tuple[int, dict]], schema: FeatureSchema,
-                first_line: dict[str, int]) -> list[QueryRecord]:
-    """The records of ``chunk``'s (line number, JSON object) pairs, checked by
-    ``_check_columns``; ``first_line`` maps the ids loaded so far to their
-    lines. ``_type_fault`` names a fault that JSON decides, after the queries
-    before it are checked: the first error in file order is raised."""
+def _read_chunk(chunk: list[tuple[int, dict]], schema: FeatureSchema, chunks: list[dict],
+                lines: list[int]) -> ValidationError | None:
+    """Add the columns of ``chunk``'s (line number, JSON object) pairs to
+    ``chunks`` and their line numbers to ``lines``. If JSON decides a fault
+    in a query, add the queries before it and return the error that
+    ``_type_fault`` names."""
     objs = [obj for _, obj in chunk]
     columns = _chunk_columns(objs, schema)
     if columns is None:
         k, fault = next((k, fault) for k, obj in enumerate(objs)
                         if (fault := _type_fault(obj, schema)) is not None)
-        _load_chunk(chunk[:k], schema, first_line)
-        raise ValidationError(fault)
-    lines = [lineno for lineno, _ in chunk]
-    _check_columns(schema, columns, lines, "lines", first_line)
-    first_line.update(zip(columns[0], lines))
-    return [QueryRecord(*f[:4], float(f[4]), *f[5:]) for f in zip(*columns)]
+        _read_chunk(chunk[:k], schema, chunks, lines)
+        return ValidationError(fault)
+    chunks.append(columns)
+    lines.extend(lineno for lineno, _ in chunk)
+    return None
 
 
 def load_dataset(path, schema: FeatureSchema) -> Dataset:
     """Read a JSONL dataset, validating every record against the schema;
-    query ids must be unique within the file. Lines are parsed and checked
-    ``LOAD_CHUNK_QUERIES`` queries at a time."""
-    queries = []
-    first_line: dict[str, int] = {}
-    chunk: list[tuple[int, dict]] = []
+    query ids must be unique within the file. Lines are parsed into columns
+    ``LOAD_CHUNK_QUERIES`` queries at a time; reading stops at the first
+    fault that JSON decides, and the columns read are checked once, so the
+    first error in file order is raised."""
+    chunks, lines, chunk, fault = [], [], [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                fault = None if isinstance(obj, dict) else "expected a JSON object"
+                bad = None if isinstance(obj, dict) else "expected a JSON object"
             except json.JSONDecodeError as exc:
-                fault = exc.msg
-            if fault:
-                _load_chunk(chunk, schema, first_line)  # an error on an earlier line wins
-                raise ParseError(f"{path}: line {lineno}: {fault}")
+                bad = exc.msg
+            if bad:
+                fault = (_read_chunk(chunk, schema, chunks, lines)
+                         or ParseError(f"{path}: line {lineno}: {bad}"))
+                break
             chunk.append((lineno, obj))
             if len(chunk) == LOAD_CHUNK_QUERIES:
-                queries += _load_chunk(chunk, schema, first_line)
-                chunk = []
-    queries += _load_chunk(chunk, schema, first_line)
-    return _unchecked(Dataset, schema=schema, queries=tuple(queries))
+                fault, chunk = _read_chunk(chunk, schema, chunks, lines), []
+                if fault:
+                    break
+        else:
+            fault = _read_chunk(chunk, schema, chunks, lines)
+    columns = _joined_chunks(chunks)
+    _check_columns(schema, lines, "lines", **columns)
+    if fault:
+        raise fault
+    return Dataset._of_columns(schema, **columns)
 
 
 def _object_template(fields: list[tuple[str, str]]) -> tuple[str, list[int]]:
@@ -567,16 +634,19 @@ def save_dataset(ds: Dataset, path):
     item = '{"fixed": ' + fixed + ', "item_id": %s, "label": %d, "scalevariant": ' + sv + "}"
     # the columns of [fixed | scalevariant | label] in the item template's order
     columns = [*fixed_order, schema.k1 + schema.k2, *(schema.k1 + i for i in sv_order)]
+    table = np.hstack([ds.fixed, ds.scalevariant, ds.labels[:, None]])[:, columns]
+    # category ids are below MAX_EMBEDDING_VALUES, so exact as float64
+    query_values = np.hstack([ds.numeric, ds.category_ids], dtype=np.float64)[:, query_order]
     with open(path, "w") as fh:
-        for q in ds.queries:
-            rows = np.hstack([q.fixed, q.scalevariant, q.labels[:, None]],
-                             dtype=np.float64)[:, columns].tolist()
-            for row, item_id in zip(rows, q.item_ids):
+        for (a, b), values, nights, rate, qid in zip(
+                pairwise(ds.offsets.tolist()), query_values.tolist(), ds.num_nights,
+                ds.exchange_rates.tolist(), ds.query_ids):
+            rows = table[a:b].tolist()
+            for row, item_id in zip(rows, ds.item_ids[a:b]):
                 row.insert(schema.k1, encode_basestring_ascii(item_id))
-            # category ids are below MAX_EMBEDDING_VALUES, so exact as float64
-            values = np.concatenate([q.numeric, q.category_ids], dtype=np.float64)[query_order]
-            fh.write(line % (float(q.exchange_rate), ", ".join([item % tuple(r) for r in rows]),
-                             q.num_nights, *values.tolist(), encode_basestring_ascii(q.query_id)))
+            fh.write(line % (rate, ", ".join([item % tuple(r) for r in rows]), nights, *values,
+                             encode_basestring_ascii(qid)))
+
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +728,11 @@ def fit_standardization(train: Dataset, schema: FeatureSchema,
     """
     if len(train) == 0:
         raise ValidationError("cannot fit standardization on an empty dataset")
-    numeric_rows = np.stack([q.numeric for q in train.queries])
-    fixed_rows = np.concatenate([q.fixed for q in train.queries])
-    n_mean, n_std = _fit_columns(numeric_rows, schema.numeric_query_names)
-    f_mean, f_std = _fit_columns(fixed_rows, schema.item_features_fixed)
+    n_mean, n_std = _fit_columns(train.numeric, schema.numeric_query_names)
+    f_mean, f_std = _fit_columns(train.fixed, schema.item_features_fixed)
     kwargs = {}
     if include_scalevariant:
-        sv_rows = np.concatenate([q.scalevariant for q in train.queries])
-        s_mean, s_std = _fit_columns(sv_rows, schema.item_features_scalevariant)
+        s_mean, s_std = _fit_columns(train.scalevariant, schema.item_features_scalevariant)
         kwargs = {"scalevariant_names": schema.item_features_scalevariant,
                   "scalevariant_mean": s_mean, "scalevariant_std": s_std}
     return StandardizationStats(
@@ -712,9 +779,20 @@ def split_holdout(ds: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     n_val = round(0.07 * n)
     n_train = n - n_test - n_val
     perm = np.random.default_rng(seed).permutation(n)
-    idx_train = np.sort(perm[:n_train])
-    idx_val = np.sort(perm[n_train:n_train + n_val])
-    idx_test = np.sort(perm[n_train + n_val:])
 
-    return tuple(_unchecked(Dataset, schema=ds.schema, queries=tuple(ds.queries[i] for i in idx))
-                 for idx in (idx_train, idx_val, idx_test))
+    def take(idx):  # the queries ``idx`` of ds, with their item rows gathered
+        starts, ends = ds.offsets[idx], ds.offsets[idx + 1]
+        offsets = np.concatenate(([0], np.cumsum(ends - starts)))
+        rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], ends - starts)
+        picked = idx.tolist()
+        return Dataset._of_columns(
+            ds.schema, query_ids=[ds.query_ids[i] for i in picked], numeric=ds.numeric[idx],
+            category_ids=ds.category_ids[idx], num_nights=[ds.num_nights[i] for i in picked],
+            exchange_rates=ds.exchange_rates[idx],
+            item_ids=[iid for a, b in zip(starts.tolist(), ends.tolist())
+                      for iid in ds.item_ids[a:b]],
+            fixed=ds.fixed[rows], scalevariant=ds.scalevariant[rows], labels=ds.labels[rows],
+            offsets=offsets)
+
+    return tuple(take(np.sort(idx)) for idx in (
+        perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]))

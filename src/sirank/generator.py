@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, QueryFeature, QueryRecord
+from .data import Dataset, FeatureSchema, QueryFeature, _check_columns
 from .errors import ConfigError, DomainError
 
 CURRENCY_TABLE = (1.0, 0.85, 0.75, 1.3, 7.1, 18.0, 83.0, 110.0, 1200.0, 0.9)
@@ -112,37 +112,36 @@ def generate(config: GeneratorConfig) -> Dataset:
     k1, k2 = SCHEMA.k1, SCHEMA.k2
     w_fixed, w_sv = UTILITY_WEIGHTS[:k1], UTILITY_WEIGHTS[k1:]
 
-    queries = []
+    numeric, category_ids, nights, rates, item_ids, fixed, sv, labels, sizes = (
+        [] for _ in range(9))
     for qi in range(config.num_queries):
         rng = _query_rng(config.seed, qi)
-        nights = int(rng.integers(1, MAX_NIGHTS + 1))
+        night = int(rng.integers(1, MAX_NIGHTS + 1))
         rate = float(CURRENCY_TABLE[rng.integers(len(CURRENCY_TABLE))])
-        numeric = np.empty(len(NUMERIC_NAMES))
-        numeric[0] = float(nights)
-        numeric[1] = rate
-        numeric[2:] = rng.standard_normal(len(NUMERIC_NAMES) - 2)
-        category_ids = np.array([rng.integers(c) for c in CARDINALITIES], dtype=np.int64)
+        nights.append(night)
+        rates.append(rate)
+        numeric.append([float(night), rate, *rng.standard_normal(len(NUMERIC_NAMES) - 2)])
+        category_ids.append([rng.integers(c) for c in CARDINALITIES])
 
         d = int(rng.integers(config.items_min, config.items_max + 1))
         zf = rng.standard_normal((d, k1))
-        fixed = FIXED_SHIFT + np.exp(FIXED_LOG_MU + FIXED_LOG_SIGMA * zf)
+        fixed.append(FIXED_SHIFT + np.exp(FIXED_LOG_MU + FIXED_LOG_SIGMA * zf))
         g = rng.standard_normal((d, k2))
         log_sv = SCALEVARIANT_LOG_MU + SCALEVARIANT_LOG_SIGMA * g
-        sv = np.exp(log_sv)
+        sv.append(np.exp(log_sv))
 
         utility = zf @ w_fixed + log_sv @ w_sv + float(rng.normal(scale=0.5))
         probs = stable_softmax(utility / config.noise_temperature)
         booked = int(rng.choice(d, p=probs))
 
-        queries.append(QueryRecord(
-            query_id=f"q{qi}",
-            numeric=numeric,
-            category_ids=category_ids,
-            num_nights=nights,
-            exchange_rate=rate,
-            item_ids=tuple(f"q{qi}-i{j}" for j in range(d)),
-            fixed=fixed,
-            scalevariant=sv,
-            labels=(np.arange(d) == booked).astype(np.float64),
-        ))
-    return Dataset(schema=SCHEMA, queries=queries)
+        item_ids += [f"q{qi}-i{j}" for j in range(d)]
+        labels.append(np.arange(d) == booked)
+        sizes.append(d)
+    columns = dict(
+        query_ids=[f"q{qi}" for qi in range(config.num_queries)], numeric=np.array(numeric),
+        category_ids=np.array(category_ids, dtype=np.int64), num_nights=nights,
+        exchange_rates=rates, item_ids=item_ids, fixed=np.concatenate(fixed),
+        scalevariant=np.concatenate(sv), labels=np.concatenate(labels).astype(np.float64),
+        offsets=np.cumsum([0, *sizes]))
+    _check_columns(SCHEMA, range(config.num_queries), "positions", **columns)
+    return Dataset._of_columns(SCHEMA, **columns)

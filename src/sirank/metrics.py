@@ -3,7 +3,7 @@
 ``mean_ndcg`` evaluates a whole dataset in one batched pass: the scores of
 all item rows come from ``scoring.score_block`` (``EVAL_CHUNK_ROWS`` rows at
 a time) or from a callable ranker, and ``segment_ndcg`` takes every query's
-NDCG from its segment of the stacked rows at once. It reads only the row of
+NDCG from its segment of the item rows at once. It reads only the row of
 each query's booked item: a ``Dataset`` holds exactly one per query, checked
 when the dataset was made.
 ``ndcg`` keeps the general graded-gain formula and serves as the oracle.
@@ -87,7 +87,7 @@ def evaluate_block(model, block: DatasetBlock) -> EvalResult:
 
 def mean_ndcg(model, dataset: Dataset) -> EvalResult:
     """Score, rank, and average NDCG over every query in the dataset, as
-    one batched pass over its stacked item rows.
+    one batched pass over its item rows.
 
     model is either a SirModel or any callable mapping a query to a score
     vector; the latter keeps oracle rankers easy to express, and a vector
@@ -95,10 +95,8 @@ def mean_ndcg(model, dataset: Dataset) -> EvalResult:
     """
     if not callable(model):
         return evaluate_block(model, prepare_dataset(model, dataset))
-    if not dataset.queries:
+    if not len(dataset):
         raise ValidationError("cannot evaluate a dataset without queries")
-    offsets = np.cumsum([0] + [q.n_items for q in dataset.queries])
-    booked = np.flatnonzero(np.concatenate([q.labels for q in dataset.queries]))
     parts = []
     for q in dataset.queries:
         scores = np.asarray(model(q), dtype=np.float64)
@@ -106,7 +104,8 @@ def mean_ndcg(model, dataset: Dataset) -> EvalResult:
             raise ValidationError(f"query {q.query_id}: the ranker returned scores of shape "
                                   f"{scores.shape}, expected ({q.n_items},)")
         parts.append(scores)
-    return EvalResult.of(segment_ndcg(np.concatenate(parts), booked, offsets))
+    return EvalResult.of(segment_ndcg(np.concatenate(parts), np.flatnonzero(dataset.labels),
+                                      dataset.offsets))
 
 
 def random_ranker_mean_ndcg(dataset: Dataset) -> float:
@@ -115,7 +114,7 @@ def random_ranker_mean_ndcg(dataset: Dataset) -> float:
     For a query with d items and one booked, every position is equally
     likely, so the expectation is the average of 1/log2(1+p) over p=1..d.
     """
-    sizes = [q.n_items for q in dataset.queries]
+    sizes = np.diff(dataset.offsets).tolist()
     per_size = {d: np.mean(1.0 / np.log2(2.0 + np.arange(d))) for d in set(sizes)}
     return float(np.mean([per_size[d] for d in sizes]))
 

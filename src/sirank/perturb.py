@@ -4,8 +4,9 @@ Each case multiplies the ``DEFAULT_TARGETS`` columns by a per-query scalar:
 the number of nights (1), the query's exchange rate (2), both in sequence
 (3), or one fixed conversion rate, ``DEFAULT_RATE``, applied to every query
 (4). Multipliers come from stored per-query auxiliaries, never fresh
-randomness, so runs are reproducible. A case multiplies and checks through
-``data.rescale_records``, as ``scoring.scale_dataset`` does.
+randomness, so runs are reproducible. A case multiplies a copy of the
+dataset's scale-variant column and checks it through ``data.rescaled``, as
+``scoring.scale_dataset`` does.
 Cases rescale raw values; a model standardizes its deep-path inputs from its
 own stats when it scores, so a perturbed split needs no re-standardizing.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, QueryRecord, _unchecked, rescale_records
+from .data import Dataset, rescaled
 from .errors import ConfigError
 
 DEFAULT_TARGETS = ("price", "discount")
@@ -32,19 +33,18 @@ class PerturbationCase:
         if self.case_id not in CASE_IDS:
             raise ConfigError(f"case must be one of {CASE_IDS}, got {self.case_id}")
 
-    def factors(self, queries: tuple[QueryRecord, ...]) -> list[np.ndarray]:
+    def factors(self, ds: Dataset) -> list[np.ndarray]:
         """Per-query multipliers, one array per factor, applied left to right."""
-        nights = np.array([float(q.num_nights) for q in queries])
-        rates = np.array([float(q.exchange_rate) for q in queries])
-        return {1: [nights], 2: [rates], 3: [nights, rates],
-                4: [np.full(len(queries), DEFAULT_RATE)]}[self.case_id]
+        nights = np.array(ds.num_nights, dtype=np.float64)
+        return {1: [nights], 2: [ds.exchange_rates], 3: [nights, ds.exchange_rates],
+                4: [np.full(len(ds), DEFAULT_RATE)]}[self.case_id]
 
 
 def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     """Return a copy of ds with the case's rescaling applied per query.
 
     Labels, fixed features, and query features are untouched, and every
-    array but the rescaled scale-variant one is shared with ``ds``.
+    column but the rescaled scale-variant one is shared with ``ds``.
     A rescaled value beyond the float64 range or below its smallest normal
     value raises ValidationError naming the first such query.
     """
@@ -53,6 +53,5 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     if missing:
         raise ConfigError(f"target features {missing} are not scale-variant "
                           f"features of the schema (has {list(sv_names)})")
-    queries = rescale_records(ds.queries, [sv_names.index(name) for name in DEFAULT_TARGETS],
-                              case.factors(ds.queries), f"case {case.case_id} rescales")
-    return _unchecked(Dataset, schema=ds.schema, queries=queries)
+    return rescaled(ds, [sv_names.index(name) for name in DEFAULT_TARGETS], case.factors(ds),
+                    f"case {case.case_id} rescales")

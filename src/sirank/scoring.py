@@ -6,21 +6,22 @@ is the property the whole package exists to demonstrate.
 
 The network is fixed, so its forward pass, its backward pass and the SGD
 step are written out by hand below. Everything that scores reads one
-prepared form: ``prepare_dataset`` stacks every query's item rows into a
-``DatasetBlock`` with per-query offsets, standardizes the deep-path inputs
-from the model's stats (records stay raw) and takes the logs of the wide
-inputs. The data rules were checked once, when the ``Dataset`` was made, so
-``prepare_dataset`` checks only what depends on the model: the schema and
-the finiteness of the standardized inputs. A dataset holds exactly one
-booked item per query, so a block keeps each query's booked row in place of
-its labels. ``forward_block`` scores one query's rows of a block for a
-training step; ``score_block`` scores every row, ``EVAL_CHUNK_ROWS`` at a
-time, so the memory of an evaluation pass does not grow with the dataset;
-``forward`` and ``score_query`` score one query through a one-query
-dataset and block. Training prepares both of its splits before the first
-step, so an input that standardizes to a non-finite value is reported
-before epoch 0. Batched scores match per-query ones to within a few ulps
-(matrix products of another shape sum in another order).
+prepared form: ``prepare_dataset`` reads a ``Dataset``'s columns into a
+``DatasetBlock`` with the dataset's per-query offsets, standardizes the
+deep-path inputs from the model's stats (the dataset stays raw) and takes
+the logs of the wide inputs. The data rules were checked once, when the
+``Dataset`` was made, so ``prepare_dataset`` checks only what depends on
+the model: the schema and the finiteness of the standardized inputs. A
+dataset holds exactly one booked item per query, so a block keeps each
+query's booked row in place of its labels. ``forward_block`` scores one
+query's rows of a block for a training step; ``score_block`` scores every
+row, ``EVAL_CHUNK_ROWS`` at a time, so the memory of an evaluation pass
+does not grow with the dataset; ``forward`` and ``score_query`` score one
+query through a one-query dataset, whose columns are the record's own
+arrays, and its block. Training prepares both of its splits before the
+first step, so an input that standardizes to a non-finite value is
+reported before epoch 0. Batched scores match per-query ones to within a
+few ulps (matrix products of another shape sum in another order).
 
 All parameters live in one contiguous float64 vector; ``SirModel.params`` is
 a ``ParamVector``, a dict of named views into it in build order. ``backward``
@@ -32,14 +33,14 @@ checks and updates every parameter with one vector operation each.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .data import (MAX_EMBEDDING_VALUES, Dataset, FeatureSchema, QueryRecord,
-                   StandardizationStats, _unchecked, check_stats_schema, fit_standardization,
-                   rescale_records)
+                   StandardizationStats, check_rescaled, check_stats_schema, fit_standardization,
+                   rescaled)
 from .errors import (
     ConfigError,
     ContractError,
@@ -187,8 +188,8 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
 
 @dataclass(frozen=True)
 class DatasetBlock:
-    """Every query of a dataset stacked for scoring, gathered and checked
-    once. Query i owns item rows ``offsets[i]:offsets[i + 1]`` of
+    """Every query of a dataset prepared for scoring, read from its columns
+    and checked once. Query i owns item rows ``offsets[i]:offsets[i + 1]`` of
     ``deep_items`` and ``log_values``, and ``booked[i]`` is the row of its
     booked item; ``row_query`` maps each item row to its query. Nothing in a
     block depends on the parameters, so it can be scored again after every
@@ -205,9 +206,9 @@ class DatasetBlock:
 
 @np.errstate(over="ignore")  # a standardized value beyond float64 range is reported below
 def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
-    """Stack what scoring reads from every query of ``dataset``, standardize
+    """Read what scoring needs from the columns of ``dataset``, standardize
     the deep-path inputs from ``model.stats`` and take the logs of the wide
-    inputs. The dataset checked its records when it was made; checked here
+    inputs. The dataset checked its values when it was made; checked here
     is what depends on the model: the schema must be the model's
     (ContractError), a query must be there (ValidationError), and every
     standardized input must be finite (DomainError naming the query)."""
@@ -215,33 +216,28 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
         raise ContractError(f"the dataset's schema (fingerprint {dataset.schema.fingerprint()[:12]}"
                             f"...) is not the model's ({model.schema.fingerprint()[:12]}...)")
     stats = model.stats
-    queries = dataset.queries
-    if not queries:
+    if not len(dataset):
         raise ValidationError("cannot evaluate a dataset without queries")
 
-    category_ids = np.stack([q.category_ids for q in queries]).astype(np.int64, copy=False)
-    deep_numeric = (np.stack([q.numeric for q in queries]) - stats.numeric_mean) / stats.numeric_std
-    fixed = np.concatenate([q.fixed for q in queries])
-    deep_items = (fixed - stats.fixed_mean) / stats.fixed_std
-    scalevariant = np.concatenate([q.scalevariant for q in queries])
+    deep_numeric = (dataset.numeric - stats.numeric_mean) / stats.numeric_std
+    deep_items = (dataset.fixed - stats.fixed_mean) / stats.fixed_std
     if model.mode == "deep_only":
-        deep_items = np.concatenate(
-            [deep_items, (scalevariant - stats.scalevariant_mean) / stats.scalevariant_std], axis=1)
-    wide_raw = None
+        deep_items = np.concatenate([deep_items, (dataset.scalevariant - stats.scalevariant_mean)
+                                     / stats.scalevariant_std], axis=1)
+    log_values = None
     if model.mode == "sir":
-        wide_raw = np.concatenate([fixed, scalevariant], axis=1)
-    sizes = [q.n_items for q in queries]
-    offsets = np.cumsum([0] + sizes)
+        log_values = np.concatenate([dataset.fixed, dataset.scalevariant], axis=1)
+        np.log(log_values, out=log_values)
+    offsets = dataset.offsets
     if not (np.isfinite(deep_items).all() and np.isfinite(deep_numeric).all()):
         bad = ~(np.isfinite(deep_numeric).all(axis=1)
                 & np.logical_and.reduceat(np.isfinite(deep_items).all(axis=1), offsets[:-1]))
-        raise DomainError(f"query {queries[int(np.argmax(bad))].query_id}: "
+        raise DomainError(f"query {dataset.query_ids[int(np.argmax(bad))]}: "
                           "non-finite deep-path input")
     return DatasetBlock(
-        deep_numeric=deep_numeric, category_ids=category_ids, deep_items=deep_items,
-        log_values=None if wide_raw is None else np.log(wide_raw, out=wide_raw),
-        booked=np.flatnonzero(np.concatenate([q.labels for q in queries])), offsets=offsets,
-        row_query=np.repeat(np.arange(len(queries)), sizes))
+        deep_numeric=deep_numeric, category_ids=dataset.category_ids, deep_items=deep_items,
+        log_values=log_values, booked=np.flatnonzero(dataset.labels), offsets=offsets,
+        row_query=np.repeat(np.arange(len(dataset)), np.diff(offsets)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +455,7 @@ def rank(scores: np.ndarray) -> Ranking:
 
 
 def _scaling(c: float) -> str:
-    """What a rescale by c does, for ``rescale_records``' message; DomainError
+    """What a rescale by c does, for ``check_rescaled``'s message; DomainError
     unless c > 0 is finite."""
     if not (c > 0) or not np.isfinite(c):
         raise DomainError(f"scale factor must be a positive finite number, got {c}")
@@ -475,16 +471,17 @@ def scale_query(query: QueryRecord, c: float) -> QueryRecord:
         raise ContractError(f"query {query.query_id}: scalevariant array has shape {list(shape)}, "
                             f"expected (D, K) with D = {query.n_items}")
     what = _scaling(c)
-    return rescale_records((query,), range(shape[1]), [np.array([c])], what)[0]
+    with np.errstate(over="ignore"):  # an overflow is reported as a data error below
+        scalevariant = np.multiply(query.scalevariant, c, dtype=np.float64)
+    check_rescaled(scalevariant, [0, shape[0]], [query.query_id], what)
+    return replace(query, scalevariant=scalevariant)
 
 
 def scale_dataset(ds: Dataset, c: float) -> Dataset:
-    """``scale_query`` of every query of ``ds``, as one multiply per column
-    and one check over the stacked scale-variant rows; an error names the
-    first query that ``scale_query`` would refuse, with its message."""
-    what = _scaling(c)
-    queries = rescale_records(ds.queries, range(ds.schema.k2), [np.full(len(ds), c)], what)
-    return _unchecked(Dataset, schema=ds.schema, queries=queries)
+    """``scale_query`` of every query of ``ds``, as one multiply of its
+    scale-variant column and one check; an error names the first query that
+    ``scale_query`` would refuse, with its message."""
+    return rescaled(ds, slice(None), [np.full(len(ds), c)], _scaling(c))
 
 
 def invariance_gap(model: SirModel, query: QueryRecord, c: float) -> float:

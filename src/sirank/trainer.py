@@ -140,6 +140,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
     val_block = prepare_dataset(model, val_ds)
     grads = model.params.zeros_like()
     booked_items = (train_block.booked - train_block.offsets[:-1]).tolist()
+    sizes = np.diff(train_block.offsets).tolist()
     bad_epochs = 0
     stopping = "max_epochs"
 
@@ -148,11 +149,10 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
         order = epoch_rng.permutation(len(train_ds))
         total = 0.0
         for qi in order:
-            q = train_ds.queries[qi]
             item_indices = None
             booked = booked_items[qi]
-            if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
-                item_indices = _softrank_indices(q.n_items, booked, epoch_rng)
+            if config.loss == "softrank" and sizes[qi] > SOFTRANK_LIST_SIZE:
+                item_indices = _softrank_indices(sizes[qi], booked, epoch_rng)
                 booked = item_indices.index(booked)
             try:
                 scores, cache = forward_block(model, train_block, qi, item_indices)
@@ -162,7 +162,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
                 sgd_step(model.params, backward(model, cache, out.score_gradients, grads), lr)
             except (TrainingError, DomainError) as exc:
                 raise TrainingError(
-                    f"epoch {epoch}, query {q.query_id}: {exc}") from exc
+                    f"epoch {epoch}, query {train_ds.query_ids[qi]}: {exc}") from exc
             total += out.value
         train_losses.append(total / len(train_ds))
 

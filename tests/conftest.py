@@ -26,6 +26,11 @@ def tiny_schema() -> FeatureSchema:
 
 
 def hand_dataset(n_queries=12, seed=0, items=(3, 6)) -> Dataset:
+    return Dataset(schema=tiny_schema(), queries=hand_records(n_queries, seed, items))
+
+
+def hand_records(n_queries=12, seed=0, items=(3, 6)) -> list[QueryRecord]:
+    """The records ``hand_dataset`` is made of."""
     rng = np.random.default_rng(seed)
     schema = tiny_schema()
     queries = []
@@ -48,7 +53,16 @@ def hand_dataset(n_queries=12, seed=0, items=(3, 6)) -> Dataset:
             scalevariant=np.array([sv for _, sv in rows]),
             labels=(np.arange(d) == booked).astype(np.float64),
         ))
-    return Dataset(schema=schema, queries=queries)
+    return queries
+
+
+def record_bytes(q: QueryRecord) -> tuple:
+    """Every field of q, its arrays as float64 bytes (category ids as int64):
+    records with equal fields give equal tuples."""
+    return (q.query_id, q.item_ids, q.num_nights, float(q.exchange_rate),
+            np.asarray(q.category_ids, dtype=np.int64).tobytes(),
+            *(np.asarray(a, dtype=np.float64).tobytes()
+              for a in (q.numeric, q.fixed, q.scalevariant, q.labels)))
 
 
 LABEL_BREAKS = ("two_booked", "none_booked", "label_of_two")

@@ -1,5 +1,5 @@
 import json
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import sirank.cli
 import sirank.data
+import sirank.trainer
 from sirank.data import (
     Dataset,
     FeatureSchema,
@@ -23,10 +24,13 @@ from sirank.data import (
 )
 from sirank.errors import DomainError, ParseError, SchemaError, ValidationError
 from sirank.generator import GeneratorConfig, generate
+from sirank.metrics import random_ranker_mean_ndcg
 from sirank.perturb import CASE_IDS, PerturbationCase, apply_case
-from sirank.scoring import build_model, prepare_dataset, scale_dataset, scale_query
+from sirank.scoring import (build_model, prepare_dataset, save_checkpoint, scale_dataset,
+                            scale_query)
 
-from conftest import edited, hand_dataset, tiny_schema, with_queries
+from conftest import (edited, hand_dataset, hand_records, record_bytes, tiny_schema,
+                      with_queries)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +571,77 @@ def test_datasets_built_without_the_check_pass_it(tmp_path):
         built[f"scale_dataset {c:g}"] = scale_dataset(loaded, c)
     for name, made in built.items():
         rebuilt = Dataset(schema=made.schema, queries=made.queries)
-        assert len(rebuilt) == len(made) > 0 and all(
-            a is b for a, b in zip(rebuilt.queries, made.queries)), name
+        assert len(made) > 0 and _column_bytes(rebuilt) == _column_bytes(made), name
+
+
+def _column_bytes(ds: Dataset) -> dict:
+    """Every column of ds: the tuples as they are, each array as its dtype, shape and bytes."""
+    return {f.name: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for f in fields(ds)[1:] for v in [getattr(ds, f.name)]}
+
+
+@pytest.mark.parametrize("source", ["hand", "generated"])
+def test_query_views_are_read_only_and_equal_the_records(source):
+    """``Dataset.queries`` gives back, as read-only views made once, the
+    records the dataset was made of; a one-query dataset's columns are its
+    record's own arrays."""
+    if source == "hand":
+        schema, records = tiny_schema(), hand_records(n_queries=12, seed=5)
+    else:
+        generated = generate(GeneratorConfig(num_queries=40, seed=4))
+        schema = generated.schema
+        records = [QueryRecord(q.query_id, q.numeric.copy(), q.category_ids.copy(), q.num_nights,
+                               q.exchange_rate, q.item_ids, q.fixed.copy(), q.scalevariant.copy(),
+                               q.labels.copy()) for q in generated.queries]
+    ds = Dataset(schema=schema, queries=records)
+    assert ds.queries is ds.queries and len(ds.queries) == len(records)
+    for view, record in zip(ds.queries, records):
+        for f in fields(QueryRecord):
+            got, want = getattr(view, f.name), getattr(record, f.name)
+            assert type(got) is type(want), f.name
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and not got.flags.writeable, f.name
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
+            else:
+                assert got == want, f.name
+    one = Dataset(schema=schema, queries=records[:1])
+    for name in ("numeric", "category_ids", "fixed", "scalevariant", "labels"):
+        assert np.shares_memory(getattr(one, name), getattr(records[0], name)), name
+
+
+def test_loading_rescaling_training_and_evaluating_never_build_record_views(
+        tmp_path, monkeypatch):
+    """The package's own paths read a Dataset's columns: with the record
+    views made to fail, every one of them still runs."""
+    ds = generate(GeneratorConfig(num_queries=60, seed=2))
+    paths = {name: str(tmp_path / name) for name in (
+        "d.jsonl", "d.schema.json", "sir.json", "deep_only.json", "p.jsonl", "e.json")}
+    save_schema(ds.schema, paths["d.schema.json"])
+
+    def views(self):
+        raise AssertionError("a Dataset's record views were built")
+
+    monkeypatch.setattr(Dataset, "queries", property(views))
+    monkeypatch.setattr(sirank.trainer, "_worker_count", lambda cells: 1)  # in-process cells
+    save_dataset(ds, paths["d.jsonl"])
+    train_ds, val_ds, test_ds = split_holdout(ds, seed=2)
+    for mode in ("sir", "deep_only"):
+        fit_standardization(train_ds, ds.schema, include_scalevariant=(mode == "deep_only"))
+        model, _ = sirank.trainer.train(train_ds, val_ds, sirank.trainer.TrainConfig(
+            mode=mode, max_epochs=2, patience=1, widths=(8,)))
+        save_checkpoint(model, paths[f"{mode}.json"])
+        assert sirank.cli.main(["evaluate", "--model", paths[f"{mode}.json"], "--data",
+                                paths["d.jsonl"], "--schema", paths["d.schema.json"],
+                                "--case", "1,2,3,4", "--out", paths["e.json"]]) == 0
+    for cid in CASE_IDS:
+        apply_case(test_ds, PerturbationCase(cid))
+    scale_dataset(test_ds, 1200.0)
+    random_ranker_mean_ndcg(test_ds)
+    assert sirank.cli.main(["perturb", "--data", paths["d.jsonl"], "--schema",
+                            paths["d.schema.json"], "--case", "3", "--out", paths["p.jsonl"]]) == 0
+    report = sirank.trainer.run_experiment(ds, sirank.trainer.ExperimentConfig(
+        seed=2, losses=("ranknet",), max_epochs=2, patience=1, widths=(8,)))
+    assert [cell.error for cell in report.cells] == [None, None]
 
 
 def test_records_and_datasets_cannot_be_edited(tmp_path):
@@ -789,13 +862,7 @@ def test_load_dataset_of_save_dataset_is_the_dataset(tmp_path, data):
     save_dataset(ds, tmp_path / "drawn.jsonl")
     back = load_dataset(tmp_path / "drawn.jsonl", ODD_SCHEMA)
 
-    def as_bytes(q):
-        return (q.query_id, q.item_ids, q.num_nights, float(q.exchange_rate),
-                q.category_ids.astype(np.int64).tobytes(),
-                *(np.asarray(a, dtype=np.float64).tobytes()
-                  for a in (q.numeric, q.fixed, q.scalevariant, q.labels)))
-
-    assert [as_bytes(q) for q in back.queries] == [as_bytes(q) for q in ds.queries]
+    assert [record_bytes(q) for q in back.queries] == [record_bytes(q) for q in records]
 
 
 # ---------------------------------------------------------------------------
@@ -930,6 +997,13 @@ def test_split_is_partition_and_deterministic():
     combined = ids(a[0]) + ids(a[1]) + ids(a[2])
     assert sorted(combined) == sorted(q.query_id for q in ds.queries)
     assert len(set(combined)) == len(combined)
+    # each part holds, bitwise, the records of its share of the permutation, in input order
+    perm = np.random.default_rng(9).permutation(57)
+    n_train, n_val = 57 - round(0.30 * 57) - round(0.07 * 57), round(0.07 * 57)
+    for part, idx in zip(a, (perm[:n_train], perm[n_train:n_train + n_val],
+                             perm[n_train + n_val:])):
+        assert ([record_bytes(q) for q in part.queries]
+                == [record_bytes(ds.queries[i]) for i in np.sort(idx)])
 
 
 def test_split_changes_with_seed():

@@ -5,11 +5,12 @@ import pytest
 
 from sirank.data import Dataset, fit_standardization
 from sirank.errors import ConfigError, ValidationError
+from sirank.generator import GeneratorConfig, generate
 from sirank.metrics import mean_ndcg
-from sirank.perturb import PerturbationCase, apply_case
+from sirank.perturb import DEFAULT_RATE, DEFAULT_TARGETS, PerturbationCase, apply_case
 from sirank.scoring import build_model, rank, score_query
 
-from conftest import edited, hand_dataset, standardized, with_queries
+from conftest import edited, hand_dataset, record_bytes, standardized, with_queries
 
 
 def test_case_validation():
@@ -104,13 +105,29 @@ def test_everything_else_untouched_and_input_unmodified():
         assert q_out.num_nights == q.num_nights
 
 
+def _case_reference(q, case_id: int, targets: list[int]):
+    """q after case ``case_id``, one record at a time: the target columns
+    multiplied by each of the case's factors in turn."""
+    factors = {1: [float(q.num_nights)], 2: [float(q.exchange_rate)],
+               3: [float(q.num_nights), float(q.exchange_rate)], 4: [DEFAULT_RATE]}[case_id]
+    scalevariant = np.array(q.scalevariant, dtype=np.float64)
+    for f in factors:
+        scalevariant[:, targets] = scalevariant[:, targets] * f
+    return replace(q, scalevariant=scalevariant)
+
+
 def test_multiplier_constant_within_query():
-    ds = hand_dataset(n_queries=8, seed=7)
-    for case_id in (1, 2, 3, 4):
-        out = apply_case(ds, PerturbationCase(case_id=case_id))
-        for q0, q1 in zip(ds.queries, out.queries):
-            ratios = (q1.scalevariant / q0.scalevariant).reshape(-1)
-            assert np.max(ratios) - np.min(ratios) < 1e-9 * np.max(ratios)
+    for ds in (hand_dataset(n_queries=8, seed=7), generate(GeneratorConfig(num_queries=30,
+                                                                           seed=7))):
+        targets = [ds.schema.item_features_scalevariant.index(name) for name in DEFAULT_TARGETS]
+        for case_id in (1, 2, 3, 4):
+            out = apply_case(ds, PerturbationCase(case_id=case_id))
+            for q0, q1 in zip(ds.queries, out.queries):
+                ratios = (q1.scalevariant[:, targets] / q0.scalevariant[:, targets]).reshape(-1)
+                assert np.max(ratios) - np.min(ratios) < 1e-9 * np.max(ratios)
+            # bitwise the per-record reference, every other field as it was
+            assert [record_bytes(q) for q in out.queries] == [
+                record_bytes(_case_reference(q, case_id, targets)) for q in ds.queries]
 
 
 def test_sir_rankings_survive_every_case():

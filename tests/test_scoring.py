@@ -27,8 +27,8 @@ from sirank.scoring import (
     score_query,
 )
 
-from conftest import (LABEL_BREAKS, break_labels, edited, hand_dataset, standardized,
-                      with_queries, without_wide)
+from conftest import (LABEL_BREAKS, break_labels, edited, hand_dataset, record_bytes,
+                      standardized, with_queries, without_wide)
 
 SCALES = (1e-2, 0.5, 7.0, 1200.0)
 
@@ -522,10 +522,12 @@ def test_scale_dataset_is_scale_query_of_every_query():
     for c in SCALES:
         scaled = scale_dataset(ds, c)
         assert scaled.schema == ds.schema
-        for q, got in zip(ds.queries, scaled.queries):
-            want = scale_query(q, c)
-            np.testing.assert_array_equal(got.scalevariant, want.scalevariant)
-            assert got.fixed is q.fixed and got.labels is q.labels and got.item_ids == q.item_ids
+        assert [record_bytes(got) for got in scaled.queries] == [
+            record_bytes(scale_query(q, c)) for q in ds.queries]
+        # every column but the scale-variant one is shared
+        assert all(getattr(scaled, name) is getattr(ds, name) for name in (
+            "query_ids", "numeric", "category_ids", "num_nights", "exchange_rates", "item_ids",
+            "fixed", "labels", "offsets"))
     assert scale_dataset(Dataset(schema=ds.schema, queries=[]), 2.0).queries == ()
 
 

@@ -241,7 +241,8 @@ def test_validation_split_needs_no_stats(mode):
     tr, va, _ = split_holdout(ds, seed=0)
 
     def attributes(split):
-        return set(vars(split)), [set(vars(q)) for q in split.queries]
+        records = [set(vars(q)) for q in split.queries]  # the views are made (and kept) first
+        return set(vars(split)), records
 
     before = [attributes(tr), attributes(va)]
     cfg = TrainConfig(mode=mode, max_epochs=3, patience=2, seed=2)
