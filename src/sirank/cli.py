@@ -9,6 +9,7 @@ timestamps, so repeat runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -32,19 +33,9 @@ from .errors import (
 )
 from .generator import GeneratorConfig, generate
 from .losses import DEFAULT_SOFTRANK_SIGMA, LOSS_NAMES
-from .metrics import EvalResult, mean_ndcg, segment_ndcg
+from .metrics import evaluate_scenarios
 from .perturb import CASE_IDS, DEFAULT_RATE, DEFAULT_TARGETS, PerturbationCase, apply_case
-from .scoring import (
-    DEFAULT_L,
-    DEFAULT_WIDTHS,
-    MODES,
-    block_invariance_gap,
-    load_checkpoint,
-    prepare_dataset,
-    save_checkpoint,
-    scale_dataset,
-    score_block,
-)
+from .scoring import DEFAULT_L, DEFAULT_WIDTHS, MODES, load_checkpoint, save_checkpoint
 from .trainer import (
     DEFAULT_MAX_EPOCHS,
     DEFAULT_PATIENCE,
@@ -208,21 +199,14 @@ def cmd_evaluate(args) -> int:
     schema = load_schema(args.schema)
     model = load_checkpoint(args.model, schema)
     ds = load_dataset(args.data, schema)
+    clean, cases, gap = evaluate_scenarios(model, ds, args.case or (), gap=model.mode == "sir")
 
-    block = prepare_dataset(model, ds)
-    clean_scores = score_block(model, block)  # scored once: for NDCG and the gap
-    results = {"clean": EvalResult.of(
-        segment_ndcg(clean_scores, block.booked, block.offsets)).to_json()}
-    del block  # one block alive at a time
-    print(f"clean mean NDCG: {results['clean']['mean']:.6f} over {len(ds)} queries")
-    for cid in (args.case or ()):
-        case_ds = apply_case(ds, PerturbationCase(cid))
-        res = mean_ndcg(model, case_ds)
-        results[f"case{cid}"] = res.to_json()
-        print(f"case {cid} mean NDCG: {res.mean:.6f}")
-    if model.mode == "sir":
-        gap = block_invariance_gap(
-            model, clean_scores, prepare_dataset(model, scale_dataset(ds, DEFAULT_RATE)))
+    results = {"clean": clean.to_json()} | {f"case{cid}": res.to_json()
+                                             for cid, res in cases.items()}
+    print(f"clean mean NDCG: {clean.mean:.6f} over {len(ds)} queries")
+    for cid in args.case or ():
+        print(f"case {cid} mean NDCG: {cases[cid].mean:.6f}")
+    if gap is not None:
         results["invariance_gap_c1200"] = gap
         print(f"invariance gap at c={DEFAULT_RATE:g}: {gap:.3e}")
 
@@ -306,6 +290,7 @@ def cmd_report(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache  # one parser a process: each parse_args makes a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sirank",
@@ -406,7 +391,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory given as a file, ...
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

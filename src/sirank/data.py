@@ -164,7 +164,7 @@ def load_schema(path) -> FeatureSchema:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or text that is not in the file's encoding
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     return FeatureSchema.from_json(obj)
 
@@ -579,29 +579,33 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
     """Read a JSONL dataset, validating every record against the schema;
     query ids must be unique within the file. Lines are parsed into columns
     ``LOAD_CHUNK_QUERIES`` queries at a time; reading stops at the first
-    fault that JSON decides, and the columns read are checked once, so the
-    first error in file order is raised."""
+    fault that JSON or the text decoder decides, and the columns read are
+    checked once, so the first error in file order is raised."""
     chunks, lines, chunk, fault = [], [], [], None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                bad = None if isinstance(obj, dict) else "expected a JSON object"
-            except json.JSONDecodeError as exc:
-                bad = exc.msg
-            if bad:
-                fault = (_read_chunk(chunk, schema, chunks, lines)
-                         or ParseError(f"{path}: line {lineno}: {bad}"))
-                break
-            chunk.append((lineno, obj))
-            if len(chunk) == LOAD_CHUNK_QUERIES:
-                fault, chunk = _read_chunk(chunk, schema, chunks, lines), []
-                if fault:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    bad = None if isinstance(obj, dict) else "expected a JSON object"
+                except json.JSONDecodeError as exc:
+                    bad = exc.msg
+                if bad:
+                    fault = (_read_chunk(chunk, schema, chunks, lines)
+                             or ParseError(f"{path}: line {lineno}: {bad}"))
                     break
-        else:
-            fault = _read_chunk(chunk, schema, chunks, lines)
+                chunk.append((lineno, obj))
+                if len(chunk) == LOAD_CHUNK_QUERIES:
+                    fault, chunk = _read_chunk(chunk, schema, chunks, lines), []
+                    if fault:
+                        break
+            else:
+                fault = _read_chunk(chunk, schema, chunks, lines)
+        except UnicodeDecodeError as exc:  # the text decoder raises it as the loop reads the file
+            fault = (_read_chunk(chunk, schema, chunks, lines)
+                     or ParseError(f"{path}: not {exc.encoding} text ({exc.reason})"))
     columns = _joined_chunks(chunks)
     _check_columns(schema, lines, "lines", **columns)
     if fault:

@@ -6,6 +6,9 @@ a time) or from a callable ranker, and ``segment_ndcg`` takes every query's
 NDCG from its segment of the item rows at once. It reads only the row of
 each query's booked item: a ``Dataset`` holds exactly one per query, checked
 when the dataset was made.
+``evaluate_scenarios`` is the paper's measurement of one model: its NDCG
+on the clean test split and under each rescaling case, and its invariance
+gap; ``sirank evaluate`` and every experiment cell call it.
 ``ndcg`` keeps the general graded-gain formula and serves as the oracle.
 """
 
@@ -18,7 +21,9 @@ from scipy.special import stdtr
 
 from .data import Dataset
 from .errors import DomainError, ValidationError
-from .scoring import DatasetBlock, Ranking, prepare_dataset, score_block
+from .perturb import DEFAULT_RATE, PerturbationCase, apply_case
+from .scoring import (DatasetBlock, Ranking, block_invariance_gap, prepare_dataset,
+                      scale_dataset, score_block)
 
 
 def ndcg(ranking: Ranking, labels) -> float:
@@ -106,6 +111,24 @@ def mean_ndcg(model, dataset: Dataset) -> EvalResult:
         parts.append(scores)
     return EvalResult.of(segment_ndcg(np.concatenate(parts), np.flatnonzero(dataset.labels),
                                       dataset.offsets))
+
+
+def evaluate_scenarios(model, test: Dataset, case_ids, gap: bool
+                       ) -> tuple[EvalResult, dict[int, EvalResult], float | None]:
+    """NDCG of ``model`` on the clean ``test`` split and under each case of
+    ``case_ids``, and, if ``gap``, its invariance gap at ``DEFAULT_RATE``
+    (else None). The clean split is scored once, for its NDCG and the gap.
+    The cases are made in order and the gap's rescale last, so the first
+    rescale that fails raises; one prepared block is alive at a time."""
+    block = prepare_dataset(model, test)
+    clean_scores = score_block(model, block)
+    clean = EvalResult.of(segment_ndcg(clean_scores, block.booked, block.offsets))
+    del block
+    cases = {cid: mean_ndcg(model, apply_case(test, PerturbationCase(cid))) for cid in case_ids}
+    if not gap:
+        return clean, cases, None
+    scaled = prepare_dataset(model, scale_dataset(test, DEFAULT_RATE))
+    return clean, cases, block_invariance_gap(model, clean_scores, scaled)
 
 
 def random_ranker_mean_ndcg(dataset: Dataset) -> float:

@@ -1,5 +1,7 @@
 """Per-query SGD training with validation-based early stopping, plus the
-full loss-by-mode experiment grid and its report rendering."""
+full loss-by-mode experiment grid and its report rendering. Each grid cell
+trains one model and measures it on the test split with
+``metrics.evaluate_scenarios``, as ``sirank evaluate`` does."""
 
 from __future__ import annotations
 
@@ -17,22 +19,19 @@ from .losses import (
     SOFTRANK_LIST_SIZE,
     loss_by_name,
 )
-from .metrics import (EvalResult, bonferroni, evaluate_block, random_ranker_mean_ndcg,
-                      segment_ndcg, two_sample_t_test)
-from .perturb import DEFAULT_RATE, DEFAULT_TARGETS, CASE_IDS, PerturbationCase, apply_case
+from .metrics import (bonferroni, evaluate_block, evaluate_scenarios, random_ranker_mean_ndcg,
+                      two_sample_t_test)
+from .perturb import DEFAULT_RATE, DEFAULT_TARGETS, CASE_IDS
 from .scoring import (
     DEFAULT_L,
     DEFAULT_WIDTHS,
     MODES,
     SirModel,
     backward,
-    block_invariance_gap,
     build_model,
     fit_stats,
     forward_block,
     prepare_dataset,
-    scale_dataset,
-    score_block,
     sgd_step,
 )
 
@@ -304,7 +303,7 @@ def _worker_count(cells: int) -> int:
 def _run_cell(task: tuple[str, str, int], grid: tuple | None = None):
     """The cell of ``grid`` (``_GRID`` in a worker) and its per-query NDCG arrays."""
     loss, mode, seed = task
-    config, train_raw, val_raw, blocks = grid or _GRID
+    config, train_raw, val_raw, test_raw = grid or _GRID
     cell = CellResult(loss=loss, mode=mode, seed=seed)
     tc = TrainConfig(loss=loss, mode=mode, max_epochs=config.max_epochs,
                      patience=config.patience, learning_rate=config.learning_rate,
@@ -317,40 +316,24 @@ def _run_cell(task: tuple[str, str, int], grid: tuple | None = None):
         return cell, {}
     cell.history = history
     cell.val_ndcg = float(history.val_ndcg[history.best_epoch])
-    test_block, case_blocks, scaled_block = blocks[mode]
-    test_scores = score_block(model, test_block)  # scored once: for NDCG and the gap
-    clean = EvalResult.of(segment_ndcg(test_scores, test_block.booked, test_block.offsets))
-    cell.test_ndcg = clean.mean
+    clean, cases, gap = evaluate_scenarios(model, test_raw, CASE_IDS, gap=True)
+    cell.test_ndcg, cell.invariance_gap_c1200 = clean.mean, gap
+    cell.case_ndcg = {cid: res.mean for cid, res in cases.items()}
     per_query = {(loss, mode, "test"): clean.per_query}
-    for cid, block in case_blocks.items():
-        res = evaluate_block(model, block)
-        cell.case_ndcg[cid] = res.mean
-        per_query[(loss, mode, f"case{cid}")] = res.per_query
-    cell.invariance_gap_c1200 = block_invariance_gap(model, test_scores, scaled_block)
+    per_query |= {(loss, mode, f"case{cid}"): res.per_query for cid, res in cases.items()}
     return cell, per_query
 
 
 def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
-    """Train every loss in both modes on one split, evaluate under all
-    perturbation cases, and compare the mode pairs with one-sided t-tests.
-    Cells run in forked workers; no output depends on how many."""
+    """Train every loss in both modes on one split, evaluate each model on
+    the test split and under all perturbation cases, and compare the mode
+    pairs with one-sided t-tests. Cells run in forked workers; no output
+    depends on how many."""
     global _GRID
     train_raw, val_raw, test_raw = split_holdout(ds, seed=config.seed)
-    cases = {cid: apply_case(test_raw, PerturbationCase(cid)) for cid in CASE_IDS}
-    scaled_test = scale_dataset(test_raw, DEFAULT_RATE)
-
-    blocks: dict[str, tuple] = {}  # an untrained model prepares them: they read schema, mode, stats
-    for mode in MODES:
-        model = build_model(ds.schema, mode=mode, widths=config.widths,
-                            compressor_dim=config.compressor_dim,
-                            stats=fit_stats(train_raw, mode))
-        blocks[mode] = (prepare_dataset(model, test_raw),
-                        {cid: prepare_dataset(model, c) for cid, c in cases.items()},
-                        prepare_dataset(model, scaled_test))
-
     tasks = [(loss, mode, _cell_seed(config.seed, li, mi))
              for li, loss in enumerate(config.losses) for mi, mode in enumerate(ROW_ORDER)]
-    grid = (config, train_raw, val_raw, blocks)
+    grid = (config, train_raw, val_raw, test_raw)
     workers = _worker_count(len(tasks))
     if workers == 1:
         results = [_run_cell(task, grid) for task in tasks]

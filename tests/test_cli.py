@@ -373,6 +373,49 @@ def test_corrupt_jsonl_is_validation_error(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("case, want", [("data_not_utf8", 3), ("schema_not_utf8", 3),
+                                         ("data_is_a_directory", 2), ("out_is_a_directory", 2)])
+def test_undecodable_file_or_directory_ends_in_one_line(workdir, tmp_path, capsys, case, want):
+    data, schema, out = workdir / "data.jsonl", workdir / "data.schema.json", tmp_path / "e.json"
+    if case == "data_not_utf8":
+        raw = data.read_bytes()
+        data = tmp_path / "latin1.jsonl"
+        data.write_bytes(raw[:3000] + b"\xe9" + raw[3001:])
+    elif case == "schema_not_utf8":
+        schema = tmp_path / "latin1.schema.json"
+        schema.write_bytes(b"\xff" + (workdir / "data.schema.json").read_bytes())
+    elif case == "data_is_a_directory":
+        data = tmp_path
+    else:
+        out = tmp_path
+    code = main(["evaluate", "--model", str(workdir / "model.json"), "--data", str(data),
+                 "--schema", str(schema), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == want
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("validation error: " if want == 3 else "usage error: ")
+    if case == "data_not_utf8":
+        assert str(data) in err
+
+
+def test_one_parser_serves_every_call_without_carrying_values(workdir, tmp_path, capsys):
+    inputs = ["--data", str(workdir / "data.jsonl"), "--schema", str(workdir / "data.schema.json")]
+    evaluate = ["evaluate", "--model", str(workdir / "model.json"), *inputs]
+    assert main([*evaluate, "--case", "1,2,3,4", "--out", str(tmp_path / "a.json")]) == 0
+    assert main([*evaluate, "--out", str(tmp_path / "b.json")]) == 0
+    assert main(["perturb", *inputs, "--case", "3", "--out", str(tmp_path / "p.jsonl")]) == 0
+    capsys.readouterr()
+    assert sirank.cli.build_parser() is sirank.cli.build_parser()
+    assert sorted(json.loads((tmp_path / "b.json").read_text())["results"]) == [
+        "clean", "invariance_gap_c1200"]
+    src = Path(sirank.cli.__file__).resolve().parents[1]
+    cmd = [sys.executable, "-m", "sirank.cli", *evaluate, "--case", "1,2,3,4",
+           "--out", str(tmp_path / "fresh.json")]
+    subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                   check=True, timeout=600)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
 def test_experiment_flag_conflicts_are_usage_errors(workdir, tmp_path, capsys):
     assert main(["experiment", "--out", str(tmp_path / "r")]) == 2
     assert main(["experiment", "--data", str(workdir / "data.jsonl"),
@@ -465,18 +508,37 @@ def test_train_rejects_dense_weight_beyond_cap(workdir, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_evaluate_rejects_gap_rescale_beyond_float_range(workdir, tmp_path, capsys):
+def _with_big_price(workdir, tmp_path):
+    """The corpus with a first price that x1200, as both case 4 and the
+    gap's rescale multiply it, takes beyond float64; and that query's id."""
     lines = (workdir / "data.jsonl").read_text().splitlines()
     record = json.loads(lines[0])
-    record["items"][0]["scalevariant"]["price"] = 1e306  # x1200 overflows float64
+    record["items"][0]["scalevariant"]["price"] = 1e306
     bad = tmp_path / "big.jsonl"
     bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    return bad, record["query_id"]
+
+
+def test_evaluate_rejects_gap_rescale_beyond_float_range(workdir, tmp_path, capsys):
+    bad, query_id = _with_big_price(workdir, tmp_path)
     code = main(["evaluate", "--model", str(workdir / "model.json"), "--data", str(bad),
                  "--schema", str(workdir / "data.schema.json")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith(f"validation error: query {record['query_id']}: ")
+    assert err.startswith(f"validation error: query {query_id}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_a_price_that_case_4_and_the_gap_both_overflow_is_named_by_case_4(workdir, tmp_path,
+                                                                          capsys):
+    bad, query_id = _with_big_price(workdir, tmp_path)
+    code = main(["evaluate", "--model", str(workdir / "model.json"), "--data", str(bad),
+                 "--schema", str(workdir / "data.schema.json"), "--case", "4"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == (f"validation error: query {query_id}: case 4 rescales a "
+                   "scale-variant value beyond the float64 range\n")
+    assert out == ""  # results are printed only once all of them are computed
 
 
 @pytest.mark.parametrize("command", ["perturb", "evaluate"])

@@ -10,12 +10,26 @@ from sirank.errors import DomainError, ValidationError
 from sirank.metrics import (
     EvalResult,
     bonferroni,
+    evaluate_scenarios,
     mean_ndcg,
     ndcg,
     random_ranker_mean_ndcg,
+    segment_ndcg,
     two_sample_t_test,
 )
-from sirank.scoring import EVAL_CHUNK_ROWS, Ranking, build_model, fit_stats, rank, score_query
+from sirank.perturb import CASE_IDS, DEFAULT_RATE, PerturbationCase, apply_case
+from sirank.scoring import (
+    EVAL_CHUNK_ROWS,
+    Ranking,
+    block_invariance_gap,
+    build_model,
+    fit_stats,
+    prepare_dataset,
+    rank,
+    scale_dataset,
+    score_block,
+    score_query,
+)
 
 from conftest import hand_dataset, with_queries
 
@@ -159,6 +173,27 @@ def test_raw_and_standardized_views_evaluate_bitwise_equal(mode):
     got = mean_ndcg(model, raw)
     assert got.per_query.tolist() == want.per_query.tolist()
     assert got.mean == want.mean
+
+
+@pytest.mark.parametrize("mode", ["sir", "deep_only"])
+def test_evaluate_scenarios_is_the_three_computations_it_replaces(mode):
+    test = hand_dataset(n_queries=40, seed=34, items=(5, 14))
+    model = build_model(test.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=5,
+                        stats=fit_stats(test, mode))
+    clean, cases, gap = evaluate_scenarios(model, test, CASE_IDS, gap=True)
+
+    block = prepare_dataset(model, test)
+    scores = score_block(model, block)
+    want = segment_ndcg(scores, block.booked, block.offsets)
+    assert clean.per_query.tobytes() == want.tobytes() and clean.mean == want.mean()
+    assert list(cases) == list(CASE_IDS)
+    for cid, res in cases.items():
+        want = mean_ndcg(model, apply_case(test, PerturbationCase(cid)))
+        assert res.per_query.tobytes() == want.per_query.tobytes() and res.mean == want.mean
+    scaled = prepare_dataset(model, scale_dataset(test, DEFAULT_RATE))
+    assert gap == block_invariance_gap(model, scores, scaled)
+
+    assert evaluate_scenarios(model, test, (), gap=False)[1:] == ({}, None)
 
 
 def test_batched_ndcg_tie_rule_on_identical_items():

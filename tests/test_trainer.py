@@ -423,7 +423,7 @@ def test_each_validation_query_is_prepared_once(monkeypatch):
     assert {q.query_id: seen[q.query_id] for q in tr.queries} == {q.query_id: 1 for q in tr}
 
 
-def test_experiment_prepares_each_evaluation_block_once_per_mode(monkeypatch):
+def test_each_experiment_cell_prepares_its_own_evaluation_blocks(monkeypatch):
     calls = Counter()
     in_train = []
     real_train = sirank.trainer.train
@@ -449,9 +449,10 @@ def test_experiment_prepares_each_evaluation_block_once_per_mode(monkeypatch):
     ds = generate(GeneratorConfig(num_queries=60, seed=11))
     report = run_experiment(ds, ExperimentConfig(seed=4, max_epochs=2, patience=1))
     assert len(report.cells) == 10
-    # per mode: the test split, four case splits and the x1200 rescaled test split
-    assert calls["evaluation"] <= 12
-    assert calls["train"] == 20
+    # per cell: the test split, four case splits and the x1200 rescaled test split
+    assert calls["evaluation"] == 6 * 10
+    # per cell: the training and validation splits
+    assert calls["train"] == 2 * 10
 
 
 def grid_in(monkeypatch, workers, ds, config):
