@@ -1,7 +1,8 @@
 """Evaluation-path timings: JSONL loading, the four perturbation cases,
-batched NDCG, the dataset invariance gap, writing a perturbed dataset,
-``score_query`` on one generated query, and one ``sirank evaluate`` and one
-``sirank perturb`` call.
+batched NDCG, ``evaluate_scenarios`` (the clean split, the four cases and the
+x1200 invariance gap, as one grid cell measures a model), writing a perturbed
+dataset, ``score_query`` on one generated query, and one ``sirank evaluate``
+and one ``sirank perturb`` call.
 
 Run from the root of a checkout:
 
@@ -38,7 +39,6 @@ SIZES = {
     "full": {"load_small": 300, "load_large": 2000, "eval_queries": 2000, "cli_queries": 300},
     "smoke": {"load_small": 30, "load_large": 100, "eval_queries": 100, "cli_queries": 30},
 }
-GAP_RATE = 1200.0
 # score_query calls per sample of score_query_us, which is in microseconds a call
 SCORE_QUERY_CALLS = 200
 
@@ -53,7 +53,7 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
     """Seconds per call of every measured operation, one sample per repeat."""
     import sirank as sr
     import sirank.cli
-    import sirank.scoring
+    import sirank.metrics
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="bench-eval-") as tmp:
@@ -75,14 +75,6 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
             models[mode] = sr.build_model(full.schema, mode=mode, seed=seed, stats=stats)
             sr.save_checkpoint(models[mode], tmp / f"{mode}.ckpt.json")
 
-        def gap():  # as ``sirank evaluate`` takes it
-            model = models["sir"]
-            base_scores = sirank.scoring.score_block(
-                model, sirank.scoring.prepare_dataset(model, test_raw))
-            scaled = sirank.scoring.prepare_dataset(
-                model, sirank.scoring.scale_dataset(test_raw, GAP_RATE))
-            return sirank.scoring.block_invariance_gap(model, base_scores, scaled)
-
         def cli(argv):
             with contextlib.redirect_stdout(io.StringIO()):
                 if sirank.cli.main(argv) != 0:
@@ -103,6 +95,9 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
             for cid in sr.CASE_IDS:
                 sr.apply_case(cases_ds, sr.PerturbationCase(cid))
 
+        def scenarios(mode):  # as a grid cell measures its model
+            return sirank.metrics.evaluate_scenarios(models[mode], cases_ds, sr.CASE_IDS, gap=True)
+
         perturbed = sr.apply_case(cases_ds, sr.PerturbationCase(3))  # what perturb() writes
         query = test_raw.queries[0]
 
@@ -121,7 +116,8 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
             f"mean_ndcg_sir_{len(test_raw)}q_s": lambda: sr.mean_ndcg(models["sir"], test_raw),
             f"mean_ndcg_deep_only_{len(test_raw)}q_s":
                 lambda: sr.mean_ndcg(models["deep_only"], test_raw),
-            f"invariance_gap_sir_{len(test_raw)}q_s": gap,
+            f"evaluate_scenarios_sir_{len(cases_ds)}q_s": lambda: scenarios("sir"),
+            f"evaluate_scenarios_deep_only_{len(cases_ds)}q_s": lambda: scenarios("deep_only"),
             f"cli_evaluate_sir_{sizes['cli_queries']}q_s": lambda: evaluate("sir"),
             f"cli_evaluate_deep_only_{sizes['cli_queries']}q_s": lambda: evaluate("deep_only"),
             f"cli_perturb_case3_{sizes['cli_queries']}q_s": perturb,

@@ -8,7 +8,8 @@ each query's booked item: a ``Dataset`` holds exactly one per query, checked
 when the dataset was made.
 ``evaluate_scenarios`` is the paper's measurement of one model: its NDCG
 on the clean test split and under each rescaling case, and its invariance
-gap; ``sirank evaluate`` and every experiment cell call it.
+gap; ``sirank evaluate`` and every experiment cell call it. A sir model
+runs its deep tower once per call: a rescale changes only its wide term.
 ``ndcg`` keeps the general graded-gain formula and serves as the oracle.
 """
 
@@ -22,7 +23,7 @@ from scipy.special import stdtr
 from .data import Dataset
 from .errors import DomainError, ValidationError
 from .perturb import DEFAULT_RATE, PerturbationCase, apply_case
-from .scoring import (DatasetBlock, Ranking, block_invariance_gap, prepare_dataset,
+from .scoring import (DatasetBlock, Ranking, block_scorer, prepare_dataset, prepare_rescale,
                       scale_dataset, score_block)
 
 
@@ -83,11 +84,10 @@ class EvalResult:
                 "per_query": [float(v) for v in self.per_query]}
 
 
-def evaluate_block(model, block: DatasetBlock) -> EvalResult:
-    """Per-query and mean NDCG of ``model`` on a dataset prepared by
-    ``scoring.prepare_dataset``; the block can be scored again after the
-    parameters change."""
-    return EvalResult.of(segment_ndcg(score_block(model, block), block.booked, block.offsets))
+def evaluate_block(block: DatasetBlock, scores: np.ndarray) -> EvalResult:
+    """Per-query and mean NDCG of ``scores`` of the item rows of a block
+    prepared by ``scoring.prepare_dataset``."""
+    return EvalResult.of(segment_ndcg(scores, block.booked, block.offsets))
 
 
 def mean_ndcg(model, dataset: Dataset) -> EvalResult:
@@ -99,7 +99,8 @@ def mean_ndcg(model, dataset: Dataset) -> EvalResult:
     that is not one score per item raises ValidationError naming the query.
     """
     if not callable(model):
-        return evaluate_block(model, prepare_dataset(model, dataset))
+        block = prepare_dataset(model, dataset)
+        return evaluate_block(block, score_block(model, block))
     if not len(dataset):
         raise ValidationError("cannot evaluate a dataset without queries")
     parts = []
@@ -117,18 +118,21 @@ def evaluate_scenarios(model, test: Dataset, case_ids, gap: bool
                        ) -> tuple[EvalResult, dict[int, EvalResult], float | None]:
     """NDCG of ``model`` on the clean ``test`` split and under each case of
     ``case_ids``, and, if ``gap``, its invariance gap at ``DEFAULT_RATE``
-    (else None). The clean split is scored once, for its NDCG and the gap.
-    The cases are made in order and the gap's rescale last, so the first
-    rescale that fails raises; one prepared block is alive at a time."""
+    (else None). The cases are made in order and the gap's rescale last, so
+    the first rescale that fails raises; each one's block is made from the
+    clean one (``prepare_rescale``), and one ``block_scorer`` scores all."""
     block = prepare_dataset(model, test)
-    clean_scores = score_block(model, block)
-    clean = EvalResult.of(segment_ndcg(clean_scores, block.booked, block.offsets))
-    del block
-    cases = {cid: mean_ndcg(model, apply_case(test, PerturbationCase(cid))) for cid in case_ids}
+    score = block_scorer(model, block)
+    clean_scores = score(block)
+    clean = evaluate_block(block, clean_scores)
+    cases = {cid: evaluate_block(block, score(prepare_rescale(
+        model, block, apply_case(test, PerturbationCase(cid))))) for cid in case_ids}
     if not gap:
         return clean, cases, None
-    scaled = prepare_dataset(model, scale_dataset(test, DEFAULT_RATE))
-    return clean, cases, block_invariance_gap(model, clean_scores, scaled)
+    delta = score(prepare_rescale(model, block, scale_dataset(test, DEFAULT_RATE))) - clean_scores
+    starts = block.offsets[:-1]  # the gap: the largest spread of a query's changes
+    return clean, cases, float(np.max(np.maximum.reduceat(delta, starts)
+                                      - np.minimum.reduceat(delta, starts)))
 
 
 def random_ranker_mean_ndcg(dataset: Dataset) -> float:

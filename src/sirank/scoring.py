@@ -16,12 +16,14 @@ dataset holds exactly one booked item per query, so a block keeps each
 query's booked row in place of its labels. ``forward_block`` scores one
 query's rows of a block for a training step; ``score_block`` scores every
 row, ``EVAL_CHUNK_ROWS`` at a time, so the memory of an evaluation pass
-does not grow with the dataset; ``forward`` and ``score_query`` score one
-query through a one-query dataset, whose columns are the record's own
-arrays, and its block. Training prepares both of its splits before the
-first step, so an input that standardizes to a non-finite value is
-reported before epoch 0. Batched scores match per-query ones to within a
-few ulps (matrix products of another shape sum in another order).
+does not grow with the dataset; ``prepare_rescale`` and ``block_scorer``
+score a rescale of a dataset from its block, in one deep-tower pass for a
+sir model. ``forward`` and ``score_query`` score one query through a
+one-query dataset, whose columns are the record's own arrays, and its
+block. Training prepares both of its splits before the first step, so an
+input that standardizes to a non-finite value is reported before epoch 0.
+Batched scores match per-query ones to within a few ulps (matrix products
+of another shape sum in another order).
 
 All parameters live in one contiguous float64 vector; ``SirModel.params`` is
 a ``ParamVector``, a dict of named views into it in build order. ``backward``
@@ -204,6 +206,13 @@ class DatasetBlock:
     row_query: np.ndarray           # (N,)
 
 
+def _standardized(x: np.ndarray, mean: np.ndarray, std: np.ndarray, out=None) -> np.ndarray:
+    """(x - mean) / std, subtracted into ``out`` (new by default), divided in place."""
+    out = np.subtract(x, mean, out=out)
+    out /= std
+    return out
+
+
 @np.errstate(over="ignore")  # a standardized value beyond float64 range is reported below
 def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     """Read what scoring needs from the columns of ``dataset``, standardize
@@ -215,29 +224,47 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     if dataset.schema != model.schema:
         raise ContractError(f"the dataset's schema (fingerprint {dataset.schema.fingerprint()[:12]}"
                             f"...) is not the model's ({model.schema.fingerprint()[:12]}...)")
-    stats = model.stats
+    stats, k1 = model.stats, model.schema.k1
     if not len(dataset):
         raise ValidationError("cannot evaluate a dataset without queries")
 
-    deep_numeric = (dataset.numeric - stats.numeric_mean) / stats.numeric_std
-    deep_items = (dataset.fixed - stats.fixed_mean) / stats.fixed_std
+    deep_items = np.empty((len(dataset.fixed), k1 + model.schema.k2 * (model.mode == "deep_only")))
+    _standardized(dataset.fixed, stats.fixed_mean, stats.fixed_std, deep_items[:, :k1])
+    offsets = dataset.offsets
+    return _read_scalevariant(model, dataset, DatasetBlock(
+        deep_numeric=_standardized(dataset.numeric, stats.numeric_mean, stats.numeric_std),
+        category_ids=dataset.category_ids, deep_items=deep_items, log_values=None,
+        booked=np.flatnonzero(dataset.labels), offsets=offsets,
+        row_query=np.repeat(np.arange(len(dataset)), np.diff(offsets))))
+
+
+def prepare_rescale(model: SirModel, block: DatasetBlock, rescale: Dataset) -> DatasetBlock:
+    """``prepare_dataset(model, rescale)`` for a rescale (``apply_case``,
+    ``scale_dataset``) of the dataset ``block`` was prepared from: only what
+    reads the scale-variant column is computed again, and checked."""
     if model.mode == "deep_only":
-        deep_items = np.concatenate([deep_items, (dataset.scalevariant - stats.scalevariant_mean)
-                                     / stats.scalevariant_std], axis=1)
-    log_values = None
+        block = replace(block, deep_items=block.deep_items.copy())
+    return _read_scalevariant(model, rescale, block)
+
+
+@np.errstate(over="ignore")  # a standardized value beyond float64 range is reported below
+def _read_scalevariant(model: SirModel, dataset: Dataset, block: DatasetBlock) -> DatasetBlock:
+    """``block`` with the logs of the wide inputs of ``dataset`` (sir) or its
+    standardized scale-variant columns in ``block.deep_items`` (deep_only);
+    DomainError names the first query with a non-finite standardized input."""
     if model.mode == "sir":
         log_values = np.concatenate([dataset.fixed, dataset.scalevariant], axis=1)
-        np.log(log_values, out=log_values)
-    offsets = dataset.offsets
-    if not (np.isfinite(deep_items).all() and np.isfinite(deep_numeric).all()):
-        bad = ~(np.isfinite(deep_numeric).all(axis=1)
-                & np.logical_and.reduceat(np.isfinite(deep_items).all(axis=1), offsets[:-1]))
+        block = replace(block, log_values=np.log(log_values, out=log_values))
+    else:
+        _standardized(dataset.scalevariant, model.stats.scalevariant_mean,
+                      model.stats.scalevariant_std, block.deep_items[:, model.schema.k1:])
+    if not (np.isfinite(block.deep_items).all() and np.isfinite(block.deep_numeric).all()):
+        bad = ~(np.isfinite(block.deep_numeric).all(axis=1)
+                & np.logical_and.reduceat(np.isfinite(block.deep_items).all(axis=1),
+                                          block.offsets[:-1]))
         raise DomainError(f"query {dataset.query_ids[int(np.argmax(bad))]}: "
                           "non-finite deep-path input")
-    return DatasetBlock(
-        deep_numeric=deep_numeric, category_ids=dataset.category_ids, deep_items=deep_items,
-        log_values=log_values, booked=np.flatnonzero(dataset.labels), offsets=offsets,
-        row_query=np.repeat(np.arange(len(dataset)), np.diff(offsets)))
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -406,29 +433,51 @@ def score_query(model: SirModel, query: QueryRecord) -> np.ndarray:
 # batched scoring of a whole dataset
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite score is reported below
-def score_block(model: SirModel, block: DatasetBlock) -> np.ndarray:
-    """Scores of every item row of ``block``, in row order, computed
-    ``EVAL_CHUNK_ROWS`` rows at a time by the same deep tower and wide term
-    as ``forward``. Parameters so large that a score is not finite raise
-    DomainError."""
+def _deep_scores(model: SirModel, q_reprs: np.ndarray, block: DatasetBlock) -> np.ndarray:
+    """Deep-tower scores of every item row of ``block``, ``EVAL_CHUNK_ROWS``
+    rows at a time; row i of ``q_reprs`` represents query i."""
+    deep = np.empty(block.row_query.size)
+    for lo in range(0, deep.size, EVAL_CHUNK_ROWS):
+        rows = slice(lo, lo + EVAL_CHUNK_ROWS)
+        deep[rows] = _deep_forward(model, q_reprs[block.row_query[rows]], block.deep_items[rows])[0]
+    return deep
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite score is reported by the scorer
+def block_scorer(model: SirModel, block: DatasetBlock):
+    """A function scoring every item row of ``block``, or of a block that
+    ``prepare_rescale`` made from it, with the parameters ``model`` has now;
+    what a rescale cannot change (the query representations, and a sir
+    model's deep-tower scores and wide weights W s(q)) is computed once."""
     p = model.params
     q_reprs = np.hstack([block.deep_numeric] + [p[name][block.category_ids[:, i]]
                                                 for i, name in enumerate(model.embedding_names)])
     if model.mode == "sir":
+        deep = _deep_scores(model, q_reprs, block)
         feature_weights = _wide_weights(model, q_reprs)[0]
-    scores = np.empty(block.row_query.size)
-    for lo in range(0, scores.size, EVAL_CHUNK_ROWS):
-        rows = slice(lo, lo + EVAL_CHUNK_ROWS)
-        owner = block.row_query[rows]
-        chunk = _deep_forward(model, q_reprs[owner], block.deep_items[rows])[0]
-        if model.mode == "sir":
-            chunk = chunk + np.einsum("ij,ij->i", block.log_values[rows], feature_weights[owner])
-        scores[rows] = chunk
-    if not np.isfinite(scores).all():
-        raise DomainError(f"{np.count_nonzero(~np.isfinite(scores))} of {scores.size} scores "
-                          "are not finite: the model's parameters overflow float64 on this data")
-    return scores
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def score(block: DatasetBlock) -> np.ndarray:
+        if model.mode == "deep_only":
+            scores = _deep_scores(model, q_reprs, block)
+        else:  # plus the wide term log(v) . W s(q), in the same chunks
+            scores = np.empty(deep.size)
+            for lo in range(0, scores.size, EVAL_CHUNK_ROWS):
+                rows = slice(lo, lo + EVAL_CHUNK_ROWS)
+                scores[rows] = deep[rows] + np.einsum("ij,ij->i", block.log_values[rows],
+                                                      feature_weights[block.row_query[rows]])
+        if not np.isfinite(scores).all():
+            raise DomainError(f"{np.count_nonzero(~np.isfinite(scores))} of {scores.size} "
+                              "scores are not finite: the model's parameters overflow float64 "
+                              "on this data")
+        return scores
+
+    return score
+
+
+def score_block(model: SirModel, block: DatasetBlock) -> np.ndarray:
+    """Scores of every item row of ``block``; DomainError if one is not finite."""
+    return block_scorer(model, block)(block)
 
 
 @dataclass(frozen=True)
@@ -490,14 +539,6 @@ def invariance_gap(model: SirModel, query: QueryRecord, c: float) -> float:
     scaled = score_query(model, scale_query(query, c))
     delta = scaled - base
     return float(np.max(delta) - np.min(delta))
-
-
-def block_invariance_gap(model: SirModel, base_scores: np.ndarray, scaled: DatasetBlock) -> float:
-    """The largest ``invariance_gap`` over the queries of a dataset, given
-    ``score_block`` of its block and ``scaled``, its block after ``scale_query``."""
-    delta = score_block(model, scaled) - base_scores
-    starts = scaled.offsets[:-1]
-    return float(np.max(np.maximum.reduceat(delta, starts) - np.minimum.reduceat(delta, starts)))
 
 
 # ---------------------------------------------------------------------------

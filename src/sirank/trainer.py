@@ -32,6 +32,7 @@ from .scoring import (
     fit_stats,
     forward_block,
     prepare_dataset,
+    score_block,
     sgd_step,
 )
 
@@ -166,7 +167,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
         train_losses.append(total / len(train_ds))
 
         try:
-            val = evaluate_block(model, val_block).mean
+            val = evaluate_block(val_block, score_block(model, val_block)).mean
         except DomainError as exc:
             raise TrainingError(f"epoch {epoch}: {exc}") from exc
         val_curve.append(val)
@@ -279,6 +280,9 @@ def _number_or_none(v):
 
 CONDITIONS = ("test",) + tuple(f"case{cid}" for cid in CASE_IDS)
 ROW_ORDER = ("deep_only", "sir")  # baseline row first, invariant row second
+# The losses by the cost of their cells, dearest first; a sir cell costs more
+# than its deep_only twin. The grid's workers start its cells in this order.
+LOSS_COST_ORDER = ("softrank", "lambdarank", "listnet", "ranknet", "listmle")
 
 
 def _cell_seed(base_seed: int, loss_index: int, mode_index: int) -> int:
@@ -327,8 +331,9 @@ def _run_cell(task: tuple[str, str, int], grid: tuple | None = None):
 def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
     """Train every loss in both modes on one split, evaluate each model on
     the test split and under all perturbation cases, and compare the mode
-    pairs with one-sided t-tests. Cells run in forked workers; no output
-    depends on how many."""
+    pairs with one-sided t-tests. Cells run in forked workers, which start
+    the dearest first (``LOSS_COST_ORDER``); results and the first error are
+    taken in grid order, so no output depends on how many."""
     global _GRID
     train_raw, val_raw, test_raw = split_holdout(ds, seed=config.seed)
     tasks = [(loss, mode, _cell_seed(config.seed, li, mi))
@@ -343,7 +348,9 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
         _GRID = grid
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                results = list(pool.map(_run_cell, tasks))
+                futures = {task: pool.submit(_run_cell, task) for task in sorted(
+                    tasks, key=lambda t: (LOSS_COST_ORDER.index(t[0]), t[1] != "sir"))}
+                results = [futures[task].result() for task in tasks]
         finally:
             _GRID = None
     cells = [cell for cell, _ in results]

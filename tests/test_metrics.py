@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 
 from sirank.data import Dataset, apply_standardization, fit_standardization
 from sirank.errors import DomainError, ValidationError
+from sirank.generator import GeneratorConfig, generate
 from sirank.metrics import (
     EvalResult,
     bonferroni,
@@ -21,7 +23,6 @@ from sirank.perturb import CASE_IDS, DEFAULT_RATE, PerturbationCase, apply_case
 from sirank.scoring import (
     EVAL_CHUNK_ROWS,
     Ranking,
-    block_invariance_gap,
     build_model,
     fit_stats,
     prepare_dataset,
@@ -30,6 +31,7 @@ from sirank.scoring import (
     score_block,
     score_query,
 )
+import sirank.scoring
 
 from conftest import hand_dataset, with_queries
 
@@ -175,25 +177,86 @@ def test_raw_and_standardized_views_evaluate_bitwise_equal(mode):
     assert got.mean == want.mean
 
 
+def scenario_model(mode, split):
+    """A model of ``mode`` and the test split it is evaluated on: 40 hand-made
+    queries and narrow layers, or 300 generated queries (more than 16 chunks
+    of ``EVAL_CHUNK_ROWS``) and the default widths."""
+    if split == "hand_40q":
+        test = hand_dataset(n_queries=40, seed=34, items=(5, 14))
+        return build_model(test.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=5,
+                           stats=fit_stats(test, mode)), test
+    test = generate(GeneratorConfig(num_queries=300, seed=34))
+    assert test.offsets[-1] > 16 * EVAL_CHUNK_ROWS
+    return build_model(test.schema, mode=mode, seed=5, stats=fit_stats(test, mode)), test
+
+
 @pytest.mark.parametrize("mode", ["sir", "deep_only"])
 def test_evaluate_scenarios_is_the_three_computations_it_replaces(mode):
-    test = hand_dataset(n_queries=40, seed=34, items=(5, 14))
-    model = build_model(test.schema, mode=mode, widths=(8, 4), compressor_dim=2, seed=5,
-                        stats=fit_stats(test, mode))
-    clean, cases, gap = evaluate_scenarios(model, test, CASE_IDS, gap=True)
+    for split in ("hand_40q", "generated_300q"):
+        model, test = scenario_model(mode, split)
+        clean, cases, gap = evaluate_scenarios(model, test, CASE_IDS, gap=True)
 
-    block = prepare_dataset(model, test)
-    scores = score_block(model, block)
-    want = segment_ndcg(scores, block.booked, block.offsets)
-    assert clean.per_query.tobytes() == want.tobytes() and clean.mean == want.mean()
-    assert list(cases) == list(CASE_IDS)
-    for cid, res in cases.items():
-        want = mean_ndcg(model, apply_case(test, PerturbationCase(cid)))
-        assert res.per_query.tobytes() == want.per_query.tobytes() and res.mean == want.mean
-    scaled = prepare_dataset(model, scale_dataset(test, DEFAULT_RATE))
-    assert gap == block_invariance_gap(model, scores, scaled)
+        block = prepare_dataset(model, test)
+        scores = score_block(model, block)
+        want = segment_ndcg(scores, block.booked, block.offsets)
+        assert clean.per_query.tobytes() == want.tobytes() and clean.mean == want.mean()
+        assert list(cases) == list(CASE_IDS)
+        for cid, res in cases.items():
+            want = mean_ndcg(model, apply_case(test, PerturbationCase(cid)))
+            assert res.per_query.tobytes() == want.per_query.tobytes() and res.mean == want.mean
+        # the gap: each query's spread of the change in score_block's scores
+        scaled = score_block(model, prepare_dataset(model, scale_dataset(test, DEFAULT_RATE)))
+        bounds = zip(block.offsets[:-1], block.offsets[1:])
+        assert gap == max(float(np.ptp(scaled[a:b] - scores[a:b])) for a, b in bounds), split
 
-    assert evaluate_scenarios(model, test, (), gap=False)[1:] == ({}, None)
+        assert evaluate_scenarios(model, test, (), gap=False)[1:] == ({}, None)
+
+
+@pytest.mark.parametrize("mode, towers", [("sir", 1), ("deep_only", 6)])
+def test_a_sir_evaluation_runs_its_deep_tower_once(monkeypatch, mode, towers):
+    # deep_only: the clean split, four cases and the x1200 copy each run it
+    model, test = scenario_model(mode, "hand_40q")
+    assert test.offsets[-1] > EVAL_CHUNK_ROWS
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(sirank.scoring, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_deep_scores", "_deep_forward"):
+        monkeypatch.setattr(sirank.scoring, name, counting(name))
+    evaluate_scenarios(model, test, CASE_IDS, gap=True)
+    chunks = -(-int(test.offsets[-1]) // EVAL_CHUNK_ROWS)
+    assert calls == {"_deep_scores": towers, "_deep_forward": towers * chunks}
+
+
+@pytest.mark.parametrize("scenario", ["case_4", "gap"])
+def test_a_rescale_that_standardizes_beyond_float_range_raises_as_prepare_dataset(scenario):
+    # a tiny price std: x1200 takes the dearest item's standardized price, and
+    # only that one (query q27's), beyond the float64 range
+    test = hand_dataset(n_queries=40, seed=35, items=(5, 14))
+    stats = fit_stats(test, "deep_only")
+    price = test.schema.item_features_scalevariant.index("price")
+    second, top = np.sort(test.scalevariant[:, price])[-2:]
+    mean, std = stats.scalevariant_mean.copy(), stats.scalevariant_std.copy()
+    mean[price], std[price] = 0.0, DEFAULT_RATE * (top + second) / 2 / np.finfo(float).max
+    model = build_model(test.schema, mode="deep_only", widths=(8, 4), compressor_dim=2, seed=5,
+                        stats=replace(stats, scalevariant_mean=mean, scalevariant_std=std))
+    # the clean split's inputs are finite, and its scores too: the deep tower
+    # does not read the price
+    prepare_dataset(model, test)
+    model.params["deep_w0"][-test.schema.k2 + price] = 0.0
+    rescale = (apply_case(test, PerturbationCase(4)) if scenario == "case_4"
+               else scale_dataset(test, DEFAULT_RATE))
+    with pytest.raises(DomainError, match="^query q27: non-finite deep-path input$") as want:
+        prepare_dataset(model, rescale)
+    with pytest.raises(DomainError) as got:
+        evaluate_scenarios(model, test, (4,) if scenario == "case_4" else (), gap=True)
+    assert str(got.value) == str(want.value)
 
 
 def test_batched_ndcg_tie_rule_on_identical_items():

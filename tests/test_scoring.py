@@ -12,13 +12,14 @@ from sirank.perturb import PerturbationCase, apply_case
 from sirank.scoring import (
     EVAL_CHUNK_ROWS,
     Ranking,
-    block_invariance_gap,
+    block_scorer,
     build_model,
     fit_stats,
     forward,
     invariance_gap,
     load_checkpoint,
     prepare_dataset,
+    prepare_rescale,
     rank,
     save_checkpoint,
     scale_dataset,
@@ -400,10 +401,14 @@ def test_batched_scores_match_per_query_across_chunks():
 
 
 def batched_gap(model, ds, c):
-    """The largest invariance gap over ``ds``, as ``sirank evaluate`` takes it:
-    ``block_invariance_gap`` of the clean scores and the rescaled block."""
-    base_scores = score_block(model, prepare_dataset(model, ds))
-    return block_invariance_gap(model, base_scores, prepare_dataset(model, scale_dataset(ds, c)))
+    """The largest invariance gap over ``ds``, as ``evaluate_scenarios`` takes
+    it: one scorer of the clean block scores it and its rescaled block, and
+    each query's spread of the change is reduced over its segment."""
+    block = prepare_dataset(model, ds)
+    score = block_scorer(model, block)
+    delta = score(prepare_rescale(model, block, scale_dataset(ds, c))) - score(block)
+    starts = block.offsets[:-1]
+    return float(np.max(np.maximum.reduceat(delta, starts) - np.minimum.reduceat(delta, starts)))
 
 
 def test_batched_gap_matches_per_query_max():

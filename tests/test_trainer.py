@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ import pytest
 from sirank.data import fit_standardization, split_holdout
 from sirank.errors import ConfigError, ContractError, TrainingError, ValidationError
 from sirank.generator import GeneratorConfig, generate
-from sirank.losses import SOFTRANK_LIST_SIZE, loss_by_name
+from sirank.losses import LOSS_NAMES, SOFTRANK_LIST_SIZE, loss_by_name
 from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
 import sirank.metrics
 import sirank.scoring
@@ -21,6 +22,9 @@ import sirank.trainer
 from sirank.scoring import backward, build_model, fit_stats, forward, prepare_dataset
 from sirank.trainer import (
     DEFAULT_LEARNING_RATES,
+    LOSS_COST_ORDER,
+    ROW_ORDER,
+    CellResult,
     ExperimentConfig,
     TrainConfig,
     _cell_seed,
@@ -423,7 +427,7 @@ def test_each_validation_query_is_prepared_once(monkeypatch):
     assert {q.query_id: seen[q.query_id] for q in tr.queries} == {q.query_id: 1 for q in tr}
 
 
-def test_each_experiment_cell_prepares_its_own_evaluation_blocks(monkeypatch):
+def test_each_experiment_cell_prepares_its_test_split_once(monkeypatch):
     calls = Counter()
     in_train = []
     real_train = sirank.trainer.train
@@ -435,24 +439,59 @@ def test_each_experiment_cell_prepares_its_own_evaluation_blocks(monkeypatch):
         finally:
             in_train.pop()
 
-    def counting(prepare):
+    def counting(prepare, kind=None):
         def wrapper(*args, **kwargs):
-            calls["train" if in_train else "evaluation"] += 1
+            calls[kind or ("train" if in_train else "evaluation")] += 1
             return prepare(*args, **kwargs)
         return wrapper
 
     for module in (sirank.scoring, sirank.metrics, sirank.trainer):
         monkeypatch.setattr(module, "prepare_dataset", counting(module.prepare_dataset))
+    monkeypatch.setattr(sirank.metrics, "prepare_rescale",
+                        counting(sirank.metrics.prepare_rescale, "rescale"))
     monkeypatch.setattr(sirank.trainer, "train", counting_train)
     # in-process, so the counters see the cells' calls too
     monkeypatch.setattr(sirank.trainer, "_worker_count", lambda cells: 1)
     ds = generate(GeneratorConfig(num_queries=60, seed=11))
     report = run_experiment(ds, ExperimentConfig(seed=4, max_epochs=2, patience=1))
     assert len(report.cells) == 10
-    # per cell: the test split, four case splits and the x1200 rescaled test split
-    assert calls["evaluation"] == 6 * 10
+    # per cell: the test split, once; the four cases and the x1200 copy are
+    # made from its block
+    assert calls["evaluation"] == 10
+    assert calls["rescale"] == 5 * 10
     # per cell: the training and validation splits
     assert calls["train"] == 2 * 10
+
+
+def test_grid_workers_start_the_dearest_cells_first_and_report_in_grid_order(monkeypatch):
+    assert sorted(LOSS_COST_ORDER) == sorted(LOSS_NAMES)
+    submitted = []
+
+    class RecordingPool:  # takes the cells in the order the grid submits them; trains nothing
+        def __init__(self, workers, mp_context):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, run_cell, task):
+            submitted.append(task)
+            future = concurrent.futures.Future()
+            future.set_result((CellResult(loss=task[0], mode=task[1], seed=task[2]), {}))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sirank.trainer, "_worker_count", lambda cells: 2)
+    report = run_experiment(generate(GeneratorConfig(num_queries=30, seed=11)),
+                            ExperimentConfig(seed=4, max_epochs=2, patience=1))
+    assert [task[:2] for task in submitted] == [(loss, mode) for loss in LOSS_COST_ORDER
+                                                for mode in ("sir", "deep_only")]
+    assert [(c.loss, c.mode, c.seed) for c in report.cells] == [
+        (loss, mode, _cell_seed(4, li, mi)) for li, loss in enumerate(LOSS_NAMES)
+        for mi, mode in enumerate(ROW_ORDER)]
 
 
 def grid_in(monkeypatch, workers, ds, config):
