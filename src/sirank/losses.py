@@ -42,7 +42,11 @@ class LossOutput:
     score_gradients: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.value) or not np.all(np.isfinite(self.score_gradients)):
+        # a finite sum means every gradient is finite; only a sum that is not
+        # is looked at entry by entry
+        if not (math.isfinite(self.value)
+                and (math.isfinite(np.add.reduce(self.score_gradients))
+                     or np.isfinite(self.score_gradients).all())):
             raise TrainingError("loss produced a non-finite value or gradient")
 
 
@@ -58,11 +62,6 @@ def _scores_and_booked(scores, booked) -> tuple[np.ndarray, int]:
     if not 0 <= booked < s.size:
         raise DomainError(f"booked index {booked} out of range for {s.size} scores")
     return s, int(booked)
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + e^x) without overflow
-    return np.logaddexp(0.0, x)
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -87,27 +86,25 @@ def _logsumexp(a: np.ndarray) -> np.float64:
 # pairwise
 
 
-def _weighted_pairwise_loss(scores, booked, pair_weights) -> LossOutput:
+def _weighted_pairwise_loss(scores, booked, pair_weights=None) -> LossOutput:
     """Sum over (booked, non-booked) pairs of w * log(1 + e^-(f_booked - f_other)),
     with w = pair_weights(scores, booked, others) held constant in the
-    gradient."""
+    gradient, or w = 1 without ``pair_weights``."""
     s, b = _scores_and_booked(scores, booked)
-    index = np.arange(s.size)
-    others = index[index != b]
-    if others.size == 0:
+    if s.size == 1:
         return LossOutput(value=0.0, score_gradients=np.zeros(1))
-    w = pair_weights(s, b, others)
-    d = s[b] - s[others]
-    value = float(np.sum(w * _softplus(-d)))
-    slope = w * expit(-d)  # w * (1 - P(booked beats other))
-    grad = np.zeros(s.size)
+    others = np.arange(s.size - 1)
+    others[b:] += 1
+    # f_other - f_booked: rounding is symmetric, so this is -(f_booked - f_other) exactly
+    d = s[others] - s[b]
+    softplus, slope = np.logaddexp(0.0, d), expit(d)  # slope: 1 - P(booked beats other)
+    if pair_weights is not None:
+        w = pair_weights(s, b, others)
+        softplus, slope = w * softplus, w * slope
+    grad = np.empty(s.size)
     grad[others] = slope
-    grad[b] = -float(np.sum(slope))
-    return LossOutput(value=value, score_gradients=grad)
-
-
-def _unit_weights(scores, b, others) -> np.ndarray:
-    return np.ones(others.size)
+    grad[b] = -float(slope.sum())
+    return LossOutput(value=float(softplus.sum()), score_gradients=grad)
 
 
 def ranknet_loss(scores, booked) -> LossOutput:
@@ -115,7 +112,7 @@ def ranknet_loss(scores, booked) -> LossOutput:
 
     Each pair contributes log(1 + e^-(f_booked - f_other)).
     """
-    return _weighted_pairwise_loss(scores, booked, _unit_weights)
+    return _weighted_pairwise_loss(scores, booked)
 
 
 def delta_ndcg_weights(scores: np.ndarray, b: int, others: np.ndarray) -> np.ndarray:

@@ -13,17 +13,18 @@ the logs of the wide inputs. The data rules were checked once, when the
 ``Dataset`` was made, so ``prepare_dataset`` checks only what depends on
 the model: the schema and the finiteness of the standardized inputs. A
 dataset holds exactly one booked item per query, so a block keeps each
-query's booked row in place of its labels. ``forward_block`` scores one
-query's rows of a block for a training step; ``score_block`` scores every
-row, ``EVAL_CHUNK_ROWS`` at a time, so the memory of an evaluation pass
-does not grow with the dataset; ``prepare_rescale`` and ``block_scorer``
-score a rescale of a dataset from its block, in one deep-tower pass for a
-sir model. ``forward`` and ``score_query`` score one query through a
-one-query dataset, whose columns are the record's own arrays, and its
-block. Training prepares both of its splits before the first step, so an
-input that standardizes to a non-finite value is reported before epoch 0.
-Batched scores match per-query ones to within a few ulps (matrix products
-of another shape sum in another order).
+query's booked row in place of its labels, and the positions of its
+embedding rows in ``params.flat`` in place of its category ids.
+``forward_block`` scores one query's rows of a block for a training step;
+``score_block`` scores every row, ``EVAL_CHUNK_ROWS`` at a time, so the
+memory of an evaluation pass does not grow with the dataset;
+``prepare_rescale`` and ``block_scorer`` score a rescale of a dataset from
+its block, in one deep-tower pass for a sir model. ``forward`` and
+``score_query`` score one query through a one-query dataset, whose columns
+are the record's own arrays, and its block. Training prepares both of its
+splits before the first step, so an input that standardizes to a non-finite
+value is reported before epoch 0. Batched scores match per-query ones to
+within a few ulps (matrix products of another shape sum in another order).
 
 All parameters live in one contiguous float64 vector; ``SirModel.params`` is
 a ``ParamVector``, a dict of named views into it in build order. ``backward``
@@ -35,6 +36,7 @@ checks and updates every parameter with one vector operation each.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -102,9 +104,14 @@ class SirModel:
     stats: StandardizationStats
 
     @cached_property
-    def embedding_names(self) -> tuple[str, ...]:
-        """Embedding table parameter names, in schema categorical order."""
-        return tuple(f"emb_{f.name}" for f in self.schema.categorical_query_features)
+    def embedding_columns(self) -> np.ndarray:
+        """(3, embedding width): per embedding column of the query
+        representation, the categorical feature it reads, its position in
+        ``params.flat`` for category id 0, and its table's row width."""
+        starts = {name: span.start for name, span, _ in self.params.layout}
+        return np.array([(i, starts[f"emb_{f.name}"] + j, f.embedding_dim)
+                         for i, f in enumerate(self.schema.categorical_query_features)
+                         for j in range(f.embedding_dim)], dtype=np.intp).reshape(-1, 3).T
 
     @cached_property
     def dense_names(self) -> tuple[tuple[str, str], ...]:
@@ -193,12 +200,15 @@ class DatasetBlock:
     """Every query of a dataset prepared for scoring, read from its columns
     and checked once. Query i owns item rows ``offsets[i]:offsets[i + 1]`` of
     ``deep_items`` and ``log_values``, and ``booked[i]`` is the row of its
-    booked item; ``row_query`` maps each item row to its query. Nothing in a
-    block depends on the parameters, so it can be scored again after every
-    update."""
+    booked item; ``row_query`` maps each item row to its query.
+    ``embedding_rows[i]`` holds the positions in ``params.flat`` of the
+    embedding rows that query i's category ids pick, in schema order, so one
+    gather reads them and one assignment writes their gradient. Nothing in a
+    block depends on the parameter values, so it can be scored again after
+    every update."""
 
     deep_numeric: np.ndarray        # (Q, numeric query features)
-    category_ids: np.ndarray        # (Q, categorical query features)
+    embedding_rows: np.ndarray      # (Q, embedding width)
     deep_items: np.ndarray          # (N, deep-path item inputs)
     log_values: np.ndarray | None   # (N, K1 + K2); None for deep_only models
     booked: np.ndarray              # (Q,)
@@ -231,9 +241,11 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
     deep_items = np.empty((len(dataset.fixed), k1 + model.schema.k2 * (model.mode == "deep_only")))
     _standardized(dataset.fixed, stats.fixed_mean, stats.fixed_std, deep_items[:, :k1])
     offsets = dataset.offsets
+    feature, first, width = model.embedding_columns
     return _read_scalevariant(model, dataset, DatasetBlock(
         deep_numeric=_standardized(dataset.numeric, stats.numeric_mean, stats.numeric_std),
-        category_ids=dataset.category_ids, deep_items=deep_items, log_values=None,
+        embedding_rows=first + width * dataset.category_ids[:, feature],
+        deep_items=deep_items, log_values=None,
         booked=np.flatnonzero(dataset.labels), offsets=offsets,
         row_query=np.repeat(np.arange(len(dataset)), np.diff(offsets))))
 
@@ -275,28 +287,19 @@ def _read_scalevariant(model: SirModel, dataset: Dataset, block: DatasetBlock) -
 class ForwardCache:
     """What the backward pass needs from one forward pass.
 
-    ``lookups`` names the embedding row of each categorical query feature as
-    (table parameter name, category id). ``layer_inputs[i]`` is the input of
-    dense layer i (the last one feeds the head) and ``pre_activations[i]``
-    its output before the ReLU. The wide fields stay None for deep_only
-    models.
+    ``embedding_rows`` holds the positions in ``params.flat`` of the
+    embedding rows the query read (a row of ``DatasetBlock.embedding_rows``).
+    ``layer_inputs[i]`` is the input of dense layer i (the last one feeds the
+    head) and ``pre_activations[i]`` its output before the ReLU. The wide
+    fields stay None for deep_only models.
     """
 
-    lookups: tuple[tuple[str, int], ...]
+    embedding_rows: np.ndarray
     q_repr: np.ndarray
     layer_inputs: list[np.ndarray]
     pre_activations: list[np.ndarray]
     s_row: np.ndarray | None = None
     log_values: np.ndarray | None = None
-
-
-def _query_repr(model: SirModel, block: DatasetBlock, qi: int):
-    """Query ``qi``'s standardized numeric features followed by one
-    embedding row per categorical feature, and the lookups that gave them."""
-    p = model.params
-    lookups = tuple(zip(model.embedding_names, block.category_ids[qi].tolist()))
-    q_repr = np.concatenate([block.deep_numeric[qi]] + [p[name][cid] for name, cid in lookups])
-    return q_repr, lookups
 
 
 def _deep_forward(model: SirModel, query_rows: np.ndarray, deep_items: np.ndarray):
@@ -311,19 +314,23 @@ def _deep_forward(model: SirModel, query_rows: np.ndarray, deep_items: np.ndarra
     layer_inputs, pre_activations = [], []
     for w_name, b_name in model.dense_names:
         layer_inputs.append(h)
-        z = h @ p[w_name] + p[b_name]
+        z = np.dot(h, p[w_name])
+        z += p[b_name]
         pre_activations.append(z)
         h = np.maximum(z, 0.0)
     layer_inputs.append(h)
-    return (h @ p["head_w"] + p["head_b"]).reshape(-1), layer_inputs, pre_activations
+    out = np.dot(h, p["head_w"])
+    out += p["head_b"]
+    return out.reshape(-1), layer_inputs, pre_activations
 
 
 def _wide_weights(model: SirModel, q_reprs: np.ndarray):
     """Per-feature wide weights W s(q), one row (K,) per query row of
     ``q_reprs``, and the compressed queries s(q) they came from."""
     p = model.params
-    s = q_reprs @ p["fs_w"] + p["fs_b"]
-    return s @ p["wide_w"].reshape(model.compressor_dim, -1), s
+    s = np.dot(q_reprs, p["fs_w"])
+    s += p["fs_b"]
+    return np.dot(s, p["wide_w"].reshape(model.compressor_dim, -1)), s
 
 
 def forward_block(model: SirModel, block: DatasetBlock, qi: int,
@@ -344,15 +351,18 @@ def forward_block(model: SirModel, block: DatasetBlock, qi: int,
         deep_items = deep_items[item_indices]
         if log_values is not None:
             log_values = log_values[item_indices]
-    q_repr, lookups = _query_repr(model, block, qi)
+    # the standardized numeric query features, then the embedding rows
+    embedding_rows = block.embedding_rows[qi]
+    q_repr = np.concatenate((block.deep_numeric[qi], model.params.flat[embedding_rows]))
     deep, layer_inputs, pre_activations = _deep_forward(model, q_repr, deep_items)
-    cache = ForwardCache(lookups, q_repr, layer_inputs, pre_activations)
+    cache = ForwardCache(embedding_rows, q_repr, layer_inputs, pre_activations)
     if model.mode == "deep_only":
         return deep, cache
     # wide scores (D,) = log(v) . (W s(q))
     feature_weights, cache.s_row = _wide_weights(model, q_repr.reshape(1, -1))
     cache.log_values = log_values
-    return deep + (log_values @ feature_weights.reshape(-1, 1)).reshape(-1), cache
+    deep += np.dot(log_values, feature_weights.reshape(-1, 1)).reshape(-1)
+    return deep, cache
 
 
 def forward(model: SirModel, query: QueryRecord,
@@ -371,7 +381,8 @@ def backward(model: SirModel, cache: ForwardCache, score_gradients: np.ndarray,
     """Gradient of sum(score_gradients * scores) for every parameter, laid
     out like ``model.params``; an embedding table's gradient is written only
     in the row the query looked up. ``grads``, if given, is zeroed and
-    written instead of a fresh vector, and returned."""
+    written instead of a fresh vector, and returned. Each gradient is
+    written into its view by ``np.dot(..., out=)``, the BLAS call of ``@``."""
     p = model.params
     g = np.asarray(score_gradients, dtype=np.float64).reshape(-1, 1)
     if g.shape[0] != cache.layer_inputs[0].shape[0]:
@@ -384,38 +395,36 @@ def backward(model: SirModel, cache: ForwardCache, score_gradients: np.ndarray,
     else:
         grads.flat.fill(0.0)
     n = len(model.widths)
-    grads["head_w"][...] = cache.layer_inputs[n].T @ g
-    grads["head_b"][...] = g.sum(axis=0)
-    g_h = g @ p["head_w"].T
+    np.dot(cache.layer_inputs[n].T, g, out=grads["head_w"])
+    np.add.reduce(g, axis=0, out=grads["head_b"])
+    g_h = np.dot(g, p["head_w"].T)
     for i in reversed(range(n)):
         w_name, b_name = model.dense_names[i]
-        g_z = g_h * (cache.pre_activations[i] > 0.0)
-        grads[w_name][...] = cache.layer_inputs[i].T @ g_z
-        grads[b_name][...] = g_z.sum(axis=0)
-        g_h = g_z @ p[w_name].T
-    g_q = g_h[:, :cache.q_repr.shape[0]].sum(axis=0)
+        g_h *= cache.pre_activations[i] > 0.0  # now the gradient of the pre-activations
+        np.dot(cache.layer_inputs[i].T, g_h, out=grads[w_name])
+        np.add.reduce(g_h, axis=0, out=grads[b_name])
+        g_h = np.dot(g_h, p[w_name].T)
+    g_q = np.add.reduce(g_h[:, :cache.q_repr.shape[0]], axis=0)
 
     if model.mode == "sir":
         k = model.schema.k1 + model.schema.k2
-        g_fw = (cache.log_values.T @ g).reshape(1, k)
-        grads["wide_w"][...] = (cache.s_row.T @ g_fw).reshape(-1)
-        g_s = g_fw @ p["wide_w"].reshape(model.compressor_dim, k).T
-        grads["fs_w"][...] = cache.q_repr.reshape(1, -1).T @ g_s
-        grads["fs_b"][...] = g_s.sum(axis=0)
-        g_q = g_q + (g_s @ p["fs_w"].T).reshape(-1)
+        g_fw = np.dot(cache.log_values.T, g).reshape(1, k)
+        np.dot(cache.s_row.T, g_fw, out=grads["wide_w"].reshape(model.compressor_dim, k))
+        g_s = np.dot(g_fw, p["wide_w"].reshape(model.compressor_dim, k).T)
+        np.dot(cache.q_repr.reshape(1, -1).T, g_s, out=grads["fs_w"])
+        np.add.reduce(g_s, axis=0, out=grads["fs_b"])
+        g_q += np.dot(g_s, p["fs_w"].T).reshape(-1)
 
-    lo = len(model.schema.numeric_query_names)
-    for name, cid in cache.lookups:
-        row = grads[name][cid]
-        row[...] = g_q[lo:lo + row.size]
-        lo += row.size
+    grads.flat[cache.embedding_rows] = g_q[len(model.schema.numeric_query_names):]
     return grads
 
 
 def sgd_step(params: ParamVector, grads: ParamVector, lr: float) -> None:
     """One plain gradient-descent step over the whole parameter vector, in
-    place; a non-finite gradient leaves every parameter untouched."""
-    if not np.isfinite(grads.flat).all():
+    place; a non-finite gradient leaves every parameter untouched. A finite
+    sum means every entry is finite, so only a sum that is not is looked at
+    entry by entry; numpy's warning from the sum is left to the caller."""
+    if not math.isfinite(np.add.reduce(grads.flat)) and not np.isfinite(grads.flat).all():
         name = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
         raise TrainingError(f"non-finite gradient in parameter '{name}'")
     params.flat -= lr * grads.flat
@@ -449,9 +458,7 @@ def block_scorer(model: SirModel, block: DatasetBlock):
     ``prepare_rescale`` made from it, with the parameters ``model`` has now;
     what a rescale cannot change (the query representations, and a sir
     model's deep-tower scores and wide weights W s(q)) is computed once."""
-    p = model.params
-    q_reprs = np.hstack([block.deep_numeric] + [p[name][block.category_ids[:, i]]
-                                                for i, name in enumerate(model.embedding_names)])
+    q_reprs = np.hstack((block.deep_numeric, model.params.flat[block.embedding_rows]))
     if model.mode == "sir":
         deep = _deep_scores(model, q_reprs, block)
         feature_weights = _wide_weights(model, q_reprs)[0]

@@ -156,7 +156,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
                 booked = item_indices.index(booked)
             try:
                 scores, cache = forward_block(model, train_block, qi, item_indices)
-                if not np.all(np.isfinite(scores)):
+                # a finite sum means every score is finite
+                if not math.isfinite(np.add.reduce(scores)) and not np.isfinite(scores).all():
                     raise TrainingError("scores became non-finite; training diverged")
                 out = loss_fn(scores, booked)
                 sgd_step(model.params, backward(model, cache, out.score_gradients, grads), lr)
@@ -209,6 +210,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown losses {unknown}")
         if not self.losses:
             raise ConfigError("need at least one loss")
+        if len(set(self.losses)) != len(self.losses):
+            raise ConfigError(f"each loss may appear once, got {list(self.losses)}")
         _check_schedule(self.max_epochs, self.patience, self.learning_rate, self.sigma)
 
 

@@ -107,6 +107,82 @@ def without_wide(model):
     return replace(model, params=params)
 
 
+# ---------------------------------------------------------------------------
+# a frozen reference of the training step's forward and backward pass: one
+# lookup per embedding table, ``@`` products and one gradient array per
+# parameter name. It is kept plain on purpose and never optimized, so a
+# rewrite of the step that moves a bit of a score or a gradient fails
+# against it.
+
+
+def reference_forward(model, block, category_ids, qi, item_indices=None):
+    """Scores of query ``qi``'s rows of ``block`` (the selected ones, all by
+    default) and what ``reference_backward`` needs; ``category_ids`` are the
+    dataset's, row ``qi`` naming the embedding rows the query reads."""
+    p = model.params
+    rows = slice(block.offsets[qi], block.offsets[qi + 1])
+    deep_items = block.deep_items[rows]
+    log_values = None if block.log_values is None else block.log_values[rows]
+    if item_indices is not None:
+        deep_items = deep_items[list(item_indices)]
+        if log_values is not None:
+            log_values = log_values[list(item_indices)]
+    lookups = [(f"emb_{f.name}", int(cid))
+               for f, cid in zip(model.schema.categorical_query_features, category_ids[qi])]
+    q_repr = np.concatenate([block.deep_numeric[qi]] + [p[name][cid] for name, cid in lookups])
+    h = np.empty((deep_items.shape[0], q_repr.size + deep_items.shape[1]))
+    h[:, :q_repr.size] = q_repr
+    h[:, q_repr.size:] = deep_items
+    layer_inputs, pre_activations = [], []
+    for i in range(len(model.widths)):
+        layer_inputs.append(h)
+        z = h @ p[f"deep_w{i}"] + p[f"deep_b{i}"]
+        pre_activations.append(z)
+        h = np.maximum(z, 0.0)
+    layer_inputs.append(h)
+    scores = (h @ p["head_w"] + p["head_b"]).reshape(-1)
+    cache = {"lookups": lookups, "q_repr": q_repr, "layer_inputs": layer_inputs,
+             "pre_activations": pre_activations}
+    if model.mode == "sir":
+        s_row = q_repr.reshape(1, -1) @ p["fs_w"] + p["fs_b"]
+        feature_weights = s_row @ p["wide_w"].reshape(model.compressor_dim, -1)
+        scores = scores + (log_values @ feature_weights.reshape(-1, 1)).reshape(-1)
+        cache |= {"s_row": s_row, "log_values": log_values}
+    return scores, cache
+
+
+def reference_backward(model, cache, score_gradients) -> dict[str, np.ndarray]:
+    """Gradient of sum(score_gradients * scores) for every parameter by
+    name, zero outside the embedding rows the query looked up."""
+    p = model.params
+    grads = {name: np.zeros_like(value) for name, value in p.items()}
+    g = np.asarray(score_gradients, dtype=np.float64).reshape(-1, 1)
+    n = len(model.widths)
+    grads["head_w"] = cache["layer_inputs"][n].T @ g
+    grads["head_b"] = g.sum(axis=0)
+    g_h = g @ p["head_w"].T
+    for i in reversed(range(n)):
+        g_z = g_h * (cache["pre_activations"][i] > 0.0)
+        grads[f"deep_w{i}"] = cache["layer_inputs"][i].T @ g_z
+        grads[f"deep_b{i}"] = g_z.sum(axis=0)
+        g_h = g_z @ p[f"deep_w{i}"].T
+    g_q = g_h[:, :cache["q_repr"].shape[0]].sum(axis=0)
+    if model.mode == "sir":
+        k = model.schema.k1 + model.schema.k2
+        g_fw = (cache["log_values"].T @ g).reshape(1, k)
+        grads["wide_w"] = (cache["s_row"].T @ g_fw).reshape(-1)
+        g_s = g_fw @ p["wide_w"].reshape(model.compressor_dim, k).T
+        grads["fs_w"] = cache["q_repr"].reshape(1, -1).T @ g_s
+        grads["fs_b"] = g_s.sum(axis=0)
+        g_q = g_q + (g_s @ p["fs_w"].T).reshape(-1)
+    lo = len(model.schema.numeric_query_names)
+    for name, cid in cache["lookups"]:
+        row = grads[name][cid]
+        row[...] = g_q[lo:lo + row.size]
+        lo += row.size
+    return grads
+
+
 @pytest.fixture
 def schema():
     return tiny_schema()

@@ -10,20 +10,26 @@ import numpy as np
 import pytest
 
 from sirank.errors import ContractError, DomainError, SchemaError, TrainingError, ValidationError
-from sirank.generator import stable_softmax
+from sirank.generator import GeneratorConfig, generate, stable_softmax
+from sirank.losses import SOFTRANK_LIST_SIZE
 from sirank.scoring import (
+    MODES,
     ParamVector,
     backward,
     build_model,
     fit_stats,
     forward,
+    forward_block,
     load_checkpoint,
+    prepare_dataset,
     save_checkpoint,
     score_query,
     sgd_step,
 )
+from sirank.trainer import _softrank_indices
 
-from conftest import edited, hand_dataset, standardized, without_wide
+from conftest import (edited, hand_dataset, reference_backward, reference_forward, standardized,
+                      without_wide)
 
 
 def prepared(seed=0):
@@ -333,6 +339,34 @@ def test_backward_into_reused_vector_is_bitwise_fresh(mode):
     assert not got["emb_device_type"][qa.category_ids[0]].any()
 
 
+@pytest.mark.parametrize("selected", [False, True], ids=["all_items", "softrank_items"])
+@pytest.mark.parametrize("mode", MODES)
+def test_step_is_bitwise_equal_to_the_frozen_reference(mode, selected):
+    # every query of a generated corpus, with parameters away from their
+    # initial values (nonzero biases, mixed ReLU masks), and the gradients
+    # written into one reused vector, as train does
+    ds = generate(GeneratorConfig(num_queries=300, seed=21))
+    model = build_model(ds.schema, mode=mode, seed=3, stats=fit_stats(ds, mode))
+    rng = np.random.default_rng(5)
+    model.params.flat[...] = rng.uniform(-0.3, 0.3, size=model.params.flat.size)
+    block = prepare_dataset(model, ds)
+    grads = model.params.zeros_like()
+    sizes = np.diff(block.offsets)
+    assert selected <= (sizes > SOFTRANK_LIST_SIZE).any()
+    for qi in range(len(ds)):
+        rows = None
+        if selected and sizes[qi] > SOFTRANK_LIST_SIZE:
+            rows = _softrank_indices(int(sizes[qi]), int(block.booked[qi] - block.offsets[qi]), rng)
+        scores, cache = forward_block(model, block, qi, rows)
+        want_scores, want_cache = reference_forward(model, block, ds.category_ids, qi, rows)
+        assert scores.tobytes() == want_scores.tobytes(), qi
+        g = rng.normal(size=scores.size)
+        want = reference_backward(model, want_cache, g)
+        for name, value in backward(model, cache, g, grads).items():
+            assert value.shape == want[name].shape, (qi, name)
+            assert value.tobytes() == want[name].tobytes(), (qi, name)
+
+
 def test_backward_rejects_mismatched_score_gradients():
     ds = prepared(seed=15)
     model = small_model(ds)
@@ -408,6 +442,23 @@ def test_sgd_step_rejects_non_finite_gradient():
         sgd_step(params, vector(good=[0.5], bad=[np.nan]), 0.1)
     # the check runs before the update, so no parameter moved
     np.testing.assert_array_equal(params.flat, [1.0, 1.0])
+
+
+def test_sgd_step_takes_a_finite_gradient_whose_sum_overflows():
+    # the one-sum check overflows to inf; the entrywise test then passes the step
+    params = vector(a=[1.0], t=[0.0, 0.0])
+    with np.errstate(over="ignore"):  # as in train
+        sgd_step(params, vector(a=[0.0], t=[1e308, 1e308]), 0.5)
+    np.testing.assert_array_equal(params.flat, [1.0, -5e307, -5e307])
+
+
+@pytest.mark.parametrize("bad", [[np.inf, -np.inf], [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]])
+def test_sgd_step_names_the_non_finite_parameter_and_moves_none(bad):
+    params = vector(good=[1.0, 2.0], bad=[3.0, 4.0], after=[5.0])
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as err:  # as in train
+        sgd_step(params, vector(good=[0.5, 0.5], bad=bad, after=[0.5]), 0.1)
+    assert str(err.value) == "non-finite gradient in parameter 'bad'"
+    np.testing.assert_array_equal(params.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 # ---------------------------------------------------------------------------

@@ -629,6 +629,18 @@ def test_experiment_rejects_bad_epochs_before_generating(tmp_path, capsys, monke
     assert not (tmp_path / "exp.json").exists()
 
 
+def test_experiment_refuses_a_repeated_loss_before_generating(tmp_path, capsys, monkeypatch):
+    generated = []
+    monkeypatch.setattr(sirank.cli, "generate", lambda config: generated.append(config))
+    code = main(["experiment", "--generate", "--queries", "60", "--epochs", "2", "--patience", "1",
+                 "--seed", "3", "--loss", "ranknet,ranknet", "--out", str(tmp_path / "exp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "usage error: each loss may appear once, got ['ranknet', 'ranknet']\n"
+    assert generated == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", [["generate"], ["experiment", "--generate"]])
 def test_queries_beyond_the_cap_are_a_usage_error(tmp_path, capsys, monkeypatch, command):
     generated = []

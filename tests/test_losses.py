@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc, expit, logsumexp
 
-from sirank.errors import DomainError
+from sirank.errors import DomainError, TrainingError
 from sirank.losses import (
     INV_2_SQRT_PI,
     LOSS_NAMES,
@@ -354,6 +354,44 @@ def test_pairwise_losses_positive_unless_saturated(name):
 def test_loss_output_rejects_non_finite():
     with pytest.raises(Exception):
         LossOutput(value=float("nan"), score_gradients=np.zeros(2))
+
+
+def test_loss_output_takes_finite_gradients_whose_sum_overflows():
+    with np.errstate(over="ignore"):  # as in train
+        out = LossOutput(value=1.0, score_gradients=np.array([1e308, 1e308]))
+    assert out.score_gradients.tolist() == [1e308, 1e308]
+
+
+@pytest.mark.parametrize("value,gradients", [
+    (1.0, [np.inf, -np.inf]), (1.0, [np.nan, 0.0]), (1.0, [0.0, np.inf]),
+    (np.nan, [0.0, 0.0]), (np.inf, [1e308, 1e308])])
+def test_loss_output_refuses_a_non_finite_value_or_gradient(value, gradients):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as err:
+        LossOutput(value=value, score_gradients=np.array(gradients))
+    assert str(err.value) == "loss produced a non-finite value or gradient"
+
+
+def test_ranknet_is_bitwise_the_masked_pair_formula():
+    # the pairs written plainly: a boolean mask for the other items, the
+    # differences f_booked - f_other and unit weights multiplied in
+    rng = np.random.default_rng(41)
+    for trial in range(2000):
+        n = int(rng.integers(1, 26))
+        s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, math.log10(30.0))
+        if trial % 3 == 1:  # ties, some with the booked item
+            s = np.round(s, 0)
+        b = int(rng.integers(n))
+        index = np.arange(n)
+        others = index[index != b]
+        w = np.ones(others.size)
+        d = s[b] - s[others]
+        slope = w * expit(-d)
+        grad = np.zeros(n)
+        grad[others] = slope
+        grad[b] = -float(np.sum(slope)) if others.size else 0.0
+        got = ranknet_loss(s, b)
+        assert got.value == float(np.sum(w * np.logaddexp(0.0, -d))), s
+        assert got.score_gradients.tobytes() == grad.tobytes(), s
 
 
 @pytest.mark.parametrize("name", LOSS_NAMES)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -19,7 +20,7 @@ from sirank.metrics import bonferroni, mean_ndcg, random_ranker_mean_ndcg
 import sirank.metrics
 import sirank.scoring
 import sirank.trainer
-from sirank.scoring import backward, build_model, fit_stats, forward, prepare_dataset
+from sirank.scoring import build_model, fit_stats, prepare_dataset
 from sirank.trainer import (
     DEFAULT_LEARNING_RATES,
     LOSS_COST_ORDER,
@@ -35,7 +36,8 @@ from sirank.trainer import (
     train,
 )
 
-from conftest import LABEL_BREAKS, break_labels, edited, with_queries
+from conftest import (LABEL_BREAKS, break_labels, edited, reference_backward, reference_forward,
+                      with_queries)
 
 
 def prepared(num_queries=60, seed=11, split_seed=0):
@@ -145,17 +147,54 @@ def test_divergence_raises_only_a_training_error():
             train(tr, va, cfg)
 
 
+def with_scores(monkeypatch, fill):
+    """Make train's forward pass return ``fill(n)`` as the scores of a
+    query of n selected items, with the true cache."""
+    real = sirank.trainer.forward_block
+
+    def forward_block(*args):
+        scores, cache = real(*args)
+        return np.asarray(fill(scores.size), dtype=np.float64), cache
+
+    monkeypatch.setattr(sirank.trainer, "forward_block", forward_block)
+
+
+def test_training_takes_finite_scores_whose_sum_overflows(monkeypatch):
+    # the one-sum check overflows to inf; the entrywise test passes the scores
+    # (no step moves the parameters, so no gradient grows with the epochs)
+    with_scores(monkeypatch, lambda n: np.full(n, 1e308))
+    tr, va, _ = prepared(num_queries=40)
+    _, hist = train(tr, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1,
+                                        learning_rate=0.0, seed=0))
+    # every pair is tied, so each query's loss is (n - 1) log 2
+    want = sum((q.n_items - 1) * math.log(2.0) for q in tr.queries) / len(tr)
+    assert hist.train_loss == pytest.approx([want, want], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[np.inf, -np.inf], [np.nan], [np.inf], [-np.inf]])
+def test_non_finite_scores_stop_training_at_their_query(monkeypatch, bad):
+    with_scores(monkeypatch, lambda n: np.r_[bad, np.zeros(n - len(bad))])
+    tr, va, _ = prepared(num_queries=40)
+    first = tr.query_ids[np.random.default_rng([0, 0]).permutation(len(tr))[0]]
+    with pytest.raises(TrainingError) as err:
+        train(tr, va, TrainConfig(loss="ranknet", max_epochs=2, patience=1, seed=0))
+    assert str(err.value) == (f"epoch 0, query {first}: scores became non-finite; "
+                              "training diverged")
+
+
 def reference_epochs(train_ds, config):
-    """The per-step work of ``train`` written as a plain loop without any
-    caching: ``forward`` on the query, the loss, ``backward``, then
-    ``value -= lr * g`` per parameter by name, with train's epoch RNG and
-    softrank sub-sampling. Returns the parameters after each epoch and the
-    mean training loss of each epoch. The stats are fitted on the raw
-    training split, the scale-variant features too for a deep_only model."""
+    """The per-step work of ``train`` written as a plain loop: the frozen
+    reference forward pass on the query, the loss, the frozen reference
+    backward pass, then ``value -= lr * g`` per parameter by name, with
+    train's epoch RNG and softrank sub-sampling. Returns the parameters after
+    each epoch and the mean training loss of each epoch. The stats are
+    fitted on the raw training split, the scale-variant features too for a
+    deep_only model."""
     stats = fit_standardization(train_ds, train_ds.schema,
                                 include_scalevariant=(config.mode == "deep_only"))
     model = build_model(train_ds.schema, mode=config.mode, widths=config.widths,
                         compressor_dim=config.compressor_dim, seed=config.seed, stats=stats)
+    block = prepare_dataset(model, train_ds)
     loss_fn = loss_by_name(config.loss, config.sigma)
     lr = config.resolved_learning_rate
     snapshots, losses = [], []
@@ -168,9 +207,9 @@ def reference_epochs(train_ds, config):
             if config.loss == "softrank" and q.n_items > SOFTRANK_LIST_SIZE:
                 rows = _softrank_indices(q.n_items, booked, epoch_rng)
                 booked = rows.index(booked)
-            scores, cache = forward(model, q, rows)
+            scores, cache = reference_forward(model, block, train_ds.category_ids, qi, rows)
             out = loss_fn(scores, booked)
-            grads = backward(model, cache, out.score_gradients)
+            grads = reference_backward(model, cache, out.score_gradients)
             for name, value in model.params.items():
                 value -= lr * grads[name]
             total += out.value
@@ -396,6 +435,14 @@ def test_experiment_records_partial_failures():
 def test_experiment_config_rejects_unknown_loss():
     with pytest.raises(ConfigError):
         ExperimentConfig(losses=("ranknet", "mystery"))
+
+
+def test_experiment_config_rejects_a_repeated_loss():
+    # a repeated loss would train its pair of cells twice, and its t-tests
+    # and the Bonferroni count would hold the duplicate
+    for losses in (("ranknet", "ranknet"), ("listnet", "ranknet", "listnet")):
+        with pytest.raises(ConfigError, match=r"each loss may appear once"):
+            ExperimentConfig(losses=losses)
 
 
 def test_experiment_config_checks_epochs_and_patience_like_train_config():
