@@ -270,7 +270,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.data) as fh:
+    with open(args.data, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:

@@ -161,10 +161,10 @@ def save_schema(schema: FeatureSchema, path):
 
 
 def load_schema(path) -> FeatureSchema:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # bad JSON, or text that is not in the file's encoding
+        except ValueError as exc:  # bad JSON, or text that is not UTF-8
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     return FeatureSchema.from_json(obj)
 
@@ -557,38 +557,71 @@ def _type_fault(obj: dict, schema: FeatureSchema) -> str | None:
     return None
 
 
-def _read_chunk(chunk: list[tuple[int, dict]], schema: FeatureSchema, chunks: list[dict],
+def _read_chunk(chunk: list[tuple[int, str, dict]], schema: FeatureSchema, chunks: list[dict],
                 lines: list[int]) -> ValidationError | None:
-    """Add the columns of ``chunk``'s (line number, JSON object) pairs to
-    ``chunks`` and their line numbers to ``lines``. If JSON decides a fault
-    in a query, add the queries before it and return the error that
-    ``_type_fault`` names."""
-    objs = [obj for _, obj in chunk]
-    columns = _chunk_columns(objs, schema)
+    """Add the columns of ``chunk``'s (line number, line, JSON object)
+    triples to ``chunks`` and their line numbers to ``lines``. If JSON
+    decides a fault in a query, add the queries before it and return the
+    error that ``_type_fault`` names. ``_type_fault`` reads each line as
+    ``json.loads`` does: it tells an integer beyond the float64 range from
+    the largest float, which orjson reads it as."""
+    columns = _chunk_columns([obj for _, _, obj in chunk], schema)
     if columns is None:
-        k, fault = next((k, fault) for k, obj in enumerate(objs)
-                        if (fault := _type_fault(obj, schema)) is not None)
+        k, fault = next((k, fault) for k, (_, line, _) in enumerate(chunk)
+                        if (fault := _type_fault(json.loads(line), schema)) is not None)
         _read_chunk(chunk[:k], schema, chunks, lines)
         return ValidationError(fault)
     chunks.append(columns)
-    lines.extend(lineno for lineno, _ in chunk)
+    lines.extend(lineno for lineno, _, _ in chunk)
     return None
 
 
+# json's decoder recurses once per level of nesting and raises RecursionError
+# near the interpreter's recursion limit (1000); orjson nests without a limit.
+# A line with more opening brackets than this is parsed by json alone. A
+# valid record has at most 3 * MAX_ITEMS_PER_QUERY + 3.
+_ORJSON_MAX_BRACKETS = 200
+
+
+def _parse_line(line: str, fast_loads):
+    """``json.loads(line)``, the same object or the same exception, from
+    ``fast_loads`` (``orjson.loads``) where that cannot change the load's
+    outcome. json parses a line that orjson refuses (NaN, the infinities, a
+    number beyond float64, a lone surrogate escape, a BOM, a syntax error)
+    or that may nest beyond json's reach. orjson reads an integer outside
+    [-2**63, 2**64) as the float of equal value; the rules tell that float
+    from the int only as a night count, and as an exchange rate when it is
+    the largest float, so json parses such lines again. ``_type_fault``
+    re-reads its lines with json itself."""
+    if line.count("{") + line.count("[") <= _ORJSON_MAX_BRACKETS:
+        try:
+            obj = fast_loads(line)
+        except json.JSONDecodeError:  # orjson.JSONDecodeError subclasses it
+            pass
+        else:
+            if type(obj) is not dict or (type(obj.get("num_nights")) is int
+                                         and obj.get("exchange_rate") != sys.float_info.max):
+                return obj
+    return json.loads(line)
+
+
 def load_dataset(path, schema: FeatureSchema) -> Dataset:
-    """Read a JSONL dataset, validating every record against the schema;
-    query ids must be unique within the file. Lines are parsed into columns
+    """Read a UTF-8 JSONL dataset, validating every record against the
+    schema; query ids must be unique within the file. Lines are parsed by
+    orjson, with json's results and messages (``_parse_line``), into columns
     ``LOAD_CHUNK_QUERIES`` queries at a time; reading stops at the first
     fault that JSON or the text decoder decides, and the columns read are
     checked once, so the first error in file order is raised."""
+    import orjson  # here, not on ``import sirank``: only a reader of JSONL pays for it
+
     chunks, lines, chunk, fault = [], [], [], None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = _parse_line(line, orjson.loads)
                     bad = None if isinstance(obj, dict) else "expected a JSON object"
                 except json.JSONDecodeError as exc:
                     bad = exc.msg
@@ -596,7 +629,7 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
                     fault = (_read_chunk(chunk, schema, chunks, lines)
                              or ParseError(f"{path}: line {lineno}: {bad}"))
                     break
-                chunk.append((lineno, obj))
+                chunk.append((lineno, line, obj))
                 if len(chunk) == LOAD_CHUNK_QUERIES:
                     fault, chunk = _read_chunk(chunk, schema, chunks, lines), []
                     if fault:

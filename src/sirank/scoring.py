@@ -582,7 +582,7 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
     parameter name or shape that does not fit raise SchemaError naming the
     checkpoint."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except ValueError as exc:
         raise SchemaError(f"checkpoint {path} is not JSON: {exc}") from exc

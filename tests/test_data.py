@@ -1,5 +1,11 @@
+import decimal
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +433,21 @@ def _write_lines(path, objs):
     return path
 
 
+def _one_mutation_files():
+    """(three valid queries but one, its index) for every mutation of
+    ``ITEM_MUTATIONS`` at each item and of ``QUERY_MUTATIONS``."""
+    for k in range(3):
+        for j in range(3):
+            for mutation in ITEM_MUTATIONS:
+                objs = [_base_query(i) for i in range(3)]
+                _mutate(objs[k], j, mutation)
+                yield objs, k
+        for mutation in QUERY_MUTATIONS:
+            objs = [_base_query(i) for i in range(3)]
+            _mutate_query(objs[k], mutation)
+            yield objs, k
+
+
 def _load_outcome(path, schema):
     try:
         ds = load_dataset(path, schema)
@@ -451,18 +472,9 @@ def _outcomes_both_ways(paths, schema, monkeypatch):
 def test_load_outcomes_do_not_depend_on_the_chunk_size(tmp_path, schema, monkeypatch):
     n_long = 2 * sirank.data.LOAD_CHUNK_QUERIES + 3
     files, broken = [[_base_query(k) for k in range(3)]], [None]
-    for k in range(3):
-        for j in range(3):
-            for mutation in ITEM_MUTATIONS:
-                objs = [_base_query(i) for i in range(3)]
-                _mutate(objs[k], j, mutation)
-                files.append(objs)
-                broken.append(k)
-        for mutation in QUERY_MUTATIONS:
-            objs = [_base_query(i) for i in range(3)]
-            _mutate_query(objs[k], mutation)
-            files.append(objs)
-            broken.append(k)
+    for objs, k in _one_mutation_files():
+        files.append(objs)
+        broken.append(k)
     rng = np.random.default_rng(40)
     for _ in range(150):
         objs = [_base_query(i) for i in range(n_long)]
@@ -545,6 +557,240 @@ def test_valid_long_file_never_walks(tmp_path, schema, monkeypatch):
     ds = load_dataset(path, schema)
     assert [q.query_id for q in ds.queries] == [f"q{k}" for k in range(n)]
     assert all(q.item_ids == ("a", "b", "c") for q in ds.queries)
+
+
+# ---------------------------------------------------------------------------
+# lines parsed by orjson, judged as json parses them
+
+_REAL_CHUNK_COLUMNS = sirank.data._chunk_columns  # before the autouse check wraps it
+_BEYOND_FLOAT = int(sys.float_info.max) + 1  # orjson reads it as the largest float
+_BIG_INTS = (2 ** 63, 2 ** 64 - 1, 2 ** 64, 10 ** 20, -(2 ** 63) - 1, -(10 ** 20),
+             _BEYOND_FLOAT, -_BEYOND_FLOAT, 2 ** 1024 - 2 ** 970)
+
+
+def _json_only_outcome(path, schema, monkeypatch):
+    """``_load_outcome`` of a loader that parses every line with
+    ``json.loads`` alone, as it did before orjson."""
+    with monkeypatch.context() as m:
+        m.setattr(sirank.data, "_parse_line", lambda line, fast_loads: json.loads(line))
+        # json reads an int beyond float64 that numpy rounds to the largest
+        # float: the column-wise parse takes it, the per-query pass does not
+        m.setattr(sirank.data, "_chunk_columns", _REAL_CHUNK_COLUMNS)
+        return _load_outcome(path, schema)
+
+
+def _literal(obj, edit, text: str) -> str:
+    """``obj`` as a JSON line in which ``edit`` placed the JSON text ``text``."""
+    edit(obj, "@literal@")
+    return json.dumps(obj).replace('"@literal@"', text)
+
+
+def _set(*path):
+    def edit(obj, value):
+        *parents, key = path
+        for name in parents:
+            obj = obj[name]
+        obj[key] = value
+    return edit
+
+
+_VALUE_PLACES = {  # one value of each group, and the item id
+    "numeric": _set("query", "lead_days"), "category": _set("query", "device_type"),
+    "num_nights": _set("num_nights"), "exchange_rate": _set("exchange_rate"),
+    "fixed": _set("items", 1, "fixed", "star_rating"),
+    "scalevariant": _set("items", 1, "scalevariant", "price"),
+    "label": _set("items", 1, "label"), "query_id": _set("query_id"),
+    "item_id": _set("items", 1, "item_id")}
+
+
+def _json_edge_files() -> list[list]:
+    """Files of three queries or fewer, with one line that orjson refuses or
+    reads apart from json, or whose value the rules judge by its JSON type.
+    In some, a later query holds a fault that JSON decides, so that the
+    per-query pass (``_type_fault``) names the first fault of its chunk."""
+    files = [objs for objs, _ in _one_mutation_files()]
+    texts = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", *map(str, _BIG_INTS),
+             "1e20", "1.7976931348623157e308", '"\\ud800"', '"\\udc00x"']
+    for edit in _VALUE_PLACES.values():
+        for text in texts:
+            for later_fault in (False, True):
+                objs = [_base_query(i) for i in range(3)]
+                if later_fault:
+                    del objs[2]["items"][0]["item_id"]
+                objs[1] = _literal(objs[1], edit, text)
+                files.append(objs)
+    one = json.dumps(_base_query(1))  # duplicate keys at the top, query and item levels
+    for line in (one[:-1] + ', "num_nights": 0}', '{"num_nights": 10e19, ' + one[1:],
+                 '{"exchange_rate": NaN, ' + one[1:],
+                 one.replace('"query": {', '"query": {"lead_days": "x", '),
+                 one.replace('"query": {', '"query": {"device_type": 7, '),
+                 one.replace('"item_id": "b"', '"item_id": "a", "item_id": "b"'),
+                 one.replace('"label": 0', '"label": 0, "label": 1'),
+                 one.replace('"fixed": {', '"fixed": {"star_rating": -1e400, ')):
+        files.append([_base_query(0), line, _base_query(2)])
+    files += [["\ufeff" + json.dumps(_base_query(0)), _base_query(1)],
+              [_base_query(0), "{not json", _base_query(2)],
+              [_base_query(0), "[1, 2]"], [_base_query(0), "100000000000000000000"],
+              [_base_query(0), '{"query_id": "q1", "x": 1e400}']]
+    return files
+
+
+def test_load_outcomes_are_json_loads_outcomes(tmp_path, schema, monkeypatch):
+    paths = [_write_lines(tmp_path / f"f{i}.jsonl", objs)
+             for i, objs in enumerate(_json_edge_files())]
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes(json.dumps(_base_query(0)).encode() + b'\n{"query_id": "q\xe9"}\n')
+    paths.append(latin1)
+    outcomes = [_load_outcome(p, schema) for p in paths]
+    assert outcomes == [_json_only_outcome(p, schema, monkeypatch) for p in paths]
+    assert {outcome[0] for outcome in outcomes} == {"ok", "error"}
+    assert {outcome[1] for outcome in outcomes if outcome[0] == "error"} == {
+        "ParseError", "ValidationError"}
+
+
+def test_a_line_nested_too_deep_for_json_raises_its_recursion_error(tmp_path, schema):
+    deep = "[" * 5000 + "]" * 5000
+    path = _write_lines(tmp_path / "deep.jsonl",
+                        [_base_query(0), json.dumps(_base_query(1))[:-1] + f', "x": {deep}}}'])
+    with pytest.raises(RecursionError):
+        json.loads(path.read_text().splitlines()[1])
+    with pytest.raises(RecursionError):
+        load_dataset(path, schema)
+
+
+@pytest.mark.parametrize("nights", [10 ** 20, 2 ** 64, 2 ** 200])
+def test_night_counts_beyond_int64_load_as_the_exact_int(tmp_path, schema, nights):
+    obj = _one_query_obj(None)
+    obj["num_nights"] = nights
+    loaded = _write_and_load(tmp_path, schema, obj).num_nights
+    assert loaded == (nights,) and type(loaded[0]) is int
+
+
+@pytest.mark.parametrize("text", [str(-(2 ** 63) - 1), "1e20", "100000000000000000000.0"])
+def test_night_counts_that_are_not_positive_ints_are_refused(tmp_path, schema, text):
+    path = tmp_path / "one.jsonl"
+    path.write_text(_literal(_one_query_obj(None), _set("num_nights"), text) + "\n")
+    with pytest.raises(ValidationError, match="^query q0: num_nights must be a positive integer$"):
+        load_dataset(path, schema)
+
+
+def test_an_int_beyond_float64_is_no_exchange_rate(tmp_path, schema):
+    obj = _one_query_obj(None)
+    obj["exchange_rate"] = _BEYOND_FLOAT
+    with pytest.raises(ValidationError, match="exchange_rate must be a positive finite number"):
+        _write_and_load(tmp_path, schema, obj)
+    obj["exchange_rate"] = sys.float_info.max
+    assert _write_and_load(tmp_path, schema, obj).exchange_rates[0] == sys.float_info.max
+
+
+def _number_literals(rng) -> list[str]:
+    """JSON number literals: float64 reprs and longer forms of them,
+    decimals of 1-40 digits with exponents -340..320, exact halfway points
+    between adjacent doubles and numbers just either side of them, and
+    integers near +-2**63, +-2**64 and the largest float."""
+    drawn = rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64).view(np.float64)
+    doubles = drawn[np.isfinite(drawn)].tolist() + [0.0, -0.0, 5e-324, -5e-324]
+    literals = [repr(x) for x in doubles] + [f"{x:.25e}" for x in doubles[:5000]]
+    for _ in range(40_000):
+        digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(1, 41)))))
+        point = int(rng.integers(1, len(digits) + 1))
+        text = ("-" if rng.random() < 0.5 else "") + (digits[:point].lstrip("0") or "0")
+        text += "." + digits[point:] if digits[point:] else ""
+        if rng.random() < 0.8:
+            text += "eE"[int(rng.integers(2))] + str(int(rng.integers(-340, 321)))
+        literals.append(text)
+    exact = decimal.Context(prec=2000)
+    for x in doubles[:3000]:
+        above = math.nextafter(x, math.inf)
+        if math.isfinite(above):
+            half = exact.divide(exact.add(decimal.Decimal(x), decimal.Decimal(above)), 2)
+            step = decimal.Decimal(1).scaleb(half.adjusted() - 1000)
+            literals += [format(h, "e") for h in (half, exact.add(half, step),
+                                                  exact.subtract(half, step))]
+    big = int(sys.float_info.max)
+    literals += [str(v + d) for v in (2 ** 63, -(2 ** 63), 2 ** 64, -(2 ** 64), big, -big)
+                 for d in range(-300, 300)]
+    # past the largest float up to the halfway point to 2**1024, and beyond it
+    literals += [str(big + d * 2 ** 960) for d in range(-3, 2 ** 10 + 3)]
+    return literals
+
+
+def test_orjson_reads_numbers_as_json_does_but_big_ints_as_floats():
+    """The equivalence the loader relies on, pinned to the installed
+    orjson: a float literal to the same bits (the sign of zero too), one
+    beyond float64 (json's infinity) to a refusal, an integer in [-2**63,
+    2**64) to the same int, and any other integer to the float of equal
+    value, or a refusal where that float is beyond float64."""
+    import orjson
+
+    literals = _number_literals(np.random.default_rng(28))
+    by_json = json.loads("[" + ",".join(literals) + "]")
+    floats = [(text, x) for text, x in zip(literals, by_json) if type(x) is float]
+    ints = [(text, v) for text, v in zip(literals, by_json) if type(v) is int]
+    assert len(floats) > 90_000 and len(ints) > 4_000
+    finite = [(text, x) for text, x in floats if math.isfinite(x)]
+    assert 0 < len(floats) - len(finite) < len(floats) // 10
+    for text, x in floats:
+        if not math.isfinite(x):
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(text)
+    by_orjson = orjson.loads("[" + ",".join(text for text, _ in finite) + "]")
+    assert all(type(x) is float for x in by_orjson)
+    assert np.array(by_orjson).tobytes() == np.array([x for _, x in finite]).tobytes()
+    small = [(text, v) for text, v in ints if -(2 ** 63) <= v < 2 ** 64]
+    by_orjson = orjson.loads("[" + ",".join(text for text, _ in small) + "]")
+    assert by_orjson == [v for _, v in small] and all(type(v) is int for v in by_orjson)
+    for text, v in ints:
+        if -(2 ** 63) <= v < 2 ** 64:
+            continue
+        try:
+            want = float(v)
+        except OverflowError:
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(text)
+            continue
+        got = orjson.loads(text)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), text
+
+
+def test_readers_decode_utf_8_in_any_locale(tmp_path):
+    """Under the C locale, whose text encoding is ASCII, a UTF-8 schema and
+    data file load, and a data file that is not UTF-8 is refused naming
+    UTF-8."""
+    obj = _one_query_obj(None)
+    obj["query_id"] = "qé"
+    (tmp_path / "utf8.jsonl").write_text(json.dumps(obj, ensure_ascii=False) + "\n",
+                                         encoding="utf-8")
+    (tmp_path / "latin1.jsonl").write_bytes((json.dumps(obj, ensure_ascii=False) + "\n")
+                                            .encode("latin-1"))
+    save_schema(tiny_schema(), tmp_path / "s.json")
+    text = (tmp_path / "s.json").read_text().replace('"star_rating"', '"étoiles"')
+    (tmp_path / "s.json").write_text(text, encoding="utf-8")
+    obj["items"][0]["fixed"]["étoiles"] = obj["items"][0]["fixed"].pop("star_rating")
+    obj["items"][1]["fixed"]["étoiles"] = obj["items"][1]["fixed"].pop("star_rating")
+    for name, encoding in (("utf8", "utf-8"), ("latin1", "latin-1")):
+        (tmp_path / f"{name}.jsonl").write_bytes(
+            (json.dumps(obj, ensure_ascii=False) + "\n").encode(encoding))
+    script = """if True:
+        import locale, sys
+        from sirank.data import load_dataset, load_schema
+        from sirank.errors import ParseError
+        assert locale.getpreferredencoding(False).lower().replace("-", "") != "utf8"
+        schema = load_schema(sys.argv[1] + "/s.json")
+        print(load_dataset(sys.argv[1] + "/utf8.jsonl", schema).query_ids)
+        try:
+            load_dataset(sys.argv[1] + "/latin1.jsonl", schema)
+        except ParseError as exc:
+            print(exc)
+    """
+    src = Path(sirank.data.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, encoding="utf-8", timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "('qé',)", f"{tmp_path}/latin1.jsonl: not utf-8 text (invalid continuation byte)"]
 
 
 # ---------------------------------------------------------------------------
