@@ -2,6 +2,13 @@
 ``--src`` tree and round, BLAS on one thread, and medians with quartiles of
 the pooled repeats, printed and optionally written as JSON.
 
+With two or more trees, the rounds alternate which tree runs first, and each
+round's median of the last tree over that of the first is one ratio per
+metric; the report gives the median and quartiles of those ratios
+(``round_ratio_last_to_first``). Two workers of one round run minutes apart
+at most, so a ratio cancels most of a shared host's slow phases, which the
+pooled medians of each tree do not.
+
 A bench script defines ``SIZES`` (named input sizes, ``full`` and ``smoke``)
 and ``measure(sizes, repeats, seed) -> {metric: [one sample per repeat]}``,
 and calls ``main(__file__, doc, SIZES, measure, unit)``. It may also pass
@@ -79,10 +86,12 @@ def main(script: str, doc: str, sizes: dict, measure, unit: tuple[str, float],
     if args.smoke:
         size, repeats, rounds = "smoke", 1, 1
     pooled: dict[Path, dict[str, list[float]]] = {src: {} for src in srcs}
+    per_round: dict[Path, list[dict[str, list[float]]]] = {src: [] for src in srcs}
     env = None
     for r in range(rounds):
         for src in (srcs if r % 2 == 0 else srcs[::-1]):
             samples, env = run_worker(script, src, size, repeats, args.seed)
+            per_round[src].append(samples)
             for name, values in samples.items():
                 pooled[src].setdefault(name, []).extend(values)
 
@@ -95,10 +104,12 @@ def main(script: str, doc: str, sizes: dict, measure, unit: tuple[str, float],
         for run, src in zip(report["runs"], srcs):
             run["single_run"] = single_run(src, args.seed)
     if len(srcs) > 1:
-        first, last = report["runs"][0]["metrics"], report["runs"][-1]["metrics"]
-        report["median_ratio_last_to_first"] = {
-            name: last[name]["median"] / first[name]["median"]
-            for name in first if name in last and first[name]["median"]}
+        first, last = per_round[srcs[0]], per_round[srcs[-1]]
+        report["round_ratio_last_to_first"] = {
+            name: summarize([statistics.median(b[name]) / statistics.median(a[name])
+                             for a, b in zip(first, last)])
+            for name in first[0]
+            if name in last[0] and all(statistics.median(a[name]) for a in first)}
     print(f"python {env['python']}, numpy {env['numpy']}, {env['cpu_count']} CPUs "
           f"({env['cpus_usable']} usable), BLAS threads 1; size {size}, "
           f"medians of {repeats * rounds} repeats")
@@ -110,6 +121,11 @@ def main(script: str, doc: str, sizes: dict, measure, unit: tuple[str, float],
         cells = [run["metrics"].get(name) for run in report["runs"]]
         print(f"{name:<{width}} " + " ".join(
             f"{c['median'] * factor:>21.2f} {label:<2}" if c else f"{'-':>24}" for c in cells))
+    if len(srcs) > 1:
+        print(f"per-round ratio {report['runs'][-1]['src']} / {report['runs'][0]['src']}, "
+              f"median [q1, q3] of {rounds} rounds")
+        for name, ratio in report["round_ratio_last_to_first"].items():
+            print(f"{name:<{width}} {ratio['median']:>8.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]")
     for run in report["runs"]:
         for name, value in run.get("single_run", {}).get("metrics", {}).items():
             print(f"{name} (single run) {run['src']}: {value:.2f}")

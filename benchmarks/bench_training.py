@@ -12,7 +12,7 @@ is git-ignored):
 
     mkdir -p .bench-parent && git archive <commit> src | tar -x -C .bench-parent
     python3 benchmarks/bench_training.py --src .bench-parent/src --src src \
-        --out BENCH_training.json
+        --rounds 10 --out BENCH_training.json
 
 One repeat is one epoch of ``train``'s step over the training split, from a
 freshly built model, so every repeat of every tree does the same arithmetic.
@@ -20,7 +20,11 @@ Each phase is timed apart; a metric is the mean microseconds per step of one
 epoch, and the report gives its median (with quartiles) over every repeat of
 a tree. ``step_us`` is the sum of the four phases. Each ``--src`` tree runs
 in its own worker processes, in rounds whose order alternates, with BLAS on
-one thread, as in perfbench.
+one thread, as in perfbench. A change is read from
+``round_ratio_last_to_first``: on a shared host, four recordings of the
+same two trees once put listnet's step change, from the pooled medians, at
+-22%, -32%, +1.9% and -22%; the two workers of one round meet much the same
+host, so their ratio moves less.
 """
 
 from __future__ import annotations

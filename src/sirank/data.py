@@ -436,12 +436,18 @@ def _is_category_id(v) -> bool:
 def _float_column(values: list, shape) -> np.ndarray | None:
     """``values`` as a float64 array of ``shape``, or None unless every value
     is a JSON number (``_is_number``)."""
-    if not set(map(type, values)) <= {float, int}:
+    types = set(map(type, values))
+    if not types <= {float, int}:
         return None
     try:
-        return np.array(values, dtype=np.float64).reshape(shape)
+        column = np.array(values, dtype=np.float64).reshape(shape)
     except OverflowError:  # an int too large for a float
         return None
+    # numpy rounds an int just beyond the float range to the largest float
+    if (int in types and (np.abs(column) == sys.float_info.max).any()
+            and not all(map(_is_number, values))):
+        return None
+    return column
 
 
 def _item_matrix(raw_items: list, group: str, names: tuple[str, ...]) -> np.ndarray | None:
@@ -614,6 +620,23 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
     checked once, so the first error in file order is raised."""
     import orjson  # here, not on ``import sirank``: only a reader of JSONL pays for it
 
+    columns, lines, fault = _read_columns(path, schema, orjson.loads)
+    if any((np.abs(columns[name]) == sys.float_info.max).any()
+           for name in ("numeric", "fixed", "scalevariant")):
+        # the largest float may be orjson's reading of an int beyond the
+        # float range, which json keeps as the int that ``_float_column`` refuses
+        columns, lines, fault = _read_columns(path, schema, json.loads)
+    _check_columns(schema, lines, "lines", **columns)
+    if fault:
+        raise fault
+    return Dataset._of_columns(schema, **columns)
+
+
+def _read_columns(path, schema: FeatureSchema,
+                  fast_loads) -> tuple[dict, list[int], Exception | None]:
+    """The columns of ``path``'s lines up to its first fault that JSON or the
+    text decoder decides, their line numbers, and that fault (or None);
+    ``fast_loads`` parses where ``_parse_line`` lets it."""
     chunks, lines, chunk, fault = [], [], [], None
     with open(path, encoding="utf-8") as fh:
         try:
@@ -621,10 +644,12 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
                 if not line.strip():
                     continue
                 try:
-                    obj = _parse_line(line, orjson.loads)
+                    obj = _parse_line(line, fast_loads)
                     bad = None if isinstance(obj, dict) else "expected a JSON object"
                 except json.JSONDecodeError as exc:
                     bad = exc.msg
+                except (RecursionError, ValueError) as exc:  # json's nesting or int-digit limit
+                    bad = str(exc)
                 if bad:
                     fault = (_read_chunk(chunk, schema, chunks, lines)
                              or ParseError(f"{path}: line {lineno}: {bad}"))
@@ -639,11 +664,7 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
         except UnicodeDecodeError as exc:  # the text decoder raises it as the loop reads the file
             fault = (_read_chunk(chunk, schema, chunks, lines)
                      or ParseError(f"{path}: not {exc.encoding} text ({exc.reason})"))
-    columns = _joined_chunks(chunks)
-    _check_columns(schema, lines, "lines", **columns)
-    if fault:
-        raise fault
-    return Dataset._of_columns(schema, **columns)
+    return _joined_chunks(chunks), lines, fault
 
 
 def _object_template(fields: list[tuple[str, str]]) -> tuple[str, list[int]]:

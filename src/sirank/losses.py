@@ -15,6 +15,13 @@ gain difference and every ideal DCG exactly 1.
 listnet and listmle take log-sum-exps through ``_logsumexp``, a numpy port
 of ``scipy.special.logsumexp``'s algorithm that gives the same bits on a
 vector without scipy's per-call dispatch (about 10x cheaper on a list of 15).
+
+What depends only on a list's size and booked index (the pairwise losses'
+index of the other items, listnet's target, the DCG discounts) is computed
+once, as a read-only array, for lists of up to ``MAX_ITEMS_PER_QUERY`` items.
+softrank needs only the booked item's rank distribution: it takes one
+column of win probabilities and folds it on Python floats, over the ranks
+each step can reach, with the same roundings as a fold of numpy rows.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, expit
 
+from .data import MAX_ITEMS_PER_QUERY
 from .errors import DomainError, TrainingError
 from .scoring import rank
 
@@ -83,6 +91,51 @@ def _logsumexp(a: np.ndarray) -> np.float64:
 
 
 # ---------------------------------------------------------------------------
+# per-list constants
+
+
+def _per_list(build):
+    """``build(n, *rest)`` as a read-only array, built once per argument
+    tuple for lists of at most ``MAX_ITEMS_PER_QUERY`` items, so the cache
+    stays small; a longer list, which a caller of the public losses may
+    pass, gets a new one on every call."""
+    cache: dict[tuple[int, ...], np.ndarray] = {}
+
+    def get(*key: int) -> np.ndarray:
+        out = cache.get(key)
+        if out is None:
+            out = build(*key)
+            out.flags.writeable = False
+            if key[0] <= MAX_ITEMS_PER_QUERY:
+                cache[key] = out
+        return out
+
+    get.cache = cache
+    return get
+
+
+@_per_list
+def _others(n: int, b: int) -> np.ndarray:
+    """The index of every item but b, in order."""
+    others = np.arange(n - 1)
+    others[b:] += 1
+    return others
+
+
+@_per_list
+def _listnet_target(n: int, b: int) -> np.ndarray:
+    """The softmax of the one-hot label vector of b."""
+    y = np.zeros(n)
+    y[b] = 1.0
+    return np.exp(y - _logsumexp(y))
+
+
+# _DISCOUNTS[r - 1] = 1 / log2(1 + r), the DCG discount of rank r
+_DISCOUNTS = 1.0 / np.log2(2.0 + np.arange(MAX_ITEMS_PER_QUERY))
+_DISCOUNTS.flags.writeable = False
+
+
+# ---------------------------------------------------------------------------
 # pairwise
 
 
@@ -93,8 +146,7 @@ def _weighted_pairwise_loss(scores, booked, pair_weights=None) -> LossOutput:
     s, b = _scores_and_booked(scores, booked)
     if s.size == 1:
         return LossOutput(value=0.0, score_gradients=np.zeros(1))
-    others = np.arange(s.size - 1)
-    others[b:] += 1
+    others = _others(s.size, b)
     # f_other - f_booked: rounding is symmetric, so this is -(f_booked - f_other) exactly
     d = s[others] - s[b]
     softplus, slope = np.logaddexp(0.0, d), expit(d)  # slope: 1 - P(booked beats other)
@@ -119,7 +171,9 @@ def delta_ndcg_weights(scores: np.ndarray, b: int, others: np.ndarray) -> np.nda
     """|ΔNDCG| of swapping the booked item b with each partner, at the
     current ranking's positions. With one booked item the gain difference
     and the ideal DCG are both 1, so the delta is the discount difference."""
-    inv_disc = 1.0 / np.log2(1.0 + rank(scores).positions())
+    positions = rank(scores).positions()
+    inv_disc = (_DISCOUNTS[positions - 1] if positions.size <= MAX_ITEMS_PER_QUERY
+                else 1.0 / np.log2(1.0 + positions))
     return np.abs(inv_disc[b] - inv_disc[others])
 
 
@@ -140,10 +194,8 @@ def listnet_loss(scores, booked) -> LossOutput:
     """Cross-entropy between the softmax of the one-hot label vector and the
     score softmax."""
     s, b = _scores_and_booked(scores, booked)
-    y = np.zeros(s.size)
-    y[b] = 1.0
     log_p = s - _logsumexp(s)
-    target = np.exp(y - _logsumexp(y))
+    target = _listnet_target(s.size, b)
     value = float(-np.sum(target * log_p))
     grad = np.exp(log_p) - target
     return LossOutput(value=value, score_gradients=grad)
@@ -167,10 +219,19 @@ def listmle_loss(scores, booked) -> LossOutput:
 # softrank
 
 
+def _win_prob(diff, sigma: float):
+    """P(k beats j), elementwise, from diff = s_k - s_j: when both scores
+    carry N(0, sigma^2) noise, the noisy difference is N(diff, 2 sigma^2)."""
+    if not sigma > 0:
+        raise DomainError(f"sigma must be > 0, got {sigma}")
+    return 0.5 * erfc(-(diff / (sigma * SQRT2)) / SQRT2)
+
+
 def pairwise_win_prob(z_j: float, z_k: float, sigma: float) -> float:
     """P(noisy score of j exceeds noisy score of k) when both carry N(0, sigma^2)
     noise: the difference is N(z_j - z_k, 2 sigma^2)."""
-    return float(_win_prob_matrix(np.array([z_j, z_k], dtype=np.float64), sigma)[0, 1])
+    s = np.array([z_j, z_k], dtype=np.float64)
+    return float(_win_prob(s[0] - s[1], sigma))
 
 
 @dataclass(frozen=True)
@@ -190,43 +251,39 @@ class RankDistribution:
             raise DomainError("rank distribution rows must each sum to 1")
 
 
-def _win_prob_matrix(s: np.ndarray, sigma: float) -> np.ndarray:
-    # p[k, j] = P(k beats j)
-    if not sigma > 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    diff = (s[:, None] - s[None, :]) / (sigma * SQRT2)
-    return 0.5 * erfc(-diff / SQRT2)
-
-
-def _opponent_fold(p_beats_j: np.ndarray, j: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Rank distribution of item j, from column j of the win-probability matrix.
-
-    Starting from a point mass at rank 1, every opponent k != j, in index
-    order, shifts item j down one rank with probability P(k beats j),
-    independently. Also returns the distribution before each opponent's
-    fold, which the backward pass reads.
-    """
-    n = p_beats_j.size
-    row = np.zeros(n)
-    row[0] = 1.0
-    history = []
-    for k in range(n):
-        if k == j:
-            continue
-        history.append(row)
-        p = p_beats_j[k]
-        nxt = row * (1.0 - p)
-        nxt[1:] += row[:-1] * p
-        row = nxt
+def _opponent_fold(p_wins: list[float]) -> tuple[list[float], list[float]]:
+    """Rank distribution of an item, from P(k beats it) of each opponent k in
+    index order. Starting from a point mass at rank 1, every opponent shifts
+    the item down one rank with its probability, independently. After t
+    opponents only ranks 1..t+1 can be held, so each distribution is kept to
+    those. Also returns, one after another, the distributions before each
+    opponent's fold, which the backward pass reads."""
+    row, history = [1.0], []
+    for p in p_wins:
+        history += row
+        q = 1.0 - p
+        row = [row[0] * q, *[r * q + r_up * p for r_up, r in zip(row, row[1:])], row[-1] * p]
     return row, history
+
+
+@_per_list
+def _fold_layout(n: int) -> np.ndarray:
+    """Where softrank's backward pass puts its two stacks of n - 1 rows of n
+    ranks in one flat array: ranks 0..t of row t of the distributions, rows
+    first to last, then ranks 0..t+1 of row t of their gradients, rows last
+    to first; every other rank is 0."""
+    m = n - 1
+    before = [t * n + r for t in range(m) for r in range(t + 1)]
+    after = [(m + t) * n + r for t in reversed(range(m)) for r in range(t + 2)]
+    return np.array(before + after, dtype=np.intp)
 
 
 def rank_distribution(scores, sigma: float) -> RankDistribution:
     """Every item's rank distribution under independent pairwise contests."""
     s = _as_scores(scores)
-    p_beats = _win_prob_matrix(s, sigma)
-    return RankDistribution(probs=np.array([_opponent_fold(p_beats[:, j], j)[0]
-                                            for j in range(s.size)]))
+    columns = _win_prob(s[:, None] - s[None, :], sigma).T.tolist()  # columns[j][k] = P(k beats j)
+    return RankDistribution(probs=np.array([_opponent_fold(p[:j] + p[j + 1:])[0]
+                                            for j, p in enumerate(columns)]))
 
 
 def softrank_objective(scores, booked, sigma: float = DEFAULT_SOFTRANK_SIGMA) -> LossOutput:
@@ -234,25 +291,35 @@ def softrank_objective(scores, booked, sigma: float = DEFAULT_SOFTRANK_SIGMA) ->
     item's rank distribution, which makes the metric differentiable in the
     scores. Only the booked item has a gain, and it and the ideal DCG are 1."""
     s, b = _scores_and_booked(scores, booked)
-    p_beats = _win_prob_matrix(s, sigma)
     n = s.size
-    discounts = 1.0 / np.log2(2.0 + np.arange(n))
-    # d p_beats[k, b] / d s[k]; the derivative w.r.t. s[b] is its negation
-    pdf_scaled = (INV_2_SQRT_PI / sigma) * np.exp(-((s - s[b]) ** 2) / (4.0 * sigma * sigma))
+    diff = s - s[b]
+    p = _win_prob(diff, sigma).tolist()  # p[k] = P(k beats b)
+    p_wins = p[:b] + p[b + 1:]
+    discounts = _DISCOUNTS[:n] if n <= MAX_ITEMS_PER_QUERY else 1.0 / np.log2(2.0 + np.arange(n))
+    # d p[k] / d s[k]; the derivative w.r.t. s[b] is its negation
+    pdf_scaled = (INV_2_SQRT_PI / sigma) * np.exp(-(diff ** 2) / (4.0 * sigma * sigma))
+    row, history = _opponent_fold(p_wins)
 
-    row, history = _opponent_fold(p_beats[:, b], b)
+    # g: the gradient of the value w.r.t. the distribution after opponent
+    # t's fold, on the ranks 1..t+2 that this distribution can hold
+    g, g_history = discounts.tolist(), []
+    for p_t in reversed(p_wins):
+        g_history += g
+        q = 1.0 - p_t
+        g = [g_r * q + g_down * p_t for g_r, g_down in zip(g, g[1:])]
+    stacks = np.zeros(2 * (n - 1) * n)
+    stacks[_fold_layout(n)] = history + g_history
+    before, g_after = stacks.reshape(2, n - 1, n)
+    # each row's two dot products are the BLAS calls of np.dot on that row
+    g_p = np.vecdot(g_after[:, 1:], before[:, :-1]) - np.vecdot(g_after, before)
+    others = _others(n, b)
+    terms = g_p * pdf_scaled[others]
     grad = np.zeros(n)
-    g_row = discounts
-    opponents = [k for k in range(n) if k != b]
-    for k, old in zip(reversed(opponents), reversed(history)):
-        p = p_beats[k, b]
-        g_p = float(np.dot(g_row[1:], old[:-1]) - np.dot(g_row, old))
-        g_old = g_row * (1.0 - p)
-        g_old[:-1] += g_row[1:] * p
-        grad[k] += g_p * pdf_scaled[k]
-        grad[b] -= g_p * pdf_scaled[k]
-        g_row = g_old
-
+    grad[others] += terms  # 0.0 + term: a -0.0 term gives 0.0
+    grad_b = 0.0
+    for term in reversed(terms.tolist()):
+        grad_b -= term
+    grad[b] = grad_b
     return LossOutput(value=-float(np.dot(row, discounts)), score_gradients=-grad)
 
 

@@ -114,6 +114,12 @@ class SirModel:
                          for j in range(f.embedding_dim)], dtype=np.intp).reshape(-1, 3).T
 
     @cached_property
+    def embedding_stop(self) -> int:
+        """The end of the last embedding table in ``params.flat``."""
+        return max((span.stop for name, span, _ in self.params.layout
+                    if name.startswith("emb_")), default=0)
+
+    @cached_property
     def dense_names(self) -> tuple[tuple[str, str], ...]:
         """(weight, bias) parameter names of each dense layer, input first."""
         return tuple((f"deep_w{i}", f"deep_b{i}") for i in range(len(self.widths)))
@@ -380,9 +386,10 @@ def backward(model: SirModel, cache: ForwardCache, score_gradients: np.ndarray,
              grads: ParamVector | None = None) -> ParamVector:
     """Gradient of sum(score_gradients * scores) for every parameter, laid
     out like ``model.params``; an embedding table's gradient is written only
-    in the row the query looked up. ``grads``, if given, is zeroed and
-    written instead of a fresh vector, and returned. Each gradient is
-    written into its view by ``np.dot(..., out=)``, the BLAS call of ``@``."""
+    in the row the query looked up. ``grads``, if given, is written instead
+    of a fresh vector, and returned; only its embedding tables are zeroed
+    first. Every other gradient is written whole into its view by
+    ``np.dot(..., out=)``, the BLAS call of ``@``, or ``np.add.reduce(..., out=)``."""
     p = model.params
     g = np.asarray(score_gradients, dtype=np.float64).reshape(-1, 1)
     if g.shape[0] != cache.layer_inputs[0].shape[0]:
@@ -393,7 +400,7 @@ def backward(model: SirModel, cache: ForwardCache, score_gradients: np.ndarray,
     elif grads.layout != p.layout:
         raise ContractError("the gradient vector is not laid out like the model's parameters")
     else:
-        grads.flat.fill(0.0)
+        grads.flat[:model.embedding_stop] = 0.0
     n = len(model.widths)
     np.dot(cache.layer_inputs[n].T, g, out=grads["head_w"])
     np.add.reduce(g, axis=0, out=grads["head_b"])

@@ -148,7 +148,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
         epoch_rng = np.random.default_rng([config.seed, epoch])
         order = epoch_rng.permutation(len(train_ds))
         total = 0.0
-        for qi in order:
+        for qi in order.tolist():
             item_indices = None
             booked = booked_items[qi]
             if config.loss == "softrank" and sizes[qi] > SOFTRANK_LIST_SIZE:
@@ -285,7 +285,7 @@ CONDITIONS = ("test",) + tuple(f"case{cid}" for cid in CASE_IDS)
 ROW_ORDER = ("deep_only", "sir")  # baseline row first, invariant row second
 # The losses by the cost of their cells, dearest first; a sir cell costs more
 # than its deep_only twin. The grid's workers start its cells in this order.
-LOSS_COST_ORDER = ("softrank", "lambdarank", "listnet", "ranknet", "listmle")
+LOSS_COST_ORDER = ("softrank", "ranknet", "lambdarank", "listnet", "listmle")
 
 
 def _cell_seed(base_seed: int, loss_index: int, mode_index: int) -> int:

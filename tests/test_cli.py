@@ -153,6 +153,22 @@ def test_perturb_rejects_unknown_case(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("[" * 1200 + "]" * 1200, "maximum recursion depth exceeded"),
+    ("1" * 5000, "Exceeds the limit (4300 digits)")])
+def test_perturb_ends_a_line_json_cannot_read_in_one_line(workdir, tmp_path, capsys,
+                                                         value, message):
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    data = tmp_path / "bad.jsonl"
+    data.write_text("\n".join([lines[0], lines[1][:-1] + f', "x": {value}}}'] + lines[2:]) + "\n")
+    code = main(["perturb", "--data", str(data), "--schema", str(workdir / "data.schema.json"),
+                 "--case", "3", "--out", str(tmp_path / "p.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith(f"validation error: {data}: line 2: {message}"), err
+
+
 @pytest.fixture(scope="module")
 def experiment_out(workdir, tmp_path_factory):
     root = tmp_path_factory.mktemp("exp")

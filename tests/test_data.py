@@ -562,7 +562,6 @@ def test_valid_long_file_never_walks(tmp_path, schema, monkeypatch):
 # ---------------------------------------------------------------------------
 # lines parsed by orjson, judged as json parses them
 
-_REAL_CHUNK_COLUMNS = sirank.data._chunk_columns  # before the autouse check wraps it
 _BEYOND_FLOAT = int(sys.float_info.max) + 1  # orjson reads it as the largest float
 _BIG_INTS = (2 ** 63, 2 ** 64 - 1, 2 ** 64, 10 ** 20, -(2 ** 63) - 1, -(10 ** 20),
              _BEYOND_FLOAT, -_BEYOND_FLOAT, 2 ** 1024 - 2 ** 970)
@@ -573,9 +572,6 @@ def _json_only_outcome(path, schema, monkeypatch):
     ``json.loads`` alone, as it did before orjson."""
     with monkeypatch.context() as m:
         m.setattr(sirank.data, "_parse_line", lambda line, fast_loads: json.loads(line))
-        # json reads an int beyond float64 that numpy rounds to the largest
-        # float: the column-wise parse takes it, the per-query pass does not
-        m.setattr(sirank.data, "_chunk_columns", _REAL_CHUNK_COLUMNS)
         return _load_outcome(path, schema)
 
 
@@ -648,14 +644,34 @@ def test_load_outcomes_are_json_loads_outcomes(tmp_path, schema, monkeypatch):
         "ParseError", "ValidationError"}
 
 
-def test_a_line_nested_too_deep_for_json_raises_its_recursion_error(tmp_path, schema):
-    deep = "[" * 5000 + "]" * 5000
+def test_a_line_nested_too_deep_for_json_is_a_parse_error(tmp_path, schema):
+    deep = "[" * 1200 + "]" * 1200
     path = _write_lines(tmp_path / "deep.jsonl",
                         [_base_query(0), json.dumps(_base_query(1))[:-1] + f', "x": {deep}}}'])
     with pytest.raises(RecursionError):
         json.loads(path.read_text().splitlines()[1])
-    with pytest.raises(RecursionError):
+    with pytest.raises(ParseError, match=f"^{path}: line 2: maximum recursion depth exceeded "):
         load_dataset(path, schema)
+
+
+def test_an_int_literal_beyond_json_s_digit_limit_is_a_parse_error(tmp_path, schema):
+    line = _literal(_base_query(1), _set("query", "lead_days"), "1" * 5000)
+    path = _write_lines(tmp_path / "digits.jsonl", [_base_query(0), line])
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        json.loads(line)
+    with pytest.raises(ParseError, match=rf"^{path}: line 2: Exceeds the limit \(4300 digits\)"):
+        load_dataset(path, schema)
+
+
+def test_an_int_that_numpy_rounds_to_the_largest_float_is_refused_at_any_chunk_size(
+        tmp_path, schema, monkeypatch):
+    first = _literal(_base_query(0), _set("query", "lead_days"), str(_BEYOND_FLOAT))
+    second = _base_query(1)
+    del second["items"][0]["item_id"]
+    path = _write_lines(tmp_path / "two.jsonl", [first, second])
+    chunked, one_by_one = _outcomes_both_ways([path], schema, monkeypatch)
+    assert chunked == one_by_one == [
+        ("error", "ValidationError", "query q0: query feature 'lead_days' is not numeric")]
 
 
 @pytest.mark.parametrize("nights", [10 ** 20, 2 ** 64, 2 ** 200])

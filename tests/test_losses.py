@@ -5,14 +5,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc, expit, logsumexp
 
+from sirank.data import MAX_ITEMS_PER_QUERY
 from sirank.errors import DomainError, TrainingError
 from sirank.losses import (
-    INV_2_SQRT_PI,
     LOSS_NAMES,
-    SQRT2,
     LossOutput,
+    _DISCOUNTS,
+    _fold_layout,
+    _listnet_target,
     _logsumexp,
-    _opponent_fold,
+    _others,
     lambdarank_loss,
     listmle_loss,
     listnet_loss,
@@ -372,8 +374,6 @@ def test_loss_output_refuses_a_non_finite_value_or_gradient(value, gradients):
 
 
 def test_ranknet_is_bitwise_the_masked_pair_formula():
-    # the pairs written plainly: a boolean mask for the other items, the
-    # differences f_booked - f_other and unit weights multiplied in
     rng = np.random.default_rng(41)
     for trial in range(2000):
         n = int(rng.integers(1, 26))
@@ -381,16 +381,9 @@ def test_ranknet_is_bitwise_the_masked_pair_formula():
         if trial % 3 == 1:  # ties, some with the booked item
             s = np.round(s, 0)
         b = int(rng.integers(n))
-        index = np.arange(n)
-        others = index[index != b]
-        w = np.ones(others.size)
-        d = s[b] - s[others]
-        slope = w * expit(-d)
-        grad = np.zeros(n)
-        grad[others] = slope
-        grad[b] = -float(np.sum(slope)) if others.size else 0.0
+        value, grad = reference_ranknet(s, b)
         got = ranknet_loss(s, b)
-        assert got.value == float(np.sum(w * np.logaddexp(0.0, -d))), s
+        assert got.value == value, s
         assert got.score_gradients.tobytes() == grad.tobytes(), s
 
 
@@ -401,6 +394,155 @@ def test_every_loss_rejects_booked_index_out_of_range(name):
     for booked in (-1, scores.size):
         with pytest.raises(DomainError, match=f"booked index {booked} out of range"):
             fn(scores, booked)
+
+
+# ---------------------------------------------------------------------------
+# a frozen reference of the losses as first written: the full win matrix,
+# a fold of numpy rows and two np.dot calls per opponent, and the per-call
+# listwise formulas. It is kept plain on purpose and never optimized, so a
+# rewrite of a loss that moves a bit of a value or a gradient fails
+# against it.
+
+SQRT2 = math.sqrt(2.0)
+INV_2_SQRT_PI = 0.5 / math.sqrt(math.pi)
+
+
+def reference_win_prob_matrix(s, sigma):
+    # p[k, j] = P(k beats j)
+    diff = (s[:, None] - s[None, :]) / (sigma * SQRT2)
+    return 0.5 * erfc(-diff / SQRT2)
+
+
+def reference_fold(p_beats_j, j):
+    """Item j's rank distribution and the distribution before each opponent."""
+    n = p_beats_j.size
+    row = np.zeros(n)
+    row[0] = 1.0
+    history = []
+    for k in range(n):
+        if k == j:
+            continue
+        history.append(row)
+        p = p_beats_j[k]
+        nxt = row * (1.0 - p)
+        nxt[1:] += row[:-1] * p
+        row = nxt
+    return row, history
+
+
+def reference_rank_distribution(s, sigma):
+    p_beats = reference_win_prob_matrix(s, sigma)
+    return np.array([reference_fold(p_beats[:, j], j)[0] for j in range(s.size)])
+
+
+def reference_softrank(s, b, sigma):
+    p_beats = reference_win_prob_matrix(s, sigma)
+    n = s.size
+    discounts = 1.0 / np.log2(2.0 + np.arange(n))
+    pdf_scaled = (INV_2_SQRT_PI / sigma) * np.exp(-((s - s[b]) ** 2) / (4.0 * sigma * sigma))
+    row, history = reference_fold(p_beats[:, b], b)
+    grad = np.zeros(n)
+    g_row = discounts
+    opponents = [k for k in range(n) if k != b]
+    for k, old in zip(reversed(opponents), reversed(history)):
+        p = p_beats[k, b]
+        g_p = float(np.dot(g_row[1:], old[:-1]) - np.dot(g_row, old))
+        g_old = g_row * (1.0 - p)
+        g_old[:-1] += g_row[1:] * p
+        grad[k] += g_p * pdf_scaled[k]
+        grad[b] -= g_p * pdf_scaled[k]
+        g_row = g_old
+    return -float(np.dot(row, discounts)), -grad
+
+
+def reference_ranknet(s, b):
+    # the pairs written plainly: a boolean mask for the other items, the
+    # differences f_booked - f_other and unit weights multiplied in
+    index = np.arange(s.size)
+    others = index[index != b]
+    w = np.ones(others.size)
+    d = s[b] - s[others]
+    slope = w * expit(-d)
+    grad = np.zeros(s.size)
+    grad[others] = slope
+    grad[b] = -float(np.sum(slope)) if others.size else 0.0
+    return float(np.sum(w * np.logaddexp(0.0, -d))), grad
+
+
+def reference_listnet(s, b):
+    y = np.zeros(s.size)
+    y[b] = 1.0
+    log_p = s - logsumexp(s)
+    target = np.exp(y - logsumexp(y))
+    return float(-np.sum(target * log_p)), np.exp(log_p) - target
+
+
+def reference_listmle(s, b):
+    lse = logsumexp(s)
+    grad = np.exp(s - lse)
+    grad[b] -= 1.0
+    return float(lse - s[b]), grad
+
+
+def assert_bitwise(got: LossOutput, value, grad, case):
+    assert np.float64(got.value).tobytes() == np.float64(value).tobytes(), case
+    assert got.score_gradients.tobytes() == grad.tobytes(), case
+
+
+def reference_cases(sizes):
+    """(scores, scale) for every size in ``sizes`` at scales 1e-2..1e3,
+    each as normal draws and as draws with ties."""
+    rng = np.random.default_rng(43)
+    for n in sizes:
+        for scale in 10.0 ** np.arange(-2, 4):
+            yield rng.normal(size=n) * scale, scale
+            yield rng.integers(-2, 3, size=n) * scale, scale
+
+
+def test_softrank_and_rank_distribution_are_bitwise_the_frozen_reference():
+    for scores, scale in reference_cases(range(1, MAX_ITEMS_PER_QUERY + 1)):
+        for sigma in (0.15, 0.15 * scale):
+            assert (rank_distribution(scores, sigma).probs.tobytes()
+                    == reference_rank_distribution(scores, sigma).tobytes()), scores
+            for b in range(scores.size):
+                assert_bitwise(softrank_objective(scores, b, sigma=sigma),
+                               *reference_softrank(scores, b, sigma), (scores, b, sigma))
+
+
+def test_listwise_losses_are_bitwise_the_frozen_reference():
+    for scores, _ in reference_cases(range(1, MAX_ITEMS_PER_QUERY + 1)):
+        for b in range(scores.size):
+            assert_bitwise(listnet_loss(scores, b), *reference_listnet(scores, b), (scores, b))
+            assert_bitwise(listmle_loss(scores, b), *reference_listmle(scores, b), (scores, b))
+
+
+def test_cached_tables_are_read_only():
+    for n in range(1, MAX_ITEMS_PER_QUERY + 1):
+        for name in LOSS_NAMES:
+            loss_by_name(name)(np.linspace(1.0, 0.0, n), n - 1)
+    tables = [_DISCOUNTS, *(table for cached in (_others, _listnet_target, _fold_layout)
+                            for table in cached.cache.values())]
+    assert len(tables) > 3 * MAX_ITEMS_PER_QUERY
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+
+
+def test_a_list_longer_than_any_query_scores_without_being_cached():
+    n = MAX_ITEMS_PER_QUERY + 5
+    scores = np.random.default_rng(44).normal(size=n)
+    labels = (np.arange(n) == 3).astype(np.float64)
+    for cached in (_others, _listnet_target, _fold_layout):
+        cached.cache.clear()
+    assert_bitwise(softrank_objective(scores, 3), *reference_softrank(scores, 3, 0.15), n)
+    assert_bitwise(listnet_loss(scores, 3), *reference_listnet(scores, 3), n)
+    assert_bitwise(lambdarank_loss(scores, 3), *graded_lambdarank(scores, labels), n)
+    assert_bitwise(ranknet_loss(scores, 3), *reference_ranknet(scores, 3), n)
+    assert (rank_distribution(scores, 0.15).probs.tobytes()
+            == reference_rank_distribution(scores, 0.15).tobytes())
+    for cached in (_others, _listnet_target, _fold_layout):
+        assert not cached.cache
 
 
 # graded-gain reference: lambdarank and softrank as they were written for any
@@ -432,7 +574,7 @@ def graded_lambdarank(s, y):
 
 def graded_softrank(s, y, sigma):
     n = s.size
-    p_beats = 0.5 * erfc(-((s[:, None] - s[None, :]) / (sigma * SQRT2)) / SQRT2)
+    p_beats = reference_win_prob_matrix(s, sigma)
     gains = 2.0 ** y - 1.0
     g_max = graded_ideal_dcg(y)
     discounts = 1.0 / np.log2(2.0 + np.arange(n))
@@ -443,7 +585,7 @@ def graded_softrank(s, y, sigma):
     for j in range(n):
         if gains[j] == 0.0:
             continue
-        row, history = _opponent_fold(p_beats[:, j], j)
+        row, history = reference_fold(p_beats[:, j], j)
         ndcg_val += gains[j] / g_max * float(np.dot(row, discounts))
         g_row = gains[j] / g_max * discounts
         opponents = [k for k in range(n) if k != j]
