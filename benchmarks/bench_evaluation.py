@@ -14,12 +14,13 @@ is git-ignored):
 
     mkdir -p .bench-parent && git archive <commit> src | tar -x -C .bench-parent
     python3 benchmarks/bench_evaluation.py --src .bench-parent/src --src src \
-        --out BENCH_evaluation.json
+        --rounds 10 --out BENCH_evaluation.json
 
 Each ``--src`` tree is measured in its own worker process, so two trees never
 share an import. With several trees the workers run in rounds, the order
 reversed every other round, and each metric is the median (with quartiles)
-of all repeats of that tree. Models are built untrained: evaluation costs
+of all repeats of that tree; a change is read from the per-round ratios
+(``round_ratio_last_to_first``). Models are built untrained: evaluation costs
 the same whatever the parameter values are. BLAS runs on one thread, as in
 perfbench.
 """

@@ -534,9 +534,9 @@ def _group_fault(values, tests: dict, what: str) -> str | None:
 
 
 def _type_fault(obj: dict, schema: FeatureSchema) -> str | None:
-    """The message of the first fault in the query object ``obj`` that
-    makes ``_chunk_columns`` refuse it, or None: what JSON decides, never a
-    value."""
+    """The message of the first fault in the query object ``obj``, as
+    ``json.loads`` reads it, that makes ``_chunk_columns`` refuse it, or
+    None: what JSON decides, never a value."""
     qid, number = obj.get("query_id"), (_is_number, "is not numeric")
     if type(qid) is not str:
         return _NO_QUERY_ID
@@ -566,20 +566,33 @@ def _type_fault(obj: dict, schema: FeatureSchema) -> str | None:
 def _read_chunk(chunk: list[tuple[int, str, dict]], schema: FeatureSchema, chunks: list[dict],
                 lines: list[int]) -> ValidationError | None:
     """Add the columns of ``chunk``'s (line number, line, JSON object)
-    triples to ``chunks`` and their line numbers to ``lines``. If JSON
+    triples to ``chunks`` and their line numbers to ``lines``; if JSON
     decides a fault in a query, add the queries before it and return the
-    error that ``_type_fault`` names. ``_type_fault`` reads each line as
-    ``json.loads`` does: it tells an integer beyond the float64 range from
-    the largest float, which orjson reads it as."""
-    columns = _chunk_columns([obj for _, _, obj in chunk], schema)
+    error that ``_type_fault`` names. The one place where json reads a line
+    again: the chunk's lines, if ``_chunk_columns`` refuses their objects or
+    they hold a value orjson may read apart from json. orjson reads an int
+    outside [-2**63, 2**64) as the float of equal value (one just past the
+    float range as the largest float); the rules judge it apart only as a
+    night count, a rate equal to the largest float, or a numeric, fixed or
+    scale-variant value not strictly within +-the largest float (as NaN and
+    the infinities are, which break a rule anyway)."""
+    objs = [obj for _, _, obj in chunk]
+    columns = _chunk_columns(objs, schema)
+    big = sys.float_info.max
+    if (columns is None or not set(map(type, columns["num_nights"])) <= {int}
+            or big in columns["exchange_rates"]
+            or any(a.size and not -big < a.min() <= a.max() < big
+                   for a in (columns["numeric"], columns["fixed"], columns["scalevariant"]))):
+        objs = [json.loads(line) for _, line, _ in chunk]
+        columns = _chunk_columns(objs, schema)
+    fault = None
     if columns is None:
-        k, fault = next((k, fault) for k, (_, line, _) in enumerate(chunk)
-                        if (fault := _type_fault(json.loads(line), schema)) is not None)
-        _read_chunk(chunk[:k], schema, chunks, lines)
-        return ValidationError(fault)
+        k, fault = next((k, ValidationError(message)) for k, obj in enumerate(objs)
+                        if (message := _type_fault(obj, schema)) is not None)
+        chunk, columns = chunk[:k], _chunk_columns(objs[:k], schema)
     chunks.append(columns)
     lines.extend(lineno for lineno, _, _ in chunk)
-    return None
+    return fault
 
 
 # json's decoder recurses once per level of nesting and raises RecursionError
@@ -590,53 +603,40 @@ _ORJSON_MAX_BRACKETS = 200
 
 
 def _parse_line(line: str, fast_loads):
-    """``json.loads(line)``, the same object or the same exception, from
-    ``fast_loads`` (``orjson.loads``) where that cannot change the load's
-    outcome. json parses a line that orjson refuses (NaN, the infinities, a
-    number beyond float64, a lone surrogate escape, a BOM, a syntax error)
-    or that may nest beyond json's reach. orjson reads an integer outside
-    [-2**63, 2**64) as the float of equal value; the rules tell that float
-    from the int only as a night count, and as an exchange rate when it is
-    the largest float, so json parses such lines again. ``_type_fault``
-    re-reads its lines with json itself."""
+    """``fast_loads(line)`` (``orjson.loads``), or ``json.loads(line)``'s
+    object or exception where orjson refuses the line (NaN, the infinities,
+    a number beyond float64, a lone surrogate escape, a BOM, a syntax error)
+    or it may nest beyond json's reach. ``_read_chunk`` decides when json
+    reads a line that orjson read."""
     if line.count("{") + line.count("[") <= _ORJSON_MAX_BRACKETS:
         try:
-            obj = fast_loads(line)
+            return fast_loads(line)
         except json.JSONDecodeError:  # orjson.JSONDecodeError subclasses it
             pass
-        else:
-            if type(obj) is not dict or (type(obj.get("num_nights")) is int
-                                         and obj.get("exchange_rate") != sys.float_info.max):
-                return obj
     return json.loads(line)
 
 
 def load_dataset(path, schema: FeatureSchema) -> Dataset:
     """Read a UTF-8 JSONL dataset, validating every record against the
-    schema; query ids must be unique within the file. Lines are parsed by
-    orjson, with json's results and messages (``_parse_line``), into columns
-    ``LOAD_CHUNK_QUERIES`` queries at a time; reading stops at the first
-    fault that JSON or the text decoder decides, and the columns read are
-    checked once, so the first error in file order is raised."""
-    import orjson  # here, not on ``import sirank``: only a reader of JSONL pays for it
-
-    columns, lines, fault = _read_columns(path, schema, orjson.loads)
-    if any((np.abs(columns[name]) == sys.float_info.max).any()
-           for name in ("numeric", "fixed", "scalevariant")):
-        # the largest float may be orjson's reading of an int beyond the
-        # float range, which json keeps as the int that ``_float_column`` refuses
-        columns, lines, fault = _read_columns(path, schema, json.loads)
+    schema; query ids must be unique within the file. The file is read once,
+    by orjson where it can (``_parse_line``), into columns
+    ``LOAD_CHUNK_QUERIES`` queries at a time, with json's results and
+    messages (``_read_chunk``). Reading stops at the first fault that JSON or
+    the text decoder decides, and the columns read are checked once, so the
+    first error in file order is raised."""
+    columns, lines, fault = _read_columns(path, schema)
     _check_columns(schema, lines, "lines", **columns)
     if fault:
         raise fault
     return Dataset._of_columns(schema, **columns)
 
 
-def _read_columns(path, schema: FeatureSchema,
-                  fast_loads) -> tuple[dict, list[int], Exception | None]:
+def _read_columns(path, schema: FeatureSchema) -> tuple[dict, list[int], Exception | None]:
     """The columns of ``path``'s lines up to its first fault that JSON or the
-    text decoder decides, their line numbers, and that fault (or None);
-    ``fast_loads`` parses where ``_parse_line`` lets it."""
+    text decoder decides, their line numbers, and that fault (or None); the
+    chunks' columns are freed on return, before the check."""
+    import orjson  # here, not on ``import sirank``: only a reader of JSONL pays for it
+
     chunks, lines, chunk, fault = [], [], [], None
     with open(path, encoding="utf-8") as fh:
         try:
@@ -644,26 +644,23 @@ def _read_columns(path, schema: FeatureSchema,
                 if not line.strip():
                     continue
                 try:
-                    obj = _parse_line(line, fast_loads)
+                    obj = _parse_line(line, orjson.loads)
                     bad = None if isinstance(obj, dict) else "expected a JSON object"
                 except json.JSONDecodeError as exc:
                     bad = exc.msg
                 except (RecursionError, ValueError) as exc:  # json's nesting or int-digit limit
                     bad = str(exc)
                 if bad:
-                    fault = (_read_chunk(chunk, schema, chunks, lines)
-                             or ParseError(f"{path}: line {lineno}: {bad}"))
+                    fault = ParseError(f"{path}: line {lineno}: {bad}")
                     break
                 chunk.append((lineno, line, obj))
                 if len(chunk) == LOAD_CHUNK_QUERIES:
                     fault, chunk = _read_chunk(chunk, schema, chunks, lines), []
                     if fault:
                         break
-            else:
-                fault = _read_chunk(chunk, schema, chunks, lines)
         except UnicodeDecodeError as exc:  # the text decoder raises it as the loop reads the file
-            fault = (_read_chunk(chunk, schema, chunks, lines)
-                     or ParseError(f"{path}: not {exc.encoding} text ({exc.reason})"))
+            fault = ParseError(f"{path}: not {exc.encoding} text ({exc.reason})")
+    fault = _read_chunk(chunk, schema, chunks, lines) or fault
     return _joined_chunks(chunks), lines, fault
 
 

@@ -62,7 +62,7 @@ for _a in (FIXED_LOG_MU, FIXED_LOG_SIGMA, SCALEVARIANT_LOG_MU, SCALEVARIANT_LOG_
     _a.flags.writeable = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     num_queries: int
     items_min: int = 5
@@ -76,8 +76,8 @@ class GeneratorConfig:
         if not (2 <= self.items_min <= self.items_max <= 25):
             raise ConfigError(f"items per query must satisfy 2 <= min <= max <= 25, "
                               f"got [{self.items_min}, {self.items_max}]")
-        if not (self.noise_temperature > 0):
-            raise ConfigError(f"noise temperature must be > 0, got {self.noise_temperature}")
+        if not 0 < self.noise_temperature < np.inf:
+            raise ConfigError(f"noise temperature must be finite and > 0, got {self.noise_temperature}")
 
     def to_json(self) -> dict:
         return {

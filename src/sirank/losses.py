@@ -222,8 +222,8 @@ def listmle_loss(scores, booked) -> LossOutput:
 def _win_prob(diff, sigma: float):
     """P(k beats j), elementwise, from diff = s_k - s_j: when both scores
     carry N(0, sigma^2) noise, the noisy difference is N(diff, 2 sigma^2)."""
-    if not sigma > 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     return 0.5 * erfc(-(diff / (sigma * SQRT2)) / SQRT2)
 
 

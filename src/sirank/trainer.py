@@ -58,8 +58,8 @@ def _check_schedule(max_epochs: int, patience: int, learning_rate: float | None,
     if not (1 <= patience < max_epochs):
         raise ConfigError(f"patience {patience} must be in [1, max_epochs) "
                           f"with max_epochs {max_epochs}")
-    if not (sigma > 0):
-        raise ConfigError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
     if learning_rate is not None and not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise ConfigError(f"learning rate must be a finite number >= 0, got {learning_rate}")
 

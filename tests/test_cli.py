@@ -607,6 +607,18 @@ def test_non_finite_learning_rate_is_usage_error(workdir, tmp_path, capsys, lr):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_non_finite_sigma_is_usage_error_in_one_line(workdir, tmp_path, capsys, sigma):
+    code = main(["train", "--data", str(workdir / "data.jsonl"),
+                 "--schema", str(workdir / "data.schema.json"),
+                 "--out", str(tmp_path / "m.json"), "--loss", "softrank", "--sigma", sigma,
+                 "--epochs", "2", "--patience", "1"])
+    assert code == 2
+    want = f"usage error: sigma must be finite and > 0, got {sigma}\n"
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_short_runs_without_patience_flag(workdir, tmp_path, capsys):
     # without --patience, patience is the default capped at epochs - 1
     code = main(["train", "--data", str(workdir / "data.jsonl"),

@@ -699,6 +699,76 @@ def test_an_int_beyond_float64_is_no_exchange_rate(tmp_path, schema):
     assert _write_and_load(tmp_path, schema, obj).exchange_rates[0] == sys.float_info.max
 
 
+def test_values_orjson_reads_apart_keep_json_s_outcome_across_chunks(tmp_path, schema,
+                                                                     monkeypatch):
+    """Files of three chunks: a value that orjson reads apart from json, or
+    the largest float, in chunk 1, and a fault that JSON decides in chunk 0,
+    in chunk 2 or nowhere, or a NaN (a line json reads alone) beside it. The
+    outcome is json's at every chunk size."""
+    chunk = sirank.data.LOAD_CHUNK_QUERIES
+    n, apart = 2 * chunk + 3, chunk + 2
+    texts = [*map(str, _BIG_INTS), "1.7976931348623157e308", "-1.7976931348623157e308"]
+
+    def break_item_id(objs, k):
+        del objs[k]["items"][0]["item_id"]
+
+    def break_syntax(objs, k):
+        objs[k] = "{not json"
+
+    def put_nan(objs, k):
+        objs[k] = _literal(objs[k], _set("query", "lead_days"), "NaN")
+
+    files = {}
+    for place, edit in _VALUE_PLACES.items():
+        for text in texts:
+            for fault_at, fault in ((None, None), (apart + 1, put_nan),
+                                    *((k, f) for k in (3, 2 * chunk + 1)
+                                      for f in (break_item_id, break_syntax))):
+                objs = [_base_query(k) for k in range(n)]
+                objs[apart] = _literal(objs[apart], edit, text)
+                if fault:
+                    fault(objs, fault_at)
+                files[place, text, fault_at, fault and fault.__name__] = objs
+    paths = [_write_lines(tmp_path / f"f{i}.jsonl", objs) for i, objs in enumerate(files.values())]
+    chunked, one_by_one = _outcomes_both_ways(paths, schema, monkeypatch)
+    assert chunked == one_by_one == [_json_only_outcome(p, schema, monkeypatch) for p in paths]
+    outcomes = dict(zip(files, chunked))
+    lead = schema.numeric_query_names.index("lead_days")
+    for text, want in (("1.7976931348623157e308", sys.float_info.max),
+                       ("-1.7976931348623157e308", -sys.float_info.max)):
+        loaded = outcomes["numeric", text, None, None]
+        assert loaded[0] == "ok" and len(loaded[1]) == n
+        assert np.frombuffer(loaded[1][apart][1])[lead] == want
+    for text in (str(_BEYOND_FLOAT), str(-_BEYOND_FLOAT)):
+        assert outcomes["numeric", text, None, None] == outcomes[
+            "numeric", text, 2 * chunk + 1, "break_item_id"] == outcomes[
+            "numeric", text, apart + 1, "put_nan"] == (
+            "error", "ValidationError", f"query q{apart}: query feature 'lead_days' is not numeric")
+        assert outcomes["numeric", text, 3, "break_item_id"] == (
+            "error", "ValidationError", "query q3: item without a non-empty string item_id")
+        assert outcomes["numeric", text, 3, "break_syntax"][:2] == ("error", "ParseError")
+    assert outcomes["num_nights", str(10 ** 20), None, None][1][apart][3] == 10 ** 20
+
+
+def test_json_parses_again_only_the_chunk_that_holds_the_largest_float(tmp_path, schema,
+                                                                        monkeypatch):
+    chunk = sirank.data.LOAD_CHUNK_QUERIES
+    objs = [_base_query(k) for k in range(2 * chunk + 3)]
+    objs[chunk + 5]["query"]["lead_days"] = sys.float_info.max
+    path = _write_lines(tmp_path / "largest.jsonl", objs)
+    real_loads, parsed = json.loads, []
+
+    def loads(text, *args, **kwargs):
+        parsed.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    ds = load_dataset(path, schema)
+    assert ds.numeric[chunk + 5, schema.numeric_query_names.index("lead_days")] == (
+        sys.float_info.max)
+    assert parsed == path.read_text().splitlines(keepends=True)[chunk:2 * chunk]
+
+
 def _number_literals(rng) -> list[str]:
     """JSON number literals: float64 reprs and longer forms of them,
     decimals of 1-40 digits with exponents -340..320, exact halfway points

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -66,6 +67,15 @@ def test_config_validation():
         GeneratorConfig(num_queries=5, items_max=26)
     with pytest.raises(ConfigError):
         GeneratorConfig(num_queries=5, noise_temperature=0.0)
+
+
+@pytest.mark.parametrize("temperature", [float("inf"), float("nan"), -1.0])
+def test_generator_config_refuses_a_noise_temperature_that_is_not_finite_and_positive(
+        temperature):
+    with pytest.raises(ConfigError, match=r"^noise temperature must be finite and > 0, got "):
+        GeneratorConfig(num_queries=5, noise_temperature=temperature)
+    with pytest.raises(dataclasses.FrozenInstanceError):  # nor can a checked config be edited
+        GeneratorConfig(num_queries=5).noise_temperature = temperature
 
 
 def test_config_json_keeps_the_corpus_shape():

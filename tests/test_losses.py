@@ -298,6 +298,16 @@ def test_softrank_rejects_bad_sigma():
         softrank_objective(np.zeros(2), 0, sigma=-1.0)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+def test_win_probabilities_refuse_a_non_finite_sigma(sigma):
+    # at sigma = inf every win probability is 1/2 and softrank's gradient is zero
+    for call in (lambda: softrank_objective(np.array([1.0, 2.0, 0.5]), 1, sigma=sigma),
+                 lambda: rank_distribution(np.array([1.0, 2.0]), sigma),
+                 lambda: pairwise_win_prob(0.0, 1.0, sigma)):
+        with pytest.raises(DomainError, match=r"^sigma must be finite and > 0, got "):
+            call()
+
+
 def test_softrank_bounded_below_by_minus_one():
     rng = np.random.default_rng(38)
     for _ in range(20):

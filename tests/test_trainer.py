@@ -65,6 +65,14 @@ def test_config_rejects_bad_sigma_and_lr():
         TrainConfig(learning_rate=-0.1)
 
 
+def test_configs_refuse_a_non_finite_sigma():
+    # an infinite sigma flattens softrank's gradient to zero: every step is a no-op
+    for sigma in (math.inf, -math.inf, math.nan):
+        for config in (TrainConfig, ExperimentConfig):
+            with pytest.raises(ConfigError, match=r"^sigma must be finite and > 0, got "):
+                config(sigma=sigma)
+
+
 def test_config_rejects_non_finite_lr():
     for lr in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError, match="finite"):
