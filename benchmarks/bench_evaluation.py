@@ -9,11 +9,14 @@ Run from the root of a checkout:
     python3 benchmarks/bench_evaluation.py                       # this checkout's src/
     python3 benchmarks/bench_evaluation.py --smoke               # seconds; for CI
 
-Before and after a change, against an exported older tree (``.bench-parent/``
-is git-ignored):
+Before and after a change, with both trees exported from git, so that
+neither runs from the checkout (``.bench-parent/`` and ``.bench-change/`` are
+git-ignored):
 
-    mkdir -p .bench-parent && git archive <commit> src | tar -x -C .bench-parent
-    python3 benchmarks/bench_evaluation.py --src .bench-parent/src --src src \
+    mkdir -p .bench-parent .bench-change
+    git archive <parent commit> src | tar -x -C .bench-parent
+    git archive <change commit> src | tar -x -C .bench-change
+    python3 benchmarks/bench_evaluation.py --src .bench-parent/src --src .bench-change/src \
         --rounds 10 --out BENCH_evaluation.json
 
 Each ``--src`` tree is measured in its own worker process, so two trees never

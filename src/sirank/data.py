@@ -673,35 +673,57 @@ def _object_template(fields: list[tuple[str, str]]) -> tuple[str, list[int]]:
                            + fields[i][1] for i in order) + "}", order
 
 
+# orjson writes a float64 as ``repr`` does, the shortest text that reads back
+# to it, at a magnitude in [1e-4, 1e16) and at 0; outside that range its
+# notation differs (``0.00001`` for ``1e-05``, ``1e16`` for ``1e+16``).
+_ORJSON_AS_REPR = (1e-4, 1e16)
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """The text ``repr`` writes for each float of the 1-D float64 ``values``:
+    orjson's, from one call, and ``repr``'s for a magnitude outside
+    ``_ORJSON_AS_REPR`` (0 included: its texts agree)."""
+    import orjson  # here, not on ``import sirank``: only a writer of JSONL pays for it
+
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    low, high = _ORJSON_AS_REPR
+    magnitude = np.abs(values)
+    for i in np.flatnonzero((magnitude < low) | (magnitude >= high)).tolist():
+        texts[i] = repr(float(values[i]))
+    return texts
+
+
 def save_dataset(ds: Dataset, path):
     """Write the raw records as JSONL, one query object per line: each line
     is ``json.dumps(record, sort_keys=True)``, filled into templates made
-    once from the schema. A Dataset's values are finite, so ``%r`` (a
-    Python float's repr) writes each float as json does."""
+    once from the schema. A query's floats are written as ``repr`` writes
+    them, as json does (``_float_texts``: one orjson call per query)."""
     schema = ds.schema
+    n, k1 = len(schema.numeric_query_names), schema.k1
     query, query_order = _object_template(
-        [(name, "%r") for name in schema.numeric_query_names]
+        [(name, "%s") for name in schema.numeric_query_names]
         + [(f.name, "%d") for f in schema.categorical_query_features])
-    fixed, fixed_order = _object_template([(name, "%r") for name in schema.item_features_fixed])
-    sv, sv_order = _object_template([(name, "%r") for name in schema.item_features_scalevariant])
-    line = ('{"exchange_rate": %r, "items": [%s], "num_nights": %d, "query": ' + query
+    fixed, fixed_order = _object_template([(name, "%s") for name in schema.item_features_fixed])
+    sv, sv_order = _object_template([(name, "%s") for name in schema.item_features_scalevariant])
+    line = ('{"exchange_rate": %s, "items": [%s], "num_nights": %d, "query": ' + query
             + ', "query_id": %s}\n')
     item = '{"fixed": ' + fixed + ', "item_id": %s, "label": %d, "scalevariant": ' + sv + "}"
-    # the columns of [fixed | scalevariant | label] in the item template's order
-    columns = [*fixed_order, schema.k1 + schema.k2, *(schema.k1 + i for i in sv_order)]
-    table = np.hstack([ds.fixed, ds.scalevariant, ds.labels[:, None]])[:, columns]
-    # category ids are below MAX_EMBEDDING_VALUES, so exact as float64
-    query_values = np.hstack([ds.numeric, ds.category_ids], dtype=np.float64)[:, query_order]
+    # the columns of [fixed | scalevariant] in the item template's order
+    width = k1 + schema.k2
+    table = np.hstack([ds.fixed, ds.scalevariant])[:, [*fixed_order, *(k1 + i for i in sv_order)]]
+    query_floats = np.hstack([ds.exchange_rates[:, None], ds.numeric])
     with open(path, "w") as fh:
-        for (a, b), values, nights, rate, qid in zip(
-                pairwise(ds.offsets.tolist()), query_values.tolist(), ds.num_nights,
-                ds.exchange_rates.tolist(), ds.query_ids):
-            rows = table[a:b].tolist()
-            for row, item_id in zip(rows, ds.item_ids[a:b]):
-                row.insert(schema.k1, encode_basestring_ascii(item_id))
-            fh.write(line % (rate, ", ".join([item % tuple(r) for r in rows]), nights, *values,
-                             encode_basestring_ascii(qid)))
-
+        for (a, b), floats, categories, nights, qid in zip(
+                pairwise(ds.offsets.tolist()), query_floats, ds.category_ids.tolist(),
+                ds.num_nights, ds.query_ids):
+            # the rate, the numeric query values, then each item's row
+            texts = _float_texts(np.concatenate((floats, table[a:b]), axis=None))
+            rows = [texts[j:j + width] for j in range(n + 1, len(texts), width)]
+            for row, item_id, label in zip(rows, ds.item_ids[a:b], ds.labels[a:b].tolist()):
+                row[k1:k1] = encode_basestring_ascii(item_id), label
+            values = texts[1:n + 1] + categories
+            fh.write(line % (texts[0], ", ".join([item % tuple(row) for row in rows]), nights,
+                             *[values[k] for k in query_order], encode_basestring_ascii(qid)))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,7 @@ def _query_rng(seed: int, qi: int) -> np.random.Generator:
     return np.random.default_rng([seed, qi])
 
 
+@np.errstate(over="ignore")  # a temperature whose quotient overflows is refused below
 def generate(config: GeneratorConfig) -> Dataset:
     k1, k2 = SCHEMA.k1, SCHEMA.k2
     w_fixed, w_sv = UTILITY_WEIGHTS[:k1], UTILITY_WEIGHTS[k1:]
@@ -131,7 +132,11 @@ def generate(config: GeneratorConfig) -> Dataset:
         sv.append(np.exp(log_sv))
 
         utility = zf @ w_fixed + log_sv @ w_sv + float(rng.normal(scale=0.5))
-        probs = stable_softmax(utility / config.noise_temperature)
+        scores = utility / config.noise_temperature
+        if not np.isfinite(scores).all():
+            raise ConfigError(f"noise temperature {config.noise_temperature} is too small: "
+                              f"utility / temperature overflows float64 in query q{qi}")
+        probs = stable_softmax(scores)
         booked = int(rng.choice(d, p=probs))
 
         item_ids += [f"q{qi}-i{j}" for j in range(d)]

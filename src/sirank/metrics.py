@@ -22,7 +22,7 @@ from scipy.special import stdtr
 
 from .data import Dataset
 from .errors import DomainError, ValidationError
-from .perturb import DEFAULT_RATE, PerturbationCase, apply_case
+from .perturb import DEFAULT_RATE, PerturbationCase, apply_case, target_columns
 from .scoring import (DatasetBlock, Ranking, block_scorer, prepare_dataset, prepare_rescale,
                       scale_dataset, score_block)
 
@@ -126,7 +126,8 @@ def evaluate_scenarios(model, test: Dataset, case_ids, gap: bool
     clean_scores = score(block)
     clean = evaluate_block(block, clean_scores)
     cases = {cid: evaluate_block(block, score(prepare_rescale(
-        model, block, apply_case(test, PerturbationCase(cid))))) for cid in case_ids}
+        model, block, apply_case(test, PerturbationCase(cid)), target_columns(test.schema))))
+        for cid in case_ids}
     if not gap:
         return clean, cases, None
     delta = score(prepare_rescale(model, block, scale_dataset(test, DEFAULT_RATE))) - clean_scores

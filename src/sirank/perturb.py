@@ -40,6 +40,18 @@ class PerturbationCase:
                 4: [np.full(len(ds), DEFAULT_RATE)]}[self.case_id]
 
 
+def target_columns(schema) -> list[int]:
+    """The scale-variant columns a case rescales, ``DEFAULT_TARGETS``'
+    positions in ``schema``; ConfigError if one is not a scale-variant
+    feature of it."""
+    sv_names = schema.item_features_scalevariant
+    missing = sorted(set(DEFAULT_TARGETS) - set(sv_names))
+    if missing:
+        raise ConfigError(f"target features {missing} are not scale-variant "
+                          f"features of the schema (has {list(sv_names)})")
+    return [sv_names.index(name) for name in DEFAULT_TARGETS]
+
+
 def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     """Return a copy of ds with the case's rescaling applied per query.
 
@@ -48,10 +60,5 @@ def apply_case(ds: Dataset, case: PerturbationCase) -> Dataset:
     A rescaled value beyond the float64 range or below its smallest normal
     value raises ValidationError naming the first such query.
     """
-    sv_names = ds.schema.item_features_scalevariant
-    missing = sorted(set(DEFAULT_TARGETS) - set(sv_names))
-    if missing:
-        raise ConfigError(f"target features {missing} are not scale-variant "
-                          f"features of the schema (has {list(sv_names)})")
-    return rescaled(ds, [sv_names.index(name) for name in DEFAULT_TARGETS], case.factors(ds),
+    return rescaled(ds, target_columns(ds.schema), case.factors(ds),
                     f"case {case.case_id} rescales")

@@ -246,43 +246,56 @@ def prepare_dataset(model: SirModel, dataset: Dataset) -> DatasetBlock:
 
     deep_items = np.empty((len(dataset.fixed), k1 + model.schema.k2 * (model.mode == "deep_only")))
     _standardized(dataset.fixed, stats.fixed_mean, stats.fixed_std, deep_items[:, :k1])
+    log_values = None
+    if model.mode == "sir":
+        log_values = np.concatenate([dataset.fixed, dataset.scalevariant], axis=1)
+        np.log(log_values, out=log_values)
+    else:
+        _standardized(dataset.scalevariant, stats.scalevariant_mean, stats.scalevariant_std,
+                      deep_items[:, k1:])
+    deep_numeric = _standardized(dataset.numeric, stats.numeric_mean, stats.numeric_std)
+    _check_finite(dataset, deep_numeric, deep_items)
     offsets = dataset.offsets
     feature, first, width = model.embedding_columns
-    return _read_scalevariant(model, dataset, DatasetBlock(
-        deep_numeric=_standardized(dataset.numeric, stats.numeric_mean, stats.numeric_std),
-        embedding_rows=first + width * dataset.category_ids[:, feature],
-        deep_items=deep_items, log_values=None,
+    return DatasetBlock(
+        deep_numeric=deep_numeric, embedding_rows=first + width * dataset.category_ids[:, feature],
+        deep_items=deep_items, log_values=log_values,
         booked=np.flatnonzero(dataset.labels), offsets=offsets,
-        row_query=np.repeat(np.arange(len(dataset)), np.diff(offsets))))
-
-
-def prepare_rescale(model: SirModel, block: DatasetBlock, rescale: Dataset) -> DatasetBlock:
-    """``prepare_dataset(model, rescale)`` for a rescale (``apply_case``,
-    ``scale_dataset``) of the dataset ``block`` was prepared from: only what
-    reads the scale-variant column is computed again, and checked."""
-    if model.mode == "deep_only":
-        block = replace(block, deep_items=block.deep_items.copy())
-    return _read_scalevariant(model, rescale, block)
+        row_query=np.repeat(np.arange(len(dataset)), np.diff(offsets)))
 
 
 @np.errstate(over="ignore")  # a standardized value beyond float64 range is reported below
-def _read_scalevariant(model: SirModel, dataset: Dataset, block: DatasetBlock) -> DatasetBlock:
-    """``block`` with the logs of the wide inputs of ``dataset`` (sir) or its
-    standardized scale-variant columns in ``block.deep_items`` (deep_only);
-    DomainError names the first query with a non-finite standardized input."""
+def prepare_rescale(model: SirModel, block: DatasetBlock, rescale: Dataset,
+                    columns=slice(None)) -> DatasetBlock:
+    """``prepare_dataset(model, rescale)`` for a rescale (``apply_case``,
+    ``scale_dataset``) of the dataset ``block`` was prepared from that
+    multiplied the scale-variant ``columns`` (an index of the feature axis;
+    all of them by default): only their logs (sir) or their standardized
+    deep-path inputs (deep_only) are computed again, and checked."""
+    k1, rescaled_values = model.schema.k1, rescale.scalevariant[:, columns]
     if model.mode == "sir":
-        log_values = np.concatenate([dataset.fixed, dataset.scalevariant], axis=1)
-        block = replace(block, log_values=np.log(log_values, out=log_values))
-    else:
-        _standardized(dataset.scalevariant, model.stats.scalevariant_mean,
-                      model.stats.scalevariant_std, block.deep_items[:, model.schema.k1:])
-    if not (np.isfinite(block.deep_items).all() and np.isfinite(block.deep_numeric).all()):
-        bad = ~(np.isfinite(block.deep_numeric).all(axis=1)
-                & np.logical_and.reduceat(np.isfinite(block.deep_items).all(axis=1),
-                                          block.offsets[:-1]))
+        log_values = block.log_values.copy()
+        log_values[:, k1:][:, columns] = np.log(rescaled_values)
+        return replace(block, log_values=log_values)
+    stats = model.stats
+    standardized = _standardized(rescaled_values, stats.scalevariant_mean[columns],
+                                 stats.scalevariant_std[columns])
+    _check_finite(rescale, block.deep_numeric, standardized)
+    deep_items = block.deep_items.copy()
+    deep_items[:, k1:][:, columns] = standardized
+    return replace(block, deep_items=deep_items)
+
+
+def _check_finite(dataset: Dataset, deep_numeric: np.ndarray, deep_items: np.ndarray):
+    """DomainError naming the first query of ``dataset`` with a non-finite
+    value in ``deep_numeric`` (a row per query) or ``deep_items`` (a row per
+    item)."""
+    if not (np.isfinite(deep_items).all() and np.isfinite(deep_numeric).all()):
+        bad = ~(np.isfinite(deep_numeric).all(axis=1)
+                & np.logical_and.reduceat(np.isfinite(deep_items).all(axis=1),
+                                          dataset.offsets[:-1]))
         raise DomainError(f"query {dataset.query_ids[int(np.argmax(bad))]}: "
                           "non-finite deep-path input")
-    return block
 
 
 # ---------------------------------------------------------------------------

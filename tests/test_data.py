@@ -233,6 +233,26 @@ def test_save_dataset_writes_the_reference_bytes_for_odd_names_ids_and_values(tm
         "i\u2028\x7f", "日本\x1f", 'i"d\\')
 
 
+def test_save_dataset_writes_the_reference_bytes_at_the_bounds_of_orjson_s_text(tmp_path):
+    """A query whose values lie just inside and just outside both bounds of
+    the range where orjson writes a float as repr does, beside a query whose
+    values all lie inside it."""
+    low, high = sirank.data._ORJSON_AS_REPR
+    edges = [np.nextafter(low, 0), low, np.nextafter(low, 1), np.nextafter(high, 0), high,
+             np.nextafter(high, np.inf)]
+    ds = Dataset(schema=ODD_SCHEMA, queries=[
+        _odd_record("edges", ["a", "b", "c"], fixed=(edges * 3)[:15],
+                    scalevariant=(edges[::-1] * 3)[:15], numeric=(-edges[0], -high, edges[3], -low),
+                    rate=edges[5]),
+        _odd_record("inside", ["a", "b"], fixed=[2e-4, 0.5, 3.0, 1234.5, 7e15] * 2,
+                    scalevariant=[9e15, 0.25, 12.0, 3e-4, 1e15] * 2,
+                    numeric=(0.1, -2.5, 1e5, -7e-4), rate=0.85),
+    ])
+    _assert_saved_as_reference(ds, tmp_path / "edges.jsonl")
+    edge_line = (tmp_path / "edges.jsonl").read_text().splitlines()[0]
+    assert "9.999999999999999e-05" in edge_line and "1.0000000000000002e+16" in edge_line
+
+
 _FINITE = {"allow_nan": False, "allow_infinity": False}
 
 
@@ -837,6 +857,48 @@ def test_orjson_reads_numbers_as_json_does_but_big_ints_as_floats():
             continue
         got = orjson.loads(text)
         assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), text
+
+
+def test_orjson_writes_floats_as_repr_inside_its_range():
+    """The equivalence the writer relies on, pinned to the installed orjson:
+    a float64 of magnitude in ``_ORJSON_AS_REPR``, or a zero of either sign,
+    gets repr's text from orjson, on the numpy path ``_float_texts`` takes
+    and on the list path; just outside both bounds it does not, and
+    ``_float_texts`` writes repr's text there."""
+    import orjson
+
+    def texts(values, **option):
+        return orjson.dumps(values, **option).decode()[1:-1].split(",")
+
+    low, high = sirank.data._ORJSON_AS_REPR
+    rng = np.random.default_rng(31)
+    # positive float64s order as their int64 bits: random bit patterns in [low, high)
+    drawn = rng.integers(np.float64(low).view(np.int64), np.float64(high).view(np.int64),
+                         200_000).view(np.float64)
+    decimals = [round(x, k) for x, k in zip(rng.uniform(1e-3, 1e5, 20_000).tolist(),
+                                            rng.integers(0, 8, 20_000).tolist())]
+    powers = 10.0 ** np.arange(-4, 16)
+    neighbours = [np.nextafter(low, np.inf), np.nextafter(high, 0),
+                  *np.nextafter(powers[1:], 0), *np.nextafter(powers, np.inf)]
+    positive = np.concatenate([drawn, decimals, powers, neighbours])
+    inside = np.concatenate([positive, -positive, [0.0, -0.0]])
+    want = [repr(x) for x in inside.tolist()]
+    assert texts(inside, option=orjson.OPT_SERIALIZE_NUMPY) == want
+    assert texts(inside.tolist()) == want
+    assert sirank.data._float_texts(inside) == want
+    outside = np.array([np.nextafter(low, 0), high, np.nextafter(high, np.inf), 1e-5, 1e300])
+    outside = np.concatenate([outside, -outside])
+    assert all(text != repr(x) for text, x in zip(
+        texts(outside, option=orjson.OPT_SERIALIZE_NUMPY), outside.tolist()))
+    assert sirank.data._float_texts(outside) == [repr(x) for x in outside.tolist()]
+
+
+def test_import_sirank_does_not_load_orjson():
+    script = "import sys, sirank; assert 'orjson' not in sys.modules"
+    src = Path(sirank.data.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readers_decode_utf_8_in_any_locale(tmp_path):

@@ -78,6 +78,21 @@ def test_generator_config_refuses_a_noise_temperature_that_is_not_finite_and_pos
         GeneratorConfig(num_queries=5).noise_temperature = temperature
 
 
+@pytest.mark.parametrize("temperature", [1e-308, 1e-320])
+def test_generate_refuses_a_noise_temperature_whose_quotient_overflows(temperature):
+    config = GeneratorConfig(num_queries=5, noise_temperature=temperature)
+    with pytest.raises(ConfigError) as info:
+        generate(config)
+    assert str(info.value) == (f"noise temperature {temperature} is too small: "
+                               "utility / temperature overflows float64 in query q0")
+    assert "\n" not in str(info.value)
+
+
+def test_a_tiny_noise_temperature_that_does_not_overflow_still_generates():
+    ds = generate(GeneratorConfig(num_queries=5, noise_temperature=1e-300))
+    assert len(ds) == 5 and ds.labels.sum() == 5
+
+
 def test_config_json_keeps_the_corpus_shape():
     # the dict `sirank generate` writes to its .meta.json: the fixed shape
     # keeps its keys so that file stays byte-identical

@@ -1,16 +1,20 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from sirank.data import Dataset, fit_standardization
 from sirank.errors import ConfigError, ContractError, DomainError, SchemaError, ValidationError
-from sirank.perturb import PerturbationCase, apply_case
+from sirank.generator import GeneratorConfig, generate
+from sirank.perturb import (CASE_IDS, DEFAULT_RATE, PerturbationCase, apply_case,
+                            target_columns)
 from sirank.scoring import (
     EVAL_CHUNK_ROWS,
+    MODES,
+    DatasetBlock,
     Ranking,
     block_scorer,
     build_model,
@@ -416,6 +420,26 @@ def test_batched_gap_matches_per_query_max():
         for c in (0.5, 1200.0):
             want = max(invariance_gap(model, q, c) for q in ds.queries)
             assert abs(batched_gap(model, ds, c) - want) < 1e-12, (model.mode, c)
+
+
+def test_rescale_blocks_are_bitwise_prepare_dataset_of_the_rescale():
+    # the generator's schema: the cases rescale 2 of its 5 scale-variant
+    # columns, the gap all of them
+    ds = generate(GeneratorConfig(num_queries=40, seed=31))
+    assert len(target_columns(ds.schema)) < ds.schema.k2
+    for mode in MODES:
+        model = small_model(ds, mode=mode, seed=31)
+        block = prepare_dataset(model, ds)
+        rescales = [(apply_case(ds, PerturbationCase(c)), target_columns(ds.schema))
+                    for c in CASE_IDS] + [(scale_dataset(ds, DEFAULT_RATE), slice(None))]
+        for rescale, columns in rescales:
+            got = prepare_rescale(model, block, rescale, columns)
+            want = prepare_dataset(model, rescale)
+            for field in fields(DatasetBlock):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert (a is None and b is None) or (
+                    a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), (
+                    mode, field.name)
 
 
 def test_batched_identity_gap_exactly_zero():
