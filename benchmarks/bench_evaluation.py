@@ -1,8 +1,9 @@
 """Evaluation-path timings: JSONL loading, the four perturbation cases,
 batched NDCG, ``evaluate_scenarios`` (the clean split, the four cases and the
 x1200 invariance gap, as one grid cell measures a model), writing a perturbed
-dataset, ``score_query`` on one generated query, and one ``sirank evaluate``
-and one ``sirank perturb`` call.
+dataset, ``load_checkpoint`` of a sir and a deep_only checkpoint,
+``score_query`` on one generated query, and one ``sirank evaluate`` and one
+``sirank perturb`` call.
 
 Run from the root of a checkout:
 
@@ -122,6 +123,9 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
                 lambda: sr.mean_ndcg(models["deep_only"], test_raw),
             f"evaluate_scenarios_sir_{len(cases_ds)}q_s": lambda: scenarios("sir"),
             f"evaluate_scenarios_deep_only_{len(cases_ds)}q_s": lambda: scenarios("deep_only"),
+            "load_checkpoint_sir_s": lambda: sr.load_checkpoint(tmp / "sir.ckpt.json", full.schema),
+            "load_checkpoint_deep_only_s":
+                lambda: sr.load_checkpoint(tmp / "deep_only.ckpt.json", full.schema),
             f"cli_evaluate_sir_{sizes['cli_queries']}q_s": lambda: evaluate("sir"),
             f"cli_evaluate_deep_only_{sizes['cli_queries']}q_s": lambda: evaluate("deep_only"),
             f"cli_perturb_case3_{sizes['cli_queries']}q_s": perturb,

@@ -114,9 +114,10 @@ def _parse_seed(text: str) -> int:
 
 def _parse_cases(text: str) -> tuple[int, ...]:
     cases = _parse_ints(text, "--case")
-    bad = [c for c in cases if c not in CASE_IDS]
-    if bad or not cases:
+    if not cases or any(c not in CASE_IDS for c in cases):
         raise ConfigError(f"--case values must be among {list(CASE_IDS)}, got {text!r}")
+    if len(set(cases)) != len(cases):
+        raise ConfigError(f"each case may appear once, got {list(cases)}")
     return cases
 
 

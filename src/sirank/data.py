@@ -819,8 +819,10 @@ def fit_standardization(train: Dataset, schema: FeatureSchema,
     )
 
 
-def check_stats_schema(stats: StandardizationStats, schema: FeatureSchema):
-    """Raise SchemaError unless ``stats`` name the schema's deep-path features."""
+def check_stats_schema(stats: StandardizationStats, schema: FeatureSchema,
+                       scalevariant: bool = False):
+    """Raise SchemaError unless ``stats`` name the schema's deep-path
+    features, and its scale-variant ones too if ``scalevariant``."""
     if stats.numeric_names != schema.numeric_query_names:
         raise SchemaError(f"stats cover query numerics {stats.numeric_names}, "
                           f"schema declares {schema.numeric_query_names}")
@@ -829,6 +831,8 @@ def check_stats_schema(stats: StandardizationStats, schema: FeatureSchema):
                           f"schema declares {schema.item_features_fixed}")
     if stats.covers_scalevariant and stats.scalevariant_names != schema.item_features_scalevariant:
         raise SchemaError("stats cover scale-variant features not in the schema")
+    if scalevariant and not stats.covers_scalevariant:
+        raise SchemaError("a deep_only model needs stats that cover the scale-variant features")
 
 
 def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:

@@ -27,7 +27,7 @@ value is reported before epoch 0. Batched scores match per-query ones to
 within a few ulps (matrix products of another shape sum in another order).
 
 All parameters live in one contiguous float64 vector; ``SirModel.params`` is
-a ``ParamVector``, a dict of named views into it in build order. ``backward``
+a ``ParamVector``, a dict of named views into it in ``param_shapes`` order. ``backward``
 writes gradients with the same layout, into a fresh vector or into one the
 caller passes (``train`` reuses one vector for every step), so ``sgd_step``
 checks and updates every parameter with one vector operation each.
@@ -35,6 +35,7 @@ checks and updates every parameter with one vector operation each.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -43,8 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import (MAX_EMBEDDING_VALUES, Dataset, FeatureSchema, QueryRecord,
-                   StandardizationStats, check_rescaled, check_stats_schema, fit_standardization,
-                   rescaled)
+                   StandardizationStats, _is_int, check_rescaled, check_stats_schema,
+                   fit_standardization, rescaled)
 from .errors import (
     ConfigError,
     ContractError,
@@ -66,32 +67,30 @@ EVAL_CHUNK_ROWS = 256
 
 class ParamVector(dict):
     """Parameter arrays by name, in build order, each a reshaped view into
-    one contiguous float64 vector ``flat``. Writing through a view writes the
-    vector, so one vector operation updates every parameter. Set values with
-    ``params[name][...] = value``: binding a new array to a name would detach
-    it from ``flat``.
+    one contiguous float64 vector ``flat``, zero until written. Writing
+    through a view writes the vector, so one vector operation updates every
+    parameter. Set values with ``params[name][...] = value``: binding a new
+    array to a name would detach it from ``flat``.
 
-    ``layout`` holds one (name, span of ``flat``, shape) entry per array.
+    ``shapes`` is its (name, shape) table; ``spans[name]`` is the span of ``flat`` ``name`` views.
     """
 
-    def __init__(self, layout: tuple[tuple[str, slice, tuple[int, ...]], ...]):
-        self.layout = layout
-        self.flat = np.zeros(layout[-1][1].stop)
-        super().__init__((name, self.flat[span].reshape(shape)) for name, span, shape in layout)
+    def __init__(self, shapes: tuple[tuple[str, tuple[int, ...]], ...]):
+        stops = [0, *itertools.accumulate(math.prod(shape) for _, shape in shapes)]
+        self.shapes, self.flat, self.spans = shapes, np.zeros(stops[-1]), {}
+        for (name, shape), lo, hi in zip(shapes, stops, stops[1:]):
+            self.spans[name] = slice(lo, hi)
+            self[name] = self.flat[lo:hi].reshape(shape)
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> ParamVector:
-        layout, lo = [], 0
-        for name, value in arrays.items():
-            layout.append((name, slice(lo, lo + value.size), value.shape))
-            lo += value.size
-        out = cls(tuple(layout))
+        out = cls(tuple((name, value.shape) for name, value in arrays.items()))
         for name, value in arrays.items():
             out[name][...] = value
         return out
 
     def zeros_like(self) -> ParamVector:
-        return ParamVector(self.layout)
+        return ParamVector(self.shapes)
 
 
 @dataclass
@@ -108,15 +107,15 @@ class SirModel:
         """(3, embedding width): per embedding column of the query
         representation, the categorical feature it reads, its position in
         ``params.flat`` for category id 0, and its table's row width."""
-        starts = {name: span.start for name, span, _ in self.params.layout}
-        return np.array([(i, starts[f"emb_{f.name}"] + j, f.embedding_dim)
+        spans = self.params.spans
+        return np.array([(i, spans[f"emb_{f.name}"].start + j, f.embedding_dim)
                          for i, f in enumerate(self.schema.categorical_query_features)
                          for j in range(f.embedding_dim)], dtype=np.intp).reshape(-1, 3).T
 
     @cached_property
     def embedding_stop(self) -> int:
         """The end of the last embedding table in ``params.flat``."""
-        return max((span.stop for name, span, _ in self.params.layout
+        return max((span.stop for name, span in self.params.spans.items()
                     if name.startswith("emb_")), default=0)
 
     @cached_property
@@ -126,21 +125,40 @@ class SirModel:
 
 
 # ---------------------------------------------------------------------------
-# weight initialization (seeded so builds are reproducible)
+# parameter layout and seeded initialization
 
 
-def init_dense_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """Uniform in +-sqrt(6/(fan_in+fan_out))."""
-    if fan_in * fan_out > MAX_EMBEDDING_VALUES:
-        raise ConfigError(f"dense weight {fan_in} x {fan_out} has more than "
-                          f"{MAX_EMBEDDING_VALUES} values")
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-def init_embedding_table(rng: np.random.Generator, cardinality: int, dim: int) -> np.ndarray:
-    """Uniform in +-0.05."""
-    return rng.uniform(-0.05, 0.05, size=(cardinality, dim))
+def param_shapes(schema: FeatureSchema, mode: str, widths: tuple[int, ...],
+                 compressor_dim: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, shape) of every parameter array of a ``mode`` model for ``schema``,
+    in build order, allocating none. ConfigError for an unknown mode, a width or
+    compressor width not an int in range, or a dense weight over the cap."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if not widths or not all(_is_int(w) and w >= 1 for w in widths):
+        raise ConfigError(f"invalid dense widths {widths}")
+    m_prime = schema.query_repr_dim
+    if not _is_int(compressor_dim):
+        raise ConfigError(f"compressor output {compressor_dim!r} must be an int")
+    if not 1 <= compressor_dim < m_prime:
+        raise ConfigError(
+            f"compressor output {compressor_dim} must be at least 1 and smaller than "
+            f"the query representation width {m_prime}")
+    shapes = [(f"emb_{f.name}", (f.cardinality, f.embedding_dim))
+              for f in schema.categorical_query_features]
+    fan_ins = (m_prime + schema.k1 + (schema.k2 if mode == "deep_only" else 0), *widths)
+    for i, (fan_in, width) in enumerate(zip(fan_ins, widths)):
+        shapes += [(f"deep_w{i}", (fan_in, width)), (f"deep_b{i}", (width,))]
+    shapes += [("head_w", (widths[-1], 1)), ("head_b", (1,))]
+    if mode == "sir":
+        shapes += [("fs_w", (m_prime, compressor_dim)), ("fs_b", (compressor_dim,)),
+                   ("wide_w", (compressor_dim * (schema.k1 + schema.k2),))]
+    # only a dense weight is refused: the schema caps embedding tables; a bias is <= its weight
+    for _, shape in shapes:
+        if math.prod(shape) > MAX_EMBEDDING_VALUES:
+            raise ConfigError(f"dense weight {shape[0]} x {math.prod(shape[1:])} has more than "
+                              f"{MAX_EMBEDDING_VALUES} values")
+    return tuple(shapes)
 
 
 def fit_stats(train: Dataset, mode: str) -> StandardizationStats:
@@ -154,47 +172,20 @@ def build_model(schema: FeatureSchema, mode: str = "sir",
                 widths: tuple[int, ...] = DEFAULT_WIDTHS,
                 compressor_dim: int = DEFAULT_L, seed: int = 0, *,
                 stats: StandardizationStats) -> SirModel:
-    """A freshly initialized model that standardizes with ``stats``, which
-    must name the schema's deep-path features (SchemaError otherwise), the
-    scale-variant ones too for a deep_only model."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if not widths or any(w < 1 for w in widths):
-        raise ConfigError(f"invalid dense widths {widths}")
-    m_prime = schema.query_repr_dim
-    if not 1 <= compressor_dim < m_prime:
-        raise ConfigError(
-            f"compressor output {compressor_dim} must be at least 1 and smaller than "
-            f"the query representation width {m_prime}")
-    check_stats_schema(stats, schema)
-    if mode == "deep_only" and not stats.covers_scalevariant:
-        raise SchemaError("a deep_only model needs stats that cover the scale-variant features")
-
-    rng = np.random.default_rng(seed)
-    params = {}
-    for f in schema.categorical_query_features:
-        params[f"emb_{f.name}"] = init_embedding_table(rng, f.cardinality, f.embedding_dim)
-
-    deep_in = m_prime + schema.k1
-    if mode == "deep_only":
-        deep_in += schema.k2
-    prev = deep_in
-    for i, width in enumerate(widths):
-        params[f"deep_w{i}"] = init_dense_weight(rng, prev, width)
-        params[f"deep_b{i}"] = np.zeros(width)
-        prev = width
-    params["head_w"] = init_dense_weight(rng, prev, 1)
-    params["head_b"] = np.zeros(1)
-
-    if mode == "sir":
-        params["fs_w"] = init_dense_weight(rng, m_prime, compressor_dim)
-        params["fs_b"] = np.zeros(compressor_dim)
-        k = schema.k1 + schema.k2
-        params["wide_w"] = init_dense_weight(rng, compressor_dim * k, 1).reshape(-1)
-
+    """A freshly initialized model that standardizes with ``stats`` (see
+    ``check_stats_schema``): in build order, embedding tables uniform in
+    +-0.05, dense weights uniform in +-sqrt(6/(fan_in+fan_out)), biases 0."""
+    shapes = param_shapes(schema, mode, widths, compressor_dim)
+    check_stats_schema(stats, schema, scalevariant=mode == "deep_only")
+    params, rng = ParamVector(shapes), np.random.default_rng(seed)
+    for name, shape in shapes:
+        if name.startswith("emb_"):
+            params[name][...] = rng.uniform(-0.05, 0.05, size=shape)
+        elif not name.rstrip("0123456789").endswith("_b"):
+            bound = np.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))
+            params[name][...] = rng.uniform(-bound, bound, size=shape)
     return SirModel(schema=schema, mode=mode, widths=tuple(widths),
-                    compressor_dim=compressor_dim, params=ParamVector.from_arrays(params),
-                    stats=stats)
+                    compressor_dim=compressor_dim, params=params, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +401,7 @@ def backward(model: SirModel, cache: ForwardCache, score_gradients: np.ndarray,
                             f"{cache.layer_inputs[0].shape[0]} scores")
     if grads is None:
         grads = p.zeros_like()
-    elif grads.layout != p.layout:
+    elif grads.shapes != p.shapes:
         raise ContractError("the gradient vector is not laid out like the model's parameters")
     else:
         grads.flat[:model.embedding_stop] = 0.0
@@ -596,11 +587,11 @@ CHECKPOINT_KEYS = ("version", "mode", "widths", "compressor_dim", "schema_finger
 
 
 def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
-    """Read a checkpoint: its stats first, then the model that its stored
-    mode, widths and compressor width build for ``schema`` with those stats,
-    whose parameter vector the stored parameters fill. Stats, a layout or a
-    parameter name or shape that does not fit raise SchemaError naming the
-    checkpoint."""
+    """Read a checkpoint: its stats first, then the ``param_shapes`` layout
+    of its stored mode, widths and compressor width for ``schema``, which the
+    stored parameter names and shapes must match before a zero parameter
+    vector is made and filled. Stats, a layout or a parameter name or shape
+    that does not fit raise SchemaError naming the checkpoint."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -629,24 +620,27 @@ def load_checkpoint(path, schema: FeatureSchema) -> SirModel:
                                   f"mean and a finite std > 0, got {mean} and {std}")
     layout = f"mode {obj['mode']!r}, widths {obj['widths']}, compressor_dim {obj['compressor_dim']}"
     try:
-        model = build_model(schema, mode=obj["mode"], widths=tuple(obj["widths"]),
-                            compressor_dim=obj["compressor_dim"], stats=stats)
+        widths = tuple(obj["widths"])
+        shapes = param_shapes(schema, obj["mode"], widths, obj["compressor_dim"])
+        check_stats_schema(stats, schema, scalevariant=obj["mode"] == "deep_only")
     except SchemaError as exc:
         raise SchemaError(f"checkpoint {path} has stats that do not fit {layout}: {exc}") from exc
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (ConfigError, TypeError) as exc:
         raise SchemaError(f"checkpoint {path} has an invalid layout ({layout}): {exc}") from exc
     stored = obj["params"]
-    if not isinstance(stored, dict) or set(stored) != set(model.params):
+    if not isinstance(stored, dict) or set(stored) != {name for name, _ in shapes}:
         raise SchemaError(f"checkpoint {path} parameters do not match {layout}")
-    for name, want in model.params.items():
+    values = {}
+    for name, shape in shapes:
         try:
             value = np.array(stored[name]["data"], dtype=np.float64).reshape(stored[name]["shape"])
         except (LookupError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(f"checkpoint {path} parameter {name!r} is malformed: {exc}") from exc
-        if value.shape != want.shape:
+        if value.shape != shape:
             raise SchemaError(f"checkpoint {path} parameter {name!r} has shape "
-                              f"{list(value.shape)}, expected {list(want.shape)} for {layout}")
+                              f"{list(value.shape)}, expected {list(shape)} for {layout}")
         if not np.isfinite(value).all():
             raise SchemaError(f"checkpoint {path} parameter {name!r} holds a non-finite value")
-        want[...] = value
-    return model
+        values[name] = value
+    return SirModel(schema=schema, mode=obj["mode"], widths=widths, stats=stats,
+                    compressor_dim=obj["compressor_dim"], params=ParamVector.from_arrays(values))

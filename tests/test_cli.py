@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -475,6 +476,14 @@ def _break_checkpoint(path, case):
         obj["stats"]["fixed"]["star_rating"][1] = 0.0
     elif case == "nan_mean":
         obj["stats"]["numeric"][next(iter(obj["stats"]["numeric"]))][0] = float("nan")
+    elif case == "float_widths":
+        obj["widths"] = [float(w) for w in obj["widths"]]
+    elif case == "bool_widths":
+        obj["widths"] = [True] * len(obj["widths"])
+    elif case == "float_compressor_dim":
+        obj["compressor_dim"] = float(obj["compressor_dim"])
+    elif case == "bool_compressor_dim":
+        obj["compressor_dim"] = True
     path.write_text(json.dumps(obj))
 
 
@@ -483,7 +492,8 @@ def _break_checkpoint(path, case):
                                   "huge_integer_weight", "stats_entry_empty",
                                   "stats_feature_renamed", "stats_feature_dropped",
                                   "huge_widths", "nan_weight", "infinite_weight", "zero_std",
-                                  "nan_mean"])
+                                  "nan_mean", "float_widths", "bool_widths",
+                                  "float_compressor_dim", "bool_compressor_dim"])
 def test_malformed_checkpoint_is_validation_error(workdir, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text((workdir / "model.json").read_text())
@@ -494,6 +504,49 @@ def test_malformed_checkpoint_is_validation_error(workdir, tmp_path, capsys, cas
     assert code == 3
     assert err.startswith("validation error: checkpoint")
     assert len(err.splitlines()) == 1
+
+
+def test_a_checkpoint_layout_is_checked_before_anything_is_allocated(workdir, tmp_path):
+    # 40 layers of 500 would take about 80 MB of weights; every array is
+    # stored under its right name, one value long, so the shapes refuse it
+    obj = json.loads((workdir / "model.json").read_text())
+    widths = [500] * 40
+    names = [n for n in obj["params"] if n.startswith("emb_")]
+    names += [f"deep_{kind}{i}" for i in range(len(widths)) for kind in "wb"]
+    names += ["head_w", "head_b", "fs_w", "fs_b", "wide_w"]
+    first = names[0]
+    want = (f"checkpoint {tmp_path / 'wide.json'} parameter {first!r} has shape [1], "
+            f"expected {obj['params'][first]['shape']} for mode 'sir', widths {widths}, "
+            f"compressor_dim {obj['compressor_dim']}")
+    obj["widths"] = widths
+    obj["params"] = {name: {"shape": [1], "data": [0.0]} for name in names}
+    (tmp_path / "wide.json").write_text(json.dumps(obj))
+    schema = sr.load_schema(workdir / "data.schema.json")
+    tracemalloc.start()
+    try:
+        with pytest.raises(sr.SchemaError) as exc:
+            sr.load_checkpoint(tmp_path / "wide.json", schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == want
+    assert peak < 5e6
+
+
+def test_untrained_checkpoints_are_pinned(workdir, tmp_path):
+    # sha256 under numpy 2.4.6 of what save_checkpoint writes for a freshly
+    # built model of each mode: any change to the initial draws, their order
+    # or the parameter layout moves them
+    ds = sr.load_dataset(workdir / "data.jsonl", sr.load_schema(workdir / "data.schema.json"))
+    got = {}
+    for mode in sr.MODES:
+        model = sr.build_model(ds.schema, mode=mode, seed=3, stats=fit_stats(ds, mode))
+        sr.save_checkpoint(model, tmp_path / f"{mode}.json")
+        got[mode] = _sha256((tmp_path / f"{mode}.json").read_bytes())
+    assert got == {
+        "sir": "e1a356625a4e7cdbc75fc35b134a3ca3aa1841fe1deb903759d0ee5ce8fb7f5c",
+        "deep_only": "47ac7f22f67b37b5a8ccdeb543bae9b1341511ac174c1f59dae14ed5c6abc188",
+    }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -666,6 +719,21 @@ def test_experiment_refuses_a_repeated_loss_before_generating(tmp_path, capsys, 
     assert code == 2
     assert err == "usage error: each loss may appear once, got ['ranknet', 'ranknet']\n"
     assert generated == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, cases", [("evaluate", "1,1,4"), ("perturb", "1,1")])
+def test_a_repeated_case_is_a_usage_error(workdir, tmp_path, capsys, command, cases):
+    target = {"perturb": ["--out", str(tmp_path / "p.jsonl")],
+              "evaluate": ["--model", str(workdir / "model.json"),
+                           "--out", str(tmp_path / "e.json")]}[command]
+    code = main([command, *target, "--data", str(workdir / "data.jsonl"),
+                 "--schema", str(workdir / "data.schema.json"), "--case", cases])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    want = [int(c) for c in cases.split(",")]
+    assert captured.err == f"usage error: each case may appear once, got {want}\n"
     assert list(tmp_path.iterdir()) == []
 
 
