@@ -2,8 +2,13 @@
 batched NDCG, ``evaluate_scenarios`` (the clean split, the four cases and the
 x1200 invariance gap, as one grid cell measures a model), writing a perturbed
 dataset, ``load_checkpoint`` of a sir and a deep_only checkpoint,
-``score_query`` on one generated query, and one ``sirank evaluate`` and one
-``sirank perturb`` call.
+``score_query`` on one generated query, one ``sirank evaluate`` and one
+``sirank perturb`` call, and what ``import sirank.cli`` costs a fresh
+interpreter: its wall time and the child's own peak RSS, one subprocess per
+sample. The child reads that peak as its ``VmHWM`` (Linux): ``ru_maxrss`` of a
+spawned child, whether read by the child or by ``wait4``, also counts the
+spawning process's own peak, because Linux keeps the high-water mark of the
+address space the child leaves at ``exec``.
 
 Run from the root of a checkout:
 
@@ -33,6 +38,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -54,11 +61,34 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
+# the child's last stdout line: the peak RSS, in kB, of its own address space
+_IMPORT_CLI = """import sirank.cli
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def import_cli(src: Path) -> tuple[float, float]:
+    """Wall seconds of a new interpreter that imports ``sirank.cli`` from
+    ``src`` and exits, and that child's own peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI], env=env, capture_output=True,
+                          text=True)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_evaluation: import sirank.cli failed:\n{proc.stderr}")
+    return seconds, int(proc.stdout.split()[-1]) / 1024
+
+
 def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
-    """Seconds per call of every measured operation, one sample per repeat."""
+    """Seconds per call of every measured operation, one sample per repeat,
+    and the peak RSS in MB of each fresh ``import sirank.cli``."""
     import sirank as sr
     import sirank.cli
     import sirank.metrics
+
+    src = Path(sirank.__file__).resolve().parents[1]
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="bench-eval-") as tmp:
@@ -133,14 +163,19 @@ def measure(sizes: dict, repeats: int, seed: int) -> dict[str, list[float]]:
         }
         for fn in ops.values():
             fn()  # warm-up: imports, caches, first-call costs
+        import_cli(src)
         for _ in range(repeats):
             for name, fn in ops.items():
                 seconds = _timed(fn)
                 samples.setdefault(name, []).append(
                     seconds * 1e6 / SCORE_QUERY_CALLS if name == "score_query_us" else seconds)
+            seconds, rss_mb = import_cli(src)
+            samples.setdefault("import_sirank_cli_s", []).append(seconds)
+            samples.setdefault("import_sirank_cli_peak_rss_mb", []).append(rss_mb)
     return samples
 
 
 if __name__ == "__main__":
     sys.exit(bench_common.main(__file__, __doc__, SIZES, measure, unit=("ms", 1e3),
-                               units={"score_query_us": ("us", 1.0)}))
+                               units={"score_query_us": ("us", 1.0),
+                                      "import_sirank_cli_peak_rss_mb": ("MB", 1.0)}))

@@ -220,9 +220,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    ds = _load_inputs(args)
     if len(args.case) != 1:
         raise ConfigError("perturb applies exactly one --case per run")
+    ds = _load_inputs(args)
     case = PerturbationCase(args.case[0])
     out_ds = apply_case(ds, case)
     save_dataset(out_ds, args.out)

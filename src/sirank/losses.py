@@ -15,6 +15,10 @@ gain difference and every ideal DCG exactly 1.
 listnet and listmle take log-sum-exps through ``_logsumexp``, a numpy port
 of ``scipy.special.logsumexp``'s algorithm that gives the same bits on a
 vector without scipy's per-call dispatch (about 10x cheaper on a list of 15).
+ranknet and lambdarank take their pair slopes through ``_expit``, a port of
+``scipy.special.expit`` that gives the same bits. Only softrank's ``erfc``
+loads ``scipy.special``, when it is first called, so importing sirank or
+training any other loss never pays for that library.
 
 What depends only on a list's size and booked index (the pairwise losses'
 index of the other items, listnet's target, the DCG discounts) is computed
@@ -30,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, expit
 
 from .data import MAX_ITEMS_PER_QUERY
 from .errors import DomainError, TrainingError
@@ -88,6 +91,26 @@ def _logsumexp(a: np.ndarray) -> np.float64:
     if not math.isfinite(out):
         out = np.log(np.exp(a).sum())
     return out
+
+
+def _expit_or_zero(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # scipy's exp(-v) is inf here, and 1 / inf is 0.0
+        return 0.0
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.expit(x)`` of a float64 vector, bit for bit. scipy
+    takes 1 / (1 + exp(-x)) with the C library's ``exp``, which ``math.exp``
+    calls too; numpy's own ``exp`` can differ from it in the last bit.
+    ``math.exp`` raises where that ``exp`` overflows, and there the value
+    is 0.0, as scipy's is."""
+    values = x.tolist()
+    try:
+        return np.array([1.0 / (1.0 + math.exp(-v)) for v in values])
+    except OverflowError:
+        return np.array([_expit_or_zero(v) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +172,7 @@ def _weighted_pairwise_loss(scores, booked, pair_weights=None) -> LossOutput:
     others = _others(s.size, b)
     # f_other - f_booked: rounding is symmetric, so this is -(f_booked - f_other) exactly
     d = s[others] - s[b]
-    softplus, slope = np.logaddexp(0.0, d), expit(d)  # slope: 1 - P(booked beats other)
+    softplus, slope = np.logaddexp(0.0, d), _expit(d)  # slope: 1 - P(booked beats other)
     if pair_weights is not None:
         w = pair_weights(s, b, others)
         softplus, slope = w * softplus, w * slope
@@ -224,6 +247,7 @@ def _win_prob(diff, sigma: float):
     carry N(0, sigma^2) noise, the noisy difference is N(diff, 2 sigma^2)."""
     if not 0 < sigma < math.inf:
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
+    from scipy.special import erfc  # here, not on ``import sirank``: only softrank needs it
     return 0.5 * erfc(-(diff / (sigma * SQRT2)) / SQRT2)
 
 

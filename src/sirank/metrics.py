@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .data import Dataset
 from .errors import DomainError, ValidationError
@@ -183,6 +182,7 @@ def two_sample_t_test(a, b) -> TTestResult:
                            df=float(a.size + b.size - 2), degenerate=True)
     t = diff / denom
     df = (sa + sb) ** 2 / (sa ** 2 / (a.size - 1) + sb ** 2 / (b.size - 1))
+    from scipy.special import stdtr  # here, not on ``import sirank``: only the t-test needs it
     return TTestResult(t=float(t), p_value=float(stdtr(df, t)), df=float(df))
 
 

@@ -348,6 +348,10 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+
+        # the t-tests below load it anyway; loaded before the fork, every
+        # worker inherits it rather than importing it for softrank
+        import scipy.special
         _GRID = grid
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:

@@ -154,6 +154,22 @@ def test_perturb_rejects_unknown_case(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("data", ["nope.jsonl", "data.jsonl"])
+def test_perturb_refuses_several_cases_before_loading(workdir, tmp_path, capsys, monkeypatch,
+                                                      data):
+    loaded = []
+    monkeypatch.setattr(sirank.cli, "load_dataset", lambda *args: loaded.append(args))
+    code = main(["perturb", "--data", str(workdir / data), "--schema",
+                 str(workdir / "data.schema.json"), "--case", "1,2",
+                 "--out", str(tmp_path / "x.jsonl")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: perturb applies exactly one --case per run\n"
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value, message", [
     ("[" * 1200 + "]" * 1200, "maximum recursion depth exceeded"),
     ("1" * 5000, "Exceeds the limit (4300 digits)")])

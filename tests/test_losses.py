@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from sirank.losses import (
     LOSS_NAMES,
     LossOutput,
     _DISCOUNTS,
+    _expit,
     _fold_layout,
     _listnet_target,
     _logsumexp,
@@ -183,6 +188,24 @@ def test_logsumexp_port_is_bitwise_scipy():
             a = (np.arange(n) == rng.integers(n)).astype(np.float64)
         want, got = logsumexp(a), _logsumexp(a)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+
+
+def test_expit_port_is_bitwise_scipy():
+    # ranknet and lambdarank train bitwise as they did with scipy's expit
+    rng = np.random.default_rng(34)
+    for _ in range(4000):
+        x = rng.normal(size=int(rng.integers(1, 31))) * 10.0 ** rng.uniform(-3, 3)
+        assert _expit(x).tobytes() == expit(x).tobytes(), x
+    overflow = math.log(np.finfo(np.float64).max)  # 709.78...: exp overflows past it
+    edges = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, -2.2250738585072009e-308, 745.2, -745.2, 746.0, -746.0,
+             1e4, -1e4, 1e308, -1e308]
+    around = overflow + np.arange(-3, 4) * np.spacing(overflow)
+    edges = np.concatenate([edges, around, -around])
+    assert _expit(edges).tobytes() == expit(edges).tobytes()
+    for v in edges:  # each alone, so an overflow falls back for one value
+        assert _expit(np.array([v])).tobytes() == expit(np.array([v])).tobytes(), v
+    assert _expit(np.array([-746.0, 0.0, -1e308])).tolist() == [0.0, 0.5, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -625,3 +648,52 @@ def test_one_booked_losses_are_bitwise_the_graded_formulas():
                                     graded_softrank(scores, labels, 0.15))):
             assert np.float64(got.value).tobytes() == np.float64(value).tobytes(), scores
             assert got.score_gradients.tobytes() == grad.tobytes(), scores
+
+
+# ---------------------------------------------------------------------------
+# what loads scipy.special
+
+_SCIPY_SPECIAL_SCRIPT = """if True:
+    import sys, tempfile
+    from pathlib import Path
+
+    def unloaded(after):
+        assert "scipy.special" not in sys.modules, after
+
+    import sirank as sr
+    unloaded("import sirank")
+    import sirank.cli
+    unloaded("import sirank.cli")
+    from sirank.metrics import evaluate_scenarios
+    ds = sr.generate(sr.GeneratorConfig(num_queries=30, seed=3))
+    train_ds, val_ds, test_ds = sr.split_holdout(ds, seed=3)
+    for loss in ("ranknet", "lambdarank", "listnet", "listmle"):
+        config = sr.TrainConfig(loss=loss, max_epochs=2, patience=1, seed=3)
+        model, _ = sr.train(train_ds, val_ds, config)
+        unloaded(f"{loss} train")
+    evaluate_scenarios(model, test_ds, sr.CASE_IDS, gap=True)
+    unloaded("evaluate_scenarios")
+    perturbed = sr.apply_case(test_ds, sr.PerturbationCase(3))
+    unloaded("apply_case")
+    with tempfile.TemporaryDirectory() as tmp:
+        sr.save_dataset(perturbed, Path(tmp) / "p.jsonl")
+        unloaded("save_dataset")
+        sr.load_dataset(Path(tmp) / "p.jsonl", ds.schema)
+        unloaded("load_dataset")
+    if sys.argv[1] == "softrank":
+        sr.softrank_objective([0.3, -0.2, 1.1], 0)
+    else:
+        sr.two_sample_t_test([0.1, 0.4, 0.2], [0.3, 0.5, 0.6])
+    assert "scipy.special" in sys.modules, sys.argv[1]
+"""
+
+
+@pytest.mark.parametrize("loader", ["softrank", "t-test"])
+def test_only_softrank_and_the_t_test_load_scipy_special(loader):
+    # the CLI's non-training commands and the other four losses start and
+    # run without that library's import time and memory
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_SCRIPT, loader],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
