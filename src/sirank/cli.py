@@ -136,6 +136,12 @@ def _patience(args) -> int:
     return min(DEFAULT_PATIENCE, args.epochs - 1)
 
 
+def _schedule(args) -> dict:
+    """The schedule fields of the flags that train and experiment share."""
+    return {"max_epochs": args.epochs, "patience": _patience(args), "learning_rate": args.lr,
+            "sigma": args.sigma, "widths": args.widths, "compressor_dim": args.L}
+
+
 def _load_inputs(args) -> Dataset:
     schema = load_schema(args.schema)
     return load_dataset(args.data, schema)
@@ -164,23 +170,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        loss=args.loss,
-        mode=args.mode,
-        max_epochs=args.epochs,
-        patience=_patience(args),
-        learning_rate=args.lr,
-        sigma=args.sigma,
-        seed=args.seed,
-        widths=args.widths,
-        compressor_dim=args.L,
-    )
-
-
 def cmd_train(args) -> int:
     ds = _load_inputs(args)
-    cfg = _train_config(args)
+    cfg = TrainConfig(loss=args.loss, mode=args.mode, seed=args.seed, **_schedule(args))
     tr_raw, va_raw, _ = split_holdout(ds, seed=args.seed)
     model, history = train(tr_raw, va_raw, cfg)
     prov = _provenance("train", args.seed, {"data": args.data, "schema": args.schema})
@@ -242,10 +234,7 @@ def cmd_perturb(args) -> int:
 def cmd_experiment(args) -> int:
     if args.data and args.generate:
         raise ConfigError("pass either --data or --generate, not both")
-    cfg = ExperimentConfig(seed=args.seed, losses=args.loss or LOSS_NAMES,
-                           max_epochs=args.epochs, patience=_patience(args),
-                           learning_rate=args.lr, sigma=args.sigma,
-                           widths=args.widths, compressor_dim=args.L)
+    cfg = ExperimentConfig(seed=args.seed, losses=args.loss or LOSS_NAMES, **_schedule(args))
     inputs: dict[str, str] = {}
     if args.data:
         if not args.schema:
@@ -291,9 +280,16 @@ def cmd_report(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its own errors, like a missing flag or a bad choice, end as one-line usage errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache  # one parser a process: each parse_args makes a new namespace
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sirank",
         description="Scale-invariant ranking models: synthetic data, training, "
                     "perturbation experiments.")
@@ -381,8 +377,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except SystemExit:  # --help and --version
+        return EXIT_OK
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

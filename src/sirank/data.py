@@ -803,6 +803,8 @@ def fit_standardization(train: Dataset, schema: FeatureSchema,
     consumes standardized scale-variant values. Invariant models must fit
     with the default so the stats cover exactly their deep-path features.
     """
+    if schema != train.schema:
+        raise SchemaError("fit_standardization needs the dataset's own schema")
     if len(train) == 0:
         raise ValidationError("cannot fit standardization on an empty dataset")
     n_mean, n_std = _fit_columns(train.numeric, schema.numeric_query_names)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -53,41 +54,47 @@ DEFAULT_LEARNING_RATES = {
 }
 
 
-def _check_schedule(max_epochs: int, patience: int, learning_rate: float | None, sigma: float):
-    """The checks that TrainConfig and ExperimentConfig share."""
-    if not (1 <= patience < max_epochs):
-        raise ConfigError(f"patience {patience} must be in [1, max_epochs) "
-                          f"with max_epochs {max_epochs}")
-    if not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
-    if learning_rate is not None and not (math.isfinite(learning_rate) and learning_rate >= 0):
-        raise ConfigError(f"learning rate must be a finite number >= 0, got {learning_rate}")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    loss: str = "ranknet"
-    mode: str = "sir"
+@dataclass(frozen=True, kw_only=True)
+class Schedule:
+    """The training protocol that ``sirank train`` and every grid cell share."""
     max_epochs: int = DEFAULT_MAX_EPOCHS
     patience: int = DEFAULT_PATIENCE
     learning_rate: float | None = None  # None picks the per-loss default
     sigma: float = DEFAULT_SOFTRANK_SIGMA
-    seed: int = 0
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     compressor_dim: int = DEFAULT_L
+
+    def __post_init__(self):
+        if not (1 <= self.patience < self.max_epochs):
+            raise ConfigError(f"patience {self.patience} must be in [1, max_epochs) "
+                              f"with max_epochs {self.max_epochs}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
+        lr = self.learning_rate
+        if lr is not None and not (math.isfinite(lr) and lr >= 0):
+            raise ConfigError(f"learning rate must be a finite number >= 0, got {lr}")
+
+    def learning_rate_for(self, loss: str) -> float:
+        """``learning_rate``, or without it the default step size of ``loss``."""
+        return DEFAULT_LEARNING_RATES[loss] if self.learning_rate is None else self.learning_rate
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(Schedule):
+    loss: str = "ranknet"
+    mode: str = "sir"
+    seed: int = 0
 
     def __post_init__(self):
         if self.loss not in LOSS_NAMES:
             raise ConfigError(f"unknown loss {self.loss!r}, expected one of {LOSS_NAMES}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        _check_schedule(self.max_epochs, self.patience, self.learning_rate, self.sigma)
+        super().__post_init__()
 
     @property
     def resolved_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return DEFAULT_LEARNING_RATES[self.loss]
+        return self.learning_rate_for(self.loss)
 
 
 @dataclass
@@ -193,16 +200,10 @@ def train(train_ds: Dataset, val_ds: Dataset, config: TrainConfig) -> tuple[SirM
 # experiment grid
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(Schedule):
     seed: int = 0
     losses: tuple[str, ...] = LOSS_NAMES
-    max_epochs: int = DEFAULT_MAX_EPOCHS
-    patience: int = DEFAULT_PATIENCE
-    learning_rate: float | None = None
-    sigma: float = DEFAULT_SOFTRANK_SIGMA
-    widths: tuple[int, ...] = DEFAULT_WIDTHS
-    compressor_dim: int = DEFAULT_L
 
     def __post_init__(self):
         unknown = [l for l in self.losses if l not in LOSS_NAMES]
@@ -212,7 +213,7 @@ class ExperimentConfig:
             raise ConfigError("need at least one loss")
         if len(set(self.losses)) != len(self.losses):
             raise ConfigError(f"each loss may appear once, got {list(self.losses)}")
-        _check_schedule(self.max_epochs, self.patience, self.learning_rate, self.sigma)
+        super().__post_init__()
 
 
 @dataclass
@@ -250,15 +251,16 @@ class ExperimentReport:
         """Inverse of ``asdict``; a missing key or a wrong-typed value raises ValidationError."""
         try:
             cells = [CellResult(
-                loss=c["loss"], mode=c["mode"], seed=c["seed"],
+                loss=_text(c["loss"]), mode=_text(c["mode"]), seed=c["seed"],
                 val_ndcg=_number_or_none(c["val_ndcg"]),
                 test_ndcg=_number_or_none(c["test_ndcg"]),
                 case_ndcg={int(k): _number_or_none(v) for k, v in c["case_ndcg"].items()},
                 invariance_gap_c1200=_number_or_none(c["invariance_gap_c1200"]),
                 history=TrainHistory(**c["history"]) if c.get("history") else None,
-                error=c["error"],
+                error=_text(c["error"], nullable=True),
             ) for c in obj["cells"]]
-            tests = [TestCell(**t) for t in obj["tests"]]
+            tests = [TestCell(**{**t, "loss": _text(t["loss"]),
+                                 "condition": _text(t["condition"])}) for t in obj["tests"]]
             meta = obj["meta"]
             for key in REPORT_META_NUMBERS:
                 if _number_or_none(meta[key]) is None:
@@ -276,8 +278,15 @@ REPORT_META_NUMBERS = ("alpha", "n_comparisons", "significance_threshold",
 
 
 def _number_or_none(v):
-    if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-        raise TypeError(f"expected a number or null, got {v!r}")
+    if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))
+                          or isinstance(v, int) and abs(v) > sys.float_info.max):
+        raise TypeError(f"expected a float64 number or null, got {v!r}")
+    return v
+
+
+def _text(v, nullable: bool = False):
+    if not (isinstance(v, str) or nullable and v is None):
+        raise TypeError(f"expected a string{' or null' if nullable else ''}, got {v!r}")
     return v
 
 
@@ -312,10 +321,8 @@ def _run_cell(task: tuple[str, str, int], grid: tuple | None = None):
     loss, mode, seed = task
     config, train_raw, val_raw, test_raw = grid or _GRID
     cell = CellResult(loss=loss, mode=mode, seed=seed)
-    tc = TrainConfig(loss=loss, mode=mode, max_epochs=config.max_epochs,
-                     patience=config.patience, learning_rate=config.learning_rate,
-                     sigma=config.sigma, seed=seed, widths=config.widths,
-                     compressor_dim=config.compressor_dim)
+    tc = TrainConfig(loss=loss, mode=mode, seed=seed,
+                     **{f.name: getattr(config, f.name) for f in fields(Schedule)})
     try:
         model, history = train(train_raw, val_raw, tc)
     except TrainingError as exc:
@@ -390,11 +397,7 @@ def run_experiment(ds: Dataset, config: ExperimentConfig) -> ExperimentReport:
         "n_comparisons": n_comparisons,
         "significance_threshold": threshold,
         "random_ranker_test_ndcg": random_ranker_mean_ndcg(test_raw),
-        "learning_rates": {
-            loss: (config.learning_rate if config.learning_rate is not None
-                   else DEFAULT_LEARNING_RATES[loss])
-            for loss in config.losses
-        },
+        "learning_rates": {loss: config.learning_rate_for(loss) for loss in config.losses},
         "max_epochs": config.max_epochs,
         "patience": config.patience,
         "widths": list(config.widths),

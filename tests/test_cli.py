@@ -267,7 +267,9 @@ def test_report_rerenders_saved_json(experiment_out, tmp_path, capsys):
     '{"report": {"cells": [{"loss": "ranknet"}], "tests": [], "meta": {}}}',
     '{"report": {"cells": [], "tests": [], "meta": {"alpha": "0.05"}}}',
     '{"report": ',
-], ids=["cell_without_mode", "meta_with_string", "not_json"])
+    '{"report": {"cells": [], "tests": [], "meta": {"alpha": 0.05, "n_comparisons": 1, '
+    f'"significance_threshold": {10 ** 400}, "random_ranker_test_ndcg": 0.5}}}}}}',
+], ids=["cell_without_mode", "meta_with_string", "not_json", "meta_with_int_beyond_float"])
 def test_malformed_report_is_validation_error(tmp_path, capsys, content):
     bad = tmp_path / "rep.json"
     bad.write_text(content)
@@ -276,6 +278,31 @@ def test_malformed_report_is_validation_error(tmp_path, capsys, content):
     assert code == 3
     assert err.startswith("validation error:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["deep_only_loss", "sir_mode", "cell_error",
+                                  "test_loss", "test_condition"])
+def test_report_with_a_non_string_name_is_validation_error(experiment_out, tmp_path, capsys,
+                                                           case):
+    payload = json.loads((experiment_out / "rep.json").read_text())
+    report = payload["report"]
+    if case == "deep_only_loss":
+        report["cells"][0]["loss"] = ["x"]
+    elif case == "sir_mode":
+        report["cells"][1]["mode"] = ["sir"]
+    elif case == "cell_error":
+        report["cells"][1]["error"] = ["diverged"]
+    elif case == "test_loss":
+        report["tests"][0]["loss"] = ["ranknet"]
+    else:
+        report["tests"][0]["condition"] = ["test"]
+    bad = tmp_path / "rep.json"
+    bad.write_text(json.dumps(payload))
+    for out in ([], ["--out", str(tmp_path / "again")]):
+        assert main(["report", "--data", str(bad), *out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: malformed experiment report: expected a string")
+        assert len(err.splitlines()) == 1
 
 
 def _break_first_query(record, case):
@@ -386,7 +413,29 @@ def test_overflowing_feature_is_named_before_training(workdir, tmp_path, capsys)
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["train", "--data", "x.jsonl"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == ("usage error: the following arguments are required: "
+                                       "--schema, --out\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["report", "--data", "r.json", "--colour"], "unrecognized arguments: --colour"),
+    (["generate", "--out", "d.jsonl", "--queries", "x"], "argument --queries: invalid int value: 'x'"),
+    (["train", "--data", "d.jsonl", "--schema", "d.schema.json", "--out", "m.json",
+      "--lr", "fast"], "argument --lr: invalid float value: 'fast'"),
+    (["train", "--data", "d.jsonl", "--schema", "d.schema.json", "--out", "m.json",
+      "--mode", "bogus"], "argument --mode: invalid choice: 'bogus' (choose from 'sir', 'deep_only')"),
+    (["fit"], "argument subcommand: invalid choice: 'fit' (choose from 'generate', 'train', "
+              "'evaluate', 'perturb', 'experiment', 'report')"),
+    ([], "the following arguments are required: subcommand"),
+], ids=["unknown_flag", "bad_int", "bad_float", "bad_choice",
+        "unknown_subcommand", "no_subcommand"])
+def test_argparse_errors_are_one_line_usage_errors(tmp_path, capsys, monkeypatch, argv, want):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {want}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_file_is_usage_error(workdir, capsys):
@@ -803,3 +852,10 @@ def test_bad_seed_is_usage_error(tmp_path, capsys, seed):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "sirank" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+def test_help_flag_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: sirank") and captured.err == ""

@@ -1280,6 +1280,20 @@ def test_non_finite_stats_rejected_naming_feature(factor):
         fit_standardization(ds, ds.schema)
 
 
+def test_fit_standardization_refuses_a_schema_other_than_the_datasets():
+    # the stats would pair that schema's names with the dataset's columns
+    ds = hand_dataset(n_queries=6, seed=1)
+    numeric = next(f for f in ds.schema.query_features if f.kind == "numeric")
+    fewer = replace(ds.schema, query_features=tuple(
+        f for f in ds.schema.query_features if f is not numeric))
+    reversed_fixed = replace(ds.schema, item_features_fixed=ds.schema.item_features_fixed[::-1])
+    for schema in (fewer, reversed_fixed):
+        with pytest.raises(SchemaError, match="the dataset's own schema"):
+            fit_standardization(ds, schema, include_scalevariant=True)
+    equal = fit_standardization(ds, replace(ds.schema))
+    assert equal.numeric_names == ds.schema.numeric_query_names
+
+
 def test_symmetric_pair_gives_zero_mean_unit_std():
     ds = hand_dataset(n_queries=6, seed=1)
     ds = Dataset(schema=ds.schema, queries=[

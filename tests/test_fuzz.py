@@ -108,8 +108,9 @@ def check(argv):
         code = main(argv)
     err = out.getvalue()
     assert code in EXIT_CODES, (argv, code, err)
-    if code == 3:
-        assert err.startswith("validation error: ") and len(err.splitlines()) == 1, err
+    if code in (2, 3):
+        start = "usage error: " if code == 2 else "validation error: "
+        assert err.startswith(start) and len(err.splitlines()) == 1, (argv, err)
 
 
 @SETTINGS
@@ -161,6 +162,17 @@ def test_mutated_checkpoints_end_in_an_exit_code(files, data):
     with open(bad, "w") as fh:
         json.dump(obj, fh)
     check(commands(files, files["data.jsonl"], files["data.schema.json"], bad)["evaluate"])
+
+
+@SETTINGS
+@given(data=st.data())
+def test_mutated_reports_end_in_an_exit_code(files, data):
+    with open(files["report.json"]) as fh:
+        obj = mutate(data, json.load(fh))
+    bad = files["bad"] + ".json"
+    with open(bad, "w") as fh:
+        json.dump(obj, fh)
+    check(["report", "--data", bad] + data.draw(st.sampled_from([[], ["--out", files["out"]]])))
 
 
 @SETTINGS

@@ -7,7 +7,7 @@ import re
 import threading
 import warnings
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -461,6 +461,15 @@ def test_experiment_config_checks_epochs_and_patience_like_train_config():
             ExperimentConfig(max_epochs=max_epochs, patience=patience)
         assert str(experiment_err.value) == str(train_err.value)
     ExperimentConfig(max_epochs=2, patience=1)
+
+
+def test_configs_share_one_keyword_only_schedule():
+    schedule = {f.name: f.default for f in fields(sirank.trainer.Schedule)}
+    for config in (TrainConfig, ExperimentConfig):
+        assert {f.name: f.default for f in fields(config) if f.name in schedule} == schedule
+        with pytest.raises(TypeError):
+            config(0)
+    assert ExperimentConfig(learning_rate=0.2).learning_rate_for("listmle") == 0.2
 
 
 def test_each_validation_query_is_prepared_once(monkeypatch):
